@@ -1,8 +1,8 @@
 """Command-line front end: JSON descriptions in, deterministic reports out.
 
 The machine-readable report goes to stdout (or --out); a short human summary
-goes to stderr.  Exit codes: 0 success, 1 parse/validation failure, 2 search
-budget or size guard exhausted.
+goes to stderr.  Exit codes: 0 success, 1 parse/validation failure or any
+other input the library rejects, 2 search budget or size guard exhausted.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def parse_ring(obj: dict) -> finalg.FinRing:
                                        parse_ring(obj["right"]))
     except KeyError as exc:
         raise ParseError(f"ring description missing {exc}") from exc
-    except (finalg.NotPrime, finalg.InvalidPolynomial, finalg.RingError) as exc:
+    except finalg.RingError as exc:
         raise ValidationError(f"invalid ring: {exc}") from exc
     raise ParseError(f"unknown ring kind {obj.get('kind')!r}")
 
@@ -332,6 +332,13 @@ def cmd_demo(args) -> dict:
 
 # -- entry point -------------------------------------------------------------
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sheafkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -364,16 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("grassmann")
     sp.add_argument("--space", required=True)
     sp.add_argument("--ring", required=True)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-k", type=nonnegative_int, required=True)
+    sp.add_argument("-n", type=nonnegative_int, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_grassmann)
 
     sp = sub.add_parser("classify")
     sp.add_argument("--space", required=True)
     sp.add_argument("--ring", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-N", type=int, required=True)
+    sp.add_argument("-n", type=nonnegative_int, required=True)
+    sp.add_argument("-N", type=nonnegative_int, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_classify)
 
@@ -425,6 +432,9 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, SpaceTooLarge) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SheafkitError as exc:
+        print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     _emit(report, args.out)
     print(_summary(report), file=sys.stderr)
     return EXIT_OK

@@ -60,9 +60,6 @@ class FinRing:
     def neg(self, a: int) -> int:
         return self._neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self._neg[b]]
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -101,10 +98,6 @@ class FinRing:
 
 def is_unit(r: FinRing, x: int) -> bool:
     return any(r.mul(x, y) == r.one for y in r.elements())
-
-
-def units(r: FinRing) -> List[int]:
-    return [x for x in r.elements() if is_unit(r, x)]
 
 
 def is_field(r: FinRing) -> bool:
@@ -441,10 +434,6 @@ class Submodule:
 
 def zero_submodule(r: FinRing, n: int) -> Submodule:
     return Submodule(r, n, frozenset({zero_vec(r, n)}))
-
-
-def full_submodule(r: FinRing, n: int) -> Submodule:
-    return Submodule(r, n, frozenset(all_vecs(r, n)))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -10,7 +10,7 @@ specialization order ``y <= x  iff  y in min_open(x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .errors import (
     MinOpenNotOpen,
@@ -30,9 +30,6 @@ DEFAULT_MAX_POINTS = 12
 class FinSpace:
     points: Tuple[Point, ...]
     min_open: Mapping[Point, PointSet]
-
-    def minimal_open(self, x: Point) -> PointSet:
-        return self.min_open[x]
 
     def is_open(self, s: Iterable[Point]) -> bool:
         carrier = frozenset(s)

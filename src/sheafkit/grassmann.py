@@ -37,9 +37,6 @@ class GrassmannPresheaf:
     values: Dict[PointSet, List[VectorSubsheaf]]
     locally_free: bool  # False: the free-value presheaf G; True: V
 
-    def restrict_value(self, s: VectorSubsheaf, v: PointSet) -> VectorSubsheaf:
-        return restrict_subsheaf(s, v)
-
 
 def _stalk_families(ambient: ModuleSheaf, u: PointSet,
                     candidates: Dict[Point, List[Submodule]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
@@ -22,7 +22,7 @@ ElemMap = Dict[Elem, Elem]
 
 DEFAULT_STATE_BOUND = 10 ** 6
 
-SET, RING, MODULE = "set", "ring", "module"
+SET, RING = "set", "ring"
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,6 @@ class Carrier:
     kind "set": bare elements.
     kind "ring": `ring` holds the structure; element i of `elements` is ring
     code i (for constructed presheaves the elements simply are the codes).
-    kind "module": elements are nested tuples whose leaves are codes of the
-    scalar ring `ring`; addition and scaling act leafwise.
     """
     kind: str
     elements: Tuple[Elem, ...]
@@ -55,26 +53,6 @@ class Carrier:
 
     def ring_one(self) -> Elem:
         return self.elements[self.ring.one]
-
-
-def _leaf_op(op, a, b):
-    if isinstance(a, tuple):
-        return tuple(_leaf_op(op, x, y) for x, y in zip(a, b))
-    return op(a, b)
-
-
-def _leaf_map(fn, a):
-    if isinstance(a, tuple):
-        return tuple(_leaf_map(fn, x) for x in a)
-    return fn(a)
-
-
-def module_add(c: Carrier, a: Elem, b: Elem) -> Elem:
-    return _leaf_op(c.ring.add, a, b)
-
-
-def module_scale(c: Carrier, s: int, a: Elem) -> Elem:
-    return _leaf_map(lambda x: c.ring.mul(s, x), a)
 
 
 @dataclass
@@ -157,16 +135,6 @@ def _structure_violations(p: Presheaf) -> List[str]:
                                    for i in range(cu.ring.size)))
             if not validate_morphism(f):
                 problems.append(f"restriction {set(u)}->{set(v)} not a ring morphism")
-        elif cu.kind == MODULE == cv.kind and cu.ring is cv.ring:
-            for a in cu.elements:
-                for b in cu.elements:
-                    if m[module_add(cu, a, b)] != module_add(cv, m[a], m[b]):
-                        problems.append(
-                            f"restriction {set(u)}->{set(v)} not additive")
-                        break
-                else:
-                    continue
-                break
     return problems
 
 
@@ -226,8 +194,7 @@ def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
 
 def compatible_families(space: FinSpace, carrier_pts: PointSet,
                         elems_at: Callable[[Point], List[Elem]],
-                        res: Callable[[Point, Point, Elem], Elem],
-                        state_bound: int = DEFAULT_STATE_BOUND) -> List[Tuple[Elem, ...]]:
+                        res: Callable[[Point, Point, Elem], Elem]) -> List[Tuple[Elem, ...]]:
     """All families (g_x) with g_y = res(x,y,g_x) whenever y ∈ min_open(x).
 
     Values are chosen at the maximal points of the open set and propagated
@@ -239,8 +206,8 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     states = 1
     for m in maxpts:
         states *= max(len(elems_at(m)), 1)
-        if states > state_bound:
-            raise SpaceTooLarge(f"section enumeration exceeds {state_bound} states")
+        if states > DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"section enumeration exceeds {DEFAULT_STATE_BOUND} states")
     out = []
     for choice in itertools.product(*[elems_at(m) for m in maxpts]):
         assign: Dict[Point, Elem] = {}
@@ -271,30 +238,26 @@ class SheafSpace:
     unit: Dict[PointSet, ElemMap]  # per open: source carrier -> section
 
 
-def _family_carrier(p: Presheaf, u: PointSet,
-                    families: List[Tuple[Elem, ...]]) -> Carrier:
-    """Equip a family set with the source presheaf's pointwise structure."""
-    kind = p.carriers[u].kind
-    pts = sorted(u)
-    if kind == RING:
-        stalks = [p.stalk_carrier(x) for x in pts]
-        ring = ring_from_ops(
-            families,
-            lambda a, b: tuple(c.ring_add(x, y) for c, x, y in zip(stalks, a, b)),
-            lambda a, b: tuple(c.ring_mul(x, y) for c, x, y in zip(stalks, a, b)),
-            zero=tuple(c.ring_zero() for c in stalks),
-            one=tuple(c.ring_one() for c in stalks),
-            label=f"sections({sorted(u)})")
-        return Carrier(RING, tuple(families), ring)
-    if kind == MODULE:
-        scalars = {p.stalk_carrier(x).ring for x in pts}
-        if len(scalars) <= 1:
-            ring = scalars.pop() if scalars else p.carriers[u].ring
-            return Carrier(MODULE, tuple(families), ring)
-    return Carrier(SET, tuple(families))
+def family_carrier(kind: str, stalks: Sequence[Carrier],
+                   families: List[Tuple[Elem, ...]], label: str) -> Carrier:
+    """Carrier of germ families whose i-th entries lie in stalks[i].
+
+    With kind "ring" the families form a ring under the pointwise
+    operations of the stalks, named `label`; any other kind gives a set.
+    """
+    if kind != RING:
+        return Carrier(SET, tuple(families))
+    ring = ring_from_ops(
+        families,
+        lambda a, b: tuple(c.ring_add(x, y) for c, x, y in zip(stalks, a, b)),
+        lambda a, b: tuple(c.ring_mul(x, y) for c, x, y in zip(stalks, a, b)),
+        zero=tuple(c.ring_zero() for c in stalks),
+        one=tuple(c.ring_one() for c in stalks),
+        label=label)
+    return Carrier(RING, tuple(families), ring)
 
 
-def sheafify(p: Presheaf, state_bound: int = DEFAULT_STATE_BOUND) -> SheafSpace:
+def sheafify(p: Presheaf) -> SheafSpace:
     """Sections of the generated sheaf, with the unit map on every open."""
     space = p.space
     opens = sorted(p.carriers, key=lambda u: (len(u), tuple(sorted(u))))
@@ -303,13 +266,12 @@ def sheafify(p: Presheaf, state_bound: int = DEFAULT_STATE_BOUND) -> SheafSpace:
         return p.restrict(space.min_open[x], space.min_open[y], e)
 
     carriers: Dict[PointSet, Carrier] = {}
-    fam_lists: Dict[PointSet, List] = {}
     for u in opens:
         fams = compatible_families(
-            space, u, lambda x: list(p.stalk_carrier(x).elements), res,
-            state_bound=state_bound)
-        fam_lists[u] = fams
-        carriers[u] = _family_carrier(p, u, fams)
+            space, u, lambda x: list(p.stalk_carrier(x).elements), res)
+        carriers[u] = family_carrier(
+            p.carriers[u].kind, [p.stalk_carrier(x) for x in sorted(u)], fams,
+            f"sections({sorted(u)})")
 
     restrictions = {}
     for u in opens:
@@ -319,7 +281,7 @@ def sheafify(p: Presheaf, state_bound: int = DEFAULT_STATE_BOUND) -> SheafSpace:
                 continue
             idx = [pts.index(x) for x in sorted(v)]
             restrictions[(u, v)] = {f: tuple(f[i] for i in idx)
-                                    for f in fam_lists[u]}
+                                    for f in carriers[u].elements}
     sections = Presheaf(space, carriers, restrictions)
 
     unit = {}
@@ -359,46 +321,15 @@ def pullback(p: Presheaf, f: ContinuousMap) -> Presheaf:
     def carrier_fn(v: PointSet) -> Carrier:
         fams = compatible_families(
             space_y, v, lambda y: list(p.stalk_carrier(f(y)).elements), res)
-        pts = sorted(v)
-        kind = p.carriers[space_x.min_open[f(pts[0])]].kind if pts else SET
-        if kind == RING:
-            stalks = [p.stalk_carrier(f(y)) for y in pts]
-            ring = ring_from_ops(
-                fams,
-                lambda a, b: tuple(c.ring_add(s, t) for c, s, t in zip(stalks, a, b)),
-                lambda a, b: tuple(c.ring_mul(s, t) for c, s, t in zip(stalks, a, b)),
-                zero=tuple(c.ring_zero() for c in stalks),
-                one=tuple(c.ring_one() for c in stalks),
-                label=f"pullback({sorted(v)})")
-            return Carrier(RING, tuple(fams), ring)
-        return Carrier(SET, tuple(fams))
+        stalks = [p.stalk_carrier(f(y)) for y in sorted(v)]
+        kind = stalks[0].kind if stalks else SET
+        return family_carrier(kind, stalks, fams, f"pullback({sorted(v)})")
 
     def restrict_fn(v: PointSet, w: PointSet, fam: Elem) -> Elem:
         pts = sorted(v)
         return tuple(fam[pts.index(y)] for y in sorted(w))
 
     return build_presheaf(space_y, carrier_fn, restrict_fn)
-
-
-# -- morphisms ---------------------------------------------------------------
-
-@dataclass
-class PresheafMorphism:
-    source: Presheaf
-    target: Presheaf
-    components: Dict[PointSet, ElemMap]
-
-
-def validate_presheaf_morphism(m: PresheafMorphism) -> List[str]:
-    problems = []
-    for (u, v), r in m.source.restrictions.items():
-        tu, tv = m.components[u], m.components[v]
-        tr = m.target.restrictions[(u, v)]
-        for e in m.source.carriers[u].elements:
-            if tv[r[e]] != tr[tu[e]]:
-                problems.append(f"naturality fails {set(u)}->{set(v)}")
-                break
-    return problems
 
 
 # -- the two-algebra construction --------------------------------------------

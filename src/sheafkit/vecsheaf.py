@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (
     CocycleConditionViolated,
     InvalidWeights,
     SearchBudgetExceeded,
-    SheafkitError,
     TrivializationMismatch,
 )
 from .finalg import (
@@ -28,7 +27,6 @@ from .finalg import (
     identity_matrix,
     is_invertible,
     is_unit,
-    ring_from_ops,
     span,
     vec_add,
     vec_scale,
@@ -41,6 +39,7 @@ from .presheaf import (
     Presheaf,
     build_presheaf,
     compatible_families,
+    family_carrier,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -85,17 +84,6 @@ class AlgebraSheaf:
         pts = sorted(u)
         return tuple(sec[pts.index(x)] for x in sorted(v))
 
-    def sec_add(self, u, a, b):
-        return tuple(self.stalk_ring[x].add(s, t)
-                     for x, s, t in zip(sorted(u), a, b))
-
-    def sec_mul(self, u, a, b):
-        return tuple(self.stalk_ring[x].mul(s, t)
-                     for x, s, t in zip(sorted(u), a, b))
-
-    def sec_zero(self, u):
-        return tuple(self.stalk_ring[x].zero for x in sorted(u))
-
     def sec_one(self, u):
         return tuple(self.stalk_ring[x].one for x in sorted(u))
 
@@ -104,14 +92,9 @@ class AlgebraSheaf:
         def carrier_fn(u: PointSet) -> Carrier:
             secs = self.sections(u)
             pts = sorted(u)
-            rings = [self.stalk_ring[x] for x in pts]
-            ring = ring_from_ops(
-                secs,
-                lambda a, b: tuple(r.add(s, t) for r, s, t in zip(rings, a, b)),
-                lambda a, b: tuple(r.mul(s, t) for r, s, t in zip(rings, a, b)),
-                zero=self.sec_zero(u), one=self.sec_one(u),
-                label=f"{self.label}({pts})")
-            return Carrier(RING, tuple(secs), ring)
+            stalks = [Carrier(RING, tuple(self.stalk_ring[x].elements()),
+                              self.stalk_ring[x]) for x in pts]
+            return family_carrier(RING, stalks, secs, f"{self.label}({pts})")
 
         return build_presheaf(self.space, carrier_fn,
                               lambda u, v, s: self.restrict_section(u, v, s))
@@ -123,24 +106,6 @@ def constant_algebra_sheaf(space: FinSpace, ring: FinRing) -> AlgebraSheaf:
                         {(x, y): tuple(range(ring.size))
                          for x in space.points for y in space.min_open[x]},
                         label=f"const({ring.label})")
-
-
-def algebra_sheaf_from_presheaf(p: Presheaf) -> AlgebraSheaf:
-    """Stalkwise algebra sheaf of a ring-tagged presheaf (its sheafification)."""
-    space = p.space
-    stalk_ring = {}
-    res = {}
-    for x in space.points:
-        cx = p.stalk_carrier(x)
-        if cx.kind != RING:
-            raise SheafkitError("presheaf is not ring-tagged")
-        stalk_ring[x] = cx.ring
-        for y in space.min_open[x]:
-            cy = p.stalk_carrier(y)
-            res[(x, y)] = tuple(
-                cy.index(p.restrict(space.min_open[x], space.min_open[y], e))
-                for e in cx.elements)
-    return AlgebraSheaf(space, stalk_ring, res)
 
 
 class ModuleSheaf:
@@ -294,6 +259,32 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
         lambda x, y, v: s.ambient.res[(x, y)][v])
 
 
+def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
+                sections: Callable[[], List[Tuple[Vec, ...]]], k: int,
+                budget: int) -> Tuple[bool, Optional[Tuple]]:
+    """First k-tuple of sections whose germs at every point i span a stalk
+    of sizes[i] vectors in rings[i]^ranks[i]; lists follow the sorted points.
+    `sections` is called only once every stalk has |ring|^k elements."""
+    if not rings:
+        return True, ()
+    for r, size in zip(rings, sizes):
+        if size != r.size ** k:
+            return False, None
+    if k == 0:
+        return True, ()
+    tried = 0
+    for combo in itertools.combinations(sections(), k):
+        tried += 1
+        if tried > budget:
+            raise SearchBudgetExceeded(f"freeness search exceeded {budget} tuples")
+        for i, (r, n, size) in enumerate(zip(rings, ranks, sizes)):
+            if len(span(r, n, [sec[i] for sec in combo])) != size:
+                break
+        else:
+            return True, combo
+    return False, None
+
+
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
                     budget: int = DEFAULT_SEARCH_BUDGET
                     ) -> Tuple[bool, Optional[Tuple]]:
@@ -303,30 +294,9 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     returns the first witness found.
     """
     pts = sorted(u)
-    if not pts:
-        return True, ()
-    for x in pts:
-        r = s.ambient.ring_at(x)
-        if len(s.family_at(x)) != r.size ** k:
-            return False, None
-    if k == 0:
-        return True, ()
-    secs = subsheaf_sections(s, u)
-    tried = 0
-    for combo in itertools.combinations(secs, k):
-        tried += 1
-        if tried > budget:
-            raise SearchBudgetExceeded(f"freeness search exceeded {budget} tuples")
-        ok = True
-        for i, x in enumerate(pts):
-            r = s.ambient.ring_at(x)
-            germs = [sec[i] for sec in combo]
-            if len(span(r, s.n, germs)) != len(s.family_at(x)):
-                ok = False
-                break
-        if ok:
-            return True, combo
-    return False, None
+    return _find_basis([s.ambient.ring_at(x) for x in pts], [s.n] * len(pts),
+                       [len(s.family_at(x)) for x in pts],
+                       lambda: subsheaf_sections(s, u), k, budget)
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
@@ -347,30 +317,9 @@ def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
     """Freeness of a module sheaf over u: k sections whose germs are a basis
     of every stalk.  Same search as for subsheaves, against the full stalks."""
     pts = sorted(u)
-    if not pts:
-        return True, ()
-    for x in pts:
-        r = e.ring_at(x)
-        if len(e.stalk_elems[x]) != r.size ** k:
-            return False, None
-    if k == 0:
-        return True, ()
-    secs = e.sections(u)
-    tried = 0
-    for combo in itertools.combinations(secs, k):
-        tried += 1
-        if tried > budget:
-            raise SearchBudgetExceeded(f"freeness search exceeded {budget} tuples")
-        ok = True
-        for i, x in enumerate(pts):
-            r = e.ring_at(x)
-            germs = [sec[i] for sec in combo]
-            if len(span(r, e.rank_at[x], germs)) != len(e.stalk_elems[x]):
-                ok = False
-                break
-        if ok:
-            return True, combo
-    return False, None
+    return _find_basis([e.ring_at(x) for x in pts], [e.rank_at[x] for x in pts],
+                       [len(e.stalk_elems[x]) for x in pts],
+                       lambda: e.sections(u), k, budget)
 
 
 def module_locally_free(e: ModuleSheaf, u: PointSet, k: int,

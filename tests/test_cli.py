@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sheafkit.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -218,6 +220,25 @@ def test_grassmann_non_prime_field(tmp_path, capsys):
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
                                      "-k", "1", "-n", "2"])
     assert code == EXIT_INVALID and report is None
+
+
+@pytest.mark.parametrize("ring,argv,message", [
+    ({"kind": "Zm", "m": 4}, ["grassmann", "-k", "1", "-n", "2"], "not a field"),
+    ({"kind": "Zm", "m": 4}, ["classify", "-n", "1", "-N", "2"], "not a field"),
+    (F3, ["grassmann", "-k", "-1", "-n", "2"], "-1 is negative"),
+    (F3, ["grassmann", "-k", "1", "-n", "-2"], "-2 is negative"),
+    (F3, ["classify", "-n", "-1", "-N", "2"], "-1 is negative"),
+    (F3, ["classify", "-n", "1", "-N", "-2"], "-2 is negative"),
+], ids=["grassmann-Zm4", "classify-Zm4", "grassmann-k", "grassmann-n",
+        "classify-n", "classify-N"])
+def test_rejected_input_exits_invalid_without_traceback(tmp_path, capsys,
+                                                        ring, argv, message):
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", ring)
+    code, report, err = run(capsys, argv + ["--space", sp, "--ring", rg])
+    assert code == EXIT_INVALID and report is None
+    assert "Traceback" not in err
+    assert message in err.strip().splitlines()[-1]
 
 
 def test_classify_command(tmp_path, capsys):

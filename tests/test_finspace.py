@@ -1,4 +1,5 @@
 import itertools
+import typing
 
 import pytest
 
@@ -10,6 +11,7 @@ from sheafkit.errors import (
 )
 from sheafkit.finspace import (
     ContinuousMap,
+    FinSpace,
     build_space,
     chain3,
     constant_map,
@@ -160,3 +162,8 @@ def test_is_connected_matches_open_partition_scan(make):
         u and v and not (u & v) and (u | v) == frozenset(s.points)
         for u in opens for v in opens)
     assert is_connected(s) == (not has_partition)
+
+
+@pytest.mark.parametrize("cls", [FinSpace, ContinuousMap])
+def test_type_hints_resolve(cls):
+    assert set(typing.get_type_hints(cls)) == set(cls.__dataclass_fields__)

@@ -3,10 +3,11 @@ import pytest
 from sheafkit.errors import (
     CocycleConditionViolated,
     InvalidWeights,
+    SearchBudgetExceeded,
     TrivializationMismatch,
 )
 from sheafkit.finalg import Matrix, make_field, span
-from sheafkit.finspace import discrete2, pseudo_circle, sierpinski
+from sheafkit.finspace import chain3, discrete2, point_space, pseudo_circle, sierpinski
 from sheafkit.presheaf import is_complete
 from sheafkit.vecsheaf import (
     ModuleMorphism,
@@ -128,6 +129,26 @@ def test_is_free_of_rank_examples():
     assert ok and witness == (((1, 1), (1, 1)),)
     assert not is_free_of_rank(zero_subsheaf(amb, X_SIER), X_SIER, 1)[0]
     assert is_free_of_rank(zero_subsheaf(amb, X_SIER), X_SIER, 0)[0]
+
+
+@pytest.mark.parametrize("make", [point_space, sierpinski, chain3, discrete2,
+                                  pseudo_circle])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_module_and_subsheaf_freeness_agree(make, ring):
+    a = constant_algebra_sheaf(make(), ring)
+    whole = frozenset(a.space.points)
+    for n in (1, 2):
+        e = free_sheaf(a, n)
+        for k in range(n + 2):
+            verdict = module_free_of_rank(e, whole, k)
+            assert verdict == is_free_of_rank(full_subsheaf(e, whole), whole, k)
+            assert verdict[0] == (k == n)
+
+
+def test_module_free_of_rank_budget():
+    with pytest.raises(SearchBudgetExceeded):
+        module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=0)
+    assert module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=2)[0]
 
 
 def test_free_implies_locally_free():

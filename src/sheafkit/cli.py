@@ -34,11 +34,26 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _fields(obj, what: str, *keys) -> list:
+    """The values at `keys` of the JSON object describing a `what`."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} description is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{what} description missing {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def parse_space(obj: dict) -> finspace.FinSpace:
+    (table,) = _fields(obj, "space", "min_open")
     try:
-        return finspace.build_space(obj["min_open"])
-    except KeyError as exc:
-        raise ParseError(f"space description missing {exc}") from exc
+        return finspace.build_space(table)
     except SpaceTooLarge:
         raise
     except SheafkitError as exc:
@@ -46,22 +61,26 @@ def parse_space(obj: dict) -> finspace.FinSpace:
 
 
 def parse_ring(obj: dict) -> finalg.FinRing:
+    (kind,) = _fields(obj, "ring", "kind")
     try:
-        kind = obj["kind"]
         if kind == "Fp":
-            return finalg.make_field(obj["p"])
+            (p,) = _fields(obj, "ring", "p")
+            return finalg.make_field(_integer(p, "ring p"))
         if kind == "Zm":
-            return finalg.make_mod_ring(obj["m"])
+            (m,) = _fields(obj, "ring", "m")
+            return finalg.make_mod_ring(_integer(m, "ring m"))
         if kind == "quotient":
-            return finalg.make_quotient(obj["p"], obj["poly"])
+            p, poly = _fields(obj, "ring", "p", "poly")
+            if not isinstance(poly, list):
+                raise ParseError(f"ring poly must be a list, not {poly!r}")
+            return finalg.make_quotient(_integer(p, "ring p"),
+                                        [_integer(c, "ring poly entry") for c in poly])
         if kind == "product":
-            return finalg.make_product(parse_ring(obj["left"]),
-                                       parse_ring(obj["right"]))
-    except KeyError as exc:
-        raise ParseError(f"ring description missing {exc}") from exc
+            left, right = _fields(obj, "ring", "left", "right")
+            return finalg.make_product(parse_ring(left), parse_ring(right))
     except finalg.RingError as exc:
         raise ValidationError(f"invalid ring: {exc}") from exc
-    raise ParseError(f"unknown ring kind {obj.get('kind')!r}")
+    raise ParseError(f"unknown ring kind {kind!r}")
 
 
 def _open_key(u) -> str:
@@ -71,11 +90,7 @@ def _open_key(u) -> str:
 def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
     """Set-tagged presheaf: carriers and element-map restrictions by open key."""
     opens = finspace.enumerate_opens(space)
-    try:
-        carrier_tbl = obj["carriers"]
-        restr_tbl = obj["restrictions"]
-    except KeyError as exc:
-        raise ParseError(f"presheaf description missing {exc}") from exc
+    carrier_tbl, restr_tbl = _fields(obj, "presheaf", "carriers", "restrictions")
     carriers = {}
     for u in opens:
         key = _open_key(u)
@@ -110,17 +125,21 @@ def _parse_overlap_section(ring: finalg.FinRing, entry, pts) -> Tuple[int, ...]:
     return tuple(_ring_code(ring, entry[x]) for x in pts)
 
 
+def _transition_key(key: str, size: int) -> Tuple[int, int]:
+    """The chart indices i, j of a transition key "i,j", each below `size`."""
+    parts = key.split(",")
+    if len(parts) != 2 or not all(t.isdecimal() and int(t) < size for t in parts):
+        raise ParseError(f"transition key {key!r} is not 'i,j' with i, j < {size}")
+    return int(parts[0]), int(parts[1])
+
+
 def parse_cocycle(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
                   obj: dict) -> vecsheaf.TransitionCocycle:
-    try:
-        cover = tuple(frozenset(u) for u in obj["cover"])
-        rank = obj["rank"]
-        raw = obj["transitions"]
-    except KeyError as exc:
-        raise ParseError(f"cocycle description missing {exc}") from exc
+    cover, rank, raw = _fields(obj, "cocycle", "cover", "rank", "transitions")
+    cover = tuple(frozenset(u) for u in cover)
     transitions = {}
     for key, mat in raw.items():
-        i, j = (int(t) for t in key.split(","))
+        i, j = _transition_key(key, len(cover))
         pts = sorted(cover[i] & cover[j])
         transitions[(i, j)] = tuple(
             tuple(_parse_overlap_section(ring, entry, pts) for entry in row)
@@ -130,11 +149,8 @@ def parse_cocycle(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
 
 def parse_weights(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
                   obj: dict) -> vecsheaf.WeightFamily:
-    try:
-        cover = tuple(frozenset(u) for u in obj["cover"])
-        raw = obj["weights"]
-    except KeyError as exc:
-        raise ParseError(f"weights description missing {exc}") from exc
+    cover, raw = _fields(obj, "weights", "cover", "weights")
+    cover = tuple(frozenset(u) for u in cover)
     pts = sorted(a.space.points)
     weights = tuple(_parse_overlap_section(ring, entry, pts) for entry in raw)
     return vecsheaf.WeightFamily(a, cover, weights)
@@ -142,12 +158,8 @@ def parse_weights(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
 
 def parse_map(codomain: finspace.FinSpace, obj: dict
               ) -> finspace.ContinuousMap:
-    try:
-        domain = parse_space(obj["space"])
-        assignment = obj["assignment"]
-    except KeyError as exc:
-        raise ParseError(f"map description missing {exc}") from exc
-    f = finspace.ContinuousMap(domain, codomain, dict(assignment))
+    space, assignment = _fields(obj, "map", "space", "assignment")
+    f = finspace.ContinuousMap(parse_space(space), codomain, dict(assignment))
     if not finspace.validate_map(f):
         raise ValidationError("map is not continuous")
     return f
@@ -222,9 +234,10 @@ def cmd_grassmann(args) -> dict:
     space = parse_space(_load_json(args.space))
     ring = parse_ring(_load_json(args.ring))
     a = vecsheaf.constant_algebra_sheaf(space, ring)
-    g = grassmann.build_grassmann_presheaf(a, args.k, args.n, budget=args.budget)
+    budget = vecsheaf.Budget(args.budget)
+    g = grassmann.build_grassmann_presheaf(a, args.k, args.n, budget)
     whole = frozenset(space.points)
-    verdict = grassmann.check_monopresheaf_not_complete(g)
+    verdict = grassmann.check_monopresheaf_not_complete(g, budget)
     return {
         "command": "grassmann",
         "k": args.k,
@@ -241,7 +254,7 @@ def cmd_classify(args) -> dict:
     space = parse_space(_load_json(args.space))
     ring = parse_ring(_load_json(args.ring))
     a = vecsheaf.constant_algebra_sheaf(space, ring)
-    report = grassmann.classify(a, args.n, args.N, budget=args.budget)
+    report = grassmann.classify(a, args.n, args.N, vecsheaf.Budget(args.budget))
     report["command"] = "classify"
     report["ring"] = ring.label
     return report
@@ -342,59 +355,30 @@ def nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sheafkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--budget", type=int, default=vecsheaf.DEFAULT_SEARCH_BUDGET)
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("space-check")
-    sp.add_argument("--space", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_space_check)
-
-    for name, fn in (("presheaf-check", cmd_presheaf_check),
-                     ("sheafify", cmd_sheafify),
-                     ("stalks", cmd_stalks)):
+    # name -> (command, JSON file options, nonnegative integer options); the
+    # commands with integer sizes are the two that run a budgeted search
+    commands = {
+        "space-check": (cmd_space_check, ("space",), ()),
+        "presheaf-check": (cmd_presheaf_check, ("space", "presheaf"), ()),
+        "sheafify": (cmd_sheafify, ("space", "presheaf"), ()),
+        "stalks": (cmd_stalks, ("space", "presheaf"), ()),
+        "pullback": (cmd_pullback, ("space", "presheaf", "map"), ()),
+        "grassmann": (cmd_grassmann, ("space", "ring"), ("-k", "-n")),
+        "classify": (cmd_classify, ("space", "ring"), ("-n", "-N")),
+        "embed": (cmd_embed, ("space", "ring", "cocycle", "weights"), ()),
+        "demo-counterexample": (cmd_demo, (), ()),
+    }
+    for name, (fn, files, sizes) in commands.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--space", required=True)
-        sp.add_argument("--presheaf", required=True)
-        common(sp)
+        for option in files:
+            sp.add_argument(f"--{option}", required=True)
+        for option in sizes:
+            sp.add_argument(option, type=nonnegative_int, required=True)
+        if sizes:
+            sp.add_argument("--budget", type=nonnegative_int,
+                            default=vecsheaf.DEFAULT_SEARCH_BUDGET)
+        sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("pullback")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--presheaf", required=True)
-    sp.add_argument("--map", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_pullback)
-
-    sp = sub.add_parser("grassmann")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("-k", type=nonnegative_int, required=True)
-    sp.add_argument("-n", type=nonnegative_int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_grassmann)
-
-    sp = sub.add_parser("classify")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("-n", type=nonnegative_int, required=True)
-    sp.add_argument("-N", type=nonnegative_int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_classify)
-
-    sp = sub.add_parser("embed")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("--cocycle", required=True)
-    sp.add_argument("--weights", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_embed)
-
-    sp = sub.add_parser("demo-counterexample")
-    common(sp)
-    sp.set_defaults(fn=cmd_demo)
     return ap
 
 

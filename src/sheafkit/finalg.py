@@ -255,8 +255,7 @@ def validate_morphism(f: RingMorphism) -> bool:
     return True
 
 
-def find_ring_isomorphism(r: FinRing, s: FinRing,
-                          bound: int = DEFAULT_ISO_SEARCH_BOUND) -> Optional[RingMorphism]:
+def find_ring_isomorphism(r: FinRing, s: FinRing) -> Optional[RingMorphism]:
     """Exhaustive search for a unital ring isomorphism r -> s.
 
     Backtracking over element images in increasing code order, pruning on
@@ -265,8 +264,9 @@ def find_ring_isomorphism(r: FinRing, s: FinRing,
     """
     if r.size != s.size:
         return None
-    if r.size > bound:
-        raise SearchBudgetExceeded(f"ring size {r.size} exceeds bound {bound}")
+    if r.size > DEFAULT_ISO_SEARCH_BOUND:
+        raise SearchBudgetExceeded(
+            f"ring size {r.size} exceeds bound {DEFAULT_ISO_SEARCH_BOUND}")
 
     n = r.size
     assignment: List[int] = [-1] * n

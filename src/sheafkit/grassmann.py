@@ -9,7 +9,7 @@ the minimal open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded
 from .finalg import Submodule, enumerate_free_submodules, zero_vec
@@ -17,6 +17,7 @@ from .finspace import PointSet, Point, enumerate_opens
 from .presheaf import compatible_families
 from .vecsheaf import (
     AlgebraSheaf,
+    Budget,
     ModuleSheaf,
     VectorSubsheaf,
     free_sheaf,
@@ -24,7 +25,6 @@ from .vecsheaf import (
     is_locally_free,
     make_subsheaf,
     restrict_subsheaf,
-    DEFAULT_SEARCH_BUDGET,
 )
 
 
@@ -35,7 +35,6 @@ class GrassmannPresheaf:
     n: int
     ambient: ModuleSheaf
     values: Dict[PointSet, List[VectorSubsheaf]]
-    locally_free: bool  # False: the free-value presheaf G; True: V
 
 
 def _stalk_families(ambient: ModuleSheaf, u: PointSet,
@@ -76,7 +75,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet,
 
 def _enumerate_values(base: AlgebraSheaf, ambient: ModuleSheaf, k: int, n: int,
                       u: PointSet, locally_free: bool,
-                      budget: int) -> List[VectorSubsheaf]:
+                      budget: Optional[Budget]) -> List[VectorSubsheaf]:
     candidates = {x: enumerate_free_submodules(base.stalk_ring[x], n, k)
                   for x in sorted(u)}
     values = []
@@ -92,7 +91,7 @@ def _enumerate_values(base: AlgebraSheaf, ambient: ModuleSheaf, k: int, n: int,
 
 
 def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
-                              budget: int = DEFAULT_SEARCH_BUDGET
+                              budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
     return _enumerate_values(a, free_sheaf(a, n), k, n, u, False, budget)
@@ -100,29 +99,29 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       u: PointSet,
-                                      budget: int = DEFAULT_SEARCH_BUDGET
+                                      budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list)."""
     return _enumerate_values(a, free_sheaf(a, n), k, n, u, True, budget)
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
-                             budget: int = DEFAULT_SEARCH_BUDGET
+                             budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
     ambient = free_sheaf(a, n)
     values = {u: _enumerate_values(a, ambient, k, n, u, False, budget)
               for u in enumerate_opens(a.space)}
-    return GrassmannPresheaf(a, k, n, ambient, values, locally_free=False)
+    return GrassmannPresheaf(a, k, n, ambient, values)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
-                     budget: int = DEFAULT_SEARCH_BUDGET) -> GrassmannPresheaf:
+                     budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}."""
     ambient = free_sheaf(a, n)
     values = {u: _enumerate_values(a, ambient, k, n, u, True, budget)
               for u in enumerate_opens(a.space)}
-    v = GrassmannPresheaf(a, k, n, ambient, values, locally_free=True)
+    v = GrassmannPresheaf(a, k, n, ambient, values)
     assert v_presheaf_complete(v), "locally-free value presheaf failed completeness"
     return v
 
@@ -169,7 +168,8 @@ def v_presheaf_complete(v: GrassmannPresheaf) -> bool:
     return True
 
 
-def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
+def check_monopresheaf_not_complete(g: GrassmannPresheaf,
+                                    budget: Optional[Budget] = None) -> dict:
     """Monopresheaf verdict plus an exhaustive hunt for a non-free glue.
 
     A compatible family over the minimal-open cover glues to a locally free
@@ -180,7 +180,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
     witness = None
     for u in sorted(g.values, key=lambda s: (len(s), tuple(sorted(s)))):
         for cand in _glued_candidates(g, u):
-            if not is_free_of_rank(cand, u, g.k)[0]:
+            if not is_free_of_rank(cand, u, g.k, budget)[0]:
                 witness = {"open": sorted(u), "family": cand.sort_key()}
                 break
         if witness:
@@ -241,7 +241,7 @@ def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
 
 
 def subsheaf_to_section(t: VectorSubsheaf, k: int,
-                        budget: int = DEFAULT_SEARCH_BUDGET) -> GrassmannSection:
+                        budget: Optional[Budget] = None) -> GrassmannSection:
     """Restrict a locally free subsheaf to the minimal opens of its domain."""
     space = t.ambient.space
     family = []
@@ -257,7 +257,7 @@ def subsheaf_to_section(t: VectorSubsheaf, k: int,
 # -- the universal (truncated) construction -----------------------------------
 
 def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
-                              budget: int = DEFAULT_SEARCH_BUDGET
+                              budget: Optional[Budget] = None
                               ) -> GrassmannPresheaf:
     """Rank-n Grassmann presheaf of A^N, N the finite truncation level."""
     if n > truncation:
@@ -278,7 +278,7 @@ def include_subsheaf(t: VectorSubsheaf, ambient: ModuleSheaf) -> VectorSubsheaf:
 
 
 def classify(a: AlgebraSheaf, n: int, truncation: int,
-             budget: int = DEFAULT_SEARCH_BUDGET) -> dict:
+             budget: Optional[Budget] = None) -> dict:
     """Pair global sections of the truncated universal Grassmann with the
     rank-n vector subsheaves of A^N, checking the two maps are mutually
     inverse bijections."""
@@ -295,13 +295,13 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     for i, s in enumerate(sections):
         t = section_to_subsheaf(s)
         j = sub_keys.get(t.sort_key())
-        if j is None or subsheaf_to_section(t, n).sort_key() != s.sort_key():
+        if j is None or subsheaf_to_section(t, n, budget).sort_key() != s.sort_key():
             bijection = False
             break
         pairs.append([i, j])
     if bijection:
         for j, t in enumerate(subsheaves):
-            s = subsheaf_to_section(t, n)
+            s = subsheaf_to_section(t, n, budget)
             i = sec_keys.get(s.sort_key())
             if i is None or section_to_subsheaf(s).sort_key() != t.sort_key():
                 bijection = False

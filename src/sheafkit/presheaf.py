@@ -61,13 +61,6 @@ class Presheaf:
     carriers: Dict[PointSet, Carrier]
     restrictions: Dict[Tuple[PointSet, PointSet], ElemMap]
 
-    @property
-    def opens(self) -> List[PointSet]:
-        return enumerate_opens(self.space)
-
-    def carrier(self, u: PointSet) -> Carrier:
-        return self.carriers[u]
-
     def restrict(self, u: PointSet, v: PointSet, e: Elem) -> Elem:
         return self.restrictions[(u, v)][e]
 
@@ -91,50 +84,59 @@ def build_presheaf(space: FinSpace,
 
 
 def validate(p: Presheaf) -> List[str]:
-    """Report of functor-law and structure violations; empty means valid."""
+    """Report of functor-law and structure violations; empty means valid.
+
+    A restriction that is undefined somewhere on its source or leaves its
+    target is reported once and left out of every later check.
+    """
     problems = []
     opens = sorted(p.carriers, key=lambda u: (len(u), tuple(sorted(u))))
     for u in opens:
-        r = p.restrictions.get((u, u))
-        if r is None:
-            problems.append(f"restrict({set(u)},{set(u)}) missing")
-            continue
+        r = p.restrictions.get((u, u), {})
         for e in p.carriers[u].elements:
             if r.get(e) != e:
                 problems.append(f"restrict to itself not identity on {set(u)}")
                 break
+    sound: Dict[PointSet, Dict[PointSet, ElemMap]] = {u: {} for u in opens}
     for u in opens:
         for v in opens:
             if not v <= u:
                 continue
-            ruv = p.restrictions[(u, v)]
-            for e in p.carriers[u].elements:
-                if ruv[e] not in p.carriers[v].elements:
-                    problems.append(
-                        f"restriction {set(u)}->{set(v)} leaves the carrier")
-                    break
-            for w in opens:
-                if not w <= v:
-                    continue
-                rvw = p.restrictions[(v, w)]
-                ruw = p.restrictions[(u, w)]
-                if any(rvw[ruv[e]] != ruw[e] for e in p.carriers[u].elements):
+            ruv = p.restrictions.get((u, v), {})
+            undefined = [e for e in p.carriers[u].elements if e not in ruv]
+            if undefined:
+                problems.append(
+                    f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
+            elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
+                problems.append(
+                    f"restriction {set(u)}->{set(v)} leaves the carrier")
+            else:
+                sound[u][v] = ruv
+    for u in opens:
+        for v, ruv in sound[u].items():
+            for w, rvw in sound[v].items():
+                ruw = sound[u].get(w)
+                if ruw is not None and any(rvw[ruv[e]] != ruw[e]
+                                           for e in p.carriers[u].elements):
                     problems.append(
                         f"composition fails {set(u)}->{set(v)}->{set(w)}")
-    problems.extend(_structure_violations(p))
+    problems.extend(_structure_violations(p, sound))
     return problems
 
 
-def _structure_violations(p: Presheaf) -> List[str]:
+def _structure_violations(p: Presheaf,
+                          sound: Dict[PointSet, Dict[PointSet, ElemMap]]) -> List[str]:
     problems = []
-    for (u, v), m in p.restrictions.items():
-        cu, cv = p.carriers[u], p.carriers[v]
-        if cu.kind == RING == cv.kind:
-            f = RingMorphism(cu.ring, cv.ring,
-                             tuple(cv.index(m[cu.elements[i]])
-                                   for i in range(cu.ring.size)))
-            if not validate_morphism(f):
-                problems.append(f"restriction {set(u)}->{set(v)} not a ring morphism")
+    for u, maps in sound.items():
+        for v, m in maps.items():
+            cu, cv = p.carriers[u], p.carriers[v]
+            if cu.kind == RING == cv.kind:
+                f = RingMorphism(cu.ring, cv.ring,
+                                 tuple(cv.index(m[cu.elements[i]])
+                                       for i in range(cu.ring.size)))
+                if not validate_morphism(f):
+                    problems.append(
+                        f"restriction {set(u)}->{set(v)} not a ring morphism")
     return problems
 
 

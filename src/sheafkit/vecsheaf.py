@@ -45,6 +45,23 @@ from .presheaf import (
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
+@dataclass
+class Budget:
+    """Search steps one command may take, shared by every search it runs.
+
+    A step is one freeness tuple, one isomorphism candidate or one weight
+    family.  A library call given no budget makes a fresh one per search.
+    """
+    limit: int = DEFAULT_SEARCH_BUDGET
+    used: int = 0
+
+    def spend(self, search: str, steps: int = 1) -> None:
+        self.used += steps
+        if self.used > self.limit:
+            raise SearchBudgetExceeded(
+                f"{search} exceeded the budget of {self.limit} steps")
+
+
 class AlgebraSheaf:
     """Structure sheaf: a ring per point plus stalk restriction morphisms.
 
@@ -261,7 +278,7 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
 
 def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
                 sections: Callable[[], List[Tuple[Vec, ...]]], k: int,
-                budget: int) -> Tuple[bool, Optional[Tuple]]:
+                budget: Optional[Budget]) -> Tuple[bool, Optional[Tuple]]:
     """First k-tuple of sections whose germs at every point i span a stalk
     of sizes[i] vectors in rings[i]^ranks[i]; lists follow the sorted points.
     `sections` is called only once every stalk has |ring|^k elements."""
@@ -272,11 +289,9 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
             return False, None
     if k == 0:
         return True, ()
-    tried = 0
+    budget = budget or Budget()
     for combo in itertools.combinations(sections(), k):
-        tried += 1
-        if tried > budget:
-            raise SearchBudgetExceeded(f"freeness search exceeded {budget} tuples")
+        budget.spend("freeness search")
         for i, (r, n, size) in enumerate(zip(rings, ranks, sizes)):
             if len(span(r, n, [sec[i] for sec in combo])) != size:
                 break
@@ -286,7 +301,7 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
 
 
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
-                    budget: int = DEFAULT_SEARCH_BUDGET
+                    budget: Optional[Budget] = None
                     ) -> Tuple[bool, Optional[Tuple]]:
     """Search for k sections over u whose germs form a basis at every point.
 
@@ -300,7 +315,7 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
-                    budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+                    budget: Optional[Budget] = None) -> bool:
     """Free on the minimal open of every point of u; minimal opens are the
     localizing cover on a finite space."""
     space = s.ambient.space
@@ -312,7 +327,7 @@ def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
 
 
 def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
-                        budget: int = DEFAULT_SEARCH_BUDGET
+                        budget: Optional[Budget] = None
                         ) -> Tuple[bool, Optional[Tuple]]:
     """Freeness of a module sheaf over u: k sections whose germs are a basis
     of every stalk.  Same search as for subsheaves, against the full stalks."""
@@ -323,7 +338,7 @@ def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
 
 
 def module_locally_free(e: ModuleSheaf, u: PointSet, k: int,
-                        budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+                        budget: Optional[Budget] = None) -> bool:
     space = e.space
     return all(module_free_of_rank(e, space.min_open[x], k, budget)[0]
                for x in sorted(u))
@@ -524,7 +539,7 @@ def _invertible_matrices(r: FinRing, k: int):
 
 
 def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
-                            budget: int = DEFAULT_SEARCH_BUDGET
+                            budget: Optional[Budget] = None
                             ) -> Optional[ModuleMorphism]:
     """Exhaustive search for a natural family of linear bijections e -> f.
 
@@ -545,7 +560,7 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
                 "isomorphism search requires full free stalks")
 
     assigned: Dict[Point, Matrix] = {}
-    tried = [0]
+    budget = budget or Budget()
 
     def natural_pair(x: Point, y: Point) -> bool:
         hx, hy = assigned[x], assigned[y]
@@ -558,10 +573,7 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
             return True
         x = pts[i]
         for cand in _invertible_matrices(e.ring_at(x), e.rank_at[x]):
-            tried[0] += 1
-            if tried[0] > budget:
-                raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded {budget} candidates")
+            budget.spend("isomorphism search")
             assigned[x] = cand
             ok = all(natural_pair(x, y) for y in space.min_open[x] if y in assigned) \
                 and all(natural_pair(z, x) for z in assigned
@@ -619,15 +631,14 @@ def validate_weights(w: WeightFamily) -> List[str]:
 
 
 def enumerate_weight_families(a: AlgebraSheaf, cover: Tuple[PointSet, ...],
-                              budget: int = DEFAULT_SEARCH_BUDGET
+                              budget: Optional[Budget] = None
                               ) -> List[WeightFamily]:
     """All valid weight families for the cover, by exhaustive search over
     tuples of global sections."""
     whole = frozenset(a.space.points)
     secs = a.sections(whole)
-    total = len(secs) ** len(cover)
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} candidate families exceed {budget}")
+    budget = budget or Budget()
+    budget.spend("weight-family search", len(secs) ** len(cover))
     out = []
     for choice in itertools.product(secs, repeat=len(cover)):
         w = WeightFamily(a, tuple(cover), tuple(map(tuple, choice)))

@@ -9,6 +9,10 @@ from sheafkit.cli import (
     demo_counterexample,
     main,
 )
+from sheafkit.finalg import make_field
+from sheafkit.finspace import pseudo_circle
+from sheafkit.grassmann import classify
+from sheafkit.vecsheaf import Budget, constant_algebra_sheaf
 
 SIERPINSKI = {"min_open": {"o": ["o"], "c": ["o", "c"]}}
 PSEUDO_CIRCLE = {"min_open": {"a": ["a"], "b": ["b"],
@@ -111,6 +115,21 @@ def test_presheaf_check_reports_violations(tmp_path, capsys):
                             ["presheaf-check", "--space", sp, "--presheaf", ph])
     assert code == EXIT_OK  # a diagnostic run that finds violations still reports
     assert report["valid"] is False and report["violations"]
+
+
+@pytest.mark.parametrize("restriction", [{"0": "0"}, {"0": "0", "1": "7"}],
+                         ids=["undefined", "outside-carrier"])
+def test_broken_restriction_is_a_violation(tmp_path, capsys, restriction):
+    bad = json.loads(json.dumps(CONSTANT_F2_PRESHEAF))
+    bad["restrictions"]["c,o|o"] = restriction
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    ph = write(tmp_path, "presheaf.json", bad)
+    code, report, err = run(capsys,
+                            ["presheaf-check", "--space", sp, "--presheaf", ph])
+    assert code == EXIT_OK
+    assert report["valid"] is False and report["violations"]
+    code, report, err = run(capsys, ["sheafify", "--space", sp, "--presheaf", ph])
+    assert code == EXIT_INVALID and report is None
 
 
 def test_presheaf_check_missing_carrier(tmp_path, capsys):
@@ -241,6 +260,49 @@ def test_rejected_input_exits_invalid_without_traceback(tmp_path, capsys,
     assert message in err.strip().splitlines()[-1]
 
 
+def test_classify_budget_caps_the_whole_command(tmp_path, capsys):
+    a = constant_algebra_sheaf(pseudo_circle(), make_field(2))
+    b = Budget()
+    classify(a, 2, 3, b)
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
+    argv = ["classify", "--space", sp, "--ring", rg, "-n", "2", "-N", "3"]
+    code, report, err = run(capsys, argv + ["--budget", str(b.used)])
+    assert code == EXIT_OK and report["bijection"] is True
+    code, report, err = run(capsys, argv + ["--budget", str(b.used - 1)])
+    assert code == EXIT_BUDGET and report is None
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["space-check", "--space", "s.json"],
+    ["presheaf-check", "--space", "s.json", "--presheaf", "p.json"],
+    ["sheafify", "--space", "s.json", "--presheaf", "p.json"],
+    ["stalks", "--space", "s.json", "--presheaf", "p.json"],
+    ["pullback", "--space", "s.json", "--presheaf", "p.json", "--map", "m.json"],
+    ["embed", "--space", "s.json", "--ring", "r.json", "--cocycle", "c.json",
+     "--weights", "w.json"],
+    ["demo-counterexample"],
+], ids=lambda argv: argv[0])
+def test_budget_only_on_searching_commands(capsys, argv):
+    code, report, err = run(capsys, argv + ["--budget", "5"])
+    assert code == EXIT_INVALID and report is None
+    assert "unrecognized arguments: --budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grassmann", "-k", "1", "-n", "2"],
+    ["classify", "-n", "1", "-N", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_invalid(tmp_path, capsys, argv):
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", F3)
+    code, report, err = run(capsys, argv + ["--space", sp, "--ring", rg,
+                                            "--budget", "-1"])
+    assert code == EXIT_INVALID and report is None
+    assert "-1 is negative" in err
+
+
 def test_classify_command(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
@@ -297,6 +359,25 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
     code, report, err = run(capsys, ["embed", "--space", sp, "--ring", rg,
                                      "--cocycle", cc, "--weights", wt])
     assert code == EXIT_INVALID and report is None
+
+
+# -- malformed input ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv,inputs", [
+    (["space-check"], {"space": [1, 2]}),
+    (["grassmann", "-k", "1", "-n", "2"],
+     {"space": SIERPINSKI, "ring": {"kind": "Fp", "p": "3"}}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "transitions": {"0,5": [["1"]]}},
+                 "weights": TRIVIAL_WEIGHTS}),
+], ids=["space-not-an-object", "ring-p-a-string", "transition-key-out-of-range"])
+def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
+                                                         argv, inputs):
+    for option, obj in inputs.items():
+        argv = argv + [f"--{option}", write(tmp_path, f"{option}.json", obj)]
+    code, report, err = run(capsys, argv)
+    assert code == EXIT_INVALID and report is None
+    assert "Traceback" not in err
 
 
 # -- demo --------------------------------------------------------------------

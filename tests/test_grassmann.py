@@ -27,6 +27,7 @@ from sheafkit.grassmann import (
     subsheaf_to_section,
 )
 from sheafkit.vecsheaf import (
+    Budget,
     constant_algebra_sheaf,
     free_sheaf,
     is_free_of_rank,
@@ -128,7 +129,36 @@ def test_pseudo_circle_no_twisted_line_in_constant_ambient():
 def test_budget_guard():
     a = constant_algebra_sheaf(pseudo_circle(), F3)
     with pytest.raises(SearchBudgetExceeded):
-        build_grassmann_presheaf(a, 1, 2, budget=2)
+        build_grassmann_presheaf(a, 1, 2, budget=Budget(2))
+
+
+def test_classify_draws_on_one_budget():
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    b = Budget()
+    report = classify(a, 2, 3, b)
+    built = Budget()
+    build_universal_grassmann(a, 2, 3, built)
+    build_v_presheaf(a, 2, 3, built)
+    assert b.used > built.used  # the round-trip searches count too
+    assert classify(a, 2, 3, Budget(b.used)) == report
+    with pytest.raises(SearchBudgetExceeded):
+        classify(a, 2, 3, Budget(b.used - 1))
+
+
+def test_completeness_hunt_draws_on_the_grassmann_budget():
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    b = Budget()
+    g = build_grassmann_presheaf(a, 1, 2, b)
+    built = b.used
+    verdict = check_monopresheaf_not_complete(g, b)
+    assert b.used > built
+    exact = Budget(b.used)
+    assert check_monopresheaf_not_complete(
+        build_grassmann_presheaf(a, 1, 2, exact), exact) == verdict
+    short = Budget(b.used - 1)
+    g = build_grassmann_presheaf(a, 1, 2, short)
+    with pytest.raises(SearchBudgetExceeded):
+        check_monopresheaf_not_complete(g, short)
 
 
 # -- presheaf structure ------------------------------------------------------

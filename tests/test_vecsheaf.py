@@ -10,6 +10,7 @@ from sheafkit.finalg import Matrix, make_field, span
 from sheafkit.finspace import chain3, discrete2, point_space, pseudo_circle, sierpinski
 from sheafkit.presheaf import is_complete
 from sheafkit.vecsheaf import (
+    Budget,
     ModuleMorphism,
     TransitionCocycle,
     WeightFamily,
@@ -147,8 +148,8 @@ def test_module_and_subsheaf_freeness_agree(make, ring):
 
 def test_module_free_of_rank_budget():
     with pytest.raises(SearchBudgetExceeded):
-        module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=0)
-    assert module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=2)[0]
+        module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=Budget(0))
+    assert module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=Budget(2))[0]
 
 
 def test_free_implies_locally_free():

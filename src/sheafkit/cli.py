@@ -50,8 +50,31 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _points(value, what: str, space=None) -> list:
+    """A JSON list of point names, each a point of `space` if one is given."""
+    if not all(isinstance(x, str) for x in _list(value, what)):
+        raise ParseError(f"{what} must be a list of point names, not {value!r}")
+    if space is not None and not set(value) <= set(space.points):
+        raise ParseError(f"{what} names a point outside the space: {value!r}")
+    return value
+
+
 def parse_space(obj: dict) -> finspace.FinSpace:
     (table,) = _fields(obj, "space", "min_open")
+    for x, nbhd in _object(table, "space min_open").items():
+        _points(nbhd, f"min_open of {x!r}")
     try:
         return finspace.build_space(table)
     except SpaceTooLarge:
@@ -91,12 +114,18 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
     """Set-tagged presheaf: carriers and element-map restrictions by open key."""
     opens = finspace.enumerate_opens(space)
     carrier_tbl, restr_tbl = _fields(obj, "presheaf", "carriers", "restrictions")
+    _object(carrier_tbl, "presheaf carriers")
+    _object(restr_tbl, "presheaf restrictions")
     carriers = {}
     for u in opens:
         key = _open_key(u)
         if key not in carrier_tbl:
             raise ParseError(f"presheaf carrier missing for open {key!r}")
-        carriers[u] = psh.Carrier(psh.SET, tuple(carrier_tbl[key]))
+        elements = _list(carrier_tbl[key], f"presheaf carrier {key!r}")
+        if not set(map(type, elements)) <= {str}:
+            raise ParseError(f"presheaf carrier {key!r} elements must be "
+                             f"strings, not {elements!r}")
+        carriers[u] = psh.Carrier(psh.SET, tuple(elements))
     restrictions = {}
     for u in opens:
         for v in opens:
@@ -108,7 +137,11 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
             key = f"{_open_key(u)}|{_open_key(v)}"
             if key not in restr_tbl:
                 raise ParseError(f"presheaf restriction missing for {key!r}")
-            restrictions[(u, v)] = dict(restr_tbl[key])
+            ruv = restr_tbl[key]
+            if not isinstance(ruv, dict):
+                raise ParseError(f"presheaf restriction {key!r} must be a "
+                                 f"JSON object, not {ruv!r}")
+            restrictions[(u, v)] = dict(ruv)
     return psh.Presheaf(space, carriers, restrictions)
 
 
@@ -122,7 +155,16 @@ def _ring_code(ring: finalg.FinRing, name: str) -> int:
 def _parse_overlap_section(ring: finalg.FinRing, entry, pts) -> Tuple[int, ...]:
     if isinstance(entry, str):
         return tuple(_ring_code(ring, entry) for _ in pts)
+    _object(entry, "section entry")
+    missing = [x for x in pts if x not in entry]
+    if missing:
+        raise ParseError(f"section entry has no value at {missing[0]!r}")
     return tuple(_ring_code(ring, entry[x]) for x in pts)
+
+
+def _cover(value, space: finspace.FinSpace) -> Tuple[frozenset, ...]:
+    return tuple(frozenset(_points(u, "cover member", space))
+                 for u in _list(value, "cover"))
 
 
 def _transition_key(key: str, size: int) -> Tuple[int, int]:
@@ -136,29 +178,37 @@ def _transition_key(key: str, size: int) -> Tuple[int, int]:
 def parse_cocycle(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
                   obj: dict) -> vecsheaf.TransitionCocycle:
     cover, rank, raw = _fields(obj, "cocycle", "cover", "rank", "transitions")
-    cover = tuple(frozenset(u) for u in cover)
+    cover = _cover(cover, a.space)
+    if _integer(rank, "cocycle rank") < 0:
+        raise ParseError(f"cocycle rank must be nonnegative, not {rank}")
     transitions = {}
-    for key, mat in raw.items():
+    for key, mat in _object(raw, "cocycle transitions").items():
         i, j = _transition_key(key, len(cover))
         pts = sorted(cover[i] & cover[j])
         transitions[(i, j)] = tuple(
-            tuple(_parse_overlap_section(ring, entry, pts) for entry in row)
-            for row in mat)
+            tuple(_parse_overlap_section(ring, entry, pts)
+                  for entry in _list(row, f"transition {key!r} row"))
+            for row in _list(mat, f"transition {key!r}"))
     return vecsheaf.TransitionCocycle(a, cover, rank, transitions)
 
 
 def parse_weights(a: vecsheaf.AlgebraSheaf, ring: finalg.FinRing,
                   obj: dict) -> vecsheaf.WeightFamily:
     cover, raw = _fields(obj, "weights", "cover", "weights")
-    cover = tuple(frozenset(u) for u in cover)
+    cover = _cover(cover, a.space)
     pts = sorted(a.space.points)
-    weights = tuple(_parse_overlap_section(ring, entry, pts) for entry in raw)
+    weights = tuple(_parse_overlap_section(ring, entry, pts)
+                    for entry in _list(raw, "weights"))
     return vecsheaf.WeightFamily(a, cover, weights)
 
 
 def parse_map(codomain: finspace.FinSpace, obj: dict
               ) -> finspace.ContinuousMap:
     space, assignment = _fields(obj, "map", "space", "assignment")
+    if not all(isinstance(y, str)
+               for y in _object(assignment, "map assignment").values()):
+        raise ParseError(f"map assignment must send points to point names, "
+                         f"not {assignment!r}")
     f = finspace.ContinuousMap(parse_space(space), codomain, dict(assignment))
     if not finspace.validate_map(f):
         raise ValidationError("map is not continuous")

@@ -73,11 +73,16 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet,
     return out
 
 
-def _enumerate_values(base: AlgebraSheaf, ambient: ModuleSheaf, k: int, n: int,
+def _stalk_candidates(a: AlgebraSheaf, k: int, n: int, u: PointSet
+                      ) -> Dict[Point, List[Submodule]]:
+    """The rank-k free submodules of each stalk of A^n over u."""
+    return {x: enumerate_free_submodules(a.stalk_ring[x], n, k) for x in sorted(u)}
+
+
+def _enumerate_values(ambient: ModuleSheaf,
+                      candidates: Dict[Point, List[Submodule]], k: int,
                       u: PointSet, locally_free: bool,
                       budget: Optional[Budget]) -> List[VectorSubsheaf]:
-    candidates = {x: enumerate_free_submodules(base.stalk_ring[x], n, k)
-                  for x in sorted(u)}
     values = []
     for fam in _stalk_families(ambient, u, candidates):
         s = make_subsheaf(ambient, u, fam)
@@ -90,11 +95,23 @@ def _enumerate_values(base: AlgebraSheaf, ambient: ModuleSheaf, k: int, n: int,
     return values
 
 
+def _build_values(a: AlgebraSheaf, k: int, n: int, locally_free: bool,
+                  budget: Optional[Budget]) -> GrassmannPresheaf:
+    """Values over every open, from stalk candidates built once."""
+    ambient = free_sheaf(a, n)
+    opens = enumerate_opens(a.space)
+    candidates = _stalk_candidates(a, k, n, frozenset(a.space.points))
+    values = {u: _enumerate_values(ambient, candidates, k, u, locally_free, budget)
+              for u in opens}
+    return GrassmannPresheaf(a, k, n, ambient, values)
+
+
 def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
-    return _enumerate_values(a, free_sheaf(a, n), k, n, u, False, budget)
+    return _enumerate_values(free_sheaf(a, n), _stalk_candidates(a, k, n, u),
+                             k, u, False, budget)
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
@@ -102,26 +119,21 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list)."""
-    return _enumerate_values(a, free_sheaf(a, n), k, n, u, True, budget)
+    return _enumerate_values(free_sheaf(a, n), _stalk_candidates(a, k, n, u),
+                             k, u, True, budget)
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    ambient = free_sheaf(a, n)
-    values = {u: _enumerate_values(a, ambient, k, n, u, False, budget)
-              for u in enumerate_opens(a.space)}
-    return GrassmannPresheaf(a, k, n, ambient, values)
+    return _build_values(a, k, n, False, budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}."""
-    ambient = free_sheaf(a, n)
-    values = {u: _enumerate_values(a, ambient, k, n, u, True, budget)
-              for u in enumerate_opens(a.space)}
-    v = GrassmannPresheaf(a, k, n, ambient, values)
+    v = _build_values(a, k, n, True, budget)
     assert v_presheaf_complete(v), "locally-free value presheaf failed completeness"
     return v
 

@@ -27,7 +27,6 @@ from .finalg import (
     identity_matrix,
     is_invertible,
     is_unit,
-    span,
     vec_add,
     vec_scale,
     zero_vec,
@@ -49,8 +48,9 @@ DEFAULT_SEARCH_BUDGET = 200_000
 class Budget:
     """Search steps one command may take, shared by every search it runs.
 
-    A step is one freeness tuple, one isomorphism candidate or one weight
-    family.  A library call given no budget makes a fresh one per search.
+    A step is one node of a freeness search, one isomorphism candidate or
+    one weight family.  A library call given no budget makes a fresh one
+    per search.
     """
     limit: int = DEFAULT_SEARCH_BUDGET
     used: int = 0
@@ -148,6 +148,9 @@ class ModuleSheaf:
                 else:
                     self.res[(x, y)] = dict(res[(x, y)])
         self.label = label or "E"
+        # is_free_of_rank answers by (family, open, rank): (found, witness,
+        # budget steps the search took)
+        self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
@@ -279,9 +282,16 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
 def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
                 sections: Callable[[], List[Tuple[Vec, ...]]], k: int,
                 budget: Optional[Budget]) -> Tuple[bool, Optional[Tuple]]:
-    """First k-tuple of sections whose germs at every point i span a stalk
-    of sizes[i] vectors in rings[i]^ranks[i]; lists follow the sorted points.
-    `sections` is called only once every stalk has |ring|^k elements."""
+    """First k-tuple of sections, in `itertools.combinations` order, whose
+    germs at every point i span a stalk of sizes[i] vectors in
+    rings[i]^ranks[i]; lists follow the sorted points.  `sections` is called
+    only once every stalk has |ring|^k elements.
+
+    Depth first, growing each point's span one germ at a time: a prefix of d
+    sections whose germs span fewer than |ring|^d vectors at some point is
+    cut.  Exact over any finite commutative ring, since germs spanning
+    |ring|^k vectors make R^k -> R^n injective, and so every prefix too.
+    Each visited node spends one budget step."""
     if not rings:
         return True, ()
     for r, size in zip(rings, sizes):
@@ -290,14 +300,36 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
     if k == 0:
         return True, ()
     budget = budget or Budget()
-    for combo in itertools.combinations(sections(), k):
-        budget.spend("freeness search")
-        for i, (r, n, size) in enumerate(zip(rings, ranks, sizes)):
-            if len(span(r, n, [sec[i] for sec in combo])) != size:
-                break
-        else:
-            return True, combo
-    return False, None
+    secs = sections()
+
+    def extend(start: int, depth: int, spans: List[FrozenSet[Vec]]
+               ) -> Optional[Tuple]:
+        # `depth` sections are chosen and span spans[i] at point i
+        for j in range(start, len(secs) - k + depth + 1):
+            budget.spend("freeness search")
+            grown = []
+            for r, acc, g in zip(rings, spans, secs[j]):
+                # acc + Rg has |acc| |R| elements iff no c g with c != 0 is in acc
+                mul = r.mul_table
+                multiples = [tuple(mul[c][b] for b in g)
+                             for c in r.elements() if c != r.zero]
+                if any(m in acc for m in multiples):
+                    break
+                grown.append((r, acc, multiples))
+            else:
+                if depth + 1 == k:
+                    return (secs[j],)
+                rest = extend(j + 1, depth + 1, [
+                    acc.union(tuple(r.add_table[a][b] for a, b in zip(s, m))
+                              for s in acc for m in multiples)
+                    for r, acc, multiples in grown])
+                if rest is not None:
+                    return (secs[j],) + rest
+        return None
+
+    witness = extend(0, 0, [frozenset({(r.zero,) * n})
+                            for r, n in zip(rings, ranks)])
+    return witness is not None, witness
 
 
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
@@ -306,12 +338,23 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     """Search for k sections over u whose germs form a basis at every point.
 
     Exhaustive over k-subsets of the section list in deterministic order;
-    returns the first witness found.
+    returns the first witness found.  The answer is kept on the ambient, and
+    asking again charges the budget what the search took the first time.
     """
-    pts = sorted(u)
-    return _find_basis([s.ambient.ring_at(x) for x in pts], [s.n] * len(pts),
-                       [len(s.family_at(x)) for x in pts],
-                       lambda: subsheaf_sections(s, u), k, budget)
+    budget = budget or Budget()
+    key = (s.family, u, k)
+    answer = s.ambient.freeness.get(key)
+    if answer is None:
+        before = budget.used
+        pts = sorted(u)
+        found, witness = _find_basis(
+            [s.ambient.ring_at(x) for x in pts], [s.n] * len(pts),
+            [len(s.family_at(x)) for x in pts],
+            lambda: subsheaf_sections(s, u), k, budget)
+        answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
+    else:
+        budget.spend("freeness search", answer[2])
+    return answer[0], answer[1]
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,

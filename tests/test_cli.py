@@ -370,7 +370,45 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
     (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
                  "cocycle": {**MOBIUS_COCYCLE, "transitions": {"0,5": [["1"]]}},
                  "weights": TRIVIAL_WEIGHTS}),
-], ids=["space-not-an-object", "ring-p-a-string", "transition-key-out-of-range"])
+    (["space-check"], {"space": {"min_open": [1]}}),
+    (["space-check"], {"space": {"min_open": {"o": "o"}}}),
+    (["space-check"], {"space": {"min_open": {"o": [["o"]]}}}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "transitions": []},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "cover": 5},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE,
+                             "cover": [["a", "b", "c"], ["a", "b", "z"]]},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "rank": -1},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "rank": "1"},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {**MOBIUS_COCYCLE, "transitions": {"0,1": [[{"a": "1"}]]}},
+                 "weights": TRIVIAL_WEIGHTS}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3, "cocycle": MOBIUS_COCYCLE,
+                 "weights": {**TRIVIAL_WEIGHTS, "weights": 1}}),
+    (["presheaf-check"], {"space": SIERPINSKI, "presheaf": {
+        **CONSTANT_F2_PRESHEAF,
+        "carriers": {**CONSTANT_F2_PRESHEAF["carriers"], "": [["x"]]}}}),
+    (["presheaf-check"], {"space": SIERPINSKI, "presheaf": {
+        **CONSTANT_F2_PRESHEAF,
+        "restrictions": {**CONSTANT_F2_PRESHEAF["restrictions"], "o|": "0"}}}),
+    (["pullback"], {"space": SIERPINSKI, "presheaf": CONSTANT_F2_PRESHEAF,
+                    "map": {"space": {"min_open": {"p": ["p"]}},
+                            "assignment": {"p": ["c"]}}}),
+], ids=["space-not-an-object", "ring-p-a-string", "transition-key-out-of-range",
+        "min-open-a-list", "min-open-value-a-string", "min-open-point-a-list",
+        "transitions-a-list", "cover-a-number", "cover-point-outside",
+        "rank-negative", "rank-a-string", "transition-entry-missing-a-point",
+        "weights-a-number", "carrier-element-a-list", "restriction-a-string",
+        "map-image-a-list"])
 def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
                                                          argv, inputs):
     for option, obj in inputs.items():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from sheafkit import grassmann, vecsheaf
 from sheafkit.errors import NotLocallyFree, SearchBudgetExceeded
 from sheafkit.finalg import gaussian_binomial, make_field, span
 from sheafkit.finspace import (
@@ -257,6 +258,31 @@ def test_subsheaf_to_section_rejects_non_locally_free():
     })
     with pytest.raises(NotLocallyFree):
         subsheaf_to_section(mixed, 1)
+
+
+def test_classify_enumerates_each_subsheaf_once(monkeypatch):
+    """classify asks some freeness questions many times (building G and V,
+    both round trips) but enumerates the sections of each subsheaf once
+    per ambient."""
+    asked, searched = [], []
+    enumerate_secs = vecsheaf.subsheaf_sections
+    free = vecsheaf.is_free_of_rank
+
+    def counting_sections(s, u):
+        searched.append((s.ambient, s.family, u))
+        return enumerate_secs(s, u)
+
+    def counting_free(s, u, k, budget=None):
+        asked.append((s.ambient, s.family, u, k))
+        return free(s, u, k, budget)
+
+    monkeypatch.setattr(vecsheaf, "subsheaf_sections", counting_sections)
+    monkeypatch.setattr(vecsheaf, "is_free_of_rank", counting_free)
+    monkeypatch.setattr(grassmann, "is_free_of_rank", counting_free)
+    report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
+    assert report["bijection"] is True
+    assert searched and len(searched) == len(set(searched))
+    assert len(asked) > len(set(asked))
 
 
 # -- universal construction and truncation -----------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sheafkit.errors import (
@@ -6,8 +8,15 @@ from sheafkit.errors import (
     SearchBudgetExceeded,
     TrivializationMismatch,
 )
-from sheafkit.finalg import Matrix, make_field, span
-from sheafkit.finspace import chain3, discrete2, point_space, pseudo_circle, sierpinski
+from sheafkit.finalg import Matrix, make_field, make_mod_ring, span
+from sheafkit.finspace import (
+    chain3,
+    discrete2,
+    enumerate_opens,
+    point_space,
+    pseudo_circle,
+    sierpinski,
+)
 from sheafkit.presheaf import is_complete
 from sheafkit.vecsheaf import (
     Budget,
@@ -335,3 +344,101 @@ def test_embed_mono_for_every_valid_family():
     assert families
     for w in families:
         assert is_monomorphism(embed_via_weights(e, cover, trivs, w, 1))
+
+
+# -- the freeness kernel and its memo ----------------------------------------
+
+def brute_span(r, gens):
+    """Every R-combination of `gens`, from the ring tables alone."""
+    out = set()
+    for coeffs in itertools.product(range(r.size), repeat=len(gens)):
+        v = (r.zero,) * len(gens[0])
+        for c, g in zip(coeffs, gens):
+            v = tuple(r.add_table[a][r.mul_table[c][b]] for a, b in zip(v, g))
+        out.add(v)
+    return out
+
+
+def brute_free(amb, family, u, k):
+    """First k-tuple of compatible sections, in combinations order, whose
+    germs span |R|^k vectors at every point: a scan of every tuple."""
+    pts = sorted(u)
+    if not pts:
+        return True, ()
+    rings = [amb.ring_at(x) for x in pts]
+    if any(len(family[x]) != r.size ** k for x, r in zip(pts, rings)):
+        return False, None
+    if k == 0:
+        return True, ()
+    secs = [sec for sec in itertools.product(*[sorted(family[x]) for x in pts])
+            if all(amb.res[(x, y)][sec[i]] == sec[pts.index(y)]
+                   for i, x in enumerate(pts) for y in amb.space.min_open[x])]
+    for combo in itertools.combinations(secs, k):
+        if all(len(brute_span(r, [sec[i] for sec in combo])) == r.size ** k
+               for i, r in enumerate(rings)):
+            return True, combo
+    return False, None
+
+
+def assert_freeness_matches_brute(amb, subs_by_size, k_max):
+    """Every subsheaf over every open with stalks of one size |R|^d drawn
+    from `subs_by_size`, against the brute scan for k in 0..k_max."""
+    space = amb.space
+    for u in enumerate_opens(space):
+        pts = sorted(u)
+        for subs in subs_by_size.values():
+            for choice in itertools.product(subs, repeat=len(pts)):
+                family = dict(zip(pts, choice))
+                if not all(amb.res[(x, y)][v] in family[y] for x in pts
+                           for y in space.min_open[x] for v in family[x]):
+                    continue  # not a subsheaf: a restriction leaves it
+                s = make_subsheaf(amb, u, family)
+                for k in range(k_max + 1):
+                    assert is_free_of_rank(s, u, k) == \
+                        brute_free(amb, family, u, k), (pts, k)
+
+
+@pytest.mark.parametrize("make", [point_space, sierpinski, chain3, discrete2,
+                                  pseudo_circle])
+@pytest.mark.parametrize("ring", [F2, F3, make_mod_ring(4)],
+                         ids=["F2", "F3", "Z4"])
+def test_freeness_matches_a_brute_scan(make, ring):
+    """Constant ambients A^n, n in 1..2, one per n; over Z/4 some stalks of
+    4 elements are not free (2(Z/4)^2), so some verdicts turn on the span
+    size rather than the stalk size."""
+    a = constant_algebra_sheaf(make(), ring)
+    for n in (1, 2):
+        vecs = list(itertools.product(range(ring.size), repeat=n))
+        subs = {frozenset(brute_span(ring, gens)) if gens
+                else frozenset({(ring.zero,) * n})
+                for d in range(n + 1) for gens in itertools.product(vecs, repeat=d)}
+        by_size = {d: sorted(w for w in subs if len(w) == ring.size ** d)
+                   for d in range(n + 1)}
+        assert_freeness_matches_brute(free_sheaf(a, n), by_size, n + 1)
+
+
+def test_freeness_matches_a_brute_scan_on_the_mobius_sheaf():
+    """The glued Mobius line is locally free but not free: the full stalks
+    have the right size and no global section spans them."""
+    e = sheaf_from_cocycle(mobius_cocycle()).sheaf
+    assert_freeness_matches_brute(
+        e, {0: [frozenset({(F3.zero,)})], 1: [frozenset(e.stalk_elems["a"])]}, 2)
+    assert not is_free_of_rank(full_subsheaf(e, X_PC), X_PC, 1)[0]
+
+
+def test_repeated_freeness_question_is_answered_and_charged_alike():
+    amb = free_sheaf(A3_PC, 2)
+    first = full_subsheaf(amb, X_PC)
+    again = make_subsheaf(amb, X_PC, {x: frozenset(set(first.family_at(x)))
+                                      for x in PC.points})
+    assert again == first and again.family_at("a") is not first.family_at("a")
+    b = Budget()
+    answer = is_free_of_rank(first, X_PC, 2, b)
+    used = b.used
+    assert answer[0] and used > 1
+    assert is_free_of_rank(again, X_PC, 2, b) == answer
+    assert b.used == 2 * used
+    short = Budget(2 * used - 1)
+    assert is_free_of_rank(first, X_PC, 2, short) == answer
+    with pytest.raises(SearchBudgetExceeded, match="freeness search exceeded"):
+        is_free_of_rank(again, X_PC, 2, short)

@@ -8,6 +8,7 @@ other input the library rejects, 2 search budget or size guard exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Tuple
@@ -402,7 +403,9 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(prog="sheafkit")
     sub = ap.add_subparsers(dest="command", required=True)
     # name -> (command, JSON file options, nonnegative integer options); the
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=nonnegative_int,
                             default=vecsheaf.DEFAULT_SEARCH_BUDGET)
         sp.add_argument("--out", default=None)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn.__name__)
     return ap
 
 
@@ -456,7 +459,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        report = args.fn(args)
+        # by name, so a command rebound after the parser was built still runs
+        report = globals()[args.fn](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INVALID

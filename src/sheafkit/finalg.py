@@ -31,7 +31,7 @@ class FinRing:
 
     def __init__(self, names: Sequence[str], add: Sequence[Sequence[int]],
                  mul: Sequence[Sequence[int]], zero: int, one: int,
-                 label: str = "", check: bool = True):
+                 label: str = ""):
         self.names = tuple(names)
         self.size = len(self.names)
         self.add_table = tuple(tuple(row) for row in add)
@@ -39,10 +39,9 @@ class FinRing:
         self.zero = zero
         self.one = one
         self.label = label or f"ring{self.size}"
-        if check:
-            problems = self.check_axioms()
-            if problems:
-                raise RingError("; ".join(problems))
+        problems = self.check_axioms()
+        if problems:
+            raise RingError("; ".join(problems))
         self._neg = tuple(self._find_neg(a) for a in range(self.size))
 
     def _find_neg(self, a: int) -> int:
@@ -212,7 +211,6 @@ def make_product(r: FinRing, s: FinRing) -> FinRing:
 
 
 def ring_from_ops(elements: Sequence, add_fn, mul_fn, zero, one,
-                  names: Optional[Sequence[str]] = None,
                   label: str = "") -> FinRing:
     """Build an explicit FinRing from a finite element list and operations.
 
@@ -222,8 +220,7 @@ def ring_from_ops(elements: Sequence, add_fn, mul_fn, zero, one,
     """
     elems = list(elements)
     index = {e: i for i, e in enumerate(elems)}
-    if names is None:
-        names = [str(e) for e in elems]
+    names = [str(e) for e in elems]
     add = [[index[add_fn(a, b)] for b in elems] for a in elems]
     mul = [[index[mul_fn(a, b)] for b in elems] for a in elems]
     return FinRing(names, add, mul, zero=index[zero], one=index[one], label=label)

@@ -52,13 +52,13 @@ class FinSpace:
         return f"FinSpace({sorted(self.points)})"
 
 
-def build_space(min_open: Mapping[Point, Iterable[Point]],
-                max_points: int = DEFAULT_MAX_POINTS) -> FinSpace:
+def build_space(min_open: Mapping[Point, Iterable[Point]]) -> FinSpace:
     """Validate a minimal-open table and return the corresponding space."""
     if not min_open:
         raise PointMissingFromOwnNeighborhood("empty point set")
-    if len(min_open) > max_points:
-        raise SpaceTooLarge(f"{len(min_open)} points exceeds bound {max_points}")
+    if len(min_open) > DEFAULT_MAX_POINTS:
+        raise SpaceTooLarge(
+            f"{len(min_open)} points exceeds bound {DEFAULT_MAX_POINTS}")
     points = tuple(sorted(min_open))
     table: Dict[Point, PointSet] = {x: frozenset(min_open[x]) for x in points}
     pointset = frozenset(points)

@@ -95,15 +95,18 @@ def _enumerate_values(ambient: ModuleSheaf,
     return values
 
 
-def _build_values(a: AlgebraSheaf, k: int, n: int, locally_free: bool,
+def _build_values(ambient: ModuleSheaf, k: int, n: int, locally_free: bool,
                   budget: Optional[Budget]) -> GrassmannPresheaf:
-    """Values over every open, from stalk candidates built once."""
-    ambient = free_sheaf(a, n)
-    opens = enumerate_opens(a.space)
+    """Values in the ambient A^n over every open, from stalk candidates
+    built once; locally free values must form a complete presheaf."""
+    a = ambient.base
     candidates = _stalk_candidates(a, k, n, frozenset(a.space.points))
     values = {u: _enumerate_values(ambient, candidates, k, u, locally_free, budget)
-              for u in opens}
-    return GrassmannPresheaf(a, k, n, ambient, values)
+              for u in enumerate_opens(a.space)}
+    g = GrassmannPresheaf(a, k, n, ambient, values)
+    assert not locally_free or v_presheaf_complete(g), \
+        "locally-free value presheaf failed completeness"
+    return g
 
 
 def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
@@ -127,15 +130,13 @@ def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    return _build_values(a, k, n, False, budget)
+    return _build_values(free_sheaf(a, n), k, n, False, budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}."""
-    v = _build_values(a, k, n, True, budget)
-    assert v_presheaf_complete(v), "locally-free value presheaf failed completeness"
-    return v
+    return _build_values(free_sheaf(a, n), k, n, True, budget)
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
@@ -146,8 +147,7 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
             continue
         seen = {}
         for s in vals:
-            key = tuple(restrict_subsheaf(s, space.min_open[x]).sort_key()
-                        for x in sorted(u))
+            key = tuple(restrict_subsheaf(s, space.min_open[x]) for x in sorted(u))
             if key in seen and seen[key] != s:
                 return False
             seen[key] = s
@@ -172,12 +172,8 @@ def _section_tuples(g: GrassmannPresheaf, u: PointSet):
 
 def v_presheaf_complete(v: GrassmannPresheaf) -> bool:
     """Unit bijectivity: values over U = compatible minimal-open families."""
-    for u in v.values:
-        glued = _glued_candidates(v, u)
-        if sorted(s.sort_key() for s in glued) != \
-                sorted(s.sort_key() for s in v.values[u]):
-            return False
-    return True
+    return all(sorted(_glued_candidates(v, u), key=VectorSubsheaf.sort_key) == vals
+               for u, vals in v.values.items())
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
@@ -215,9 +211,7 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
     space = g.base.space
     for x in space.points:
         ux = space.min_open[x]
-        gk = sorted(s.sort_key() for s in g.values[ux])
-        vk = sorted(s.sort_key() for s in v.values[ux])
-        if gk != vk:
+        if g.values[ux] != v.values[ux]:
             return False
     return True
 
@@ -228,9 +222,6 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
 class GrassmannSection:
     """Compatible family of free rank-k values over the minimal opens."""
     family: Tuple[Tuple[Point, VectorSubsheaf], ...]
-
-    def at(self, x: Point) -> VectorSubsheaf:
-        return dict(self.family)[x]
 
     def sort_key(self):
         return tuple((x, s.sort_key()) for x, s in self.family)
@@ -296,26 +287,25 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     inverse bijections."""
     whole = frozenset(a.space.points)
     g = build_universal_grassmann(a, n, truncation, budget)
-    v = build_v_presheaf(a, n, truncation, budget)
+    v = _build_values(g.ambient, n, truncation, True, budget)
     sections = enumerate_sections(g, whole)
-    subsheaves = sorted(v.values[whole], key=VectorSubsheaf.sort_key)
+    subsheaves = v.values[whole]
 
-    sub_keys = {t.sort_key(): i for i, t in enumerate(subsheaves)}
-    sec_keys = {s.sort_key(): i for i, s in enumerate(sections)}
+    sub_index = {t: i for i, t in enumerate(subsheaves)}
+    known_sections = set(sections)
     pairs = []
     bijection = len(sections) == len(subsheaves)
     for i, s in enumerate(sections):
         t = section_to_subsheaf(s)
-        j = sub_keys.get(t.sort_key())
-        if j is None or subsheaf_to_section(t, n, budget).sort_key() != s.sort_key():
+        j = sub_index.get(t)
+        if j is None or subsheaf_to_section(t, n, budget) != s:
             bijection = False
             break
         pairs.append([i, j])
     if bijection:
         for j, t in enumerate(subsheaves):
             s = subsheaf_to_section(t, n, budget)
-            i = sec_keys.get(s.sort_key())
-            if i is None or section_to_subsheaf(s).sort_key() != t.sort_key():
+            if s not in known_sections or section_to_subsheaf(s) != t:
                 bijection = False
                 break
 
@@ -332,7 +322,7 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
         fam = {x: frozenset(morph.maps[x].values()) for x in a.space.points}
         image = include_subsheaf(
             make_subsheaf(morph.target, whole, fam), g.ambient)
-        embed_image_found = image.sort_key() in sub_keys
+        embed_image_found = image in sub_index
 
     return {
         "k": n,

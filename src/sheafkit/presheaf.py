@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
@@ -240,54 +240,53 @@ class SheafSpace:
     unit: Dict[PointSet, ElemMap]  # per open: source carrier -> section
 
 
-def family_carrier(kind: str, stalks: Sequence[Carrier],
-                   families: List[Tuple[Elem, ...]], label: str) -> Carrier:
-    """Carrier of germ families whose i-th entries lie in stalks[i].
+def germ_family_presheaf(space: FinSpace, stalk: Callable[[Point], Carrier],
+                         res: Callable[[Point, Point, Elem], Elem],
+                         kind: Callable[[PointSet], str], label: str) -> Presheaf:
+    """Presheaf of the compatible families of germs g_x in stalk(x).
 
-    With kind "ring" the families form a ring under the pointwise
-    operations of the stalks, named `label`; any other kind gives a set.
+    The carrier over U holds the families over sorted(U).  With kind(U)
+    "ring" they form a ring under the pointwise operations of the stalks,
+    named `label(sorted(U))`; any other kind gives a set.  Restriction drops
+    the points outside the smaller open.
     """
-    if kind != RING:
-        return Carrier(SET, tuple(families))
-    ring = ring_from_ops(
-        families,
-        lambda a, b: tuple(c.ring_add(x, y) for c, x, y in zip(stalks, a, b)),
-        lambda a, b: tuple(c.ring_mul(x, y) for c, x, y in zip(stalks, a, b)),
-        zero=tuple(c.ring_zero() for c in stalks),
-        one=tuple(c.ring_one() for c in stalks),
-        label=label)
-    return Carrier(RING, tuple(families), ring)
+    opens = enumerate_opens(space)
+    stalks = {x: stalk(x) for x in space.points}
+    carriers: Dict[PointSet, Carrier] = {}
+    for u in opens:
+        fams = compatible_families(space, u, lambda x: list(stalks[x].elements), res)
+        if kind(u) != RING:
+            carriers[u] = Carrier(SET, tuple(fams))
+            continue
+        cs = [stalks[x] for x in sorted(u)]
+        ring = ring_from_ops(
+            fams,
+            lambda a, b: tuple(c.ring_add(x, y) for c, x, y in zip(cs, a, b)),
+            lambda a, b: tuple(c.ring_mul(x, y) for c, x, y in zip(cs, a, b)),
+            zero=tuple(c.ring_zero() for c in cs),
+            one=tuple(c.ring_one() for c in cs),
+            label=f"{label}({sorted(u)})")
+        carriers[u] = Carrier(RING, tuple(fams), ring)
+    restrictions = {}
+    for u in opens:
+        pts = sorted(u)
+        for v in opens:
+            if v <= u:
+                idx = [pts.index(x) for x in sorted(v)]
+                restrictions[(u, v)] = {f: tuple(f[i] for i in idx)
+                                        for f in carriers[u].elements}
+    return Presheaf(space, carriers, restrictions)
 
 
 def sheafify(p: Presheaf) -> SheafSpace:
     """Sections of the generated sheaf, with the unit map on every open."""
     space = p.space
-    opens = sorted(p.carriers, key=lambda u: (len(u), tuple(sorted(u))))
-
-    def res(x: Point, y: Point, e: Elem) -> Elem:
-        return p.restrict(space.min_open[x], space.min_open[y], e)
-
-    carriers: Dict[PointSet, Carrier] = {}
-    for u in opens:
-        fams = compatible_families(
-            space, u, lambda x: list(p.stalk_carrier(x).elements), res)
-        carriers[u] = family_carrier(
-            p.carriers[u].kind, [p.stalk_carrier(x) for x in sorted(u)], fams,
-            f"sections({sorted(u)})")
-
-    restrictions = {}
-    for u in opens:
-        pts = sorted(u)
-        for v in opens:
-            if not v <= u:
-                continue
-            idx = [pts.index(x) for x in sorted(v)]
-            restrictions[(u, v)] = {f: tuple(f[i] for i in idx)
-                                    for f in carriers[u].elements}
-    sections = Presheaf(space, carriers, restrictions)
-
+    sections = germ_family_presheaf(
+        space, p.stalk_carrier,
+        lambda x, y, e: p.restrict(space.min_open[x], space.min_open[y], e),
+        lambda u: p.carriers[u].kind, "sections")
     unit = {}
-    for u in opens:
+    for u in sections.carriers:
         unit[u] = {e: tuple(p.restrict(u, space.min_open[x], e) for x in sorted(u))
                    for e in p.carriers[u].elements}
     return SheafSpace(p, sections, unit)
@@ -314,24 +313,11 @@ def pullback(p: Presheaf, f: ContinuousMap) -> Presheaf:
     continuity makes the stalk restriction of p along f(y') ∈ min_open(f(y))
     available whenever y' ∈ min_open(y).
     """
-    space_y = f.domain
     space_x = p.space
-
-    def res(y: Point, y2: Point, e: Elem) -> Elem:
-        return p.restrict(space_x.min_open[f(y)], space_x.min_open[f(y2)], e)
-
-    def carrier_fn(v: PointSet) -> Carrier:
-        fams = compatible_families(
-            space_y, v, lambda y: list(p.stalk_carrier(f(y)).elements), res)
-        stalks = [p.stalk_carrier(f(y)) for y in sorted(v)]
-        kind = stalks[0].kind if stalks else SET
-        return family_carrier(kind, stalks, fams, f"pullback({sorted(v)})")
-
-    def restrict_fn(v: PointSet, w: PointSet, fam: Elem) -> Elem:
-        pts = sorted(v)
-        return tuple(fam[pts.index(y)] for y in sorted(w))
-
-    return build_presheaf(space_y, carrier_fn, restrict_fn)
+    return germ_family_presheaf(
+        f.domain, lambda y: p.stalk_carrier(f(y)),
+        lambda y, y2, e: p.restrict(space_x.min_open[f(y)], space_x.min_open[f(y2)], e),
+        lambda v: p.stalk_carrier(f(min(v))).kind if v else SET, "pullback")
 
 
 # -- the two-algebra construction --------------------------------------------

@@ -9,6 +9,7 @@ set are the compatible families of stalk values.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -36,9 +37,8 @@ from .presheaf import (
     RING,
     Carrier,
     Presheaf,
-    build_presheaf,
     compatible_families,
-    family_carrier,
+    germ_family_presheaf,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -96,25 +96,16 @@ class AlgebraSheaf:
     def germ(self, u: PointSet, sec: Tuple[int, ...], x: Point) -> int:
         return sec[sorted(u).index(x)]
 
-    def restrict_section(self, u: PointSet, v: PointSet,
-                         sec: Tuple[int, ...]) -> Tuple[int, ...]:
-        pts = sorted(u)
-        return tuple(sec[pts.index(x)] for x in sorted(v))
-
     def sec_one(self, u):
         return tuple(self.stalk_ring[x].one for x in sorted(u))
 
     def to_presheaf(self) -> Presheaf:
         """The (complete) presheaf of sections, with ring-tagged carriers."""
-        def carrier_fn(u: PointSet) -> Carrier:
-            secs = self.sections(u)
-            pts = sorted(u)
-            stalks = [Carrier(RING, tuple(self.stalk_ring[x].elements()),
-                              self.stalk_ring[x]) for x in pts]
-            return family_carrier(RING, stalks, secs, f"{self.label}({pts})")
-
-        return build_presheaf(self.space, carrier_fn,
-                              lambda u, v, s: self.restrict_section(u, v, s))
+        return germ_family_presheaf(
+            self.space,
+            lambda x: Carrier(RING, tuple(self.stalk_ring[x].elements()),
+                              self.stalk_ring[x]),
+            lambda x, y, a: self.res[(x, y)][a], lambda u: RING, self.label)
 
 
 def constant_algebra_sheaf(space: FinSpace, ring: FinRing) -> AlgebraSheaf:
@@ -148,8 +139,8 @@ class ModuleSheaf:
                 else:
                     self.res[(x, y)] = dict(res[(x, y)])
         self.label = label or "E"
-        # is_free_of_rank answers by (family, open, rank): (found, witness,
-        # budget steps the search took)
+        # is_free_of_rank answers by (stalk families over the open, rank):
+        # (found, witness, budget steps the search took)
         self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
 
     def ring_at(self, x: Point) -> FinRing:
@@ -224,7 +215,10 @@ class VectorSubsheaf:
     family: Tuple[Tuple[Point, FrozenSet[Vec]], ...]
 
     def family_at(self, x: Point) -> FrozenSet[Vec]:
-        return dict(self.family)[x]
+        for y, vs in self.family:
+            if y == x:
+                return vs
+        raise KeyError(x)
 
     def sort_key(self):
         return tuple((x, tuple(sorted(vs))) for x, vs in self.family)
@@ -238,7 +232,9 @@ def make_subsheaf(ambient: ModuleSheaf, domain: PointSet,
 
 
 def restrict_subsheaf(s: VectorSubsheaf, v: PointSet) -> VectorSubsheaf:
-    return make_subsheaf(s.ambient, v, {x: s.family_at(x) for x in sorted(v)})
+    """The part of s over the open v, which lies in its domain."""
+    return VectorSubsheaf(s.ambient, s.n, frozenset(v),
+                          tuple((x, vs) for x, vs in s.family if x in v))
 
 
 def full_subsheaf(ambient: ModuleSheaf, domain: PointSet) -> VectorSubsheaf:
@@ -271,12 +267,13 @@ def validate_subsheaf(s: VectorSubsheaf) -> List[str]:
 
 
 def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
-    """Compatible germ families with germs constrained to the stalk family."""
-    space = s.ambient.space
-    return compatible_families(
-        space, u,
-        lambda x: sorted(s.family_at(x)),
-        lambda x, y, v: s.ambient.res[(x, y)][v])
+    """Compatible germ families whose germ at every point lies in the stalk
+    family there (germs drawn at the maximal points of u may restrict out of
+    a family that is not closed under restriction)."""
+    fams = [s.family_at(x) for x in sorted(u)]
+    secs = compatible_families(s.ambient.space, u, lambda x: sorted(s.family_at(x)),
+                               lambda x, y, v: s.ambient.res[(x, y)][v])
+    return [sec for sec in secs if all(map(operator.contains, fams, sec))]
 
 
 def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
@@ -335,21 +332,23 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
                     budget: Optional[Budget] = None
                     ) -> Tuple[bool, Optional[Tuple]]:
-    """Search for k sections over u whose germs form a basis at every point.
+    """Search for k sections over u, an open in the domain of s, whose germs
+    form a basis at every point.
 
     Exhaustive over k-subsets of the section list in deterministic order;
-    returns the first witness found.  The answer is kept on the ambient, and
+    returns the first witness found.  The answer is kept on the ambient under
+    the stalk families over u, so s and its restriction to u share it, and
     asking again charges the budget what the search took the first time.
     """
     budget = budget or Budget()
-    key = (s.family, u, k)
+    stalks = tuple((x, vs) for x, vs in s.family if x in u)
+    key = (stalks, k)
     answer = s.ambient.freeness.get(key)
     if answer is None:
         before = budget.used
-        pts = sorted(u)
         found, witness = _find_basis(
-            [s.ambient.ring_at(x) for x in pts], [s.n] * len(pts),
-            [len(s.family_at(x)) for x in pts],
+            [s.ambient.ring_at(x) for x, _ in stalks], [s.n] * len(stalks),
+            [len(vs) for _, vs in stalks],
             lambda: subsheaf_sections(s, u), k, budget)
         answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
     else:
@@ -362,11 +361,8 @@ def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
     """Free on the minimal open of every point of u; minimal opens are the
     localizing cover on a finite space."""
     space = s.ambient.space
-    for x in sorted(u):
-        ux = space.min_open[x]
-        if not is_free_of_rank(restrict_subsheaf(s, ux), ux, k, budget)[0]:
-            return False
-    return True
+    return all(is_free_of_rank(s, space.min_open[x], k, budget)[0]
+               for x in sorted(u))
 
 
 def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,

@@ -34,6 +34,7 @@ from sheafkit.vecsheaf import (
     is_free_of_rank,
     is_locally_free,
     make_subsheaf,
+    restrict_subsheaf,
     validate_subsheaf,
 )
 
@@ -283,6 +284,38 @@ def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     assert report["bijection"] is True
     assert searched and len(searched) == len(set(searched))
     assert len(asked) > len(set(asked))
+
+
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
+    """is_free_of_rank(s, U_x, k) on a subsheaf over the whole space gives
+    the answer, witness and budget charge of the same question about
+    restrict_subsheaf(s, U_x), each on a fresh ambient; on one ambient the
+    second question is answered from the first one's memo entry."""
+    a = constant_algebra_sheaf(pseudo_circle(), ring)
+    u = whole(a.space)
+    for t in enumerate_locally_free_subsheaves(a, 1, 2, u):
+        for x in sorted(u):
+            ux = a.space.min_open[x]
+            for k in range(3):
+                answers = []
+                for restrict in (False, True):
+                    s = make_subsheaf(free_sheaf(a, 2), u, dict(t.family))
+                    if restrict:
+                        s = restrict_subsheaf(s, ux)
+                    b = Budget()
+                    answers.append((is_free_of_rank(s, ux, k, b), b.used))
+                assert answers[0] == answers[1]
+                assert answers[0][0][0] == (k == 1)
+        amb = free_sheaf(a, 2)
+        s = make_subsheaf(amb, u, dict(t.family))
+        for x in sorted(u):
+            ux = a.space.min_open[x]
+            first, second = Budget(), Budget()
+            answer = is_free_of_rank(s, ux, 1, first)
+            asked = len(amb.freeness)
+            assert is_free_of_rank(restrict_subsheaf(s, ux), ux, 1, second) == answer
+            assert len(amb.freeness) == asked and second.used == first.used
 
 
 # -- universal construction and truncation -----------------------------------

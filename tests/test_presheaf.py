@@ -18,6 +18,7 @@ from sheafkit.finspace import (
     sierpinski,
 )
 from sheafkit.presheaf import (
+    RING,
     SET,
     Carrier,
     build_presheaf,
@@ -32,6 +33,7 @@ from sheafkit.presheaf import (
     unit_bijective,
     validate,
 )
+from sheafkit.vecsheaf import constant_algebra_sheaf
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -264,6 +266,37 @@ def test_pullback_constant_map_stalks_isomorphic_to_target_stalk():
             qring = q.stalk_carrier(yy).ring
             pring = stalk(p, target).carrier.ring
             assert find_ring_isomorphism(qring, pring) is not None
+
+
+# -- germ-family carriers ----------------------------------------------------
+
+SIER = sierpinski()
+SIER_BUILDERS = {
+    "sheafify": lambda: sheafify(constant_presheaf(SIER, F2)).sections,
+    "pullback": lambda: pullback(constant_presheaf(SIER, F2),
+                                 constant_map(SIER, SIER, "c")),
+    "to_presheaf": lambda: constant_algebra_sheaf(SIER, F2).to_presheaf(),
+}
+
+
+@pytest.mark.parametrize("name, empty_kind, label", [
+    ("sheafify", RING, "sections"),
+    ("pullback", SET, "pullback"),
+    ("to_presheaf", RING, "const(F_2)"),
+])
+def test_germ_family_carrier_kinds_and_labels(name, empty_kind, label):
+    """On the empty open sheafify keeps the source's ring kind, pullback
+    gives a set and to_presheaf a ring; ring carriers are named after the
+    construction and the sorted points of their open."""
+    q = SIER_BUILDERS[name]()
+    empty = q.carriers[frozenset()]
+    assert empty.kind == empty_kind and empty.elements == ((),)
+    for u in enumerate_opens(SIER):
+        if u:
+            c = q.carriers[u]
+            assert c.kind == RING and c.ring.label == f"{label}({sorted(u)})"
+    if empty_kind == RING:
+        assert empty.ring.label == f"{label}([])"
 
 
 # -- the two-algebra construction --------------------------------------------

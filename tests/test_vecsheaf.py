@@ -389,9 +389,6 @@ def assert_freeness_matches_brute(amb, subs_by_size, k_max):
         for subs in subs_by_size.values():
             for choice in itertools.product(subs, repeat=len(pts)):
                 family = dict(zip(pts, choice))
-                if not all(amb.res[(x, y)][v] in family[y] for x in pts
-                           for y in space.min_open[x] for v in family[x]):
-                    continue  # not a subsheaf: a restriction leaves it
                 s = make_subsheaf(amb, u, family)
                 for k in range(k_max + 1):
                     assert is_free_of_rank(s, u, k) == \
@@ -415,6 +412,18 @@ def test_freeness_matches_a_brute_scan(make, ring):
         by_size = {d: sorted(w for w in subs if len(w) == ring.size ** d)
                    for d in range(n + 1)}
         assert_freeness_matches_brute(free_sheaf(a, n), by_size, n + 1)
+
+
+def test_freeness_reads_the_family_below_the_maximal_points():
+    """span{(1,0)} at c and span{(0,1)} at o is not closed under restriction:
+    the germ (1,0) drawn at c restricts out of the family at o, so the only
+    section is zero and the family is not free of rank 1."""
+    amb = free_sheaf(A2_SIER, 2)
+    s = make_subsheaf(amb, X_SIER, {"c": frozenset({(0, 0), (1, 0)}),
+                                    "o": frozenset({(0, 0), (0, 1)})})
+    assert validate_subsheaf(s)
+    assert subsheaf_sections(s, X_SIER) == [((0, 0), (0, 0))]
+    assert is_free_of_rank(s, X_SIER, 1) == (False, None)
 
 
 def test_freeness_matches_a_brute_scan_on_the_mobius_sheaf():

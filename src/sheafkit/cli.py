@@ -95,10 +95,9 @@ def parse_ring(obj: dict) -> finalg.FinRing:
             return finalg.make_mod_ring(_integer(m, "ring m"))
         if kind == "quotient":
             p, poly = _fields(obj, "ring", "p", "poly")
-            if not isinstance(poly, list):
-                raise ParseError(f"ring poly must be a list, not {poly!r}")
             return finalg.make_quotient(_integer(p, "ring p"),
-                                        [_integer(c, "ring poly entry") for c in poly])
+                                        [_integer(c, "ring poly entry")
+                                         for c in _list(poly, "ring poly")])
         if kind == "product":
             left, right = _fields(obj, "ring", "left", "right")
             return finalg.make_product(parse_ring(left), parse_ring(right))
@@ -127,23 +126,17 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
             raise ParseError(f"presheaf carrier {key!r} elements must be "
                              f"strings, not {elements!r}")
         carriers[u] = psh.Carrier(psh.SET, tuple(elements))
-    restrictions = {}
+    tables = {}
     for u in opens:
         for v in opens:
-            if not v <= u:
-                continue
-            if u == v:
-                restrictions[(u, v)] = {e: e for e in carriers[u].elements}
-                continue
-            key = f"{_open_key(u)}|{_open_key(v)}"
-            if key not in restr_tbl:
-                raise ParseError(f"presheaf restriction missing for {key!r}")
-            ruv = restr_tbl[key]
-            if not isinstance(ruv, dict):
-                raise ParseError(f"presheaf restriction {key!r} must be a "
-                                 f"JSON object, not {ruv!r}")
-            restrictions[(u, v)] = dict(ruv)
-    return psh.Presheaf(space, carriers, restrictions)
+            if v < u:
+                key = f"{_open_key(u)}|{_open_key(v)}"
+                if key not in restr_tbl:
+                    raise ParseError(f"presheaf restriction missing for {key!r}")
+                tables[(u, v)] = _object(restr_tbl[key],
+                                         f"presheaf restriction {key!r}")
+    return psh.Presheaf(space, carriers,
+                        lambda u, v, e: e if u == v else tables[(u, v)][e])
 
 
 def _ring_code(ring: finalg.FinRing, name: str) -> int:
@@ -241,8 +234,9 @@ def cmd_presheaf_check(args) -> dict:
     report = psh.validate(p)
     out = {"command": "presheaf-check", "violations": report, "valid": not report}
     if not report:
-        out["monopresheaf"] = psh.is_monopresheaf(p)
-        out["complete"] = psh.is_complete(p)
+        s = psh.sheafify(p)
+        out["monopresheaf"] = all(psh.unit_injective(s, u) for u in s.unit if u)
+        out["complete"] = all(psh.unit_bijective(s, u) for u in s.unit)
     return out
 
 
@@ -274,7 +268,10 @@ def cmd_stalks(args) -> dict:
 def cmd_pullback(args) -> dict:
     space, p = _presheaf_from_args(args)
     f = parse_map(space, _load_json(args.map))
-    q = psh.pullback(p, f)
+    try:  # pullback restricts stalk elements; the presheaf is not validated
+        q = psh.pullback(p, f)
+    except KeyError as exc:
+        raise ValidationError(f"presheaf restriction undefined at {exc}") from exc
     return {"command": "pullback",
             "domain_points": sorted(f.domain.points),
             "stalk_sizes": {y: len(psh.stalk(q, y).carrier.elements)
@@ -326,7 +323,7 @@ def cmd_embed(args) -> dict:
         raise ValidationError("; ".join(problems))
     try:
         morph = vecsheaf.embed_via_weights(
-            glued.sheaf, w.cover,
+            glued.sheaf, glued.cover,
             {i: glued.trivializations[i] for i in range(len(glued.cover))},
             w, glued.rank)
     except (vecsheaf.InvalidWeights, vecsheaf.TrivializationMismatch) as exc:

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DEFAULT_ISO_SEARCH_BOUND = 64
+DEFAULT_MAX_RING_SIZE = 128  # tables of |R|^2 entries, |R|^3 axiom checks
 
 Vec = Tuple[int, ...]
 
@@ -109,9 +110,16 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
+def _check_ring_size(size: int) -> None:
+    if size > DEFAULT_MAX_RING_SIZE:
+        raise SearchBudgetExceeded(
+            f"ring size {size} exceeds bound {DEFAULT_MAX_RING_SIZE}")
+
+
 def make_mod_ring(m: int) -> FinRing:
     if m < 2:
         raise RingError(f"modulus {m} < 2")
+    _check_ring_size(m)
     names = [str(i) for i in range(m)]
     add = [[(i + j) % m for j in range(m)] for i in range(m)]
     mul = [[(i * j) % m for j in range(m)] for i in range(m)]
@@ -119,6 +127,7 @@ def make_mod_ring(m: int) -> FinRing:
 
 
 def make_field(p: int) -> FinRing:
+    _check_ring_size(p)  # before the primality test, which takes sqrt(p) steps
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     r = make_mod_ring(p)
@@ -145,6 +154,7 @@ def make_quotient(p: int, poly: Sequence[int]) -> FinRing:
 
     Element code sum(c_i p^i) encodes the residue sum(c_i t^i).
     """
+    _check_ring_size(p)  # the coefficient field alone has p elements
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     poly = [c % p for c in poly]
@@ -154,6 +164,7 @@ def make_quotient(p: int, poly: Sequence[int]) -> FinRing:
     if d < 1 or poly[-1] != 1:
         raise InvalidPolynomial("modulus must be monic of degree >= 1")
     size = p ** d
+    _check_ring_size(size)
 
     def decode(code: int) -> List[int]:
         return [(code // p ** i) % p for i in range(d)]
@@ -191,6 +202,7 @@ def make_quotient(p: int, poly: Sequence[int]) -> FinRing:
 def make_product(r: FinRing, s: FinRing) -> FinRing:
     """Direct product with componentwise operations; code = a*|s| + b."""
     size = r.size * s.size
+    _check_ring_size(size)
 
     def pair(code: int) -> Tuple[int, int]:
         return divmod(code, s.size)

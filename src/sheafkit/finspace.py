@@ -112,10 +112,10 @@ def constant_map(domain: FinSpace, codomain: FinSpace, value: Point) -> Continuo
 
 
 def validate_map(f: ContinuousMap) -> bool:
-    """True iff f is continuous: f(min_open(x)) ⊆ min_open(f(x))."""
+    """True iff f is total and continuous: f(min_open(x)) ⊆ min_open(f(x))."""
+    if not all(x in f.assignment for x in f.domain.points):
+        return False
     for x in f.domain.points:
-        if x not in f.assignment:
-            return False
         fx = f.assignment[x]
         if fx not in f.codomain.min_open:
             return False

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import NotLocallyFree, SearchBudgetExceeded
 from .finalg import Submodule, enumerate_free_submodules, zero_vec
 from .finspace import PointSet, Point, enumerate_opens
-from .presheaf import compatible_families
+from .presheaf import (SET, Carrier, Presheaf, compatible_families,
+                       is_monopresheaf, sheafify, unit_injective)
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -35,6 +36,12 @@ class GrassmannPresheaf:
     n: int
     ambient: ModuleSheaf
     values: Dict[PointSet, List[VectorSubsheaf]]
+
+    def presheaf(self) -> Presheaf:
+        """The values as a set-valued presheaf, restricting subsheaves."""
+        return Presheaf(self.base.space,
+                        {u: Carrier(SET, tuple(vals)) for u, vals in self.values.items()},
+                        lambda u, v, s: restrict_subsheaf(s, v))
 
 
 def _stalk_families(ambient: ModuleSheaf, u: PointSet,
@@ -141,60 +148,45 @@ def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
     """Values are separated by their restrictions to the minimal-open cover."""
-    space = g.base.space
-    for u, vals in g.values.items():
-        if not u:
-            continue
-        seen = {}
-        for s in vals:
-            key = tuple(restrict_subsheaf(s, space.min_open[x]) for x in sorted(u))
-            if key in seen and seen[key] != s:
-                return False
-            seen[key] = s
-    return True
+    return is_monopresheaf(g.presheaf())
 
 
-def _glued_candidates(g: GrassmannPresheaf, u: PointSet) -> List[VectorSubsheaf]:
-    """Glue compatible families over the minimal-open cover of u."""
-    return [make_subsheaf(g.ambient, u,
-                          {x: sec.family_at(x)
-                           for x, sec in zip(sorted(u), fam_row)})
-            for fam_row in _section_tuples(g, u)]
+def _glue(ambient: ModuleSheaf, u: PointSet, row) -> VectorSubsheaf:
+    """One subsheaf over u from values over the minimal opens of sorted(u)."""
+    return make_subsheaf(ambient, u, {x: val.family_at(x)
+                                      for x, val in zip(sorted(u), row)})
 
 
 def _section_tuples(g: GrassmannPresheaf, u: PointSet):
     space = g.base.space
-    return compatible_families(
-        space, u,
-        lambda x: g.values[space.min_open[x]],
-        lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
+    return compatible_families(space, u, lambda x: g.values[space.min_open[x]],
+                               lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
 
 
 def v_presheaf_complete(v: GrassmannPresheaf) -> bool:
     """Unit bijectivity: values over U = compatible minimal-open families."""
-    return all(sorted(_glued_candidates(v, u), key=VectorSubsheaf.sort_key) == vals
+    return all(sorted((_glue(v.ambient, u, row) for row in _section_tuples(v, u)),
+                      key=VectorSubsheaf.sort_key) == vals
                for u, vals in v.values.items())
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
                                     budget: Optional[Budget] = None) -> dict:
-    """Monopresheaf verdict plus an exhaustive hunt for a non-free glue.
+    """Monopresheaf verdict and a hunt for a non-free glue, from one sheafify.
 
-    A compatible family over the minimal-open cover glues to a locally free
-    subsheaf; any glue that is not free witnesses non-completeness of the
-    free-value presheaf.  At desk scale (constant coefficient sheaves) such
-    witnesses may not exist, which the report states explicitly.
+    A section of the generated sheaf glues to a locally free subsheaf; any
+    glue that is not free witnesses non-completeness of the free-value
+    presheaf.  At desk scale (constant coefficient sheaves) such witnesses
+    may not exist, which the report states explicitly.
     """
-    witness = None
-    for u in sorted(g.values, key=lambda s: (len(s), tuple(sorted(s)))):
-        for cand in _glued_candidates(g, u):
-            if not is_free_of_rank(cand, u, g.k, budget)[0]:
-                witness = {"open": sorted(u), "family": cand.sort_key()}
-                break
-        if witness:
-            break
+    s = sheafify(g.presheaf())
+    glued = ((u, _glue(g.ambient, u, row))
+             for u, c in s.sections.carriers.items() for row in c.elements)
+    witness = next(({"open": sorted(u), "family": t.sort_key()}
+                    for u, t in glued if not is_free_of_rank(t, u, g.k, budget)[0]),
+                   None)
     return {
-        "monopresheaf": grassmann_monopresheaf(g),
+        "monopresheaf": all(unit_injective(s, u) for u in s.unit if u),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
     }
@@ -237,10 +229,8 @@ def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSecti
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
     """Glue a section's stalkwise values into one subsheaf of A^n."""
-    pts = [x for x, _ in s.family]
-    ambient = s.family[0][1].ambient
-    return make_subsheaf(ambient, frozenset(pts),
-                         {x: val.family_at(x) for x, val in s.family})
+    pts, vals = zip(*s.family)
+    return _glue(vals[0].ambient, frozenset(pts), vals)
 
 
 def subsheaf_to_section(t: VectorSubsheaf, k: int,

@@ -15,7 +15,8 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
-from .finspace import FinSpace, PointSet, Point, enumerate_opens, ContinuousMap
+from .finspace import (FinSpace, PointSet, Point, ContinuousMap, enumerate_opens,
+                       open_sort_key)
 
 Elem = Hashable
 ElemMap = Dict[Elem, Elem]
@@ -57,12 +58,10 @@ class Carrier:
 
 @dataclass
 class Presheaf:
+    """Carriers on every open; `restrict(u, v, e)` sends e over u to v ⊆ u."""
     space: FinSpace
     carriers: Dict[PointSet, Carrier]
-    restrictions: Dict[Tuple[PointSet, PointSet], ElemMap]
-
-    def restrict(self, u: PointSet, v: PointSet, e: Elem) -> Elem:
-        return self.restrictions[(u, v)][e]
+    restrict: Callable[[PointSet, PointSet, Elem], Elem]
 
     def stalk_carrier(self, x: Point) -> Carrier:
         return self.carriers[self.space.min_open[x]]
@@ -71,47 +70,46 @@ class Presheaf:
 def build_presheaf(space: FinSpace,
                    carrier_fn: Callable[[PointSet], Carrier],
                    restrict_fn: Callable[[PointSet, PointSet, Elem], Elem]) -> Presheaf:
-    """Materialize carrier and restriction tables over all opens."""
-    opens = enumerate_opens(space)
-    carriers = {u: carrier_fn(u) for u in opens}
-    restrictions = {}
-    for u in opens:
-        for v in opens:
-            if v <= u:
-                restrictions[(u, v)] = {e: restrict_fn(u, v, e)
-                                        for e in carriers[u].elements}
-    return Presheaf(space, carriers, restrictions)
+    """Carriers over all opens, restricting by `restrict_fn`."""
+    return Presheaf(space, {u: carrier_fn(u) for u in enumerate_opens(space)},
+                    restrict_fn)
+
+
+def _tabulate(p: Presheaf, u: PointSet, v: PointSet) -> ElemMap:
+    """restrict(u, v, -) on the carrier over u, where it is defined."""
+    table = {}
+    for e in p.carriers[u].elements:
+        try:
+            table[e] = p.restrict(u, v, e)
+        except KeyError:
+            pass
+    return table
 
 
 def validate(p: Presheaf) -> List[str]:
     """Report of functor-law and structure violations; empty means valid.
 
-    A restriction that is undefined somewhere on its source or leaves its
-    target is reported once and left out of every later check.
+    Each restriction is tabulated over its source carrier.  One that is
+    undefined somewhere (raises KeyError) or leaves its target is reported
+    once and left out of every later check.
     """
     problems = []
-    opens = sorted(p.carriers, key=lambda u: (len(u), tuple(sorted(u))))
+    opens = sorted(p.carriers, key=open_sort_key)
+    tables = {(u, v): _tabulate(p, u, v) for u in opens for v in opens if v <= u}
     for u in opens:
-        r = p.restrictions.get((u, u), {})
-        for e in p.carriers[u].elements:
-            if r.get(e) != e:
-                problems.append(f"restrict to itself not identity on {set(u)}")
-                break
+        if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
+            problems.append(f"restrict to itself not identity on {set(u)}")
     sound: Dict[PointSet, Dict[PointSet, ElemMap]] = {u: {} for u in opens}
-    for u in opens:
-        for v in opens:
-            if not v <= u:
-                continue
-            ruv = p.restrictions.get((u, v), {})
-            undefined = [e for e in p.carriers[u].elements if e not in ruv]
-            if undefined:
-                problems.append(
-                    f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
-            elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
-                problems.append(
-                    f"restriction {set(u)}->{set(v)} leaves the carrier")
-            else:
-                sound[u][v] = ruv
+    for (u, v), ruv in tables.items():
+        undefined = [e for e in p.carriers[u].elements if e not in ruv]
+        if undefined:
+            problems.append(
+                f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
+        elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
+            problems.append(
+                f"restriction {set(u)}->{set(v)} leaves the carrier")
+        else:
+            sound[u][v] = ruv
     for u in opens:
         for v, ruv in sound[u].items():
             for w, rvw in sound[v].items():
@@ -159,6 +157,17 @@ def stalk(p: Presheaf, x: Point) -> Stalk:
 
 # -- separation --------------------------------------------------------------
 
+def germ_map(p: Presheaf, u: PointSet) -> ElemMap:
+    """Each element over u sent to its tuple of germs at the sorted points."""
+    mins = [p.space.min_open[x] for x in sorted(u)]
+    return {e: tuple(p.restrict(u, ux, e) for ux in mins)
+            for e in p.carriers[u].elements}
+
+
+def _injective(m: ElemMap) -> bool:
+    return len(set(m.values())) == len(m)
+
+
 def is_monopresheaf(p: Presheaf) -> bool:
     """True iff sections are determined by their germs at every point.
 
@@ -166,18 +175,7 @@ def is_monopresheaf(p: Presheaf) -> bool:
     suffices for every cover, since any cover of U refines {U_x : x in U}.
     Empty opens are skipped (they admit no points).
     """
-    space = p.space
-    for u in p.carriers:
-        if not u:
-            continue
-        pts = sorted(u)
-        seen = {}
-        for e in p.carriers[u].elements:
-            key = tuple(p.restrict(u, space.min_open[x], e) for x in pts)
-            if key in seen and seen[key] != e:
-                return False
-            seen[key] = e
-    return True
+    return all(_injective(germ_map(p, u)) for u in p.carriers if u)
 
 
 def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
@@ -248,7 +246,7 @@ def germ_family_presheaf(space: FinSpace, stalk: Callable[[Point], Carrier],
     The carrier over U holds the families over sorted(U).  With kind(U)
     "ring" they form a ring under the pointwise operations of the stalks,
     named `label(sorted(U))`; any other kind gives a set.  Restriction drops
-    the points outside the smaller open.
+    the points outside the smaller open when it is called.
     """
     opens = enumerate_opens(space)
     stalks = {x: stalk(x) for x in space.points}
@@ -267,15 +265,8 @@ def germ_family_presheaf(space: FinSpace, stalk: Callable[[Point], Carrier],
             one=tuple(c.ring_one() for c in cs),
             label=f"{label}({sorted(u)})")
         carriers[u] = Carrier(RING, tuple(fams), ring)
-    restrictions = {}
-    for u in opens:
-        pts = sorted(u)
-        for v in opens:
-            if v <= u:
-                idx = [pts.index(x) for x in sorted(v)]
-                restrictions[(u, v)] = {f: tuple(f[i] for i in idx)
-                                        for f in carriers[u].elements}
-    return Presheaf(space, carriers, restrictions)
+    return Presheaf(space, carriers, lambda u, v, f: tuple(
+        g for x, g in zip(sorted(u), f) if x in v))
 
 
 def sheafify(p: Presheaf) -> SheafSpace:
@@ -285,11 +276,11 @@ def sheafify(p: Presheaf) -> SheafSpace:
         space, p.stalk_carrier,
         lambda x, y, e: p.restrict(space.min_open[x], space.min_open[y], e),
         lambda u: p.carriers[u].kind, "sections")
-    unit = {}
-    for u in sections.carriers:
-        unit[u] = {e: tuple(p.restrict(u, space.min_open[x], e) for x in sorted(u))
-                   for e in p.carriers[u].elements}
-    return SheafSpace(p, sections, unit)
+    return SheafSpace(p, sections, {u: germ_map(p, u) for u in sections.carriers})
+
+
+def unit_injective(s: SheafSpace, u: PointSet) -> bool:
+    return _injective(s.unit[u])
 
 
 def unit_bijective(s: SheafSpace, u: PointSet) -> bool:

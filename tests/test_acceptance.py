@@ -187,7 +187,7 @@ def test_criterion_5_sheafification_laws():
                 if x not in u:
                     continue
                 for e in p.carriers[u].elements:
-                    lhs = s.sections.restrictions[(u, ux)][s.unit[u][e]]
+                    lhs = s.sections.restrict(u, ux, s.unit[u][e])
                     rhs = s.unit[ux][p.restrict(u, ux, e)]
                     if lhs != rhs:
                         ok = False

@@ -225,6 +225,15 @@ def test_grassmann_budget_exit(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_grassmann_ring_size_exit(tmp_path, capsys):
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", {"kind": "Zm", "m": 1000000})
+    code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
+                                     "-k", "1", "-n", "2"])
+    assert code == EXIT_BUDGET and report is None
+    assert "ring size 1000000 exceeds bound 128" in err
+
+
 def test_grassmann_bad_ring_kind(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     rg = write(tmp_path, "ring.json", {"kind": "mystery"})
@@ -403,12 +412,14 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
     (["pullback"], {"space": SIERPINSKI, "presheaf": CONSTANT_F2_PRESHEAF,
                     "map": {"space": {"min_open": {"p": ["p"]}},
                             "assignment": {"p": ["c"]}}}),
+    (["pullback"], {"space": SIERPINSKI, "presheaf": CONSTANT_F2_PRESHEAF,
+                    "map": {"space": SIERPINSKI, "assignment": {"c": "o"}}}),
 ], ids=["space-not-an-object", "ring-p-a-string", "transition-key-out-of-range",
         "min-open-a-list", "min-open-value-a-string", "min-open-point-a-list",
         "transitions-a-list", "cover-a-number", "cover-point-outside",
         "rank-negative", "rank-a-string", "transition-entry-missing-a-point",
         "weights-a-number", "carrier-element-a-list", "restriction-a-string",
-        "map-image-a-list"])
+        "map-image-a-list", "map-partial"])
 def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
                                                          argv, inputs):
     for option, obj in inputs.items():

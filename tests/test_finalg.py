@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafkit.errors import NotAField, NotPrime, RingError
+from sheafkit.errors import NotAField, NotPrime, RingError, SearchBudgetExceeded
 from sheafkit.finalg import (
+    DEFAULT_MAX_RING_SIZE,
     FinRing,
     Matrix,
     RingMorphism,
@@ -85,6 +86,35 @@ def test_corrupted_table_rejected():
     add[1][1] = 1  # breaks inverses / associativity
     with pytest.raises(RingError):
         FinRing(F2.names, add, F2.mul_table, F2.zero, F2.one)
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_ring_size_guard_refuses_before_building(monkeypatch):
+    z11, z12 = make_mod_ring(11), make_mod_ring(12)
+
+    def table_built(*args, **kwargs):
+        raise TableBuilt
+
+    monkeypatch.setattr(FinRing, "__init__", table_built)
+    with pytest.raises(SearchBudgetExceeded, match="ring size 1099511627776 "
+                                                   "exceeds bound 128"):
+        make_quotient(2, [0] * 40 + [1])
+    for too_large in (lambda: make_mod_ring(DEFAULT_MAX_RING_SIZE + 1),
+                      lambda: make_field(131), lambda: make_field(2 ** 61 - 1),
+                      lambda: make_quotient(3, [0] * 5 + [1]),
+                      lambda: make_quotient(131, [0, 1]),
+                      lambda: make_product(z11, z12)):
+        with pytest.raises(SearchBudgetExceeded, match="exceeds bound 128"):
+            too_large()
+    # at the bound the tables are built
+    for at_bound in (lambda: make_mod_ring(DEFAULT_MAX_RING_SIZE),
+                     lambda: make_quotient(2, [0] * 7 + [1]),
+                     lambda: make_product(make_mod_ring(8), make_mod_ring(16))):
+        with pytest.raises(TableBuilt):
+            at_bound()
 
 
 def test_is_unit_examples():

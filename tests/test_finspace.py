@@ -135,6 +135,12 @@ def test_sierpinski_swap_not_continuous():
     assert not validate_map(ContinuousMap(s, s, {"o": "c", "c": "o"}))
 
 
+def test_partial_map_is_not_valid():
+    # the image of min_open(c) = {o, c} mentions o, which has no image
+    s = sierpinski()
+    assert not validate_map(ContinuousMap(s, s, {"c": "o"}))
+
+
 @pytest.mark.parametrize("make_dom", CORPUS)
 @pytest.mark.parametrize("make_cod", [sierpinski, discrete2])
 def test_continuity_matches_preimage_criterion(make_dom, make_cod):

@@ -26,7 +26,9 @@ from sheafkit.grassmann import (
     include_subsheaf,
     section_to_subsheaf,
     subsheaf_to_section,
+    v_presheaf_complete,
 )
+from sheafkit.presheaf import is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
     Budget,
     constant_algebra_sheaf,
@@ -201,6 +203,20 @@ def test_v_presheaf_complete(make):
     a = constant_algebra_sheaf(make(), F2)
     from sheafkit.grassmann import v_presheaf_complete
     assert v_presheaf_complete(build_v_presheaf(a, 1, 2))
+
+
+@pytest.mark.parametrize("make", CORPUS)
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(3) for k in range(n + 1)])
+def test_completeness_formulas_agree(make, k, n):
+    """The presheaf module's separation and completeness, applied to G and V
+    as presheaves, agree with the Grassmann module's own glue checks."""
+    a = constant_algebra_sheaf(make(), F2)
+    g = build_grassmann_presheaf(a, k, n)
+    v = build_v_presheaf(a, k, n)
+    assert is_complete(v.presheaf()) and v_presheaf_complete(v)
+    assert is_complete(g.presheaf()) == \
+        check_monopresheaf_not_complete(g)["complete_at_this_scale"]
+    assert is_monopresheaf(g.presheaf())
 
 
 @pytest.mark.parametrize("make", CORPUS)

@@ -69,7 +69,9 @@ def test_counterexample_presheaf_valid():
 def test_identity_violation_reported():
     p = constant_presheaf(sierpinski(), F2)
     u = frozenset({"o"})
-    p.restrictions[(u, u)] = {0: 1, 1: 0}
+    restrict = p.restrict
+    p.restrict = lambda a, b, e: (1 - e if (a, b) == (u, u)
+                                  else restrict(a, b, e))
     assert any("identity" in msg for msg in validate(p))
 
 
@@ -77,8 +79,23 @@ def test_composition_violation_reported():
     p = constant_presheaf(pseudo_circle(), F3)
     u = frozenset(p.space.points)
     v = frozenset({"a", "b"})
-    p.restrictions[(u, v)] = {0: 1, 1: 2, 2: 0}
+    restrict = p.restrict
+    p.restrict = lambda a, b, e: ((e + 1) % 3 if (a, b) == (u, v)
+                                  else restrict(a, b, e))
     assert any("composition" in msg for msg in validate(p))
+
+
+def test_restriction_raising_key_error_is_undefined():
+    space = sierpinski()
+    u, v = frozenset({"o", "c"}), frozenset({"o"})
+
+    def restrict(a, b, e):
+        if (a, b, e) == (u, v, 1):
+            raise KeyError(e)
+        return e
+
+    p = build_presheaf(space, lambda w: Carrier(RING, (0, 1), F2), restrict)
+    assert validate(p) == [f"restriction {set(u)}->{set(v)} undefined at 1"]
 
 
 @pytest.mark.parametrize("name,p", corpus_presheaves())
@@ -210,7 +227,7 @@ def test_sheafify_preserves_stalks(name, p):
             if x not in u:
                 continue
             for e in p.carriers[u].elements:
-                lhs = s.sections.restrictions[(u, ux)][s.unit[u][e]]
+                lhs = s.sections.restrict(u, ux, s.unit[u][e])
                 rhs = s.unit[ux][p.restrict(u, ux, e)]
                 assert lhs == rhs
 
@@ -320,7 +337,9 @@ def test_two_algebra_degenerate_is_constant():
     p = two_algebra_presheaf(sierpinski(), "c", F2, F2, ident)
     q = constant_presheaf(sierpinski(), F2)
     assert all(p.carriers[u].ring is q.carriers[u].ring for u in p.carriers)
-    assert p.restrictions == q.restrictions
+    assert all(p.restrict(u, v, e) == q.restrict(u, v, e)
+               for u in p.carriers for v in p.carriers if v <= u
+               for e in p.carriers[u].elements)
 
 
 def test_two_algebra_rejects_non_morphism():

@@ -284,7 +284,6 @@ def cmd_grassmann(args) -> dict:
     a = vecsheaf.constant_algebra_sheaf(space, ring)
     budget = vecsheaf.Budget(args.budget)
     g = grassmann.build_grassmann_presheaf(a, args.k, args.n, budget)
-    whole = frozenset(space.points)
     verdict = grassmann.check_monopresheaf_not_complete(g, budget)
     return {
         "command": "grassmann",
@@ -292,7 +291,7 @@ def cmd_grassmann(args) -> dict:
         "n": args.n,
         "ring": ring.label,
         "value_counts": {_open_key(u): len(v) for u, v in g.values.items()},
-        "sections_over_whole": len(grassmann.enumerate_sections(g, whole)),
+        "sections_over_whole": verdict["sections_over_whole"],
         "monopresheaf": verdict["monopresheaf"],
         "complete_at_this_scale": verdict["complete_at_this_scale"],
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidPolynomial,
@@ -22,7 +22,7 @@ from .errors import (
 )
 
 DEFAULT_ISO_SEARCH_BOUND = 64
-DEFAULT_MAX_RING_SIZE = 128  # tables of |R|^2 entries, |R|^3 axiom checks
+DEFAULT_MAX_RING_SIZE = 128  # tables of |R|^2 entries, ~|R|^2 log|R| axiom checks
 
 Vec = Tuple[int, ...]
 
@@ -43,13 +43,7 @@ class FinRing:
         problems = self.check_axioms()
         if problems:
             raise RingError("; ".join(problems))
-        self._neg = tuple(self._find_neg(a) for a in range(self.size))
-
-    def _find_neg(self, a: int) -> int:
-        for b in range(self.size):
-            if self.add_table[a][b] == self.zero:
-                return b
-        raise RingError(f"no additive inverse for {self.names[a]}")
+        self._neg = tuple(row.index(zero) for row in self.add_table)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -64,36 +58,104 @@ class FinRing:
         return range(self.size)
 
     def check_axioms(self) -> List[str]:
-        """Full table verification of the commutative unital ring axioms."""
-        problems = []
-        n = self.size
-        rng = range(n)
+        """Exact check of the commutative unital ring axioms in O(|R|^2 log |R|).
+
+        Returns the first witness found for each violated axiom.  Identities,
+        inverses and commutativity are read a row at a time.  The axioms in
+        three variables are checked only where one variable runs over a set S
+        of additive generators (`_additive_generators`): every element is a
+        sum (..(s1 + s2) + ..) + sk of members of S, and |S| <= log2 |R| once
+        (R,+) is a group, since each new generator at least doubles the
+        subgroup reached.  Each reduction below is exact when the axioms
+        checked before it hold; when one of those fails, the ring is rejected
+        anyway, and every witness reported is a real violation.
+        """
+        n, zero, one = self.size, self.zero, self.one
         add, mul = self.add_table, self.mul_table
-        for a in rng:
-            if add[a][self.zero] != a:
-                problems.append(f"{a}+0 != {a}")
-            if mul[a][self.one] != a:
-                problems.append(f"{a}*1 != {a}")
-            if not any(add[a][b] == self.zero for b in rng):
-                problems.append(f"{a} has no additive inverse")
-            for b in rng:
-                if add[a][b] != add[b][a]:
-                    problems.append(f"add not commutative at ({a},{b})")
-                if mul[a][b] != mul[b][a]:
-                    problems.append(f"mul not commutative at ({a},{b})")
-                for c in rng:
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        problems.append(f"add not associative at ({a},{b},{c})")
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        problems.append(f"mul not associative at ({a},{b},{c})")
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        problems.append(f"distributivity fails at ({a},{b},{c})")
-        if self.size > 1 and self.zero == self.one:
+        add_t, mul_t = tuple(zip(*add)), tuple(zip(*mul))
+        elems = tuple(range(n))
+        problems = []
+        a = _first_difference(add_t[zero], elems)
+        if a is not None:
+            problems.append(f"{a}+0 != {a}")
+        a = _first_difference(mul_t[one], elems)
+        if a is not None:
+            problems.append(f"{a}*1 != {a}")
+        a = next((a for a in elems if zero not in add[a]), None)
+        if a is not None:
+            problems.append(f"{a} has no additive inverse")
+        for op, table, table_t in (("add", add, add_t), ("mul", mul, mul_t)):
+            a = _first_difference(table, table_t)
+            if a is not None:
+                b = _first_difference(table[a], table_t[a])
+                problems.append(f"{op} not commutative at ({a},{b})")
+        gens = _additive_generators(add, zero)
+        # Light's test: the s with (x+s)+y = x+(s+y) for all x, y are closed
+        # under +, as (x+(s+t))+y = ((x+s)+t)+y = (x+s)+(t+y) = x+(s+(t+y))
+        # = x+((s+t)+y).  One row over y per (x, s).
+        w = _first_mismatch((x, s, add[add[x][s]], tuple(map(add[x].__getitem__, add[s])))
+                            for s in gens for x in elems)
+        if w is not None:
+            problems.append("add not associative at ({},{},{})".format(*w))
+        # Once + is associative, the c with a(b+c) = ab+ac for all a, b are
+        # closed under +: a(b+(c+d)) = a((b+c)+d) = (ab+ac)+ad = ab+a(c+d).
+        # One row over b per (a, s).
+        w = _first_mismatch((a, s, tuple(map(mul[a].__getitem__, add_t[s])),
+                             tuple(map(add_t[mul[a][s]].__getitem__, mul[a])))
+                            for a in elems for s in gens)
+        if w is not None:
+            a, s, b = w
+            problems.append(f"distributivity fails at ({a},{b},{s})")
+        # With * commutative and distributive, (ab)c and a(bc) are additive in
+        # each of a, b and c, so they agree everywhere once they agree on S^3.
+        w = next(((a, b, c) for a in gens for b in gens for c in gens
+                  if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None)
+        if w is not None:
+            problems.append("mul not associative at ({},{},{})".format(*w))
+        if n > 1 and zero == one:
             problems.append("0 == 1 in a nontrivial ring")
         return problems
 
     def __repr__(self) -> str:
         return f"FinRing({self.label}, size={self.size})"
+
+
+def _first_difference(xs: Sequence, ys: Sequence) -> Optional[int]:
+    return next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
+
+
+def _first_mismatch(rows) -> Optional[Tuple[int, int, int]]:
+    """(i, j, k) for the first (i, j, lhs, rhs) of `rows` whose two rows
+    differ, k the first position at which they do."""
+    for i, j, lhs, rhs in rows:
+        if lhs != rhs:
+            return i, j, _first_difference(lhs, rhs)
+    return None
+
+
+def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> List[int]:
+    """Greedy S, in code order with 0 last, such that every element is a
+    left-nested sum (..(s1 + s2) + ..) + sk of members of S.
+
+    An element not yet reached joins S, and the sums reached so far are
+    extended by it; O(|R| |S|).
+    """
+    n = len(add)
+    reached = [False] * n
+    sums: List[int] = []
+    gens: List[int] = []
+    for g in [x for x in range(n) if x != zero] + [zero]:
+        if reached[g]:
+            continue
+        gens.append(g)
+        work = [g] + [add[x][g] for x in sums]
+        while work:
+            x = work.pop()
+            if not reached[x]:
+                reached[x] = True
+                sums.append(x)
+                work.extend(add[x][s] for s in gens)
+    return gens
 
 
 def is_unit(r: FinRing, x: int) -> bool:
@@ -264,46 +326,72 @@ def validate_morphism(f: RingMorphism) -> bool:
     return True
 
 
+def _element_signatures(r: FinRing) -> List[Tuple[int, int, bool, int]]:
+    """Per element, in O(|R|^2): additive order, number of distinct positive
+    powers, whether it is a unit, and the size of its annihilator."""
+    add, mul, zero = r.add_table, r.mul_table, r.zero
+    sigs = []
+    for x in r.elements():
+        order, y = 1, x
+        while y != zero:
+            order, y = order + 1, add[y][x]
+        powers, y = set(), x
+        while y not in powers:
+            powers.add(y)
+            y = mul[y][x]
+        sigs.append((order, len(powers), r.one in mul[x], mul[x].count(zero)))
+    return sigs
+
+
 def find_ring_isomorphism(r: FinRing, s: FinRing) -> Optional[RingMorphism]:
     """Exhaustive search for a unital ring isomorphism r -> s.
 
     Backtracking over element images in increasing code order, pruning on
     the add/mul tables, so the returned witness is lexicographically least.
-    Returns None after the search exhausts.
+    An isomorphism preserves every entry of `_element_signatures`, so each
+    element's images are drawn from its own signature class only, and rings
+    whose signature multisets differ are told apart before any search; this
+    cuts only branches that hold no isomorphism.  0 and 1 are alone in their
+    classes (additive order 1; the only idempotent unit), so they map to 0
+    and 1.  Returns None after the search exhausts.
     """
     if r.size != s.size:
         return None
     if r.size > DEFAULT_ISO_SEARCH_BOUND:
         raise SearchBudgetExceeded(
             f"ring size {r.size} exceeds bound {DEFAULT_ISO_SEARCH_BOUND}")
+    sig_r, sig_s = _element_signatures(r), _element_signatures(s)
+    if sorted(sig_r) != sorted(sig_s):
+        return None
+    by_sig: Dict[Tuple[int, int, bool, int], List[int]] = {}
+    for y, sig in enumerate(sig_s):
+        by_sig.setdefault(sig, []).append(y)
+    candidates = [by_sig[sig] for sig in sig_r]
 
     n = r.size
+    r_add, r_mul, s_add, s_mul = r.add_table, r.mul_table, s.add_table, s.mul_table
     assignment: List[int] = [-1] * n
     used = [False] * n
 
     def consistent(a: int) -> bool:
+        # elements 0..a are assigned, the rest are not
         fa = assignment[a]
-        for b in range(n):
+        ra, rm, sa, sm = r_add[a], r_mul[a], s_add[fa], s_mul[fa]
+        for b in range(a + 1):
             fb = assignment[b]
-            if fb < 0:
-                continue
-            ab = assignment[r.add(a, b)]
-            if ab >= 0 and s.add(fa, fb) != ab:
+            ab = assignment[ra[b]]
+            if ab >= 0 and sa[fb] != ab:
                 return False
-            mb = assignment[r.mul(a, b)]
-            if mb >= 0 and s.mul(fa, fb) != mb:
+            mb = assignment[rm[b]]
+            if mb >= 0 and sm[fb] != mb:
                 return False
         return True
 
     def extend(a: int) -> bool:
         if a == n:
             return True
-        for image in range(n):
+        for image in candidates[a]:
             if used[image]:
-                continue
-            if a == r.zero and image != s.zero:
-                continue
-            if a == r.one and image != s.one:
                 continue
             assignment[a] = image
             used[image] = True

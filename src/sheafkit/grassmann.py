@@ -172,7 +172,8 @@ def v_presheaf_complete(v: GrassmannPresheaf) -> bool:
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
                                     budget: Optional[Budget] = None) -> dict:
-    """Monopresheaf verdict and a hunt for a non-free glue, from one sheafify.
+    """Monopresheaf verdict, a hunt for a non-free glue and the number of
+    sections over the whole space, from one sheafify.
 
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value
@@ -180,6 +181,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     may not exist, which the report states explicitly.
     """
     s = sheafify(g.presheaf())
+    whole = frozenset(g.base.space.points)
     glued = ((u, _glue(g.ambient, u, row))
              for u, c in s.sections.carriers.items() for row in c.elements)
     witness = next(({"open": sorted(u), "family": t.sort_key()}
@@ -189,6 +191,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
         "monopresheaf": all(unit_injective(s, u) for u in s.unit if u),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
+        "sections_over_whole": len(s.sections.carriers[whole].elements),
     }
 
 

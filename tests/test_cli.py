@@ -216,6 +216,33 @@ def test_grassmann_command(tmp_path, capsys):
     assert report["monopresheaf"] is True
 
 
+def test_grassmann_enumerates_the_whole_space_once(tmp_path, capsys, monkeypatch):
+    """`sections_over_whole` is read from the sheafification that also gives
+    the monopresheaf verdict, and equals the enumerated section count."""
+    from sheafkit import grassmann, presheaf
+    whole = frozenset("abcd")
+    calls = []
+    original = presheaf.compatible_families
+
+    def counted(space, u, *args, **kwargs):
+        out = original(space, u, *args, **kwargs)
+        if u == whole:
+            calls.append(len(out))
+        return out
+
+    for module in (presheaf, grassmann):
+        monkeypatch.setattr(module, "compatible_families", counted)
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
+    code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
+                                     "-k", "1", "-n", "2"])
+    assert code == EXIT_OK
+    assert calls == [report["sections_over_whole"]]
+    g = grassmann.build_grassmann_presheaf(
+        constant_algebra_sheaf(pseudo_circle(), make_field(2)), 1, 2)
+    assert len(grassmann.enumerate_sections(g, whole)) == calls[0]
+
+
 def test_grassmann_budget_exit(tmp_path, capsys):
     sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
     rg = write(tmp_path, "ring.json", F3)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,187 @@ def test_corrupted_table_rejected():
     add[1][1] = 1  # breaks inverses / associativity
     with pytest.raises(RingError):
         FinRing(F2.names, add, F2.mul_table, F2.zero, F2.one)
+
+
+# -- the axiom check against a cubic oracle ----------------------------------
+
+def cubic_axioms_hold(add, mul, zero, one):
+    """Oracle: every commutative unital ring axiom at every element, pair
+    and triple.  Shares no code with `FinRing.check_axioms`."""
+    n = len(add)
+    rng = range(n)
+    if n > 1 and zero == one:
+        return False
+    for a in rng:
+        if add[a][zero] != a or mul[a][one] != a:
+            return False
+        if all(add[a][b] != zero for b in rng):
+            return False
+        for b in rng:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                return False
+            for c in rng:
+                if (add[add[a][b]][c] != add[a][add[b][c]]
+                        or mul[mul[a][b]][c] != mul[a][mul[b][c]]
+                        or mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]):
+                    return False
+    return True
+
+
+def violated_axiom(problem, add, mul, zero, one):
+    """The axiom a `check_axioms` message names ("add associative", ...), if
+    its witness really violates it; None if it does not."""
+    ops = {"add": add, "mul": mul}
+    checks = [
+        (r"(\d+)\+0 != \1", "add identity", lambda a: add[a][zero] != a),
+        (r"(\d+)\*1 != \1", "mul identity", lambda a: mul[a][one] != a),
+        (r"(\d+) has no additive inverse", "inverse", lambda a: zero not in add[a]),
+        (r"(add|mul) not commutative at \((\d+),(\d+)\)", "{} commutative",
+         lambda op, a, b: ops[op][a][b] != ops[op][b][a]),
+        (r"(add|mul) not associative at \((\d+),(\d+),(\d+)\)", "{} associative",
+         lambda op, a, b, c: ops[op][ops[op][a][b]][c] != ops[op][a][ops[op][b][c]]),
+        (r"distributivity fails at \((\d+),(\d+),(\d+)\)", "distributive",
+         lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+        (r"0 == 1 in a nontrivial ring", "nontrivial", lambda: zero == one),
+    ]
+    for pattern, axiom, violated in checks:
+        m = re.fullmatch(pattern, problem)
+        if m:
+            args = [int(g) if g.isdigit() else g for g in m.groups()]
+            return axiom.format(*args) if violated(*args) else None
+    return None
+
+
+def distinct_rings(limit):
+    """Every ring `make_mod_ring`, `make_quotient` and `make_product` (nested
+    once) build with at most `limit` elements, one per distinct table."""
+    base = [make_mod_ring(m) for m in range(2, limit + 1)]
+    for p in (2, 3, 5, 7, 11, 13):
+        d = 1
+        while p ** d <= limit:
+            base += [make_quotient(p, list(low) + [1])
+                     for low in itertools.product(range(p), repeat=d)]
+            d += 1
+    products = [make_product(r, s) for r in base for s in base
+                if r.size * s.size <= limit]
+    nested = [make_product(r, s) for r, s in itertools.product(base + products, repeat=2)
+              if r.size * s.size <= limit]
+    seen, out = set(), []
+    for r in base + nested:
+        key = (r.add_table, r.mul_table, r.zero, r.one)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+SMALL_RINGS = distinct_rings(16)
+
+
+def test_axiom_check_agrees_with_the_cubic_oracle_on_built_rings():
+    assert len(SMALL_RINGS) > 100
+    for r in SMALL_RINGS:
+        assert r.check_axioms() == []
+        assert cubic_axioms_hold(r.add_table, r.mul_table, r.zero, r.one), r.label
+
+
+def test_axiom_check_agrees_with_the_cubic_oracle_on_corrupted_tables():
+    """One entry, a symmetric pair (which keeps commutativity, so the checks
+    in three variables are reached) or two entries changed at random."""
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for trial in range(10000):
+        r = rng.choice(SMALL_RINGS)
+        n = r.size
+        add = [list(row) for row in r.add_table]
+        mul = [list(row) for row in r.mul_table]
+        table = rng.choice((add, mul))
+        for _ in range(1 + trial % 2):
+            i, j = rng.randrange(n), rng.randrange(n)
+            v = rng.choice([x for x in range(n) if x != table[i][j]])
+            table[i][j] = v
+            if trial % 3:
+                table[j][i] = v
+        expected = cubic_axioms_hold(add, mul, r.zero, r.one)
+        verdicts[expected] += 1
+        try:
+            FinRing(r.names, add, mul, r.zero, r.one)
+        except RingError as exc:
+            assert not expected, (r.label, add, mul)
+            problems = str(exc).split("; ")
+            axioms = [violated_axiom(p, add, mul, r.zero, r.one) for p in problems]
+            assert None not in axioms, (r.label, problems)
+            assert len(set(axioms)) == len(axioms), problems
+        else:
+            assert expected, (r.label, add, mul)
+    assert verdicts[False] > 9000 and verdicts[True] > 0
+
+
+@pytest.mark.parametrize("r", [Z4, PROD22], ids=lambda r: r.label)
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_axiom_check_agrees_with_the_cubic_oracle_on_every_table_of_four_elements(r, op):
+    """Every commutative table with the right identity row in place of one of
+    r's tables: loops, non-associative and non-distributive products."""
+    unit = r.zero if op == "add" else r.one
+    free = [(a, b) for a in range(4) for b in range(a, 4) if unit not in (a, b)]
+    accepted = 0
+    for values in itertools.product(range(4), repeat=len(free)):
+        table = [list(row) for row in (r.add_table if op == "add" else r.mul_table)]
+        for (a, b), v in zip(free, values):
+            table[a][b] = table[b][a] = v
+        add, mul = (table, r.mul_table) if op == "add" else (r.add_table, table)
+        expected = cubic_axioms_hold(add, mul, r.zero, r.one)
+        try:
+            FinRing(r.names, add, mul, r.zero, r.one)
+        except RingError as exc:
+            assert not expected, table
+            axioms = [violated_axiom(p, add, mul, r.zero, r.one)
+                      for p in str(exc).split("; ")]
+            assert None not in axioms, (table, str(exc))
+        else:
+            assert expected, table
+            accepted += 1
+    assert accepted > 0
+
+
+def test_axiom_check_agrees_with_the_cubic_oracle_on_every_f2_algebra_of_dimension_3():
+    """Every commutative unital F_2-bilinear product on F_2^3 (code = bit
+    vector, 1 the unit): distributive by construction, associative or not."""
+    add = [[a ^ b for b in range(8)] for a in range(8)]
+    names = [str(c) for c in range(8)]
+    outcomes = set()
+    for e11, e12, e22 in itertools.product(range(8), repeat=3):
+        basis = [[1, 2, 4], [2, e11, e12], [4, e12, e22]]
+        mul = [[0] * 8 for _ in range(8)]
+        for a, b in itertools.product(range(8), repeat=2):
+            for i, j in itertools.product(range(3), repeat=2):
+                if a >> i & 1 and b >> j & 1:
+                    mul[a][b] ^= basis[i][j]
+        expected = cubic_axioms_hold(add, mul, 0, 1)
+        outcomes.add(expected)
+        try:
+            FinRing(names, add, mul, 0, 1)
+        except RingError as exc:
+            assert not expected, (e11, e12, e22)
+            assert violated_axiom(str(exc), add, mul, 0, 1) == "mul associative"
+        else:
+            assert expected, (e11, e12, e22)
+    assert outcomes == {True, False}
+
+
+def test_broken_table_fails_with_one_bounded_line():
+    z64 = make_mod_ring(64)
+    add = [list(row) for row in z64.add_table]
+    add[1][1] = 5
+    add[5][5] = 1
+    with pytest.raises(RingError) as info:
+        FinRing(z64.names, add, z64.mul_table, z64.zero, z64.one)
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 400
+    problems = message.split("; ")
+    axioms = [violated_axiom(p, add, z64.mul_table, 0, 1) for p in problems]
+    assert None not in axioms and len(set(axioms)) == len(axioms)
+    assert "add associative" in axioms
 
 
 class TableBuilt(Exception):
@@ -244,6 +427,63 @@ def test_iso_found_for_equal_rings():
 def test_iso_search_symmetric(r, s):
     assert (find_ring_isomorphism(r, s) is None) == \
         (find_ring_isomorphism(s, r) is None)
+
+
+def brute_ring_isomorphism(r, s):
+    """Oracle: the least bijection fixing 0 and 1 that keeps both tables,
+    over every permutation of the other elements, without pruning."""
+    if r.size != s.size:
+        return None
+    rest_r = [x for x in range(r.size) if x not in (r.zero, r.one)]
+    rest_s = [y for y in range(s.size) if y not in (s.zero, s.one)]
+    rows = list(itertools.product(range(r.size), repeat=2))
+    for images in itertools.permutations(rest_s):
+        f = [0] * r.size
+        f[r.zero], f[r.one] = s.zero, s.one
+        for x, y in zip(rest_r, images):
+            f[x] = y
+        if all(f[r.add_table[a][b]] == s.add_table[f[a]][f[b]]
+               and f[r.mul_table[a][b]] == s.mul_table[f[a]][f[b]]
+               for a, b in rows):
+            return tuple(f)
+    return None
+
+
+def iso_oracle_rings():
+    f2, z4, z2 = make_field(2), make_mod_ring(4), make_mod_ring(2)
+    quotients = [make_quotient(2, poly) for poly in (
+        [0, 0, 1], [1, 1, 1], [1, 0, 1], [0, 1, 1],  # F_2[t]/(t^2), F_4, ...
+        [0, 0, 0, 1], [1, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1])]
+    quotients += [make_quotient(3, [1, 1]), make_quotient(5, [2, 1]),
+                  make_quotient(7, [3, 1])]
+    products = [make_product(f2, f2), make_product(z2, make_field(3)),
+                make_product(make_field(3), z2), make_product(f2, z4),
+                make_product(z4, f2), make_product(f2, DUAL), make_product(DUAL, f2),
+                make_product(f2, F4), make_product(PROD22, f2),
+                make_product(f2, PROD22)]
+    return [make_mod_ring(m) for m in range(2, 9)] + quotients + products
+
+
+def test_iso_search_matches_the_brute_oracle():
+    rings = iso_oracle_rings()
+    pairs = [(r, s) for r in rings for s in rings if r.size == s.size]
+    assert len(pairs) > 150
+    found = 0
+    for r, s in pairs:
+        f = find_ring_isomorphism(r, s)
+        expected = brute_ring_isomorphism(r, s)
+        assert (f.assignment if f else None) == expected, (r.label, s.label)
+        found += expected is not None
+    assert 0 < found < len(pairs)
+
+
+@pytest.mark.parametrize("r,s", [
+    (make_mod_ring(32), make_quotient(2, [0, 0, 0, 0, 0, 1])),
+    (make_mod_ring(20), make_product(make_mod_ring(2), make_mod_ring(10))),
+], ids=["Z32-F2[t]/(t^5)", "Z20-Z2xZ10"])
+def test_iso_search_refuses_on_invariants(r, s):
+    assert find_ring_isomorphism(r, s) is None
+    assert find_ring_isomorphism(s, r) is None
 
 
 def test_morphism_validation():

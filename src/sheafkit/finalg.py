@@ -22,7 +22,7 @@ from .errors import (
 )
 
 DEFAULT_ISO_SEARCH_BOUND = 64
-DEFAULT_MAX_RING_SIZE = 128  # tables of |R|^2 entries, ~|R|^2 log|R| axiom checks
+DEFAULT_MAX_RING_SIZE = 128  # |R|^2 entries at O(1) each, then an O(|R|^2 log|R|) axiom check
 
 Vec = Tuple[int, ...]
 
@@ -227,60 +227,49 @@ def make_quotient(p: int, poly: Sequence[int]) -> FinRing:
         raise InvalidPolynomial("modulus must be monic of degree >= 1")
     size = p ** d
     _check_ring_size(size)
+    low = size // p  # codes of degree < d - 1
 
-    def decode(code: int) -> List[int]:
-        return [(code // p ** i) % p for i in range(d)]
-
-    def encode(cs: Sequence[int]) -> int:
-        return sum((c % p) * p ** i for i, c in enumerate(cs))
-
-    def reduce(cs: List[int]) -> List[int]:
-        cs = [c % p for c in cs]
-        while len(cs) > d:
-            lead = cs.pop()
-            for i in range(len(poly) - 1):
-                cs[len(cs) - d + i] = (cs[len(cs) - d + i] - lead * poly[i]) % p
-        return cs + [0] * (d - len(cs))
-
-    names = [_poly_name(decode(c)) for c in range(size)]
-    add = [[encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
-            for b in range(size)] for a in range(size)]
+    # Code a = a0 + p*a' is the residue a0 + t*a', so each table row is read
+    # off rows already built.  a + b = (a0 + b0) + t*(a' + b'):
+    add = [list(range(size))]
+    shift = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
+    for a in range(1, size):
+        s, ra = shift[a % p], add[a // p]
+        add.append([p * ra[b1] + c for b1 in range(low) for c in s])
+    # t*a: shift the digits up and fold the top one h by t^d = -(f_0..f_{d-1})
+    fold = [sum(-h * c % p * p ** i for i, c in enumerate(poly[:d])) for h in range(p)]
+    times_t = [add[p * (a % low)][fold[a // low]] for a in range(size)]
+    # c*a for constants c < p, by repeated addition
+    scaled = [[0] * size]
+    for c in range(1, p):
+        scaled.append([add[x][a] for a, x in enumerate(scaled[-1])])
+    # a*b = b0*a + t*(a*b'), with b' < b
     mul = []
     for a in range(size):
-        row = []
-        ca = decode(a)
-        for b in range(size):
-            cb = decode(b)
-            prod = [0] * (2 * d - 1)
-            for i, x in enumerate(ca):
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            row.append(encode(reduce(prod)))
+        adds = [add[scaled[c][a]] for c in range(p)]
+        row = [0] * size
+        for b1 in range(low):
+            y = times_t[row[b1]]
+            row[p * b1:p * b1 + p] = [r[y] for r in adds]
         mul.append(row)
+    names = [_poly_name([code // p ** i % p for i in range(d)]) for code in range(size)]
     return FinRing(names, add, mul, zero=0, one=1,
                    label=f"F_{p}[t]/({_poly_name(poly)})")
 
 
 def make_product(r: FinRing, s: FinRing) -> FinRing:
     """Direct product with componentwise operations; code = a*|s| + b."""
-    size = r.size * s.size
+    m = s.size
+    size = r.size * m
     _check_ring_size(size)
-
-    def pair(code: int) -> Tuple[int, int]:
-        return divmod(code, s.size)
-
     names = [f"({r.names[a]},{s.names[b]})" for a in r.elements() for b in s.elements()]
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    for x in range(size):
-        a, b = pair(x)
-        for y in range(size):
-            c, d = pair(y)
-            add[x][y] = r.add(a, c) * s.size + s.add(b, d)
-            mul[x][y] = r.mul(a, c) * s.size + s.mul(b, d)
+    add = [[ra * m + sa for ra in r.add_table[a] for sa in s.add_table[b]]
+           for a in r.elements() for b in s.elements()]
+    mul = [[ra * m + sa for ra in r.mul_table[a] for sa in s.mul_table[b]]
+           for a in r.elements() for b in s.elements()]
     return FinRing(names, add, mul,
-                   zero=r.zero * s.size + s.zero,
-                   one=r.one * s.size + s.one,
+                   zero=r.zero * m + s.zero,
+                   one=r.one * m + s.one,
                    label=f"{r.label}x{s.label}")
 
 

@@ -577,6 +577,30 @@ def _invertible_matrices(r: FinRing, k: int):
             yield mat
 
 
+class _Actions:
+    """The invertible k x k matrices over r as actions {v: mat v} on r^k, in
+    `_invertible_matrices` order.  Listed only as far as some iteration has
+    reached, so each matrix is tested and applied once however often the
+    list is walked."""
+
+    def __init__(self, r: FinRing, k: int):
+        self.vecs = {v: v for v in all_vecs(r, k)}  # images share these tuples
+        self.mats = _invertible_matrices(r, k)
+        self.listed: List[Dict[Vec, Vec]] = []
+
+    def __iter__(self):
+        listed, vecs = self.listed, self.vecs
+        i = 0
+        while True:
+            if i == len(listed):
+                mat = next(self.mats, None)
+                if mat is None:
+                    return
+                listed.append({v: vecs[mat.apply(v)] for v in vecs})
+            yield listed[i]
+            i += 1
+
+
 def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
                             budget: Optional[Budget] = None
                             ) -> Optional[ModuleMorphism]:
@@ -584,7 +608,8 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
 
     Stalks must be full free modules; candidates at each point are the
     invertible matrices over the stalk ring, assigned in point order with
-    naturality pruning against already-assigned specialization pairs.
+    naturality pruning against already-assigned specialization pairs.  The
+    candidates of each (stalk ring, rank) are listed once per search.
     Returns the lexicographically least witness, or None after exhaustion.
     """
     space = e.space
@@ -598,20 +623,20 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
             raise SearchBudgetExceeded(
                 "isomorphism search requires full free stalks")
 
-    assigned: Dict[Point, Matrix] = {}
+    actions = {key: _Actions(*key) for key in {(e.ring_at(x), e.rank_at[x]) for x in pts}}
+    assigned: Dict[Point, Dict[Vec, Vec]] = {}
     budget = budget or Budget()
 
     def natural_pair(x: Point, y: Point) -> bool:
         hx, hy = assigned[x], assigned[y]
-        return all(
-            f.res[(x, y)][hx.apply(v)] == hy.apply(e.res[(x, y)][v])
-            for v in e.stalk_elems[x])
+        f_res, e_res = f.res[(x, y)], e.res[(x, y)]
+        return all(f_res[hx[v]] == hy[e_res[v]] for v in e.stalk_elems[x])
 
     def extend(i: int) -> bool:
         if i == len(pts):
             return True
         x = pts[i]
-        for cand in _invertible_matrices(e.ring_at(x), e.rank_at[x]):
+        for cand in actions[(e.ring_at(x), e.rank_at[x])]:
             budget.spend("isomorphism search")
             assigned[x] = cand
             ok = all(natural_pair(x, y) for y in space.min_open[x] if y in assigned) \
@@ -624,7 +649,7 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
 
     if not extend(0):
         return None
-    maps = {x: {v: assigned[x].apply(v) for v in e.stalk_elems[x]} for x in pts}
+    maps = {x: {v: assigned[x][v] for v in e.stalk_elems[x]} for x in pts}
     return ModuleMorphism(e, f, maps)
 
 

@@ -27,6 +27,7 @@ from sheafkit.finalg import (
     make_mod_ring,
     make_product,
     make_quotient,
+    ring_from_ops,
     validate_morphism,
 )
 
@@ -76,6 +77,148 @@ def test_product_has_no_nonzero_nilpotents():
         return power == PROD22.zero
 
     assert not any(nilpotent(x) for x in PROD22.elements() if x != PROD22.zero)
+
+
+# -- the table constructors against per-pair oracles -------------------------
+
+def oracle_poly_name(coeffs):
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            power = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            terms.append(str(c) if i == 0 else power if c == 1 else f"{c}{power}")
+    return "+".join(reversed(terms)) or "0"
+
+
+def quotient_oracle(p, poly):
+    """Names, add and mul tables and label of F_p[t]/(poly), code sum(c_i p^i):
+    both operands decoded, polynomials multiplied, the product reduced by
+    long division.  Shares no code with `make_quotient`."""
+    f = [c % p for c in poly]
+    while f[-1] == 0:
+        f.pop()
+    d = len(f) - 1
+    size = p ** d
+
+    def decode(code):
+        return [code // p ** i % p for i in range(d)]
+
+    def encode(cs):
+        return sum(c % p * p ** i for i, c in enumerate(cs))
+
+    def reduce(cs):
+        cs = list(cs)
+        for top in range(len(cs) - 1, d - 1, -1):
+            lead = cs[top]
+            for i in range(d + 1):
+                cs[top - d + i] -= lead * f[i]
+        return cs[:d]
+
+    add, mul = [], []
+    for a in range(size):
+        ca = decode(a)
+        add.append([encode([x + y for x, y in zip(ca, decode(b))]) for b in range(size)])
+        row = []
+        for b in range(size):
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(ca):
+                for j, y in enumerate(decode(b)):
+                    prod[i + j] += x * y
+            row.append(encode(reduce(prod)))
+        mul.append(row)
+    names = tuple(oracle_poly_name(decode(a)) for a in range(size))
+    return names, add, mul, f"F_{p}[t]/({oracle_poly_name(f)})"
+
+
+def assert_quotient_matches_oracle(p, poly):
+    r = make_quotient(p, poly)
+    names, add, mul, label = quotient_oracle(p, poly)
+    assert r.names == names, (p, poly)
+    assert r.add_table == tuple(map(tuple, add)), (p, poly)
+    assert r.mul_table == tuple(map(tuple, mul)), (p, poly)
+    assert r.label == label
+    assert (r.zero, r.one) == (0, 1)
+
+
+PRIMES_TO_128 = [p for p in range(2, 129) if all(p % q for q in range(2, p))]
+
+
+def test_quotient_tables_match_the_oracle_on_every_monic_poly_to_32():
+    count = 0
+    for p in [p for p in PRIMES_TO_128 if p <= 32]:
+        d = 1
+        while p ** d <= 32:
+            for low in itertools.product(range(p), repeat=d):
+                assert_quotient_matches_oracle(p, list(low) + [1])
+                count += 1
+            d += 1
+    assert count == 62 + 39 + 30 + sum(p for p in PRIMES_TO_128 if 7 <= p <= 32)
+
+
+@pytest.mark.parametrize("p,d", [(7, 2), (2, 6), (3, 4), (11, 2), (5, 3), (2, 7)],
+                         ids=lambda v: str(v))
+def test_quotient_tables_match_the_oracle_on_sampled_polys(p, d):
+    rng = random.Random(p ** d)
+    for _ in range(2):
+        assert_quotient_matches_oracle(p, [rng.randrange(p) for _ in range(d)] + [1])
+
+
+@pytest.mark.parametrize("p,poly", [
+    (3, [-1, 0, 1]),           # negative coefficient
+    (3, [5, 7, 4]),            # coefficients >= p, leading 4 = 1 mod 3
+    (5, [-3, 12, -4, 6, 0]),   # both, and a trailing zero
+    (2, [1, 1, 0, 1, 0, 0]),   # trailing zeros
+    (7, [-7, 8]),              # degree 1: t + 0
+])
+def test_quotient_tables_match_the_oracle_on_unreduced_input(p, poly):
+    assert_quotient_matches_oracle(p, poly)
+
+
+def product_components(rings):
+    """Per code of the left-nested product of `rings`, its component codes."""
+    codes = [()]
+    for r in rings:
+        codes = [c + (x,) for c in codes for x in range(r.size)]
+    return codes
+
+
+def test_product_tables_match_componentwise_divmod():
+    z3, z4 = make_mod_ring(3), make_mod_ring(4)
+    # F_2 with 0 and 1 coded the other way round: zero is code 1, one code 0
+    swapped = ring_from_ops([1, 0], lambda a, b: (a + b) % 2, lambda a, b: a * b,
+                            0, 1, label="F_2'")
+    assert (swapped.zero, swapped.one) == (1, 0)
+    for rings in ([F2, z3], [z4, DUAL], [F4, Z6], [F2, z3, z4], [DUAL, F2, F3],
+                  [Z6, PROD22], [swapped, z3], [z3, swapped, F2], [swapped, swapped]):
+        prod = rings[0]
+        for r in rings[1:]:
+            prod = make_product(prod, r)
+        # the left-nested code is the mixed-radix code of the components
+        comps = product_components(rings)
+        assert len(comps) == prod.size
+        for x, cx in enumerate(comps):
+            for y, cy in enumerate(comps):
+                assert comps[prod.add_table[x][y]] == tuple(
+                    r.add_table[a][b] for r, a, b in zip(rings, cx, cy))
+                assert comps[prod.mul_table[x][y]] == tuple(
+                    r.mul_table[a][b] for r, a, b in zip(rings, cx, cy))
+        assert comps[prod.zero] == tuple(r.zero for r in rings)
+        assert comps[prod.one] == tuple(r.one for r in rings)
+    # right-nested: the code is the divmod of the outer product
+    inner = make_product(F3, F2)
+    nested = make_product(DUAL, inner)
+    for x in nested.elements():
+        a, b = divmod(x, inner.size)
+        for y in nested.elements():
+            c, d = divmod(y, inner.size)
+            assert divmod(nested.add_table[x][y], inner.size) == (
+                DUAL.add_table[a][c], inner.add_table[b][d])
+            assert divmod(nested.mul_table[x][y], inner.size) == (
+                DUAL.mul_table[a][c], inner.mul_table[b][d])
+        assert nested.names[x] == f"({DUAL.names[a]},{inner.names[b]})"
+    assert divmod(nested.zero, inner.size) == (DUAL.zero, inner.zero)
+    assert divmod(nested.one, inner.size) == (DUAL.one, inner.one)
+    assert nested.label == "F_2[t]/(t^2)xF_3xF_2"
 
 
 @pytest.mark.parametrize("r", RINGS, ids=lambda r: r.label)

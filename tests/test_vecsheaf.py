@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+import sheafkit.vecsheaf as vecsheaf_module
 
 from sheafkit.errors import (
     CocycleConditionViolated,
@@ -210,6 +213,110 @@ def test_cohomologous_cocycles_isomorphic():
     assert iso is not None
     assert validate_module_morphism(iso) == []
     assert is_monomorphism(iso)
+
+
+def glued_pc_bundle(a, rank, g):
+    """A^rank on the pseudo-circle glued along g = (g_a, g_b), row-major
+    matrices at the overlap points a and b."""
+    mat = tuple(tuple((g[0][rank * i + j], g[1][rank * i + j]) for j in range(rank))
+                for i in range(rank))
+    return sheaf_from_cocycle(TransitionCocycle(a, (UC, UD), rank, {(0, 1): mat})).sheaf
+
+
+def prime_field_actions(p, k):
+    """Oracle: every invertible k x k matrix over F_p, in itertools.product
+    order of its row-major entries, as its action {v: m v} on F_p^k (codes of
+    a prime field are residues); invertible means the action is a bijection."""
+    vecs = list(itertools.product(range(p), repeat=k))
+    acts = []
+    for m in itertools.product(range(p), repeat=k * k):
+        act = {v: tuple(sum(m[k * i + j] * v[j] for j in range(k)) % p for i in range(k))
+               for v in vecs}
+        if len(set(act.values())) == len(vecs):
+            acts.append((m, act))
+    return acts
+
+
+def first_natural_assignment(e, f, acts):
+    """Oracle: the first assignment of invertible matrices to the points, in
+    sorted point order and `acts` order, that is natural on every
+    specialization pair; no pruning."""
+    space = e.space
+    pts = sorted(space.points)
+    for choice in itertools.product(acts, repeat=len(pts)):
+        h = {x: act for x, (_, act) in zip(pts, choice)}
+        if all(f.res[(x, y)][h[x][v]] == h[y][e.res[(x, y)][v]]
+               for x in pts for y in space.min_open[x] for v in e.stalk_elems[x]):
+            return {x: {v: h[x][v] for v in e.stalk_elems[x]} for x in pts}
+    return None
+
+
+# Budget.used of each search below, as the search that re-enumerated every
+# matrix at every node spent it: one step per candidate tried.
+PINNED_ISO_STEPS = [4, 18, 4, 18, 5, 100, 6, 100, 4, 294, 4, 294, 65, 178, 7, 294]
+
+
+def test_module_isomorphism_witness_and_budget_match_the_unpruned_oracle():
+    def mat_mul(x, y, p, k):
+        return tuple(sum(x[k * i + s] * y[k * s + j] for s in range(k)) % p
+                     for i in range(k) for j in range(k))
+
+    rng = random.Random(5)
+    used, outcomes = [], set()
+    for p, rank in ((3, 1), (5, 1), (7, 1), (2, 2)):
+        a = constant_algebra_sheaf(PC, make_field(p))
+        acts = prime_field_actions(p, rank)
+        mats = [m for m, _ in acts]
+        ident = tuple(int(i == j) for i in range(rank) for j in range(rank))
+        for same in (True, False, True, False):
+            g = (rng.choice(mats), rng.choice(mats))
+            c = rng.choice([m for m in mats if m != ident])
+            x = rng.choice(mats)
+            if same:  # retrivialize chart 0 by x and chart 1 by c: h = x g c
+                h = tuple(mat_mul(mat_mul(x, m, p, rank), c, p, rank) for m in g)
+            else:  # multiply the holonomy g_a^-1 g_b by c != 1
+                h = (g[0], mat_mul(g[1], c, p, rank))
+            e, f = glued_pc_bundle(a, rank, g), glued_pc_bundle(a, rank, h)
+            budget = Budget()
+            iso = find_module_isomorphism(e, f, budget=budget)
+            expected = first_natural_assignment(e, f, acts)
+            assert (iso and iso.maps) == expected, (p, rank, g, h)
+            if same or rank == 1:
+                assert (iso is not None) == same
+            outcomes.add(iso is not None)
+            used.append(budget.used)
+    assert outcomes == {True, False}
+    assert used == PINNED_ISO_STEPS
+
+
+def test_module_isomorphism_lists_matrices_only_as_far_as_the_budget_reaches(monkeypatch):
+    # rank 3 over F_5: 5^9 matrices.  Holonomy diag(2,1,1) against the
+    # trivial bundle: no isomorphism, so the search runs until the budget
+    # trips, with every point's candidates walked many times.
+    calls = []
+    is_invertible = vecsheaf_module.is_invertible
+
+    def counted(m):
+        calls.append(m.entries)
+        return is_invertible(m)
+
+    a = constant_algebra_sheaf(PC, make_field(5))
+    ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    e, f = free_sheaf(a, 3), glued_pc_bundle(a, 3, (ident, (2, 0, 0, 0, 1, 0, 0, 0, 1)))
+    monkeypatch.setattr(vecsheaf_module, "is_invertible", counted)
+    limit = 1000
+    with pytest.raises(SearchBudgetExceeded):
+        find_module_isomorphism(e, f, budget=Budget(limit))
+    # each matrix is tested at most once, in product order, and no further
+    # than the (limit + 1)-th invertible one: the last candidate paid for
+    assert len(calls) == len(set(calls))
+    assert calls == sorted(calls)
+    invertible = 0
+    for n, m in enumerate(itertools.product(range(5), repeat=9), 1):
+        invertible += is_invertible(Matrix(a.stalk_ring["a"], 3, 3, m))
+        if invertible == limit + 1:
+            break
+    assert len(calls) <= n < 5 ** 9 // 100
 
 
 def test_cocycle_condition_violated():

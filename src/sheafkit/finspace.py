@@ -125,21 +125,34 @@ def validate_map(f: ContinuousMap) -> bool:
     return True
 
 
-def is_connected(space: FinSpace) -> bool:
-    """True iff the space is not a disjoint union of two nonempty opens.
+def components(space: FinSpace, u: PointSet) -> List[PointSet]:
+    """The connected components of the open u, as opens ordered by least point.
 
-    On a finite space this is connectivity of the specialization graph.
+    Points of u are linked when one lies in the other's minimal open; a
+    component holds the minimal open of each of its points, so it is a union
+    of minimal opens and is open.
     """
-    remaining = set(space.points)
-    stack = [space.points[0]]
-    remaining.discard(space.points[0])
-    while stack:
-        x = stack.pop()
-        for y in space.points:
-            if y in remaining and (y in space.min_open[x] or x in space.min_open[y]):
-                remaining.discard(y)
-                stack.append(y)
-    return not remaining
+    remaining = set(u)
+    out = []
+    for first in sorted(u):
+        if first not in remaining:
+            continue
+        remaining.discard(first)
+        comp, stack = {first}, [first]
+        while stack:
+            x = stack.pop()
+            linked = {y for y in remaining
+                      if y in space.min_open[x] or x in space.min_open[y]}
+            remaining -= linked
+            comp |= linked
+            stack.extend(linked)
+        out.append(frozenset(comp))
+    return out
+
+
+def is_connected(space: FinSpace) -> bool:
+    """True iff the space is not a disjoint union of two nonempty opens."""
+    return len(components(space, frozenset(space.points))) == 1
 
 
 # Standard small spaces used throughout the test corpus.

@@ -4,16 +4,24 @@ G(U) collects the rank-k free subsheaves of A^n over U, V(U) the locally
 free ones.  Values are stored extensionally as stalk families, so the
 restriction maps are literal and germ computation collapses to the value at
 the minimal open.
+
+Sections over a disjoint union of opens are tuples of sections over the
+pieces, so a family is (locally) free of rank k there iff it is so on each
+piece, and G and V take a disjoint union to the product of their values
+over the pieces.  Only the empty open and connected opens run a freeness
+search; every other open's values are built from those of its components
+(`finspace.components`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded
 from .finalg import Submodule, enumerate_free_submodules, zero_vec
-from .finspace import PointSet, Point, enumerate_opens
+from .finspace import PointSet, Point, components, enumerate_opens
 from .presheaf import (SET, Carrier, Presheaf, compatible_families,
                        is_monopresheaf, sheafify, unit_injective)
 from .vecsheaf import (
@@ -102,17 +110,36 @@ def _enumerate_values(ambient: ModuleSheaf,
     return values
 
 
+def _product_values(ambient: ModuleSheaf, u: PointSet,
+                    parts: List[List[VectorSubsheaf]]) -> List[VectorSubsheaf]:
+    """Values over u from the value lists of its components: one subsheaf
+    per choice of a value on each component."""
+    values = [make_subsheaf(ambient, u, {x: vs for val in row for x, vs in val.family})
+              for row in itertools.product(*parts)]
+    values.sort(key=VectorSubsheaf.sort_key)
+    return values
+
+
 def _build_values(ambient: ModuleSheaf, k: int, n: int, locally_free: bool,
                   budget: Optional[Budget]) -> GrassmannPresheaf:
     """Values in the ambient A^n over every open, from stalk candidates
-    built once; locally free values must form a complete presheaf."""
+    built once; locally free values must form a complete presheaf.
+
+    Only the empty open and connected opens are searched.  A disconnected
+    open's values are the product of its components' values; components
+    are smaller opens, listed earlier, so their values are already built.
+    """
     a = ambient.base
     candidates = _stalk_candidates(a, k, n, frozenset(a.space.points))
-    values = {u: _enumerate_values(ambient, candidates, k, u, locally_free, budget)
-              for u in enumerate_opens(a.space)}
+    values: Dict[PointSet, List[VectorSubsheaf]] = {}
+    for u in enumerate_opens(a.space):
+        parts = components(a.space, u)
+        values[u] = (_product_values(ambient, u, [values[c] for c in parts])
+                     if len(parts) > 1 else
+                     _enumerate_values(ambient, candidates, k, u, locally_free, budget))
     g = GrassmannPresheaf(a, k, n, ambient, values)
-    assert not locally_free or v_presheaf_complete(g), \
-        "locally-free value presheaf failed completeness"
+    if locally_free and not v_presheaf_complete(g):
+        raise AssertionError("locally-free value presheaf failed completeness")
     return g
 
 
@@ -181,9 +208,14 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     may not exist, which the report states explicitly.
     """
     s = sheafify(g.presheaf())
-    whole = frozenset(g.base.space.points)
+    space = g.base.space
+    whole = frozenset(space.points)
+    # a non-free glue over a disconnected open restricts to a non-free glue
+    # over one of its components, an earlier open, so the first witness in
+    # (size, lex) order lies on a connected open
     glued = ((u, _glue(g.ambient, u, row))
-             for u, c in s.sections.carriers.items() for row in c.elements)
+             for u, c in s.sections.carriers.items()
+             if len(components(space, u)) <= 1 for row in c.elements)
     witness = next(({"open": sorted(u), "family": t.sort_key()}
                     for u, t in glued if not is_free_of_rank(t, u, g.k, budget)[0]),
                    None)

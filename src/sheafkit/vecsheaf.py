@@ -578,25 +578,28 @@ def _invertible_matrices(r: FinRing, k: int):
 
 
 class _Actions:
-    """The invertible k x k matrices over r as actions {v: mat v} on r^k, in
-    `_invertible_matrices` order.  Listed only as far as some iteration has
-    reached, so each matrix is tested and applied once however often the
+    """The invertible k x k matrices over r as actions on r^k, in
+    `_invertible_matrices` order: each the tuple of the images of `vecs`, so
+    the image of v sits at `index[v]`.  Listed only as far as some iteration
+    has reached, so each matrix is tested and applied once however often the
     list is walked."""
 
     def __init__(self, r: FinRing, k: int):
-        self.vecs = {v: v for v in all_vecs(r, k)}  # images share these tuples
+        self.vecs = tuple(all_vecs(r, k))
+        self.index = {v: i for i, v in enumerate(self.vecs)}
         self.mats = _invertible_matrices(r, k)
-        self.listed: List[Dict[Vec, Vec]] = []
+        self.listed: List[Tuple[Vec, ...]] = []
 
     def __iter__(self):
-        listed, vecs = self.listed, self.vecs
+        listed, vecs, index = self.listed, self.vecs, self.index
         i = 0
         while True:
             if i == len(listed):
                 mat = next(self.mats, None)
                 if mat is None:
                     return
-                listed.append({v: vecs[mat.apply(v)] for v in vecs})
+                # images share the tuples of `vecs`
+                listed.append(tuple(vecs[index[mat.apply(v)]] for v in vecs))
             yield listed[i]
             i += 1
 
@@ -624,19 +627,24 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
                 "isomorphism search requires full free stalks")
 
     actions = {key: _Actions(*key) for key in {(e.ring_at(x), e.rank_at[x]) for x in pts}}
-    assigned: Dict[Point, Dict[Vec, Vec]] = {}
+    acts = {x: actions[(e.ring_at(x), e.rank_at[x])] for x in pts}
+    # per specialization pair x -> y: for each v at x, the positions of v at
+    # x and of its restriction at y
+    positions = {(x, y): [(acts[x].index[v], acts[y].index[e.res[(x, y)][v]])
+                          for v in e.stalk_elems[x]]
+                 for x in pts for y in space.min_open[x]}
+    assigned: Dict[Point, Tuple[Vec, ...]] = {}
     budget = budget or Budget()
 
     def natural_pair(x: Point, y: Point) -> bool:
-        hx, hy = assigned[x], assigned[y]
-        f_res, e_res = f.res[(x, y)], e.res[(x, y)]
-        return all(f_res[hx[v]] == hy[e_res[v]] for v in e.stalk_elems[x])
+        hx, hy, f_res = assigned[x], assigned[y], f.res[(x, y)]
+        return all(f_res[hx[i]] == hy[j] for i, j in positions[(x, y)])
 
     def extend(i: int) -> bool:
         if i == len(pts):
             return True
         x = pts[i]
-        for cand in actions[(e.ring_at(x), e.rank_at[x])]:
+        for cand in acts[x]:
             budget.spend("isomorphism search")
             assigned[x] = cand
             ok = all(natural_pair(x, y) for y in space.min_open[x] if y in assigned) \
@@ -649,7 +657,8 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
 
     if not extend(0):
         return None
-    maps = {x: {v: assigned[x][v] for v in e.stalk_elems[x]} for x in pts}
+    maps = {x: {v: assigned[x][acts[x].index[v]] for v in e.stalk_elems[x]}
+            for x in pts}
     return ModuleMorphism(e, f, maps)
 
 
@@ -772,5 +781,8 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
             comp[v] = tuple(blocks)
         maps[x] = comp
     morph = ModuleMorphism(e, target, maps)
-    assert not validate_module_morphism(morph)
+    problems = validate_module_morphism(morph)
+    if problems:
+        raise AssertionError("weighted embedding is not a module morphism: "
+                             + "; ".join(problems))
     return morph

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -250,6 +251,131 @@ def test_grassmann_budget_exit(tmp_path, capsys):
                                      "-k", "1", "-n", "2", "--budget", "2"])
     assert code == EXIT_BUDGET and report is None
     assert "budget" in err
+
+
+# The report corpus: the five named spaces and Sierpinski + point, F_2 and
+# F_3, small sizes.  Each digest is the sha256 of the command's stdout as
+# reported when every open's values came from a search of their own, before
+# values over disconnected opens were built as products.
+REPORT_SPACES = {
+    "point": {"p": ["p"]},
+    "sierpinski": SIERPINSKI["min_open"],
+    "chain3": {"p1": ["p1"], "p2": ["p1", "p2"], "p3": ["p1", "p2", "p3"]},
+    "discrete2": {"u": ["u"], "v": ["v"]},
+    "pseudo_circle": PSEUDO_CIRCLE["min_open"],
+    "sierpinski_plus_point": {"o": ["o"], "c": ["o", "c"], "p": ["p"]},
+}
+REPORT_DIGESTS = {
+    "grassmann point F2 1 2":
+        "55545de0ba9539937d5f00aa8a7f1df50d4fe1fc1adfb0a2dfef01a2bb52cda7",
+    "grassmann point F2 2 3":
+        "55bf830dfd3c812c8ef2ccf94cb358ff42828fcbe41e38c432ee582fa872eb13",
+    "grassmann point F3 1 2":
+        "d5db12ce04bdcd6c939d7a097910ef93682fee02c062157e8ac6f506c0f646d6",
+    "grassmann point F3 2 3":
+        "5a68aabdad72c4901e91703431d3643e7d18848b6546bd8c2c7832e57960b3d5",
+    "classify point F2 1 2":
+        "c2e83089c2ce49241a3a55dd9dfd949d5c435791a2e1fb38e5b7363cc2baac0a",
+    "classify point F2 2 3":
+        "c62006d9148d6e04950d54094ace81132d03225305575d91e28240e225d0aacb",
+    "classify point F3 1 2":
+        "7baa5e7f15ef1dfda0147769ffa0e54eeae939629d384ba4a71c31cfa5b6c616",
+    "classify point F3 2 3":
+        "c89348b3c3e55c6b7800e9c7bda66429ae0595578e6c8b889ea14e28fb543da8",
+    "grassmann sierpinski F2 1 2":
+        "397c4133f7e2a920784dc6aa381ccc515fdd1e76a720cc4170b3c017609fd009",
+    "grassmann sierpinski F2 2 3":
+        "95787ca1df0366869aa6af662d0c427f2533ead5be7102df925a18c3042bc452",
+    "grassmann sierpinski F3 1 2":
+        "7065f4194b91696324eb0761050fe25c2cee0b8ee2fce7540dfabe6746e815d9",
+    "grassmann sierpinski F3 2 3":
+        "3270cf11c3d1ab2fbb7d7a90f55273109377af2d9769ff948b4e57b21c53fe2c",
+    "classify sierpinski F2 1 2":
+        "c2e83089c2ce49241a3a55dd9dfd949d5c435791a2e1fb38e5b7363cc2baac0a",
+    "classify sierpinski F2 2 3":
+        "c62006d9148d6e04950d54094ace81132d03225305575d91e28240e225d0aacb",
+    "classify sierpinski F3 1 2":
+        "7baa5e7f15ef1dfda0147769ffa0e54eeae939629d384ba4a71c31cfa5b6c616",
+    "classify sierpinski F3 2 3":
+        "c89348b3c3e55c6b7800e9c7bda66429ae0595578e6c8b889ea14e28fb543da8",
+    "grassmann chain3 F2 1 2":
+        "a6cdc79da3ebd0e437e0d8382d8c1023b6d5667d8189680774429666af87ed4f",
+    "grassmann chain3 F2 2 3":
+        "287246fb904f23abcf35088cb1645b8e453aaa69ee355f91b145a3de300e2d47",
+    "grassmann chain3 F3 1 2":
+        "cdfded5e59648168d41ee8c98170c548f89994000d51c45d5dace89809943900",
+    "grassmann chain3 F3 2 3":
+        "cbc7b505ef1a9534e957c6b56ba21e85bd9b7212aac02bfae28866110f1987fb",
+    "classify chain3 F2 1 2":
+        "c2e83089c2ce49241a3a55dd9dfd949d5c435791a2e1fb38e5b7363cc2baac0a",
+    "classify chain3 F2 2 3":
+        "c62006d9148d6e04950d54094ace81132d03225305575d91e28240e225d0aacb",
+    "classify chain3 F3 1 2":
+        "7baa5e7f15ef1dfda0147769ffa0e54eeae939629d384ba4a71c31cfa5b6c616",
+    "classify chain3 F3 2 3":
+        "c89348b3c3e55c6b7800e9c7bda66429ae0595578e6c8b889ea14e28fb543da8",
+    "grassmann discrete2 F2 1 2":
+        "f25ad854bfdcf91c804e9d361acb4f2a7c9bdc13ee561231fe129d2708a9bc3a",
+    "grassmann discrete2 F2 2 3":
+        "95d3455f4aefebad5be01d7140885cc5dcebb2cfc30a3f2dc4398c7723c509ac",
+    "grassmann discrete2 F3 1 2":
+        "da340e059e104b18875adee957677bcae2f4fb6d669198266e96dd530c42ad8d",
+    "grassmann discrete2 F3 2 3":
+        "74a77ffddc166e2548ec0665862d74fae2109b2ad9c087e8f22609ee5adfa543",
+    "classify discrete2 F2 1 2":
+        "6a1a77061bb1fecfc3eee1cd21dc0a230fa1b29d5b3a0ea4269850fcc391c087",
+    "classify discrete2 F2 2 3":
+        "11a89e068c114bc4ae0fa2dc4c96f535d063c0a4f39d25f4e1d92815bbf42fa1",
+    "classify discrete2 F3 1 2":
+        "f8e0a6fb4865926d49b62584bc5b19d0fa1410473e5f8319ffcd27cadc52fa77",
+    "classify discrete2 F3 2 3":
+        "71fc27dd76480559163ed55b2aa8f7f28e98085e883d0e596aedfdf252754918",
+    "grassmann pseudo_circle F2 1 2":
+        "f60eedbbda3a7f78edce91f25210a78c089965227f6139c439b4a6bb13cf04ee",
+    "grassmann pseudo_circle F2 2 3":
+        "7470d648a3bba9417557d583abd038d5fd73c6648fe010038ec6fea8bdc72fce",
+    "grassmann pseudo_circle F3 1 2":
+        "9356facee9133a1aa4699dcce0674368ac983a5a24b68cade2b68d40f9e009b4",
+    "grassmann pseudo_circle F3 2 3":
+        "0efa286125ebf2fb03940ca6c99f26b4616372f586e24ef30870ec6dfed9d279",
+    "classify pseudo_circle F2 1 2":
+        "c2e83089c2ce49241a3a55dd9dfd949d5c435791a2e1fb38e5b7363cc2baac0a",
+    "classify pseudo_circle F2 2 3":
+        "c62006d9148d6e04950d54094ace81132d03225305575d91e28240e225d0aacb",
+    "classify pseudo_circle F3 1 2":
+        "7baa5e7f15ef1dfda0147769ffa0e54eeae939629d384ba4a71c31cfa5b6c616",
+    "classify pseudo_circle F3 2 3":
+        "c89348b3c3e55c6b7800e9c7bda66429ae0595578e6c8b889ea14e28fb543da8",
+    "grassmann sierpinski_plus_point F2 1 2":
+        "87437666aec326c1c7a65dc16aa15fe41c9c695ba311435b9ab0a65b065477e6",
+    "grassmann sierpinski_plus_point F2 2 3":
+        "1bd951e8a126b9cbf701aa537a64ce2fdfc018f4411bd4f2d4fdf64119eaf901",
+    "grassmann sierpinski_plus_point F3 1 2":
+        "76a39673c846bb0fb63c26be506301b7f8b42d7187555b53484246bc313dc3fd",
+    "grassmann sierpinski_plus_point F3 2 3":
+        "1de999b4dd24797907042d86f8f0c51a2994f86b0508572aff5063204ff05c64",
+    "classify sierpinski_plus_point F2 1 2":
+        "6a1a77061bb1fecfc3eee1cd21dc0a230fa1b29d5b3a0ea4269850fcc391c087",
+    "classify sierpinski_plus_point F2 2 3":
+        "11a89e068c114bc4ae0fa2dc4c96f535d063c0a4f39d25f4e1d92815bbf42fa1",
+    "classify sierpinski_plus_point F3 1 2":
+        "f8e0a6fb4865926d49b62584bc5b19d0fa1410473e5f8319ffcd27cadc52fa77",
+    "classify sierpinski_plus_point F3 2 3":
+        "71fc27dd76480559163ed55b2aa8f7f28e98085e883d0e596aedfdf252754918",
+}
+
+
+def test_report_corpus_is_byte_identical(tmp_path, capsys):
+    options = {"grassmann": ("-k", "-n"), "classify": ("-n", "-N")}
+    digests = {}
+    for case in REPORT_DIGESTS:
+        command, space, field, a, b = case.split()
+        sp = write(tmp_path, f"{space}.json", {"min_open": REPORT_SPACES[space]})
+        rg = write(tmp_path, f"{field}.json", {"kind": "Fp", "p": int(field[1:])})
+        small, large = options[command]
+        assert main([command, "--space", sp, "--ring", rg, small, a, large, b]) == EXIT_OK
+        digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == REPORT_DIGESTS
 
 
 def test_grassmann_ring_size_exit(tmp_path, capsys):

@@ -14,6 +14,7 @@ from sheafkit.finspace import (
     FinSpace,
     build_space,
     chain3,
+    components,
     constant_map,
     discrete2,
     enumerate_opens,
@@ -25,6 +26,10 @@ from sheafkit.finspace import (
 )
 
 CORPUS = [point_space, sierpinski, chain3, discrete2, pseudo_circle]
+
+
+def sierpinski_plus_point():
+    return build_space({"o": ["o"], "c": ["o", "c"], "p": ["p"]})
 
 
 def brute_force_opens(space):
@@ -158,16 +163,28 @@ def test_is_connected_examples():
     assert is_connected(pseudo_circle())
     assert is_connected(chain3())
     assert not is_connected(discrete2())
+    assert not is_connected(sierpinski_plus_point())
 
 
-@pytest.mark.parametrize("make", CORPUS)
+def splits(opens, u):
+    """Oracle: u is a disjoint union of two nonempty opens."""
+    return any(v and w and not (v & w) and (v | w) == u
+               for v in opens for w in opens)
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
 def test_is_connected_matches_open_partition_scan(make):
     s = make()
     opens = enumerate_opens(s)
-    has_partition = any(
-        u and v and not (u & v) and (u | v) == frozenset(s.points)
-        for u in opens for v in opens)
-    assert is_connected(s) == (not has_partition)
+    assert is_connected(s) == (not splits(opens, frozenset(s.points)))
+    for u in opens:
+        parts = components(s, u)
+        assert parts == sorted(parts, key=min)
+        assert frozenset().union(*parts) == u
+        assert sum(map(len, parts)) == len(u)  # pairwise disjoint
+        for c in parts:
+            assert c in opens and c
+            assert not splits(opens, c)
 
 
 @pytest.mark.parametrize("cls", [FinSpace, ContinuousMap])

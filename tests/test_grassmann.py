@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +10,11 @@ from sheafkit import grassmann, vecsheaf
 from sheafkit.errors import NotLocallyFree, SearchBudgetExceeded
 from sheafkit.finalg import gaussian_binomial, make_field, span
 from sheafkit.finspace import (
+    build_space,
     chain3,
+    components,
     discrete2,
+    enumerate_opens,
     point_space,
     pseudo_circle,
     sierpinski,
@@ -44,6 +51,10 @@ F2 = make_field(2)
 F3 = make_field(3)
 
 CORPUS = [point_space, sierpinski, chain3, discrete2, pseudo_circle]
+
+
+def sierpinski_plus_point():
+    return build_space({"o": ["o"], "c": ["o", "c"], "p": ["p"]})
 
 
 def whole(space):
@@ -97,6 +108,41 @@ def test_discrete_values_are_products():
     g = build_grassmann_presheaf(a, 1, 2)
     assert len(g.values[frozenset({"u"})]) == 3
     assert len(g.values[whole(discrete2())]) == 9
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_values_match_the_search_on_each_open(make, ring):
+    """G and V build the values over a disconnected open as products of the
+    values over its components; the search over that one open is the
+    oracle."""
+    a = constant_algebra_sheaf(make(), ring)
+    for n in range(4):
+        for k in range(n + 1):
+            g = build_grassmann_presheaf(a, k, n)
+            v = build_v_presheaf(a, k, n)
+            for u in enumerate_opens(a.space):
+                assert g.values[u] == enumerate_free_subsheaves(a, k, n, u)
+                assert v.values[u] == enumerate_locally_free_subsheaves(a, k, n, u)
+
+
+def test_sections_are_searched_only_on_connected_opens(monkeypatch):
+    searched = []
+    sections = vecsheaf.subsheaf_sections
+
+    def counting_sections(s, u):
+        searched.append(len(components(s.ambient.space, u)))
+        return sections(s, u)
+
+    monkeypatch.setattr(vecsheaf, "subsheaf_sections", counting_sections)
+    for make in CORPUS + [sierpinski_plus_point]:
+        for ring in (F2, F3):
+            a = constant_algebra_sheaf(make(), ring)
+            for k, n in ((1, 1), (1, 2), (2, 3)):
+                g = build_grassmann_presheaf(a, k, n)
+                build_v_presheaf(a, k, n)
+                check_monopresheaf_not_complete(g)
+    assert searched and max(searched) == 1
 
 
 def test_values_are_valid_free_subsheaves():
@@ -163,6 +209,38 @@ def test_completeness_hunt_draws_on_the_grassmann_budget():
     g = build_grassmann_presheaf(a, 1, 2, short)
     with pytest.raises(SearchBudgetExceeded):
         check_monopresheaf_not_complete(g, short)
+
+
+BROKEN_CROSS_CHECKS = """
+from sheafkit import grassmann, vecsheaf
+from sheafkit.finalg import make_field
+from sheafkit.finspace import sierpinski
+
+a = vecsheaf.constant_algebra_sheaf(sierpinski(), make_field(2))
+e = vecsheaf.free_sheaf(a, 1)
+whole = frozenset(a.space.points)
+grassmann.v_presheaf_complete = lambda v: False
+vecsheaf.validate_module_morphism = lambda m: ["broken"]
+for check in (lambda: grassmann.build_v_presheaf(a, 1, 1),
+              lambda: vecsheaf.embed_via_weights(
+                  e, (whole,), {0: vecsheaf.identity_trivialization(e, whole, 1)},
+                  vecsheaf.trivial_weight_family(a), 1)):
+    try:
+        check()
+    except AssertionError:
+        continue
+    raise SystemExit("a failed cross-check went unreported")
+"""
+
+
+def test_cross_checks_survive_python_optimize():
+    """V's completeness check and the embedding's morphism check still raise
+    under `python -O`, which strips bare asserts."""
+    src = Path(grassmann.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_CROSS_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- presheaf structure ------------------------------------------------------

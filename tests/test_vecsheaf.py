@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -317,6 +318,22 @@ def test_module_isomorphism_lists_matrices_only_as_far_as_the_budget_reaches(mon
         if invertible == limit + 1:
             break
     assert len(calls) <= n < 5 ** 9 // 100
+
+
+def test_module_isomorphism_keeps_listed_matrices_small():
+    # each listed rank-3 action over F_5 is one tuple of its 125 images,
+    # shared with the vector list: about 1 KB, where a {v: m v} dict is 4.7 KB
+    a = constant_algebra_sheaf(PC, make_field(5))
+    ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    e, f = free_sheaf(a, 3), glued_pc_bundle(a, 3, (ident, (2, 0, 0, 0, 1, 0, 0, 0, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            find_module_isomorphism(e, f, budget=Budget(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_cocycle_condition_violated():

@@ -567,8 +567,10 @@ def enumerate_free_submodules(r: FinRing, n: int, k: int) -> List[Submodule]:
 def enumerate_submodules_brute(r: FinRing, n: int, k: int) -> List[Submodule]:
     """Independent oracle: spans of all k-tuples of vectors, deduplicated.
 
-    Keeps only spans of size |r|^k (free of rank k over a field). Slower than
-    the echelon enumeration but shares none of its code path.
+    Keeps only spans of size |r|^k, which are exactly the free rank-k
+    submodules over any finite commutative ring: the map r^k -> span is onto,
+    so it is injective when both sides have |r|^k elements. Slower than the
+    echelon enumeration but shares none of its code path.
     """
     target = r.size ** k
     seen = set()

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import NotLocallyFree, SearchBudgetExceeded
-from .finalg import Submodule, enumerate_free_submodules, zero_vec
+from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
+from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
+                     zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import (SET, Carrier, Presheaf, compatible_families,
-                       is_monopresheaf, sheafify, unit_injective)
+from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf,
+                       compatible_families, is_monopresheaf, sheafify,
+                       unit_injective)
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -52,54 +54,120 @@ class GrassmannPresheaf:
                         lambda u, v, s: restrict_subsheaf(s, v))
 
 
-def _stalk_families(ambient: ModuleSheaf, u: PointSet,
-                    candidates: Dict[Point, List[Submodule]]
+# A build holds [n k]_q stalk candidates of q^k vectors per distinct stalk
+# ring; it refuses before listing any when that is more vectors than this.
+MAX_CANDIDATE_VECTORS = 10 ** 5
+
+
+def _stalk_candidates(ambient: ModuleSheaf, k: int) -> Dict[Point, List[Submodule]]:
+    """The rank-k free submodules of each stalk of the ambient, listed once
+    per (stalk ring, n) and kept on the ambient with their compatibility
+    tables, so every build on one ambient shares them."""
+    if k not in ambient.stalk_joins:
+        lists: Dict[Tuple, List[Submodule]] = {}
+        for x in sorted(ambient.space.points):
+            r, n = ambient.ring_at(x), ambient.rank_at[x]
+            if (r, n) not in lists:
+                count = gaussian_binomial(n, k, r.size)
+                if count * r.size ** k > MAX_CANDIDATE_VECTORS:
+                    raise SpaceTooLarge(
+                        f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
+                        f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
+                lists[(r, n)] = enumerate_free_submodules(r, n, k)
+        ambient.stalk_joins[k] = ({x: lists[(ambient.ring_at(x), ambient.rank_at[x])]
+                                   for x in ambient.space.points}, {})
+    return ambient.stalk_joins[k][0]
+
+
+def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
+                   spend: Callable[[int], None]) -> Tuple[List[int], List[int], int]:
+    """The table of (x, y), y in min_open(x): masks over y's candidates that
+    contain the image of each candidate at x, masks over x's candidates whose
+    image lies in each candidate at y, and the subset tests it took.
+
+    A free rank-k submodule of R^n has |R|^k vectors, so an image of that
+    size lies in a candidate only if it is that candidate: one dict lookup.
+    A smaller image is tested against every candidate at y.  A table is
+    charged its tests at every use, built then or earlier.
+    """
+    candidates, tables = ambient.stalk_joins[k]
+    if (x, y) in tables:
+        spend(tables[(x, y)][2])
+        return tables[(x, y)]
+    res, at_y = ambient.res[(x, y)], candidates[y]
+    index = {c.elements: j for j, c in enumerate(at_y)}
+    size = ambient.ring_at(y).size ** k
+    into, from_x, tests = [], [0] * len(at_y), 0
+    for i, c in enumerate(candidates[x]):
+        image = frozenset(res[v] for v in c.elements)
+        if len(image) == size:
+            cost, hits = 1, [index[image]] if image in index else []
+        else:
+            cost, hits = len(at_y), [j for j, d in enumerate(at_y) if image <= d.elements]
+        spend(cost)
+        tests += cost
+        into.append(sum(1 << j for j in hits))
+        for j in hits:
+            from_x[j] |= 1 << i
+    tables[(x, y)] = (into, from_x, tests)
+    return tables[(x, y)]
+
+
+def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
                     ) -> List[Dict[Point, frozenset]]:
-    """Per-point submodule choices closed under the ambient restrictions."""
+    """Per-point rank-k submodule choices closed under the ambient
+    restrictions, in lexicographic order of candidate index over sorted(u).
+
+    A join: each point draws its candidates from the intersection of the
+    masks its already chosen neighbours allow, in ascending index.  Table
+    tests and visited nodes count against DEFAULT_STATE_BOUND.
+    """
     space = ambient.space
     pts = sorted(u)
+    candidates = _stalk_candidates(ambient, k)
+    cands = [candidates[x] for x in pts]
+    steps = 0
+
+    def spend(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if steps > DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"stalk-family join over open {pts} exceeds "
+                                f"{DEFAULT_STATE_BOUND} steps at {steps}")
+
+    # per point: (position of an earlier related point, masks over this
+    # point's candidates indexed by that point's choice)
+    constraints = [[(j, _compatibility(ambient, k, x, y, spend)[1]) if y in space.min_open[x]
+                    else (j, _compatibility(ambient, k, y, x, spend)[0])
+                    for j, y in enumerate(pts[:i])
+                    if y in space.min_open[x] or x in space.min_open[y]]
+                   for i, x in enumerate(pts)]
     out: List[Dict[Point, frozenset]] = []
+    choice = [0] * len(pts)
 
-    def closed(x: Point, y: Point, fx: frozenset, fy: frozenset) -> bool:
-        m = ambient.res[(x, y)]
-        return all(m[v] in fy for v in fx)
-
-    def rec(i: int, assign: Dict[Point, frozenset]):
+    def rec(i: int) -> None:
         if i == len(pts):
-            out.append(dict(assign))
+            out.append({x: cands[t][choice[t]].elements for t, x in enumerate(pts)})
             return
-        x = pts[i]
-        for cand in candidates[x]:
-            fx = cand.elements
-            ok = True
-            for y in assign:
-                if y in space.min_open[x] and not closed(x, y, fx, assign[y]):
-                    ok = False
-                    break
-                if x in space.min_open[y] and not closed(y, x, assign[y], fx):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = fx
-                rec(i + 1, assign)
-                del assign[x]
+        mask = (1 << len(cands[i])) - 1
+        for j, masks in constraints[i]:
+            mask &= masks[choice[j]]
+        spend(mask.bit_count())
+        while mask:
+            low = mask & -mask
+            choice[i] = low.bit_length() - 1
+            rec(i + 1)
+            mask ^= low
 
-    rec(0, {})
+    rec(0)
     return out
 
 
-def _stalk_candidates(a: AlgebraSheaf, k: int, n: int, u: PointSet
-                      ) -> Dict[Point, List[Submodule]]:
-    """The rank-k free submodules of each stalk of A^n over u."""
-    return {x: enumerate_free_submodules(a.stalk_ring[x], n, k) for x in sorted(u)}
-
-
-def _enumerate_values(ambient: ModuleSheaf,
-                      candidates: Dict[Point, List[Submodule]], k: int,
-                      u: PointSet, locally_free: bool,
-                      budget: Optional[Budget]) -> List[VectorSubsheaf]:
+def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
+                      locally_free: bool, budget: Optional[Budget]
+                      ) -> List[VectorSubsheaf]:
     values = []
-    for fam in _stalk_families(ambient, u, candidates):
+    for fam in _stalk_families(ambient, u, k):
         s = make_subsheaf(ambient, u, fam)
         if locally_free:
             if is_locally_free(s, u, k, budget):
@@ -122,21 +190,20 @@ def _product_values(ambient: ModuleSheaf, u: PointSet,
 
 def _build_values(ambient: ModuleSheaf, k: int, n: int, locally_free: bool,
                   budget: Optional[Budget]) -> GrassmannPresheaf:
-    """Values in the ambient A^n over every open, from stalk candidates
-    built once; locally free values must form a complete presheaf.
+    """Values in the ambient A^n over every open; locally free values must
+    form a complete presheaf.
 
     Only the empty open and connected opens are searched.  A disconnected
     open's values are the product of its components' values; components
     are smaller opens, listed earlier, so their values are already built.
     """
     a = ambient.base
-    candidates = _stalk_candidates(a, k, n, frozenset(a.space.points))
     values: Dict[PointSet, List[VectorSubsheaf]] = {}
     for u in enumerate_opens(a.space):
         parts = components(a.space, u)
         values[u] = (_product_values(ambient, u, [values[c] for c in parts])
                      if len(parts) > 1 else
-                     _enumerate_values(ambient, candidates, k, u, locally_free, budget))
+                     _enumerate_values(ambient, k, u, locally_free, budget))
     g = GrassmannPresheaf(a, k, n, ambient, values)
     if locally_free and not v_presheaf_complete(g):
         raise AssertionError("locally-free value presheaf failed completeness")
@@ -147,8 +214,7 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
-    return _enumerate_values(free_sheaf(a, n), _stalk_candidates(a, k, n, u),
-                             k, u, False, budget)
+    return _enumerate_values(free_sheaf(a, n), k, u, False, budget)
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
@@ -156,8 +222,7 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list)."""
-    return _enumerate_values(free_sheaf(a, n), _stalk_candidates(a, k, n, u),
-                             k, u, True, budget)
+    return _enumerate_values(free_sheaf(a, n), k, u, True, budget)
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
@@ -289,7 +354,7 @@ def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
                               ) -> GrassmannPresheaf:
     """Rank-n Grassmann presheaf of A^N, N the finite truncation level."""
     if n > truncation:
-        raise SearchBudgetExceeded(f"rank {n} exceeds truncation {truncation}")
+        raise ValidationError(f"rank {n} exceeds truncation {truncation}")
     return build_grassmann_presheaf(a, n, truncation, budget)
 
 

@@ -142,6 +142,9 @@ class ModuleSheaf:
         # is_free_of_rank answers by (stalk families over the open, rank):
         # (found, witness, budget steps the search took)
         self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
+        # grassmann's rank-k stalk candidates by point and their
+        # compatibility tables by point pair, by k, shared by every build
+        self.stalk_joins: Dict[int, Tuple[Dict, Dict]] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]

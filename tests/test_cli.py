@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sheafkit
 
 from sheafkit.cli import (
     EXIT_BUDGET,
@@ -387,6 +393,39 @@ def test_grassmann_ring_size_exit(tmp_path, capsys):
     assert "ring size 1000000 exceeds bound 128" in err
 
 
+def run_module(argv, timeout=60):
+    """`python -m sheafkit.cli` on this checkout's sources, in a fresh
+    process; a run past `timeout` seconds fails the test."""
+    src = Path(sheafkit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("space,sizes,message", [
+    # [12 4]_2 candidates of 2^4 vectors, refused before any is built
+    ({"min_open": {"p": ["p"]}}, ["-k", "4", "-n", "12"],
+     "13910980083 candidates of 16 vectors exceed bound 100000 vectors"),
+    # 1023 lines at each of two incomparable points: 1023^2 join nodes
+    ({"min_open": {"o": ["o"], "c1": ["o", "c1"], "c2": ["o", "c2"]}},
+     ["-k", "1", "-n", "10"],
+     "stalk-family join over open ['c1', 'c2', 'o'] exceeds 1000000 steps at"),
+], ids=["candidates", "join"])
+def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
+    sp = write(tmp_path, "space.json", space)
+    rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
+    proc = run_module(["-m", "sheafkit.cli", "grassmann", "--space", sp,
+                       "--ring", rg, *sizes])
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert message in proc.stderr
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = run_module(["-W", "error", "-m", "sheafkit.cli", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: sheafkit")
+
+
 def test_grassmann_bad_ring_kind(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     rg = write(tmp_path, "ring.json", {"kind": "mystery"})
@@ -410,8 +449,9 @@ def test_grassmann_non_prime_field(tmp_path, capsys):
     (F3, ["grassmann", "-k", "1", "-n", "-2"], "-2 is negative"),
     (F3, ["classify", "-n", "-1", "-N", "2"], "-1 is negative"),
     (F3, ["classify", "-n", "1", "-N", "-2"], "-2 is negative"),
+    (F3, ["classify", "-n", "3", "-N", "2"], "rank 3 exceeds truncation 2"),
 ], ids=["grassmann-Zm4", "classify-Zm4", "grassmann-k", "grassmann-n",
-        "classify-n", "classify-N"])
+        "classify-n", "classify-N", "classify-rank-above-N"])
 def test_rejected_input_exits_invalid_without_traceback(tmp_path, capsys,
                                                         ring, argv, message):
     sp = write(tmp_path, "space.json", SIERPINSKI)

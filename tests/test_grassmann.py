@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from sheafkit import grassmann, vecsheaf
-from sheafkit.errors import NotLocallyFree, SearchBudgetExceeded
-from sheafkit.finalg import gaussian_binomial, make_field, span
+from sheafkit.errors import (NotLocallyFree, SearchBudgetExceeded,
+                             SpaceTooLarge, ValidationError)
+from sheafkit.finalg import (enumerate_free_submodules, gaussian_binomial,
+                             make_field, make_quotient, span)
 from sheafkit.finspace import (
     build_space,
     chain3,
@@ -37,6 +39,7 @@ from sheafkit.grassmann import (
 )
 from sheafkit.presheaf import is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
+    AlgebraSheaf,
     Budget,
     constant_algebra_sheaf,
     free_sheaf,
@@ -124,6 +127,110 @@ def test_values_match_the_search_on_each_open(make, ring):
             for u in enumerate_opens(a.space):
                 assert g.values[u] == enumerate_free_subsheaves(a, k, n, u)
                 assert v.values[u] == enumerate_locally_free_subsheaves(a, k, n, u)
+
+
+def pairwise_stalk_families(ambient, u, k):
+    """Oracle: per-point choices of rank-k free submodules over sorted(u),
+    each kept when restriction maps it into, and is mapped into by, every
+    related point chosen before it, checked vector by vector."""
+    space = ambient.space
+    pts = sorted(u)
+    candidates = {x: enumerate_free_submodules(ambient.ring_at(x), ambient.rank_at[x], k)
+                  for x in pts}
+    out = []
+
+    def closed(x, y, fx, fy):
+        m = ambient.res[(x, y)]
+        return all(m[v] in fy for v in fx)
+
+    def rec(i, assign):
+        if i == len(pts):
+            out.append(dict(assign))
+            return
+        x = pts[i]
+        for cand in candidates[x]:
+            fx = cand.elements
+            if all((y not in space.min_open[x] or closed(x, y, fx, fy))
+                   and (x not in space.min_open[y] or closed(y, x, fy, fx))
+                   for y, fy in assign.items()):
+                assign[x] = fx
+                rec(i + 1, assign)
+                del assign[x]
+
+    rec(0, {})
+    return out
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_stalk_join_matches_the_pairwise_scan(make, ring):
+    """The indexed join keeps the oracle's families in the oracle's order."""
+    a = constant_algebra_sheaf(make(), ring)
+    for n in range(4):
+        ambient = free_sheaf(a, n)
+        for k in range(min(n, 2) + 1):
+            for u in enumerate_opens(a.space):
+                if len(components(a.space, u)) <= 1:
+                    assert grassmann._stalk_families(ambient, u, k) == \
+                        pairwise_stalk_families(ambient, u, k)
+
+
+def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
+    """F_2 stalks restricting into F_4 stalks: an image has fewer vectors
+    than a candidate at the smaller point, so the tables test subsets."""
+    f4 = make_quotient(2, [1, 1, 1])
+    for make, small in ((sierpinski, {"c"}), (pseudo_circle, {"c", "d"})):
+        space = make()
+        a = AlgebraSheaf(space, {x: F2 if x in small else f4 for x in space.points},
+                         {(x, y): (0, 1) for x in small for y in space.min_open[x]})
+        for n in range(4):
+            ambient = free_sheaf(a, n)
+            for k in range(min(n, 2) + 1):
+                for u in enumerate_opens(space):
+                    assert grassmann._stalk_families(ambient, u, k) == \
+                        pairwise_stalk_families(ambient, u, k)
+
+
+def test_classify_lists_stalk_candidates_once_per_ring(monkeypatch):
+    """G and V of one classify run share the candidate lists of their
+    ambient: one enumeration per distinct stalk ring, not per point and
+    build."""
+    calls = []
+    enumerate_subs = grassmann.enumerate_free_submodules
+
+    def counting(r, n, k):
+        calls.append((r, n, k))
+        return enumerate_subs(r, n, k)
+
+    monkeypatch.setattr(grassmann, "enumerate_free_submodules", counting)
+    report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
+    assert report["bijection"] is True
+    assert calls == [(F2, 2, 1)]
+
+
+def test_stalk_join_size_guard(monkeypatch):
+    """Table tests and visited join nodes count against the state bound;
+    past it the join names its open and count."""
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    ambient = free_sheaf(a, 2)
+    u = frozenset({"a", "b", "c"})
+    # one table test per candidate and pair, 3 + 9 + 3 nodes
+    assert len(grassmann._stalk_families(ambient, u, 1)) == 3
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 20)
+    with pytest.raises(SpaceTooLarge,
+                       match=r"open \['a', 'b', 'c'\] exceeds 20 steps at 21"):
+        grassmann._stalk_families(ambient, u, 1)
+    assert len(grassmann._stalk_families(ambient, frozenset({"a", "c"}), 1)) == 3
+
+
+def test_stalk_candidate_guard_precedes_enumeration(monkeypatch):
+    built = []
+    monkeypatch.setattr(grassmann, "enumerate_free_submodules",
+                        lambda r, n, k: built.append((n, k)) or [])
+    a = constant_algebra_sheaf(point_space(), F2)
+    with pytest.raises(SpaceTooLarge, match="13910980083 candidates of 16 vectors"):
+        build_grassmann_presheaf(a, 4, 12)
+    assert built == []
 
 
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
@@ -415,8 +522,10 @@ def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
 # -- universal construction and truncation -----------------------------------
 
 def test_universal_requires_room():
+    """A rank above the truncation level is invalid input, not a search
+    that ran out."""
     a = constant_algebra_sheaf(point_space(), F2)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(ValidationError, match="rank 2 exceeds truncation 1"):
         build_universal_grassmann(a, 2, 1)
 
 

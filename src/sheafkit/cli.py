@@ -116,9 +116,9 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
     carrier_tbl, restr_tbl = _fields(obj, "presheaf", "carriers", "restrictions")
     _object(carrier_tbl, "presheaf carriers")
     _object(restr_tbl, "presheaf restrictions")
+    keys = {u: _open_key(u) for u in opens}
     carriers = {}
-    for u in opens:
-        key = _open_key(u)
+    for u, key in keys.items():
         if key not in carrier_tbl:
             raise ParseError(f"presheaf carrier missing for open {key!r}")
         elements = _list(carrier_tbl[key], f"presheaf carrier {key!r}")
@@ -130,7 +130,7 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
     for u in opens:
         for v in opens:
             if v < u:
-                key = f"{_open_key(u)}|{_open_key(v)}"
+                key = f"{keys[u]}|{keys[v]}"
                 if key not in restr_tbl:
                     raise ParseError(f"presheaf restriction missing for {key!r}")
                 tables[(u, v)] = _object(restr_tbl[key],
@@ -463,8 +463,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (SearchBudgetExceeded, SpaceTooLarge) as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except SpaceTooLarge as exc:
+        print(f"size guard hit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except SheafkitError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -91,7 +91,8 @@ def validate(p: Presheaf) -> List[str]:
 
     Each restriction is tabulated over its source carrier.  One that is
     undefined somewhere (raises KeyError) or leaves its target is reported
-    once and left out of every later check.
+    once and left out of every later check.  Composition is checked on the
+    cover steps alone unless some check fails; then every triple is scanned.
     """
     problems = []
     opens = sorted(p.carriers, key=open_sort_key)
@@ -99,32 +100,25 @@ def validate(p: Presheaf) -> List[str]:
     for u in opens:
         if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
             problems.append(f"restrict to itself not identity on {set(u)}")
+    members = {u: set(p.carriers[u].elements) for u in opens}
     sound: Dict[PointSet, Dict[PointSet, ElemMap]] = {u: {} for u in opens}
     for (u, v), ruv in tables.items():
         undefined = [e for e in p.carriers[u].elements if e not in ruv]
+        try:
+            inside = members[v].issuperset(ruv.values())
+        except TypeError:  # an unhashable value lies in no carrier
+            inside = False
         if undefined:
             problems.append(
                 f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
-        elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
+        elif not inside:
             problems.append(
                 f"restriction {set(u)}->{set(v)} leaves the carrier")
         else:
             sound[u][v] = ruv
-    for u in opens:
-        for v, ruv in sound[u].items():
-            for w, rvw in sound[v].items():
-                ruw = sound[u].get(w)
-                if ruw is not None and any(rvw[ruv[e]] != ruw[e]
-                                           for e in p.carriers[u].elements):
-                    problems.append(
-                        f"composition fails {set(u)}->{set(v)}->{set(w)}")
-    problems.extend(_structure_violations(p, sound))
-    return problems
-
-
-def _structure_violations(p: Presheaf,
-                          sound: Dict[PointSet, Dict[PointSet, ElemMap]]) -> List[str]:
-    problems = []
+    if problems or next(_composition_failures(p, opens, sound, covers=True), None):
+        problems += [f"composition fails {set(u)}->{set(v)}->{set(w)}"
+                     for u, v, w in _composition_failures(p, opens, sound)]
     for u, maps in sound.items():
         for v, m in maps.items():
             cu, cv = p.carriers[u], p.carriers[v]
@@ -136,6 +130,29 @@ def _structure_violations(p: Presheaf,
                     problems.append(
                         f"restriction {set(u)}->{set(v)} not a ring morphism")
     return problems
+
+
+def _composition_failures(p: Presheaf, opens: List[PointSet],
+                          sound: Dict[PointSet, Dict[PointSet, ElemMap]], covers=False):
+    """Triples u ⊇ v ⊇ w of sound maps with r(v,w) r(u,v) != r(u,w), in
+    scan order; with `covers`, only those with v = u - {x}, x maximal in u.
+
+    Once every map is sound and every r(u,u) the identity, the cover triples
+    decide all, by induction on |u - v| (at 0, the identity law): for x
+    maximal in u - v, no point of u above x lies in the open v, so x is
+    maximal in u and v' = u - {x} ⊇ v is open; the triples (u,v',w),
+    (u,v',v), (v',v,w) give r(u,w) = r(v',w) r(u,v') = r(v,w) r(v',v) r(u,v')
+    = r(v,w) r(u,v).
+    """
+    for u in opens:
+        middle = [u - {x} for x in p.space.maximal_points(u)] if covers else sound[u]
+        for v in middle:
+            ruv = sound[u][v]
+            for w, rvw in sound[v].items():
+                ruw = sound[u].get(w)
+                if ruw is not None and any(rvw[ruv[e]] != ruw[e]
+                                           for e in p.carriers[u].elements):
+                    yield u, v, w
 
 
 # -- stalks ------------------------------------------------------------------
@@ -199,7 +216,9 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
 
     Values are chosen at the maximal points of the open set and propagated
     downward; functoriality of `res` makes agreement at the propagated points
-    equivalent to full compatibility. Families are tuples over sorted points.
+    equivalent to full compatibility. Families are tuples over sorted points,
+    in `itertools.product` order of the choices; `res` is called, and any
+    KeyError it raises surfaces, as in a plain loop over that product.
     """
     pts = sorted(carrier_pts)
     maxpts = space.maximal_points(carrier_pts)
@@ -208,12 +227,13 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
         states *= max(len(elems_at(m)), 1)
         if states > DEFAULT_STATE_BOUND:
             raise SpaceTooLarge(f"section enumeration exceeds {DEFAULT_STATE_BOUND} states")
+    below = [sorted(space.min_open[m]) for m in maxpts]
     out = []
     for choice in itertools.product(*[elems_at(m) for m in maxpts]):
         assign: Dict[Point, Elem] = {}
         ok = True
-        for m, val in zip(maxpts, choice):
-            for y in sorted(space.min_open[m]):
+        for m, ys, val in zip(maxpts, below, choice):
+            for y in ys:
                 v = res(m, y, val)
                 if y in assign:
                     if assign[y] != v:

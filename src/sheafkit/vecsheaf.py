@@ -17,6 +17,7 @@ from .errors import (
     CocycleConditionViolated,
     InvalidWeights,
     SearchBudgetExceeded,
+    SpaceTooLarge,
     TrivializationMismatch,
 )
 from .finalg import (
@@ -42,6 +43,7 @@ from .presheaf import (
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
+MAX_STALK_VECTORS = 10 ** 5  # vectors of one stalk a free sheaf may list
 
 
 @dataclass
@@ -192,6 +194,11 @@ class ModuleSheaf:
 def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
     """The free module sheaf A^n with componentwise restriction."""
     space = a.space
+    r = max((a.stalk_ring[x] for x in sorted(space.points)), key=lambda r: r.size)
+    # |R| >= 2 passes the bound within its bit length in factors
+    if r.size ** min(n, MAX_STALK_VECTORS.bit_length()) > MAX_STALK_VECTORS:
+        raise SpaceTooLarge(f"free sheaf {a.label}^{n}: stalk {r.label}^{n} "
+                            f"exceeds bound {MAX_STALK_VECTORS} vectors")
     res = {}
     for x in space.points:
         for y in space.min_open[x]:

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from sheafkit.cli import (
     main,
 )
 from sheafkit.finalg import make_field
-from sheafkit.finspace import pseudo_circle
+from sheafkit.finspace import build_space, components, enumerate_opens, pseudo_circle
 from sheafkit.grassmann import classify
 from sheafkit.vecsheaf import Budget, constant_algebra_sheaf
 
@@ -256,7 +258,21 @@ def test_grassmann_budget_exit(tmp_path, capsys):
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
                                      "-k", "1", "-n", "2", "--budget", "2"])
     assert code == EXIT_BUDGET and report is None
-    assert "budget" in err
+    assert err.startswith("budget exhausted: freeness search exceeded")
+
+
+def test_free_sheaf_guard_exits_before_listing(tmp_path, capsys, monkeypatch):
+    def listing(*args):
+        raise AssertionError("a stalk's vectors were listed")
+
+    monkeypatch.setattr(sheafkit.vecsheaf, "all_vecs", listing)
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
+    code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
+                                     "-k", "0", "-n", "40"])
+    assert code == EXIT_BUDGET and report is None
+    assert err == ("size guard hit: free sheaf const(F_2)^40: stalk F_2^40 "
+                   "exceeds bound 100000 vectors\n")
 
 
 # The report corpus: the five named spaces and Sierpinski + point, F_2 and
@@ -384,6 +400,152 @@ def test_report_corpus_is_byte_identical(tmp_path, capsys):
     assert digests == REPORT_DIGESTS
 
 
+# The presheaf report corpus: constant and locally constant set presheaves
+# with 2 or 3 symbols over the report spaces and a five-point cone, each as
+# given and with one restriction entry broken (changed inside the carrier on
+# a cover step or on a longer step, dropped, sent outside the carrier, or
+# sent to a JSON list).  The digest of a (command, variant) is the sha256 of
+# every case's exit code, stdout and stderr in turn, as reported when
+# `validate` checked composition on every triple of opens.  Violation
+# messages print Python sets, whose order follows the process's hash seed,
+# so the transcript lists the members of each printed set sorted.
+PRESHEAF_SPACES = {**REPORT_SPACES, "cone": {
+    "a": ["a"], "b": ["b"], "c": ["a", "b", "c"], "d": ["a", "b", "d"],
+    "e": ["a", "b", "c", "d", "e"]}}
+PRESHEAF_VARIANTS = ("given", "cover", "longer", "undefined", "outside", "list")
+PRESHEAF_DIGESTS = {
+    "presheaf-check cover":
+        "8e181e6c762bed2ae25c6a6267f58471062073e50a1e3d98458d9c8678befbd4",
+    "presheaf-check given":
+        "8b8709fe5abaf8d110380a0d4d5aa67fbcfc5eb6358df1faf3ec54e1ea7c7778",
+    "presheaf-check list":
+        "711b565b9fd4cc67b5da773ed9b4cbe8c7e3aa39081be723fa459db54cf0c0fe",
+    "presheaf-check longer":
+        "3c9fee1caad9f1cd32dd38f1187c297d3eaf84f5680cd6df99643724dfeedd49",
+    "presheaf-check outside":
+        "711b565b9fd4cc67b5da773ed9b4cbe8c7e3aa39081be723fa459db54cf0c0fe",
+    "presheaf-check undefined":
+        "22beea5edcb510e9c27f9cf2bbf2548fdf4a4f5fbb7dcd17fa54520d22c95475",
+    "pullback cover":
+        "267de6e3e94f8a246ce4a211847ffc56266c2364834ec968672828a5bd0e6fd6",
+    "pullback given":
+        "d744cf4752d7ed0e0db49ef98d21fe3bbf5ac01dd97551fd04eacae216b5a0d4",
+    "pullback list":
+        "267de6e3e94f8a246ce4a211847ffc56266c2364834ec968672828a5bd0e6fd6",
+    "pullback longer":
+        "53a745b895f86762a8cebd8f7287a4d32fde31b1578c43008612aa35662438f7",
+    "pullback outside":
+        "267de6e3e94f8a246ce4a211847ffc56266c2364834ec968672828a5bd0e6fd6",
+    "pullback undefined":
+        "b189b4746842109d5908c07c4e222afb363ee92bc3d62564869659b7d6e70dac",
+    "sheafify cover":
+        "6e43e698d1903b6941189efd780bf85ec4d9e1d7eddea3dc5ab9ed55980a5eac",
+    "sheafify given":
+        "ac68d2ae281d0abdce3db9e548b71ae4dfc0c5065aaf1f0a63eb34df0f0d0b29",
+    "sheafify list":
+        "90e87129580e6635c9ff266244fc7a55dcd4df0e07096ab41518548397bd1779",
+    "sheafify longer":
+        "89b3f8a9be438d6bd6889c818618b1a455140f5376bb5e5c4aad260d6fc49f4c",
+    "sheafify outside":
+        "90e87129580e6635c9ff266244fc7a55dcd4df0e07096ab41518548397bd1779",
+    "sheafify undefined":
+        "49da95af19d6beb32fc834058852c70635a2e312be37b15c2ba1bcc962ea7674",
+    "stalks cover":
+        "749b9e48644901b5d92e32c586308414a7ee60cbbf00552be3292de8e7bed355",
+    "stalks given":
+        "c806a184d53c54438e2c030eb328db1abe45cb5dd072e26dae9d79a3f7e6985f",
+    "stalks list":
+        "749b9e48644901b5d92e32c586308414a7ee60cbbf00552be3292de8e7bed355",
+    "stalks longer":
+        "0e307127dd1de245fe09385a2d4bc6c603130bcd849177bf52db3ce57a19b136",
+    "stalks outside":
+        "749b9e48644901b5d92e32c586308414a7ee60cbbf00552be3292de8e7bed355",
+    "stalks undefined":
+        "749b9e48644901b5d92e32c586308414a7ee60cbbf00552be3292de8e7bed355",
+}
+
+
+def presheaf_tables(table, kind, s):
+    """The JSON presheaf of `kind` with symbols from "xyz"[:s], like
+    perfbench's sheaf-ops inputs: a locally constant carrier over an open
+    holds one symbol per connected component."""
+    space = build_space(table)
+    opens = enumerate_opens(space)
+    comps = {u: components(space, u) for u in opens}
+    key = ",".join
+
+    def elements(u):
+        if kind == "constant":
+            return list("xyz"[:s]) if u else ["*"]
+        return ["".join(t) for t in itertools.product("xyz"[:s], repeat=len(comps[u]))]
+
+    def restriction(u, v):
+        if kind == "constant":
+            return {e: e if v else "*" for e in elements(u)}
+        where = [next(i for i, c in enumerate(comps[u]) if cv <= c) for cv in comps[v]]
+        return {e: "".join(e[i] for i in where) for e in elements(u)}
+
+    return {"carriers": {key(sorted(u)): elements(u) for u in opens},
+            "restrictions": {f"{key(sorted(u))}|{key(sorted(v))}": restriction(u, v)
+                             for u in opens for v in opens if v < u}}
+
+
+def break_presheaf(obj, variant):
+    """obj with one restriction entry broken as `variant` says, or None when
+    the presheaf has no restriction to break that way."""
+    if variant == "given":
+        return obj
+    carriers, restrictions = obj["carriers"], obj["restrictions"]
+    for pair in sorted(restrictions):
+        u, v = (set(k.split(",")) - {""} for k in pair.split("|"))
+        cover = len(u) - len(v) == 1
+        if not v or (variant, cover) in (("cover", False), ("longer", True)):
+            continue
+        entry = restrictions[pair]
+        e = sorted(entry)[0]
+        if variant in ("cover", "longer"):
+            entry[e] = next(t for t in carriers[pair.split("|")[1]] if t != entry[e])
+        elif variant == "undefined":
+            del entry[e]
+        else:
+            entry[e] = "q" if variant == "outside" else ["x"]
+        return obj
+    return None
+
+
+def sorted_sets(text):
+    return re.sub(r"\{'[^{}]*'\}", lambda m: "{%s}" % ", ".join(
+        sorted(m.group()[1:-1].split(", "))), text)
+
+
+def test_presheaf_report_corpus_is_byte_identical(tmp_path, capsys):
+    transcripts = {}
+    for name, table in PRESHEAF_SPACES.items():
+        sp = write(tmp_path, "space.json", {"min_open": table})
+        point = write(tmp_path, "point.json", {
+            "space": {"min_open": {"p": ["p"]}}, "assignment": {"p": max(table)}})
+        identity = write(tmp_path, "identity.json", {
+            "space": {"min_open": table}, "assignment": {x: x for x in table}})
+        for kind, s in itertools.product(("constant", "locally-constant"), (2, 3)):
+            for variant in PRESHEAF_VARIANTS:
+                obj = break_presheaf(presheaf_tables(table, kind, s), variant)
+                if obj is None:
+                    continue
+                ph = write(tmp_path, "presheaf.json", obj)
+                base = ["--space", sp, "--presheaf", ph]
+                for argv in (["presheaf-check"] + base, ["sheafify"] + base,
+                             ["stalks"] + base, ["pullback"] + base + ["--map", point],
+                             ["pullback"] + base + ["--map", identity]):
+                    code = main(argv)
+                    captured = capsys.readouterr()
+                    transcripts.setdefault(f"{argv[0]} {variant}", []).append(
+                        sorted_sets(f"{name} {kind} {s}\n{code}\n{captured.out}\n"
+                                    f"{captured.err}\n"))
+    digests = {case: hashlib.sha256("".join(lines).encode()).hexdigest()
+               for case, lines in transcripts.items()}
+    assert digests == PRESHEAF_DIGESTS
+
+
 def test_grassmann_ring_size_exit(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     rg = write(tmp_path, "ring.json", {"kind": "Zm", "m": 1000000})
@@ -417,7 +579,7 @@ def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
     proc = run_module(["-m", "sheafkit.cli", "grassmann", "--space", sp,
                        "--ring", rg, *sizes])
     assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
-    assert message in proc.stderr
+    assert proc.stderr.startswith("size guard hit: ") and message in proc.stderr
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from sheafkit.errors import InvalidMorphism
+from sheafkit import presheaf
 from sheafkit.finalg import (
     RingMorphism,
     find_ring_isomorphism,
@@ -10,6 +12,9 @@ from sheafkit.finalg import (
     make_quotient,
 )
 from sheafkit.finspace import (
+    build_space,
+    chain3,
+    components,
     constant_map,
     discrete2,
     enumerate_opens,
@@ -21,6 +26,7 @@ from sheafkit.presheaf import (
     RING,
     SET,
     Carrier,
+    Presheaf,
     build_presheaf,
     constant_presheaf,
     is_complete,
@@ -101,6 +107,143 @@ def test_restriction_raising_key_error_is_undefined():
 @pytest.mark.parametrize("name,p", corpus_presheaves())
 def test_corpus_functor_laws(name, p):
     assert validate(p) == []
+
+
+# -- validate against the scan over every triple -----------------------------
+
+def full_scan_validate(p):
+    """Functor-law report on a set presheaf by the scan over every triple
+    u ⊇ v ⊇ w, with each value tested against the target carrier's tuple:
+    `validate` as it was before composition was checked on cover steps."""
+    problems = []
+    opens = sorted(p.carriers, key=lambda u: (len(u), tuple(sorted(u))))
+    tables = {}
+    for u in opens:
+        for v in opens:
+            if v <= u:
+                tables[(u, v)] = {}
+                for e in p.carriers[u].elements:
+                    try:
+                        tables[(u, v)][e] = p.restrict(u, v, e)
+                    except KeyError:
+                        pass
+    for u in opens:
+        if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
+            problems.append(f"restrict to itself not identity on {set(u)}")
+    sound = {u: {} for u in opens}
+    for (u, v), ruv in tables.items():
+        undefined = [e for e in p.carriers[u].elements if e not in ruv]
+        if undefined:
+            problems.append(
+                f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
+        elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
+            problems.append(f"restriction {set(u)}->{set(v)} leaves the carrier")
+        else:
+            sound[u][v] = ruv
+    for u in opens:
+        for v, ruv in sound[u].items():
+            for w, rvw in sound[v].items():
+                ruw = sound[u].get(w)
+                if ruw is not None and any(rvw[ruv[e]] != ruw[e]
+                                           for e in p.carriers[u].elements):
+                    problems.append(f"composition fails {set(u)}->{set(v)}->{set(w)}")
+    return problems
+
+
+def random_space(rng, npoints):
+    """A T0 space on p0..p{n-1} whose specialization order only goes up in
+    index, each pair related with probability 0.4 before closing."""
+    names = [f"p{i}" for i in range(npoints)]
+    below = {x: {x} for x in names}
+    for j, x in enumerate(names):
+        for y in names[:j]:
+            if rng.random() < 0.4:
+                below[x] |= below[y]
+    return build_space(below)
+
+
+def set_presheaf(space, kind, s):
+    """The set presheaf on symbols "xyz"[:s] of `kind`: "constant" (one
+    element over the empty open), "constant-everywhere" (s elements there
+    too) or "locally-constant" (one symbol per connected component), with
+    its restriction tables over every pair v ⊆ u, read on each call."""
+    opens = enumerate_opens(space)
+    comps = {u: components(space, u) for u in opens}
+
+    def elements(u):
+        if kind.startswith("constant"):
+            return tuple("xyz"[:s]) if u or kind == "constant-everywhere" else ("*",)
+        return tuple("".join(t) for t in itertools.product("xyz"[:s], repeat=len(comps[u])))
+
+    def value(u, v, e):
+        if kind.startswith("constant"):
+            return e if v or kind == "constant-everywhere" else "*"
+        return "".join(e[next(i for i, c in enumerate(comps[u]) if cv <= c)]
+                       for cv in comps[v])
+
+    carriers = {u: Carrier(SET, elements(u)) for u in opens}
+    tables = {(u, v): {e: value(u, v, e) for e in carriers[u].elements}
+              for u in opens for v in opens if v <= u}
+    return Presheaf(space, carriers, lambda u, v, e: tables[(u, v)][e]), tables
+
+
+FAULTS = ("none", "cover", "longer", "identity", "undefined", "outside", "unhashable")
+
+
+def perturb(rng, p, tables, fault):
+    """Break one restriction entry as `fault` names; False when the
+    presheaf has no entry to break that way."""
+    if fault == "none":
+        return True
+    steps = {"cover": lambda n: n == 1, "longer": lambda n: n >= 2,
+             "identity": lambda n: n == 0}.get(fault, lambda n: True)
+    pairs = [(u, v) for (u, v) in tables
+             if steps(len(u) - len(v))
+             and (fault not in ("cover", "longer", "identity")
+                  or len(p.carriers[v].elements) >= 2)]
+    if not pairs:
+        return False
+    u, v = rng.choice(pairs)
+    table = tables[(u, v)]
+    e = rng.choice(sorted(table))
+    if fault == "undefined":
+        del table[e]
+    elif fault in ("outside", "unhashable"):
+        table[e] = "q" if fault == "outside" else ["x"]
+    else:
+        table[e] = rng.choice([t for t in p.carriers[v].elements if t != table[e]])
+    return True
+
+
+PROPERTY_SPACES = [point_space(), sierpinski(), chain3(), discrete2(), pseudo_circle()]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_validate_matches_the_full_scan(seed):
+    rng = random.Random(seed)
+    space = (PROPERTY_SPACES[seed] if seed < len(PROPERTY_SPACES)
+             else random_space(rng, rng.randint(3, 6)))
+    kinds = ("constant", "constant-everywhere", "locally-constant")
+    for kind, s, fault in itertools.product(kinds, (2, 3), FAULTS):
+        p, tables = set_presheaf(space, kind, s)
+        if perturb(rng, p, tables, fault):
+            assert validate(p) == full_scan_validate(p), (kind, s, fault)
+
+
+def test_wrong_map_on_a_longer_step_fails_the_cover_check(monkeypatch):
+    # only the direct map {p1,p2,p3} -> {p1} is wrong: no cover step's own
+    # map is, and the cover scan fails on the triple through {p1,p2}
+    scans = []
+    failures = presheaf._composition_failures
+    monkeypatch.setattr(presheaf, "_composition_failures", lambda *args, covers=False:
+                        scans.append(covers) or failures(*args, covers=covers))
+    p, tables = set_presheaf(chain3(), "constant", 2)
+    assert validate(p) == [] and scans == [True]
+    tables[(frozenset({"p1", "p2", "p3"}), frozenset({"p1"}))]["x"] = "y"
+    report = validate(p)
+    assert scans == [True, True, False]
+    assert report == full_scan_validate(p)
+    assert len(report) == 1 and report[0].startswith("composition fails")
 
 
 # -- stalks ------------------------------------------------------------------

@@ -317,9 +317,6 @@ def cmd_embed(args) -> dict:
     except vecsheaf.CocycleConditionViolated as exc:
         raise ValidationError(str(exc)) from exc
     w = parse_weights(a, ring, _load_json(args.weights))
-    problems = vecsheaf.validate_weights(w)
-    if problems:
-        raise ValidationError("; ".join(problems))
     try:
         morph = vecsheaf.embed_via_weights(
             glued.sheaf, glued.cover,

@@ -18,7 +18,7 @@ from .errors import (
     NotAField,
     NotPrime,
     RingError,
-    SearchBudgetExceeded,
+    SpaceTooLarge,
 )
 
 DEFAULT_ISO_SEARCH_BOUND = 64
@@ -174,7 +174,7 @@ def _is_prime(p: int) -> bool:
 
 def _check_ring_size(size: int) -> None:
     if size > DEFAULT_MAX_RING_SIZE:
-        raise SearchBudgetExceeded(
+        raise SpaceTooLarge(
             f"ring size {size} exceeds bound {DEFAULT_MAX_RING_SIZE}")
 
 
@@ -347,7 +347,7 @@ def find_ring_isomorphism(r: FinRing, s: FinRing) -> Optional[RingMorphism]:
     if r.size != s.size:
         return None
     if r.size > DEFAULT_ISO_SEARCH_BOUND:
-        raise SearchBudgetExceeded(
+        raise SpaceTooLarge(
             f"ring size {r.size} exceeds bound {DEFAULT_ISO_SEARCH_BOUND}")
     sig_r, sig_s = _element_signatures(r), _element_signatures(s)
     if sorted(sig_r) != sorted(sig_s):

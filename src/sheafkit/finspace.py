@@ -83,7 +83,7 @@ def open_sort_key(u: PointSet) -> Tuple[int, Tuple[Point, ...]]:
     return (len(u), tuple(sorted(u)))
 
 
-def enumerate_opens(space: FinSpace, max_opens: int = DEFAULT_MAX_OPENS) -> List[PointSet]:
+def enumerate_opens(space: FinSpace) -> List[PointSet]:
     """All open sets, sorted by size then lexicographically.
 
     Opens are exactly the unions of minimal opens; we close {∅} under
@@ -92,8 +92,8 @@ def enumerate_opens(space: FinSpace, max_opens: int = DEFAULT_MAX_OPENS) -> List
     opens = {frozenset()}
     for x in space.points:
         opens |= {u | space.min_open[x] for u in opens}
-        if len(opens) > max_opens:
-            raise SpaceTooLarge(f"open count exceeds bound {max_opens}")
+        if len(opens) > DEFAULT_MAX_OPENS:
+            raise SpaceTooLarge(f"open count exceeds bound {DEFAULT_MAX_OPENS}")
     return sorted(opens, key=open_sort_key)
 
 

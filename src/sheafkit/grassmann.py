@@ -24,8 +24,8 @@ from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
                      zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
 from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf,
-                       compatible_families, is_monopresheaf, sheafify,
-                       unit_injective)
+                       compatible_families, is_complete, is_monopresheaf,
+                       sheafify, unit_injective)
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -114,9 +114,15 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
 
 
 def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
-                    ) -> List[Dict[Point, frozenset]]:
+                    ) -> List[Tuple[Tuple[Point, frozenset], ...]]:
     """Per-point rank-k submodule choices closed under the ambient
-    restrictions, in lexicographic order of candidate index over sorted(u).
+    restrictions, as `VectorSubsheaf.family` tuples over sorted(u), in
+    lexicographic order of candidate index.
+
+    That order is `VectorSubsheaf.sort_key` order: each point's candidates
+    are sorted by `Submodule.sort_key`, its family entry's key, and every
+    family lists the same points, so comparing two families' keys compares
+    their candidate indices point by point over sorted(u).
 
     A join: each point draws its candidates from the intersection of the
     masks its already chosen neighbours allow, in ascending index.  Table
@@ -142,12 +148,12 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
                     for j, y in enumerate(pts[:i])
                     if y in space.min_open[x] or x in space.min_open[y]]
                    for i, x in enumerate(pts)]
-    out: List[Dict[Point, frozenset]] = []
+    out: List[Tuple[Tuple[Point, frozenset], ...]] = []
     choice = [0] * len(pts)
 
     def rec(i: int) -> None:
         if i == len(pts):
-            out.append({x: cands[t][choice[t]].elements for t, x in enumerate(pts)})
+            out.append(tuple((x, cands[t][choice[t]].elements) for t, x in enumerate(pts)))
             return
         mask = (1 << len(cands[i])) - 1
         for j, masks in constraints[i]:
@@ -166,23 +172,27 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
                       locally_free: bool, budget: Optional[Budget]
                       ) -> List[VectorSubsheaf]:
+    """The free (or locally free) values over u, in sort_key order."""
+    n, domain = next(iter(ambient.rank_at.values())), frozenset(u)
     values = []
     for fam in _stalk_families(ambient, u, k):
-        s = make_subsheaf(ambient, u, fam)
+        s = VectorSubsheaf(ambient, n, domain, fam)
         if locally_free:
             if is_locally_free(s, u, k, budget):
                 values.append(s)
         elif is_free_of_rank(s, u, k, budget)[0]:
             values.append(s)
-    values.sort(key=VectorSubsheaf.sort_key)
     return values
 
 
 def _product_values(ambient: ModuleSheaf, u: PointSet,
                     parts: List[List[VectorSubsheaf]]) -> List[VectorSubsheaf]:
     """Values over u from the value lists of its components: one subsheaf
-    per choice of a value on each component."""
-    values = [make_subsheaf(ambient, u, {x: vs for val in row for x, vs in val.family})
+    per choice of a value on each component, its (point, stalk family)
+    pairs merged in point order.  Components interleave in sorted(u), so
+    product order is not sort_key order."""
+    values = [VectorSubsheaf(ambient, row[0].n, u, tuple(sorted(
+                  (pair for val in row for pair in val.family), key=lambda p: p[0])))
               for row in itertools.product(*parts)]
     values.sort(key=VectorSubsheaf.sort_key)
     return values
@@ -205,7 +215,7 @@ def _build_values(ambient: ModuleSheaf, k: int, n: int, locally_free: bool,
                      if len(parts) > 1 else
                      _enumerate_values(ambient, k, u, locally_free, budget))
     g = GrassmannPresheaf(a, k, n, ambient, values)
-    if locally_free and not v_presheaf_complete(g):
+    if locally_free and not is_complete(g.presheaf()):
         raise AssertionError("locally-free value presheaf failed completeness")
     return g
 
@@ -247,19 +257,6 @@ def _glue(ambient: ModuleSheaf, u: PointSet, row) -> VectorSubsheaf:
     """One subsheaf over u from values over the minimal opens of sorted(u)."""
     return make_subsheaf(ambient, u, {x: val.family_at(x)
                                       for x, val in zip(sorted(u), row)})
-
-
-def _section_tuples(g: GrassmannPresheaf, u: PointSet):
-    space = g.base.space
-    return compatible_families(space, u, lambda x: g.values[space.min_open[x]],
-                               lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
-
-
-def v_presheaf_complete(v: GrassmannPresheaf) -> bool:
-    """Unit bijectivity: values over U = compatible minimal-open families."""
-    return all(sorted((_glue(v.ambient, u, row) for row in _section_tuples(v, u)),
-                      key=VectorSubsheaf.sort_key) == vals
-               for u, vals in v.values.items())
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
@@ -321,8 +318,11 @@ class GrassmannSection:
 
 def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSection]:
     """All sections of the generated sheaf over u, deterministically ordered."""
+    space = g.base.space
+    rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
+                               lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
     pts = sorted(u)
-    secs = [GrassmannSection(tuple(zip(pts, row))) for row in _section_tuples(g, u)]
+    secs = [GrassmannSection(tuple(zip(pts, row))) for row in rows]
     secs.sort(key=GrassmannSection.sort_key)
     return secs
 

@@ -122,7 +122,9 @@ class ModuleSheaf:
     """Module sheaf over an algebra sheaf, encoded stalkwise.
 
     The stalk at x is an explicit set of vectors in stalk_ring(x)^rank_at(x);
-    restriction maps must be additive and semi-linear over the base.
+    restriction maps must be additive and semi-linear over the base.  The
+    restriction dicts are kept, not copied, so pairs may share one; an
+    identity pair left out of ``res`` gets the identity map.
     """
 
     def __init__(self, base: AlgebraSheaf, rank_at: Dict[Point, int],
@@ -131,15 +133,11 @@ class ModuleSheaf:
                  label: str = ""):
         self.base = base
         self.space = base.space
-        self.rank_at = dict(rank_at)
-        self.stalk_elems = {x: tuple(v) for x, v in stalk_elems.items()}
-        self.res = {}
-        for x in self.space.points:
-            for y in self.space.min_open[x]:
-                if x == y:
-                    self.res[(x, x)] = {v: v for v in self.stalk_elems[x]}
-                else:
-                    self.res[(x, y)] = dict(res[(x, y)])
+        self.rank_at = rank_at
+        self.stalk_elems = stalk_elems
+        self.res = {(x, y): res[(x, y)] if x != y or (x, x) in res
+                    else {v: v for v in stalk_elems[x]}
+                    for x in self.space.points for y in self.space.min_open[x]}
         self.label = label or "E"
         # is_free_of_rank answers by (stalk families over the open, rank):
         # (found, witness, budget steps the search took)
@@ -166,22 +164,11 @@ class ModuleSheaf:
                 problems.append(f"stalk at {x!r} misses zero")
             for y in self.space.min_open[x]:
                 m = self.res[(x, y)]
-                ry = self.ring_at(y)
-                for v in self.stalk_elems[x]:
-                    for w in self.stalk_elems[x]:
-                        if m[vec_add(r, v, w)] != vec_add(ry, m[v], m[w]):
-                            problems.append(f"res({x!r},{y!r}) not additive")
-                            break
-                    else:
-                        for a in r.elements():
-                            ay = self.base.res_code(x, y, a)
-                            if m[vec_scale(r, a, v)] != vec_scale(ry, ay, m[v]):
-                                problems.append(
-                                    f"res({x!r},{y!r}) not semi-linear")
-                                break
-                        else:
-                            continue
-                    break
+                law = _broken_law(m, self.stalk_elems[x], r, self.ring_at(y),
+                                  self.base.res[(x, y)])
+                if law:
+                    problems.append(f"res({x!r},{y!r}) not "
+                                    + ("semi-linear" if law == "linear" else law))
                 for z in self.space.min_open[y]:
                     mz = self.res[(y, z)]
                     mxz = self.res[(x, z)]
@@ -189,6 +176,20 @@ class ModuleSheaf:
                         problems.append(
                             f"res composition fails {x!r}->{y!r}->{z!r}")
         return problems
+
+
+def _broken_law(m: Dict[Vec, Vec], elems: Sequence[Vec], r: FinRing,
+                ry: FinRing, code: Sequence[int]) -> Optional[str]:
+    """The first law, "additive" or "linear", that m breaks as a map from
+    elems in r^n to ry-vectors semi-linear along the codes `code`: at each
+    v in turn, additivity against every w, then scaling by every a."""
+    for v in elems:
+        if any(m[vec_add(r, v, w)] != vec_add(ry, m[v], m[w]) for w in elems):
+            return "additive"
+        if any(m[vec_scale(r, a, v)] != vec_scale(ry, code[a], m[v])
+               for a in r.elements()):
+            return "linear"
+    return None
 
 
 def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
@@ -199,15 +200,15 @@ def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
     if r.size ** min(n, MAX_STALK_VECTORS.bit_length()) > MAX_STALK_VECTORS:
         raise SpaceTooLarge(f"free sheaf {a.label}^{n}: stalk {r.label}^{n} "
                             f"exceeds bound {MAX_STALK_VECTORS} vectors")
-    res = {}
-    for x in space.points:
-        for y in space.min_open[x]:
-            res[(x, y)] = {v: tuple(a.res_code(x, y, c) for c in v)
-                           for v in all_vecs(a.stalk_ring[x], n)}
-    return ModuleSheaf(a, {x: n for x in space.points},
-                       {x: tuple(all_vecs(a.stalk_ring[x], n))
-                        for x in space.points},
-                       res, label=f"{a.label}^{n}")
+    vecs = {ring: tuple(all_vecs(ring, n)) for ring in a.stalk_ring.values()}
+    stalks = {x: vecs[a.stalk_ring[x]] for x in space.points}
+    maps = {}  # one vector map per distinct base restriction, shared by its pairs
+    for (x, y), codes in a.res.items():
+        if codes not in maps:
+            maps[codes] = {v: tuple(codes[c] for c in v) for v in stalks[x]}
+    return ModuleSheaf(a, {x: n for x in space.points}, stalks,
+                       {pair: maps[codes] for pair, codes in a.res.items()},
+                       label=f"{a.label}^{n}")
 
 
 # -- vector subsheaves of A^n ------------------------------------------------
@@ -422,6 +423,16 @@ class TransitionCocycle:
 
 
 def validate_cocycle(c: TransitionCocycle) -> List[str]:
+    return _chart_changes(c)[0]
+
+
+def _chart_changes(c: TransitionCocycle
+                   ) -> Tuple[List[str], Dict[Tuple[int, int], Dict[Point, Matrix]]]:
+    """The cocycle's problems and, when it has none, its chart changes:
+    for every ordered pair (i, j) of cover members and every x in their
+    overlap, the germ at x of the change from chart j to chart i.  That is
+    the identity on the diagonal, the given transition (i, j), or else the
+    inverse of the given (j, i), inverted once per point."""
     problems = []
     m = len(c.cover)
     covered = set().union(*c.cover) if c.cover else set()
@@ -441,37 +452,35 @@ def validate_cocycle(c: TransitionCocycle) -> List[str]:
                     problems.append(f"transition ({i},{j}) entry not an overlap section")
                     continue
                 # entries must be sections of A over the overlap, otherwise
-                # chart changes do not commute with the base restrictions
+                # chart changes do not commute with the base restrictions (a
+                # member that is not open, reported above, may leave y outside)
                 for x in ov:
                     for y in c.base.space.min_open[x]:
-                        if (c.base.res_code(x, y, entry[ov.index(x)])
-                                != entry[ov.index(y)]):
+                        if y in ov and (c.base.res_code(x, y, entry[ov.index(x)])
+                                        != entry[ov.index(y)]):
                             problems.append(
                                 f"transition ({i},{j}) entry incompatible at {x!r}->{y!r}")
         for x in ov:
             if not is_invertible(c.germ_matrix(i, j, x)):
                 problems.append(f"transition ({i},{j}) not invertible at {x!r}")
     if problems:
-        return problems
-    for i in range(m):
-        for j in range(m):
-            for l in range(m):
-                triple = c.cover[i] & c.cover[j] & c.cover[l]
-                for x in sorted(triple):
-                    lhs = _lookup_transition(c, i, j, x).mul(
-                        _lookup_transition(c, j, l, x))
-                    if lhs != _lookup_transition(c, i, l, x):
-                        problems.append(
-                            f"cocycle condition fails ({i},{j},{l}) at {x!r}")
-    return problems
-
-
-def _lookup_transition(c: TransitionCocycle, i: int, j: int, x: Point) -> Matrix:
-    if i == j or (i, j) in c.transitions:
-        return c.germ_matrix(i, j, x)
-    # derive the reverse germ by matrix inversion over the stalk ring
-    g = c.germ_matrix(j, i, x)
-    return _matrix_inverse(g)
+        return problems, {}
+    changes = {}
+    for i, j in itertools.product(range(m), repeat=2):
+        ov = sorted(c.overlap(i, j))
+        if i == j or (i, j) in c.transitions:
+            changes[(i, j)] = {x: c.germ_matrix(i, j, x) for x in ov}
+        elif (j, i) in c.transitions:
+            changes[(i, j)] = {x: _matrix_inverse(c.germ_matrix(j, i, x)) for x in ov}
+        elif ov and i < j:
+            problems.append(f"no transition between charts {i} and {j}")
+    if problems:
+        return problems, {}
+    for i, j, l in itertools.product(range(m), repeat=3):
+        for x in sorted(c.cover[i] & c.cover[j] & c.cover[l]):
+            if changes[(i, j)][x].mul(changes[(j, l)][x]) != changes[(i, l)][x]:
+                problems.append(f"cocycle condition fails ({i},{j},{l}) at {x!r}")
+    return problems, changes
 
 
 def _matrix_inverse(m: Matrix) -> Matrix:
@@ -508,7 +517,7 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
     restriction along specialization composes the base restriction with the
     germ of the chart-change matrix.
     """
-    problems = validate_cocycle(c)
+    problems, changes = _chart_changes(c)
     if problems:
         raise CocycleConditionViolated("; ".join(problems))
     a = c.base
@@ -524,13 +533,13 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
         for y in space.min_open[x]:
             if y == x:
                 continue
-            change = _lookup_transition(c, chart(y), chart(x), y)
+            change = changes[(chart(y), chart(x))][y]
             res[(x, y)] = {
                 v: change.apply(tuple(a.res_code(x, y, comp) for comp in v))
                 for v in stalk_elems[x]}
     sheaf = ModuleSheaf(a, {x: k for x in space.points}, stalk_elems, res,
                         label=f"glued(k={k})")
-    trivs = {i: {x: _lookup_transition(c, i, chart(x), x) for x in sorted(u)}
+    trivs = {i: {x: changes[(i, chart(x))][x] for x in sorted(u)}
              for i, u in enumerate(c.cover)}
     return GluedSheaf(sheaf, c.cover, k, trivs)
 
@@ -550,19 +559,9 @@ def validate_module_morphism(m: ModuleMorphism) -> List[str]:
     for x in space.points:
         r = m.source.ring_at(x)
         h = m.maps[x]
-        for v in m.source.stalk_elems[x]:
-            for w in m.source.stalk_elems[x]:
-                if h[vec_add(r, v, w)] != vec_add(r, h[v], h[w]):
-                    problems.append(f"component at {x!r} not additive")
-                    break
-            else:
-                for a in r.elements():
-                    if h[vec_scale(r, a, v)] != vec_scale(r, a, h[v]):
-                        problems.append(f"component at {x!r} not linear")
-                        break
-                else:
-                    continue
-            break
+        law = _broken_law(h, m.source.stalk_elems[x], r, r, r.elements())
+        if law:
+            problems.append(f"component at {x!r} not {law}")
         for y in space.min_open[x]:
             hy = m.maps[y]
             if any(m.target.res[(x, y)][h[v]] != hy[m.source.res[(x, y)][v]]

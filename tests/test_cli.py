@@ -552,7 +552,7 @@ def test_grassmann_ring_size_exit(tmp_path, capsys):
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
                                      "-k", "1", "-n", "2"])
     assert code == EXIT_BUDGET and report is None
-    assert "ring size 1000000 exceeds bound 128" in err
+    assert err == "size guard hit: ring size 1000000 exceeds bound 128\n"
 
 
 def run_module(argv, timeout=60):
@@ -725,6 +725,180 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
     assert code == EXIT_INVALID and report is None
 
 
+def test_embed_missing_transition_is_invalid(tmp_path, capsys):
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    rg = write(tmp_path, "ring.json", F3)
+    cc = write(tmp_path, "cocycle.json", {**MOBIUS_COCYCLE, "transitions": {}})
+    wt = write(tmp_path, "weights.json", TRIVIAL_WEIGHTS)
+    code, report, err = run(capsys, ["embed", "--space", sp, "--ring", rg,
+                                     "--cocycle", cc, "--weights", wt])
+    assert code == EXIT_INVALID and report is None
+    assert err == "validation error: no transition between charts 0 and 1\n"
+
+
+# The embed report corpus: (space, ring, cocycle, weights) per case, valid
+# weighted covers and each way a cocycle or weight family is rejected.  The
+# digest of a case is the sha256 of its exit code, stdout and stderr, as
+# reported when each chart change was looked up, and each weight family
+# validated, on its own at every use.
+CHAIN3 = {"min_open": REPORT_SPACES["chain3"]}
+DISCRETE2 = {"min_open": REPORT_SPACES["discrete2"]}
+WHOLE_PC = ["a", "b", "c", "d"]
+CHAIN3_CHARTS = [["p1", "p2", "p3"], ["p1", "p2"], ["p1"]]
+DISCRETE2_CHARTS = [["u"], ["v"]]
+PARTITION = {"cover": DISCRETE2_CHARTS,
+             "weights": [{"u": "1", "v": "0"}, {"u": "0", "v": "1"}]}
+
+
+def field(p):
+    return {"kind": "Fp", "p": p}
+
+
+def trivial(points, rank):
+    return {"cover": [points], "rank": rank, "transitions": {}}
+
+
+def charts(cover, rank, transitions):
+    return {"cover": cover, "rank": rank, "transitions": transitions}
+
+
+def one_weight(cover):
+    return {"cover": cover, "weights": ["1"] + ["0"] * (len(cover) - 1)}
+
+
+EMBED_CASES = {
+    "trivial rank 1 F3": (PSEUDO_CIRCLE, F3, trivial(WHOLE_PC, 1), TRIVIAL_WEIGHTS),
+    "trivial rank 2 F2": (PSEUDO_CIRCLE, field(2), trivial(WHOLE_PC, 2), TRIVIAL_WEIGHTS),
+    "trivial rank 0": (SIERPINSKI, F3, trivial(["c", "o"], 0),
+                       one_weight([["c", "o"]])),
+    "trivial rank 1 Z4": (PSEUDO_CIRCLE, {"kind": "Zm", "m": 4}, trivial(WHOLE_PC, 1),
+                          TRIVIAL_WEIGHTS),
+    "given chart change": (
+        PSEUDO_CIRCLE, F3,
+        charts([WHOLE_PC, ["a", "b", "c"]], 1, {"0,1": [["2"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "c"]])),
+    "reverse chart change rank 2": (
+        PSEUDO_CIRCLE, F3,
+        charts([WHOLE_PC, ["a", "b", "c"]], 2, {"1,0": [["1", "1"], ["0", "1"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "c"]])),
+    "both directions F5": (
+        PSEUDO_CIRCLE, field(5),
+        charts([WHOLE_PC, ["a", "b", "d"]], 1, {"0,1": [["2"]], "1,0": [["3"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "d"]])),
+    "three charts": (
+        CHAIN3, F3,
+        charts(CHAIN3_CHARTS, 1, {"0,1": [["2"]], "0,2": [["2"]], "2,1": [["1"]]}),
+        one_weight(CHAIN3_CHARTS)),
+    "partition of unity": (DISCRETE2, F3, charts(DISCRETE2_CHARTS, 1, {}), PARTITION),
+    "partition of unity rank 2": (DISCRETE2, field(2), charts(DISCRETE2_CHARTS, 2, {}),
+                                  PARTITION),
+    "weights without a unit germ": (
+        PSEUDO_CIRCLE, F3, trivial(WHOLE_PC, 1),
+        {"cover": [WHOLE_PC], "weights": [{"a": "0", "b": "0", "c": "0", "d": "0"}]}),
+    "weight not a global section": (
+        CHAIN3, F3, trivial(CHAIN3_CHARTS[0], 1),
+        {"cover": [CHAIN3_CHARTS[0]], "weights": [{"p1": "1", "p2": "2", "p3": "1"}]}),
+    "weight count": (DISCRETE2, F3, charts(DISCRETE2_CHARTS, 1, {}),
+                     {"cover": DISCRETE2_CHARTS, "weights": ["1"]}),
+    "weight off its support": (
+        DISCRETE2, F3, charts(DISCRETE2_CHARTS, 1, {}),
+        {"cover": DISCRETE2_CHARTS,
+         "weights": [{"u": "1", "v": "1"}, {"u": "0", "v": "1"}]}),
+    "weight cover differs": (DISCRETE2, F3, trivial(["u", "v"], 1), PARTITION),
+    "not invertible": (
+        PSEUDO_CIRCLE, F3,
+        charts([["a", "b", "c"], ["a", "b", "d"]], 1, {"0,1": [[{"a": "0", "b": "1"}]]}),
+        TRIVIAL_WEIGHTS),
+    "not invertible rank 2": (
+        PSEUDO_CIRCLE, field(2),
+        charts([WHOLE_PC, ["a", "b", "c"]], 2, {"0,1": [["1", "1"], ["1", "1"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "c"]])),
+    "cocycle condition both directions": (
+        PSEUDO_CIRCLE, field(5),
+        charts([WHOLE_PC, ["a", "b", "d"]], 1, {"0,1": [["2"]], "1,0": [["2"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "d"]])),
+    "cocycle condition three charts": (
+        CHAIN3, F3,
+        charts(CHAIN3_CHARTS, 1, {"0,1": [["2"]], "0,2": [["1"]], "1,2": [["1"]]}),
+        one_weight(CHAIN3_CHARTS)),
+    "wrong shape": (
+        PSEUDO_CIRCLE, F3,
+        charts([WHOLE_PC, ["a", "b", "c"]], 1, {"0,1": [["1", "1"]], "1,0": [["1"], ["1"]]}),
+        one_weight([WHOLE_PC, ["a", "b", "c"]])),
+    "entry not a section": (
+        CHAIN3, F3,
+        charts(CHAIN3_CHARTS[:2], 1, {"0,1": [[{"p1": "1", "p2": "2"}]]}),
+        one_weight(CHAIN3_CHARTS[:2])),
+    "cover misses a point": (PSEUDO_CIRCLE, F3, trivial(["a", "b", "c"], 1),
+                             TRIVIAL_WEIGHTS),
+    "cover member not open": (
+        PSEUDO_CIRCLE, F3, charts([["a", "b", "d"], ["a", "c"]], 1, {"0,1": [["1"]]}),
+        one_weight([["a", "b", "d"], ["a", "c"]])),
+}
+EMBED_DIGESTS = {
+    "trivial rank 1 F3":
+        "08f96de0f28f34b531531a1724857c34c8d07c57bc0937898b4452f818bc17b4",
+    "trivial rank 2 F2":
+        "443363e965ee0a9d777418e02543eb8942828638001ba458fb3a97417bf970de",
+    "trivial rank 0":
+        "7c3f05e2c08da075adf8732840cdd13fc067abd126c635c6e12b2578710886c1",
+    "trivial rank 1 Z4":
+        "08f96de0f28f34b531531a1724857c34c8d07c57bc0937898b4452f818bc17b4",
+    "given chart change":
+        "a6c462b38f39636d95afbc32c89d4150fbf56b66e3ab258a301ef22b3fd6c450",
+    "reverse chart change rank 2":
+        "da198fb3e4cd98db77cd0cad765ae225b8e84c8a1456e05792c7d57cdbf5b686",
+    "both directions F5":
+        "a6c462b38f39636d95afbc32c89d4150fbf56b66e3ab258a301ef22b3fd6c450",
+    "three charts":
+        "d555a13542c65415732d1f600bbdb2f176a7eb34617c2ff8ad86fd0f8c63b3fe",
+    "partition of unity":
+        "a6c462b38f39636d95afbc32c89d4150fbf56b66e3ab258a301ef22b3fd6c450",
+    "partition of unity rank 2":
+        "da198fb3e4cd98db77cd0cad765ae225b8e84c8a1456e05792c7d57cdbf5b686",
+    "weights without a unit germ":
+        "7583c5c2ef53e6d2301d2622f43e3728790ba1b7dd7490237abe27bb8e4492d0",
+    "weight not a global section":
+        "7abb9b6b7f1cea05eaad73b526267f0771856a019f3298f6ae600ea6bbed36cc",
+    "weight count":
+        "c9cb76a155b495be3f3a6e69bb4cd470926dbdb6c6311a3eb79c6da5d38e7338",
+    "weight off its support":
+        "3167c0f4b4fd32d51e2c185c68460726657af337ddae7f427a84e1093c7ffcdc",
+    "weight cover differs":
+        "997e53cb88d89d3e67dffa25b3b0ef91ab2e40a37620e4c1378f9cbc1a0101c8",
+    "not invertible":
+        "ba594b6f9cabc286ae8017ba6fe833a33e650633523194a5dc3edc297a39a7b7",
+    "not invertible rank 2":
+        "ddb8298e4e49f389f5378452f7e58b00455d2b1a529cf15bc83b617c29acba64",
+    "cocycle condition both directions":
+        "b7b6a3341301a968ea7f79efb60ea096c2998e01fc79961f80f27db9934eda7d",
+    "cocycle condition three charts":
+        "75615cae7bc5d4c555bbaaf2dbda6eff8c9b02151583afe75c3e4e4e9c81f1a5",
+    "wrong shape":
+        "27ac3b62c6429f5eb43806bc5f4f901709322ead27c80dee80c03d6cd94141e8",
+    "entry not a section":
+        "67e6f9dc9f4c96670f65821fae9aa652fe121b2826eb906b348d9926546d8b06",
+    "cover misses a point":
+        "b4626027946e62bdd174b44ebf8f4f2b5d9b7ec1211dc83a14bd3d31e7f4d2c2",
+    "cover member not open":
+        "e937034cf62a7d6b0acb0bb2b6d4e76c87c38cc331bd7ffbdd51daa40f41c49a",
+}
+
+
+def test_embed_report_corpus_is_byte_identical(tmp_path, capsys):
+    digests = {}
+    for case, (space, ring, cocycle, weights) in EMBED_CASES.items():
+        argv = ["embed"]
+        for option, obj in (("space", space), ("ring", ring), ("cocycle", cocycle),
+                            ("weights", weights)):
+            argv += [f"--{option}", write(tmp_path, f"{option}.json", obj)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        digests[case] = hashlib.sha256(
+            f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
+    assert digests == EMBED_DIGESTS
+
+
 # -- malformed input ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv,inputs", [
@@ -758,6 +932,10 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
                  "weights": TRIVIAL_WEIGHTS}),
     (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3, "cocycle": MOBIUS_COCYCLE,
                  "weights": {**TRIVIAL_WEIGHTS, "weights": 1}}),
+    (["embed"], {"space": PSEUDO_CIRCLE, "ring": F3,
+                 "cocycle": {"cover": [WHOLE_PC, ["c"]], "rank": 1,
+                             "transitions": {"0,1": [["1"]]}},
+                 "weights": one_weight([WHOLE_PC, ["c"]])}),
     (["presheaf-check"], {"space": SIERPINSKI, "presheaf": {
         **CONSTANT_F2_PRESHEAF,
         "carriers": {**CONSTANT_F2_PRESHEAF["carriers"], "": [["x"]]}}}),
@@ -773,7 +951,7 @@ def test_embed_rejects_bad_cocycle(tmp_path, capsys):
         "min-open-a-list", "min-open-value-a-string", "min-open-point-a-list",
         "transitions-a-list", "cover-a-number", "cover-point-outside",
         "rank-negative", "rank-a-string", "transition-entry-missing-a-point",
-        "weights-a-number", "carrier-element-a-list", "restriction-a-string",
+        "weights-a-number", "member-not-open", "carrier-element-a-list", "restriction-a-string",
         "map-image-a-list", "map-partial"])
 def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
                                                          argv, inputs):

@@ -138,6 +138,10 @@ def run_cli(argv, inputs) -> int:
 @example((["embed"], {  # a cocycle on two charts, weights on one
     "space": SCENES[4]["space"][0], "ring": {"kind": "Fp", "p": 3},
     "cocycle": SCENES[4]["cocycle"][1], "weights": SCENES[4]["weights"][0]}))
+@example((["embed"], {  # two overlapping charts, no transition either way
+    "space": SCENES[4]["space"][0], "ring": {"kind": "Fp", "p": 3},
+    "cocycle": {**SCENES[4]["cocycle"][1], "transitions": {}},
+    "weights": SCENES[4]["weights"][0]}))
 def test_cli_exits_with_a_documented_code(case):
     argv, inputs = case
     assert run_cli(argv, inputs) in (EXIT_OK, EXIT_INVALID, EXIT_BUDGET)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafkit.errors import NotAField, NotPrime, RingError, SearchBudgetExceeded
+from sheafkit.errors import NotAField, NotPrime, RingError, SpaceTooLarge
 from sheafkit.finalg import (
+    DEFAULT_ISO_SEARCH_BOUND,
     DEFAULT_MAX_RING_SIZE,
     FinRing,
     Matrix,
@@ -425,15 +426,15 @@ def test_ring_size_guard_refuses_before_building(monkeypatch):
         raise TableBuilt
 
     monkeypatch.setattr(FinRing, "__init__", table_built)
-    with pytest.raises(SearchBudgetExceeded, match="ring size 1099511627776 "
-                                                   "exceeds bound 128"):
+    with pytest.raises(SpaceTooLarge, match="ring size 1099511627776 "
+                                            "exceeds bound 128"):
         make_quotient(2, [0] * 40 + [1])
     for too_large in (lambda: make_mod_ring(DEFAULT_MAX_RING_SIZE + 1),
                       lambda: make_field(131), lambda: make_field(2 ** 61 - 1),
                       lambda: make_quotient(3, [0] * 5 + [1]),
                       lambda: make_quotient(131, [0, 1]),
                       lambda: make_product(z11, z12)):
-        with pytest.raises(SearchBudgetExceeded, match="exceeds bound 128"):
+        with pytest.raises(SpaceTooLarge, match="exceeds bound 128"):
             too_large()
     # at the bound the tables are built
     for at_bound in (lambda: make_mod_ring(DEFAULT_MAX_RING_SIZE),
@@ -563,6 +564,16 @@ def test_iso_absent_characteristic_obstruction():
 def test_iso_found_for_equal_rings():
     f = find_ring_isomorphism(DUAL, DUAL)
     assert f is not None and validate_morphism(f)
+
+
+def test_iso_search_size_guard():
+    """Rings of equal size above the search bound are refused as a size
+    guard, not as a spent budget; at the bound the search runs."""
+    big = make_mod_ring(DEFAULT_ISO_SEARCH_BOUND + 1)
+    with pytest.raises(SpaceTooLarge, match="ring size 65 exceeds bound 64"):
+        find_ring_isomorphism(big, big)
+    at_bound = make_mod_ring(DEFAULT_ISO_SEARCH_BOUND)
+    assert find_ring_isomorphism(at_bound, at_bound) is not None
 
 
 @pytest.mark.parametrize("r", RINGS, ids=lambda r: r.label)

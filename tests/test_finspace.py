@@ -3,6 +3,7 @@ import typing
 
 import pytest
 
+from sheafkit import finspace
 from sheafkit.errors import (
     MinOpenNotOpen,
     NotT0,
@@ -96,10 +97,11 @@ def test_enumerate_opens_pseudo_circle_count():
     assert len(enumerate_opens(pseudo_circle())) == 7
 
 
-def test_enumerate_opens_guard():
+def test_enumerate_opens_guard(monkeypatch):
     s = discrete2()
-    with pytest.raises(SpaceTooLarge):
-        enumerate_opens(s, max_opens=2)
+    monkeypatch.setattr(finspace, "DEFAULT_MAX_OPENS", 2)
+    with pytest.raises(SpaceTooLarge, match="open count exceeds bound 2"):
+        enumerate_opens(s)
 
 
 @pytest.mark.parametrize("make", CORPUS)

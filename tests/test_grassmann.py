@@ -35,9 +35,8 @@ from sheafkit.grassmann import (
     include_subsheaf,
     section_to_subsheaf,
     subsheaf_to_section,
-    v_presheaf_complete,
 )
-from sheafkit.presheaf import is_complete, is_monopresheaf
+from sheafkit.presheaf import compatible_families, is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -46,6 +45,7 @@ from sheafkit.vecsheaf import (
     is_free_of_rank,
     is_locally_free,
     make_subsheaf,
+    VectorSubsheaf,
     restrict_subsheaf,
     validate_subsheaf,
 )
@@ -127,6 +127,9 @@ def test_values_match_the_search_on_each_open(make, ring):
             for u in enumerate_opens(a.space):
                 assert g.values[u] == enumerate_free_subsheaves(a, k, n, u)
                 assert v.values[u] == enumerate_locally_free_subsheaves(a, k, n, u)
+                for vals in (g.values[u], v.values[u]):
+                    keys = [t.sort_key() for t in vals]
+                    assert keys == sorted(set(keys))
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -171,8 +174,8 @@ def test_stalk_join_matches_the_pairwise_scan(make, ring):
         for k in range(min(n, 2) + 1):
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) <= 1:
-                    assert grassmann._stalk_families(ambient, u, k) == \
-                        pairwise_stalk_families(ambient, u, k)
+                    assert [dict(f) for f in grassmann._stalk_families(ambient, u, k)] \
+                        == pairwise_stalk_families(ambient, u, k)
 
 
 def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
@@ -187,8 +190,25 @@ def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
             ambient = free_sheaf(a, n)
             for k in range(min(n, 2) + 1):
                 for u in enumerate_opens(space):
-                    assert grassmann._stalk_families(ambient, u, k) == \
-                        pairwise_stalk_families(ambient, u, k)
+                    assert [dict(f) for f in grassmann._stalk_families(ambient, u, k)] \
+                        == pairwise_stalk_families(ambient, u, k)
+
+
+def test_free_sheaf_shares_a_map_per_distinct_base_restriction():
+    """F_2 stalks into F_4 stalks on the pseudo-circle: the F_2 identity and
+    the inclusion have the same codes, so they share one vector map, and
+    the F_4 identity has its own."""
+    f4 = make_quotient(2, [1, 1, 1])
+    space = pseudo_circle()
+    small = {"c", "d"}
+    a = AlgebraSheaf(space, {x: F2 if x in small else f4 for x in space.points},
+                     {(x, y): (0, 1) for x in small for y in space.min_open[x]})
+    ambient = free_sheaf(a, 2)
+    shared = {}
+    for pair, codes in a.res.items():
+        assert ambient.res[pair] is shared.setdefault(codes, ambient.res[pair])
+    assert len(shared) == 2 and shared[(0, 1)] is not shared[(0, 1, 2, 3)]
+    assert ambient.validate() == []
 
 
 def test_classify_lists_stalk_candidates_once_per_ring(monkeypatch):
@@ -326,7 +346,7 @@ from sheafkit.finspace import sierpinski
 a = vecsheaf.constant_algebra_sheaf(sierpinski(), make_field(2))
 e = vecsheaf.free_sheaf(a, 1)
 whole = frozenset(a.space.points)
-grassmann.v_presheaf_complete = lambda v: False
+grassmann.is_complete = lambda p: False
 vecsheaf.validate_module_morphism = lambda m: ["broken"]
 for check in (lambda: grassmann.build_v_presheaf(a, 1, 1),
               lambda: vecsheaf.embed_via_weights(
@@ -386,19 +406,34 @@ def test_monopresheaf_report_shape():
 @pytest.mark.parametrize("make", CORPUS)
 def test_v_presheaf_complete(make):
     a = constant_algebra_sheaf(make(), F2)
-    from sheafkit.grassmann import v_presheaf_complete
-    assert v_presheaf_complete(build_v_presheaf(a, 1, 2))
+    assert is_complete(build_v_presheaf(a, 1, 2).presheaf())
+
+
+def glues_are_values(v):
+    """Oracle for V's completeness: the values over each open are exactly
+    the glues of the compatible families of values over its minimal opens."""
+    space = v.base.space
+    for u, vals in v.values.items():
+        rows = compatible_families(
+            space, u, lambda x: v.values[space.min_open[x]],
+            lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
+        glued = [make_subsheaf(v.ambient, u, {x: val.family_at(x)
+                                              for x, val in zip(sorted(u), row)})
+                 for row in rows]
+        if sorted(glued, key=VectorSubsheaf.sort_key) != vals:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("make", CORPUS)
 @pytest.mark.parametrize("k,n", [(k, n) for n in range(3) for k in range(n + 1)])
 def test_completeness_formulas_agree(make, k, n):
     """The presheaf module's separation and completeness, applied to G and V
-    as presheaves, agree with the Grassmann module's own glue checks."""
+    as presheaves, agree with the glue of minimal-open families."""
     a = constant_algebra_sheaf(make(), F2)
     g = build_grassmann_presheaf(a, k, n)
     v = build_v_presheaf(a, k, n)
-    assert is_complete(v.presheaf()) and v_presheaf_complete(v)
+    assert is_complete(v.presheaf()) and glues_are_values(v)
     assert is_complete(g.presheaf()) == \
         check_monopresheaf_not_complete(g)["complete_at_this_scale"]
     assert is_monopresheaf(g.presheaf())

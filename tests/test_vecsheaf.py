@@ -12,8 +12,9 @@ from sheafkit.errors import (
     SearchBudgetExceeded,
     TrivializationMismatch,
 )
-from sheafkit.finalg import Matrix, make_field, make_mod_ring, span
+from sheafkit.finalg import Matrix, make_field, make_mod_ring, make_quotient, span
 from sheafkit.finspace import (
+    build_space,
     chain3,
     discrete2,
     enumerate_opens,
@@ -25,6 +26,7 @@ from sheafkit.presheaf import is_complete
 from sheafkit.vecsheaf import (
     Budget,
     ModuleMorphism,
+    ModuleSheaf,
     TransitionCocycle,
     WeightFamily,
     constant_algebra_sheaf,
@@ -43,6 +45,7 @@ from sheafkit.vecsheaf import (
     sheaf_from_cocycle,
     subsheaf_sections,
     trivial_weight_family,
+    validate_cocycle,
     validate_module_morphism,
     validate_subsheaf,
     validate_weights,
@@ -98,6 +101,47 @@ def test_free_sheaf_ranks():
     e2 = free_sheaf(A2_SIER, 2)
     assert len(e2.sections(X_SIER)) == 4
     assert len(e2.sections(frozenset({"o"}))) == 4
+
+
+def test_free_sheaf_of_a_constant_sheaf_holds_one_map():
+    """Every pair of a constant algebra sheaf restricts codes identically,
+    so every pair of its free sheaf holds the same vector map."""
+    e = free_sheaf(A3_PC, 2)
+    maps = list(e.res.values())
+    assert len(maps) == 8 and all(m is maps[0] for m in maps)
+    assert e.validate() == []
+
+
+def test_free_sheaf_memory_does_not_grow_with_the_pairs():
+    """2^14 vectors per stalk on the ten specialization pairs of a 4-point
+    chain: one vector list and one map, not a map per pair."""
+    chain4 = build_space({"p1": ["p1"], "p2": ["p1", "p2"], "p3": ["p1", "p2", "p3"],
+                          "p4": ["p1", "p2", "p3", "p4"]})
+    a = constant_algebra_sheaf(chain4, F2)
+    tracemalloc.start()
+    try:
+        e = free_sheaf(a, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(e.res) == 10 and len(e.stalk_elems["p4"]) == 2 ** 14
+    assert peak < 10_000_000
+
+
+def test_first_broken_law_is_reported():
+    """Restrictions and morphism components name the first law they break,
+    additivity before scaling.  Frobenius on F_4 is additive, not linear."""
+    a = constant_algebra_sheaf(SIER, make_quotient(2, [1, 1, 1]))
+    e = free_sheaf(a, 1)
+    frobenius = {(0,): (0,), (1,): (1,), (2,): (3,), (3,): (2,)}
+    constant = {v: (1,) for v in e.stalk_elems["c"]}
+    for m, law in ((frobenius, "semi-linear"), (constant, "additive")):
+        broken = ModuleSheaf(a, e.rank_at, e.stalk_elems, {**e.res, ("c", "o"): m})
+        assert f"res('c','o') not {law}" in broken.validate()
+    for m, law in ((frobenius, "linear"), (constant, "additive")):
+        h = {x: {v: v for v in e.stalk_elems[x]} for x in SIER.points}
+        problems = validate_module_morphism(ModuleMorphism(e, e, {**h, "c": m}))
+        assert f"component at 'c' not {law}" in problems
 
 
 @pytest.mark.parametrize("a,n", [(A2_SIER, 2), (A3_PC, 2), (A2_D2, 1)])
@@ -350,6 +394,35 @@ def test_cocycle_incompatible_entry_rejected():
     bad = TransitionCocycle(a, (X_SIER, X_SIER), 1, {(0, 1): (((1, 2),),)})
     with pytest.raises(CocycleConditionViolated):
         sheaf_from_cocycle(bad)
+
+
+def test_missing_transition_is_a_problem():
+    """Overlapping charts with no transition either way are one problem per
+    unordered pair; charts that do not overlap need none."""
+    missing = TransitionCocycle(A3_PC, (UC, UD, X_PC), 1, {(0, 2): (((1, 1, 1),),)})
+    assert validate_cocycle(missing) == ["no transition between charts 0 and 1",
+                                         "no transition between charts 1 and 2"]
+    with pytest.raises(CocycleConditionViolated,
+                       match="no transition between charts 0 and 1"):
+        sheaf_from_cocycle(missing)
+    disjoint = TransitionCocycle(A2_D2, (frozenset("u"), frozenset("v")), 1, {})
+    assert validate_cocycle(disjoint) == []
+
+
+def test_reverse_transition_inverted_once_per_point(monkeypatch):
+    """Given only (1, 0), the change (0, 1) is its inverse, computed once at
+    each overlap point; the glued sheaf is the one (0, 1) given directly
+    makes."""
+    inverses = []
+    invert = vecsheaf_module._matrix_inverse
+    monkeypatch.setattr(vecsheaf_module, "_matrix_inverse",
+                        lambda m: inverses.append(m) or invert(m))
+    reverse = sheaf_from_cocycle(
+        TransitionCocycle(A3_PC, (UC, UD), 1, {(1, 0): (((1, 2),),)}))
+    assert len(inverses) == 2
+    direct = sheaf_from_cocycle(mobius_cocycle())
+    assert reverse.sheaf.res == direct.sheaf.res
+    assert reverse.trivializations == direct.trivializations
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -40,12 +40,12 @@ from sheafkit.presheaf import compatible_families, is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
     AlgebraSheaf,
     Budget,
+    VectorSubsheaf,
     constant_algebra_sheaf,
     free_sheaf,
     is_free_of_rank,
     is_locally_free,
     make_subsheaf,
-    VectorSubsheaf,
     restrict_subsheaf,
     validate_subsheaf,
 )

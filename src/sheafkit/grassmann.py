@@ -189,8 +189,8 @@ def _product_values(ambient: ModuleSheaf, u: PointSet,
                     parts: List[List[VectorSubsheaf]]) -> List[VectorSubsheaf]:
     """Values over u from the value lists of its components: one subsheaf
     per choice of a value on each component, its (point, stalk family)
-    pairs merged in point order.  Components interleave in sorted(u), so
-    product order is not sort_key order."""
+    pairs merged in point order.  Product order runs over components, not
+    over sorted(u), so the list is sorted by sort_key afterwards."""
     values = [VectorSubsheaf(ambient, row[0].n, u, tuple(sorted(
                   (pair for val in row for pair in val.family), key=lambda p: p[0])))
               for row in itertools.product(*parts)]

@@ -5,19 +5,19 @@ free ones.  Values are stored extensionally as stalk families, so the
 restriction maps are literal and germ computation collapses to the value at
 the minimal open.
 
-Sections over a disjoint union of opens are tuples of sections over the
-pieces, so a family is (locally) free of rank k there iff it is so on each
-piece, and G and V take a disjoint union to the product of their values
-over the pieces.  Only the empty open and connected opens run a freeness
-search; every other open's values are built from those of its components
-(`finspace.components`).
+Every open's values come from one stalk-family join.  Sections over a
+disjoint union of opens are tuples of sections over the pieces, so a family
+is (locally) free of rank k there iff it is so on each piece: only the empty
+open and connected opens run a freeness search, and every other open keeps
+the families whose part over each component (`finspace.components`) is a
+value there.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
 from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
@@ -31,11 +31,14 @@ from .vecsheaf import (
     Budget,
     ModuleSheaf,
     VectorSubsheaf,
+    embed_via_weights,
     free_sheaf,
+    identity_trivialization,
     is_free_of_rank,
     is_locally_free,
     make_subsheaf,
     restrict_subsheaf,
+    trivial_weight_family,
 )
 
 
@@ -43,7 +46,6 @@ from .vecsheaf import (
 class GrassmannPresheaf:
     base: AlgebraSheaf
     k: int
-    n: int
     ambient: ModuleSheaf
     values: Dict[PointSet, List[VectorSubsheaf]]
 
@@ -132,6 +134,8 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
     pts = sorted(u)
     candidates = _stalk_candidates(ambient, k)
     cands = [candidates[x] for x in pts]
+    # one (point, elements) pair per candidate, shared by every family
+    entries = [[(x, c.elements) for c in cands[t]] for t, x in enumerate(pts)]
     steps = 0
 
     def spend(n: int) -> None:
@@ -153,7 +157,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
 
     def rec(i: int) -> None:
         if i == len(pts):
-            out.append(tuple((x, cands[t][choice[t]].elements) for t, x in enumerate(pts)))
+            out.append(tuple(map(operator.getitem, entries, choice)))
             return
         mask = (1 << len(cands[i])) - 1
         for j, masks in constraints[i]:
@@ -173,48 +177,41 @@ def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
                       locally_free: bool, budget: Optional[Budget]
                       ) -> List[VectorSubsheaf]:
     """The free (or locally free) values over u, in sort_key order."""
-    n, domain = next(iter(ambient.rank_at.values())), frozenset(u)
-    values = []
-    for fam in _stalk_families(ambient, u, k):
-        s = VectorSubsheaf(ambient, n, domain, fam)
-        if locally_free:
-            if is_locally_free(s, u, k, budget):
-                values.append(s)
-        elif is_free_of_rank(s, u, k, budget)[0]:
-            values.append(s)
-    return values
+    values = (VectorSubsheaf(ambient, fam) for fam in _stalk_families(ambient, u, k))
+    if locally_free:
+        return [s for s in values if is_locally_free(s, u, k, budget)]
+    return [s for s in values if is_free_of_rank(s, u, k, budget)[0]]
 
 
-def _product_values(ambient: ModuleSheaf, u: PointSet,
-                    parts: List[List[VectorSubsheaf]]) -> List[VectorSubsheaf]:
-    """Values over u from the value lists of its components: one subsheaf
-    per choice of a value on each component, its (point, stalk family)
-    pairs merged in point order.  Product order runs over components, not
-    over sorted(u), so the list is sorted by sort_key afterwards."""
-    values = [VectorSubsheaf(ambient, row[0].n, u, tuple(sorted(
-                  (pair for val in row for pair in val.family), key=lambda p: p[0])))
-              for row in itertools.product(*parts)]
-    values.sort(key=VectorSubsheaf.sort_key)
-    return values
-
-
-def _build_values(ambient: ModuleSheaf, k: int, n: int, locally_free: bool,
+def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
                   budget: Optional[Budget]) -> GrassmannPresheaf:
     """Values in the ambient A^n over every open; locally free values must
     form a complete presheaf.
 
-    Only the empty open and connected opens are searched.  A disconnected
-    open's values are the product of its components' values; components
-    are smaller opens, listed earlier, so their values are already built.
+    Every open's values are families of the join, in its order, which is
+    sort_key order.  The empty open and connected opens keep the families
+    the freeness search accepts.  A disconnected open keeps the families
+    whose part over each component is a value there; components are
+    smaller opens, listed earlier, so their values are already built.
+    That is exact: closure constraints link only related points, which
+    share a component, so a family is closed iff each part is; sections
+    over a disjoint union are tuples of sections over the components, so
+    the family is free (or locally free) iff each part is.
     """
     a = ambient.base
     values: Dict[PointSet, List[VectorSubsheaf]] = {}
     for u in enumerate_opens(a.space):
         parts = components(a.space, u)
-        values[u] = (_product_values(ambient, u, [values[c] for c in parts])
-                     if len(parts) > 1 else
-                     _enumerate_values(ambient, k, u, locally_free, budget))
-    g = GrassmannPresheaf(a, k, n, ambient, values)
+        if len(parts) <= 1:
+            values[u] = _enumerate_values(ambient, k, u, locally_free, budget)
+            continue
+        pts = sorted(u)
+        where = [[i for i, x in enumerate(pts) if x in c] for c in parts]
+        kept = [{t.family for t in values[c]} for c in parts]
+        values[u] = [VectorSubsheaf(ambient, fam) for fam in _stalk_families(ambient, u, k)
+                     if all(tuple([fam[i] for i in idx]) in fams
+                            for idx, fams in zip(where, kept))]
+    g = GrassmannPresheaf(a, k, ambient, values)
     if locally_free and not is_complete(g.presheaf()):
         raise AssertionError("locally-free value presheaf failed completeness")
     return g
@@ -239,13 +236,13 @@ def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    return _build_values(free_sheaf(a, n), k, n, False, budget)
+    return _build_values(free_sheaf(a, n), k, False, budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}."""
-    return _build_values(free_sheaf(a, n), k, n, True, budget)
+    return _build_values(free_sheaf(a, n), k, True, budget)
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
@@ -253,10 +250,12 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
     return is_monopresheaf(g.presheaf())
 
 
-def _glue(ambient: ModuleSheaf, u: PointSet, row) -> VectorSubsheaf:
-    """One subsheaf over u from values over the minimal opens of sorted(u)."""
-    return make_subsheaf(ambient, u, {x: val.family_at(x)
-                                      for x, val in zip(sorted(u), row)})
+def _glue(ambient: ModuleSheaf,
+          family: Iterable[Tuple[Point, VectorSubsheaf]]) -> VectorSubsheaf:
+    """One subsheaf from (point, value over its minimal open) pairs in point
+    order: each value's own entry at its point."""
+    return VectorSubsheaf(ambient, tuple(next(e for e in val.family if e[0] == x)
+                                         for x, val in family))
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
@@ -275,7 +274,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
-    glued = ((u, _glue(g.ambient, u, row))
+    glued = ((u, _glue(g.ambient, zip(sorted(u), row)))
              for u, c in s.sections.carriers.items()
              if len(components(space, u)) <= 1 for row in c.elements)
     witness = next(({"open": sorted(u), "family": t.sort_key()}
@@ -309,8 +308,10 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
 
 @dataclass(frozen=True)
 class GrassmannSection:
-    """Compatible family of free rank-k values over the minimal opens."""
+    """Compatible family of free rank-k values over the minimal opens; the
+    ambient, not compared, is where it glues, also when the family is empty."""
     family: Tuple[Tuple[Point, VectorSubsheaf], ...]
+    ambient: ModuleSheaf = field(compare=False, hash=False)
 
     def sort_key(self):
         return tuple((x, s.sort_key()) for x, s in self.family)
@@ -322,15 +323,14 @@ def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSecti
     rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
                                lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
     pts = sorted(u)
-    secs = [GrassmannSection(tuple(zip(pts, row))) for row in rows]
+    secs = [GrassmannSection(tuple(zip(pts, row)), g.ambient) for row in rows]
     secs.sort(key=GrassmannSection.sort_key)
     return secs
 
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
     """Glue a section's stalkwise values into one subsheaf of A^n."""
-    pts, vals = zip(*s.family)
-    return _glue(vals[0].ambient, frozenset(pts), vals)
+    return _glue(s.ambient, s.family)
 
 
 def subsheaf_to_section(t: VectorSubsheaf, k: int,
@@ -338,13 +338,13 @@ def subsheaf_to_section(t: VectorSubsheaf, k: int,
     """Restrict a locally free subsheaf to the minimal opens of its domain."""
     space = t.ambient.space
     family = []
-    for x in sorted(t.domain):
+    for x, _ in t.family:
         ux = space.min_open[x]
         piece = restrict_subsheaf(t, ux)
         if not is_free_of_rank(piece, ux, k, budget)[0]:
             raise NotLocallyFree(f"not free of rank {k} on min_open({x!r})")
         family.append((x, piece))
-    return GrassmannSection(tuple(family))
+    return GrassmannSection(tuple(family), t.ambient)
 
 
 # -- the universal (truncated) construction -----------------------------------
@@ -360,14 +360,12 @@ def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
 
 def include_subsheaf(t: VectorSubsheaf, ambient: ModuleSheaf) -> VectorSubsheaf:
     """Coordinate inclusion A^N -> A^(N'): pad stalk vectors with zeros."""
-    big_n = next(iter(ambient.rank_at.values()))
-    pad = big_n - t.n
-    assert pad >= 0
     fam = {}
     for x, vs in t.family:
-        r = t.ambient.ring_at(x)
-        fam[x] = frozenset(v + zero_vec(r, pad) for v in vs)
-    return make_subsheaf(ambient, t.domain, fam)
+        pad = ambient.rank_at[x] - t.ambient.rank_at[x]
+        assert pad >= 0
+        fam[x] = frozenset(v + zero_vec(t.ambient.ring_at(x), pad) for v in vs)
+    return make_subsheaf(ambient, fam)
 
 
 def classify(a: AlgebraSheaf, n: int, truncation: int,
@@ -377,7 +375,7 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     inverse bijections."""
     whole = frozenset(a.space.points)
     g = build_universal_grassmann(a, n, truncation, budget)
-    v = _build_values(g.ambient, n, truncation, True, budget)
+    v = _build_values(g.ambient, n, True, budget)
     sections = enumerate_sections(g, whole)
     subsheaves = v.values[whole]
 
@@ -402,16 +400,13 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     # Embedding cross-check: the image of the free rank-n sheaf under the
     # trivial-cover weighted embedding must be among the classified subsheaves.
     embed_image_found = None
-    if n <= truncation and bijection:
-        from .vecsheaf import (embed_via_weights, identity_trivialization,
-                               trivial_weight_family)
+    if bijection:
         e = free_sheaf(a, n)
         morph = embed_via_weights(
             e, (whole,), {0: identity_trivialization(e, whole, n)},
             trivial_weight_family(a), n)
         fam = {x: frozenset(morph.maps[x].values()) for x in a.space.points}
-        image = include_subsheaf(
-            make_subsheaf(morph.target, whole, fam), g.ambient)
+        image = include_subsheaf(make_subsheaf(morph.target, fam), g.ambient)
         embed_image_found = image in sub_index
 
     return {

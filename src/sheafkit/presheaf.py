@@ -99,7 +99,7 @@ def validate(p: Presheaf) -> List[str]:
     tables = {(u, v): _tabulate(p, u, v) for u in opens for v in opens if v <= u}
     for u in opens:
         if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
-            problems.append(f"restrict to itself not identity on {set(u)}")
+            problems.append(f"restrict to itself not identity on {sorted(u)}")
     members = {u: set(p.carriers[u].elements) for u in opens}
     sound: Dict[PointSet, Dict[PointSet, ElemMap]] = {u: {} for u in opens}
     for (u, v), ruv in tables.items():
@@ -110,14 +110,14 @@ def validate(p: Presheaf) -> List[str]:
             inside = False
         if undefined:
             problems.append(
-                f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
+                f"restriction {sorted(u)}->{sorted(v)} undefined at {undefined[0]!r}")
         elif not inside:
             problems.append(
-                f"restriction {set(u)}->{set(v)} leaves the carrier")
+                f"restriction {sorted(u)}->{sorted(v)} leaves the carrier")
         else:
             sound[u][v] = ruv
     if problems or next(_composition_failures(p, opens, sound, covers=True), None):
-        problems += [f"composition fails {set(u)}->{set(v)}->{set(w)}"
+        problems += [f"composition fails {sorted(u)}->{sorted(v)}->{sorted(w)}"
                      for u, v, w in _composition_failures(p, opens, sound)]
     for u, maps in sound.items():
         for v, m in maps.items():
@@ -128,7 +128,7 @@ def validate(p: Presheaf) -> List[str]:
                                        for i in range(cu.ring.size)))
                 if not validate_morphism(f):
                     problems.append(
-                        f"restriction {set(u)}->{set(v)} not a ring morphism")
+                        f"restriction {sorted(u)}->{sorted(v)} not a ring morphism")
     return problems
 
 

@@ -26,6 +26,7 @@ from .finalg import (
     Submodule,
     Vec,
     all_vecs,
+    det,
     identity_matrix,
     is_invertible,
     is_unit,
@@ -213,16 +214,16 @@ def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
 
 # -- vector subsheaves of A^n ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorSubsheaf:
-    """Stalkwise family of submodules of the ambient free sheaf A^n.
+    """Stalkwise family of submodules of the ambient free sheaf A^n: one
+    (point, submodule) pair per point of its domain, in point order.
 
-    Equality and hashing are structural on (n, domain, family) so that
-    subsheaves produced by independent enumerations compare equal.
+    The family fixes the domain and the vectors' length, so equality and
+    hashing read the family alone, and subsheaves produced by independent
+    enumerations or on other ambients compare equal.
     """
     ambient: ModuleSheaf = field(compare=False, hash=False)
-    n: int
-    domain: PointSet
     family: Tuple[Tuple[Point, FrozenSet[Vec]], ...]
 
     def family_at(self, x: Point) -> FrozenSet[Vec]:
@@ -235,43 +236,38 @@ class VectorSubsheaf:
         return tuple((x, tuple(sorted(vs))) for x, vs in self.family)
 
 
-def make_subsheaf(ambient: ModuleSheaf, domain: PointSet,
+def make_subsheaf(ambient: ModuleSheaf,
                   family: Dict[Point, FrozenSet[Vec]]) -> VectorSubsheaf:
-    n = next(iter(ambient.rank_at.values()))
-    return VectorSubsheaf(ambient, n, frozenset(domain),
-                          tuple((x, frozenset(family[x])) for x in sorted(domain)))
+    """The subsheaf over the open of family's keys."""
+    return VectorSubsheaf(ambient, tuple((x, frozenset(family[x])) for x in sorted(family)))
 
 
 def restrict_subsheaf(s: VectorSubsheaf, v: PointSet) -> VectorSubsheaf:
     """The part of s over the open v, which lies in its domain."""
-    return VectorSubsheaf(s.ambient, s.n, frozenset(v),
-                          tuple((x, vs) for x, vs in s.family if x in v))
+    return VectorSubsheaf(s.ambient, tuple([e for e in s.family if e[0] in v]))
 
 
 def full_subsheaf(ambient: ModuleSheaf, domain: PointSet) -> VectorSubsheaf:
-    return make_subsheaf(ambient, domain,
-                         {x: frozenset(ambient.stalk_elems[x])
-                          for x in sorted(domain)})
+    return make_subsheaf(ambient, {x: frozenset(ambient.stalk_elems[x]) for x in domain})
 
 
 def zero_subsheaf(ambient: ModuleSheaf, domain: PointSet) -> VectorSubsheaf:
     return make_subsheaf(
-        ambient, domain,
-        {x: frozenset({zero_vec(ambient.ring_at(x), ambient.rank_at[x])})
-         for x in sorted(domain)})
+        ambient, {x: frozenset({zero_vec(ambient.ring_at(x), ambient.rank_at[x])})
+                  for x in domain})
 
 
 def validate_subsheaf(s: VectorSubsheaf) -> List[str]:
     """Empty report iff each stalk is a submodule closed under restriction."""
     problems = []
     space = s.ambient.space
-    for x in sorted(s.domain):
-        sub = Submodule(s.ambient.ring_at(x), s.n, s.family_at(x))
+    for x, vs in s.family:
+        sub = Submodule(s.ambient.ring_at(x), s.ambient.rank_at[x], vs)
         if not sub.validate():
             problems.append(f"family at {x!r} is not a submodule")
         for y in space.min_open[x]:
             m = s.ambient.res[(x, y)]
-            if any(m[v] not in s.family_at(y) for v in s.family_at(x)):
+            if any(m[v] not in s.family_at(y) for v in vs):
                 problems.append(
                     f"restriction {x!r}->{y!r} leaves the stalk family")
     return problems
@@ -358,7 +354,8 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     if answer is None:
         before = budget.used
         found, witness = _find_basis(
-            [s.ambient.ring_at(x) for x, _ in stalks], [s.n] * len(stalks),
+            [s.ambient.ring_at(x) for x, _ in stalks],
+            [s.ambient.rank_at[x] for x, _ in stalks],
             [len(vs) for _, vs in stalks],
             lambda: subsheaf_sections(s, u), k, budget)
         answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
@@ -484,7 +481,6 @@ def _chart_changes(c: TransitionCocycle
 
 
 def _matrix_inverse(m: Matrix) -> Matrix:
-    from .finalg import det
     r = m.ring
     d = det(m)
     dinv = next(y for y in r.elements() if r.mul(d, y) == r.one)

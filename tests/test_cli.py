@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -407,25 +406,24 @@ def test_report_corpus_is_byte_identical(tmp_path, capsys):
 # sent to a JSON list).  The digest of a (command, variant) is the sha256 of
 # every case's exit code, stdout and stderr in turn, as reported when
 # `validate` checked composition on every triple of opens.  Violation
-# messages print Python sets, whose order follows the process's hash seed,
-# so the transcript lists the members of each printed set sorted.
+# messages print each open as the sorted list of its points.
 PRESHEAF_SPACES = {**REPORT_SPACES, "cone": {
     "a": ["a"], "b": ["b"], "c": ["a", "b", "c"], "d": ["a", "b", "d"],
     "e": ["a", "b", "c", "d", "e"]}}
 PRESHEAF_VARIANTS = ("given", "cover", "longer", "undefined", "outside", "list")
 PRESHEAF_DIGESTS = {
     "presheaf-check cover":
-        "8e181e6c762bed2ae25c6a6267f58471062073e50a1e3d98458d9c8678befbd4",
+        "5c8cb079edc5e05775f3687f81cdece3bf6e60001de3fd113a72fceac610bc7f",
     "presheaf-check given":
         "8b8709fe5abaf8d110380a0d4d5aa67fbcfc5eb6358df1faf3ec54e1ea7c7778",
     "presheaf-check list":
-        "711b565b9fd4cc67b5da773ed9b4cbe8c7e3aa39081be723fa459db54cf0c0fe",
+        "cf9aa167e2b6bb6b2b9c6fe2cde6eec24ddefb2f6b0c16a92554797b898233d9",
     "presheaf-check longer":
-        "3c9fee1caad9f1cd32dd38f1187c297d3eaf84f5680cd6df99643724dfeedd49",
+        "1bd763eabc4f9c71d65bfe3d2ae09cda0e67a9de90938b2693bd0eac96045885",
     "presheaf-check outside":
-        "711b565b9fd4cc67b5da773ed9b4cbe8c7e3aa39081be723fa459db54cf0c0fe",
+        "cf9aa167e2b6bb6b2b9c6fe2cde6eec24ddefb2f6b0c16a92554797b898233d9",
     "presheaf-check undefined":
-        "22beea5edcb510e9c27f9cf2bbf2548fdf4a4f5fbb7dcd17fa54520d22c95475",
+        "4e4ab8bd9b729ba3a512d3d0ade8eabb0c414173c7773642e4333cf76c4552cf",
     "pullback cover":
         "267de6e3e94f8a246ce4a211847ffc56266c2364834ec968672828a5bd0e6fd6",
     "pullback given":
@@ -439,17 +437,17 @@ PRESHEAF_DIGESTS = {
     "pullback undefined":
         "b189b4746842109d5908c07c4e222afb363ee92bc3d62564869659b7d6e70dac",
     "sheafify cover":
-        "6e43e698d1903b6941189efd780bf85ec4d9e1d7eddea3dc5ab9ed55980a5eac",
+        "bb6b60b345fc114eab43a732bf73b44644ba0bdfa2fb6dfd8e3fccba5057e089",
     "sheafify given":
         "ac68d2ae281d0abdce3db9e548b71ae4dfc0c5065aaf1f0a63eb34df0f0d0b29",
     "sheafify list":
-        "90e87129580e6635c9ff266244fc7a55dcd4df0e07096ab41518548397bd1779",
+        "0dd5213a4863c84ddd91876c336aa7bca21cdee41bf6cdfea7e6a6911547433d",
     "sheafify longer":
-        "89b3f8a9be438d6bd6889c818618b1a455140f5376bb5e5c4aad260d6fc49f4c",
+        "192c81a0cfa7274a1c593646e8a178bdb2361de4760335b5fbeef93e7ff389f4",
     "sheafify outside":
-        "90e87129580e6635c9ff266244fc7a55dcd4df0e07096ab41518548397bd1779",
+        "0dd5213a4863c84ddd91876c336aa7bca21cdee41bf6cdfea7e6a6911547433d",
     "sheafify undefined":
-        "49da95af19d6beb32fc834058852c70635a2e312be37b15c2ba1bcc962ea7674",
+        "e2b29144748120d3665efe7fb17123261d2b14732b345f61498c79b747692efe",
     "stalks cover":
         "749b9e48644901b5d92e32c586308414a7ee60cbbf00552be3292de8e7bed355",
     "stalks given":
@@ -513,11 +511,6 @@ def break_presheaf(obj, variant):
     return None
 
 
-def sorted_sets(text):
-    return re.sub(r"\{'[^{}]*'\}", lambda m: "{%s}" % ", ".join(
-        sorted(m.group()[1:-1].split(", "))), text)
-
-
 def test_presheaf_report_corpus_is_byte_identical(tmp_path, capsys):
     transcripts = {}
     for name, table in PRESHEAF_SPACES.items():
@@ -539,8 +532,7 @@ def test_presheaf_report_corpus_is_byte_identical(tmp_path, capsys):
                     code = main(argv)
                     captured = capsys.readouterr()
                     transcripts.setdefault(f"{argv[0]} {variant}", []).append(
-                        sorted_sets(f"{name} {kind} {s}\n{code}\n{captured.out}\n"
-                                    f"{captured.err}\n"))
+                        f"{name} {kind} {s}\n{code}\n{captured.out}\n{captured.err}\n")
     digests = {case: hashlib.sha256("".join(lines).encode()).hexdigest()
                for case, lines in transcripts.items()}
     assert digests == PRESHEAF_DIGESTS
@@ -586,6 +578,23 @@ def test_module_entry_point_runs_without_warnings():
     proc = run_module(["-W", "error", "-m", "sheafkit.cli", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: sheafkit")
+
+
+def test_violation_report_does_not_follow_the_hash_seed(tmp_path, monkeypatch):
+    """Violations name opens by their sorted points, so a broken presheaf's
+    report is the same under string hash seeds that order sets apart."""
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    ph = write(tmp_path, "presheaf.json", break_presheaf(
+        presheaf_tables(PSEUDO_CIRCLE["min_open"], "constant", 2), "cover"))
+    reports = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_module(["-m", "sheafkit.cli", "presheaf-check",
+                           "--space", sp, "--presheaf", ph])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
+    assert "composition fails ['a', 'b', 'c', 'd']->['a', 'b', 'c']->['a']" in reports[0]
 
 
 def test_grassmann_bad_ring_kind(tmp_path, capsys):

@@ -113,14 +113,13 @@ def test_discrete_values_are_products():
     assert len(g.values[whole(discrete2())]) == 9
 
 
-@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
-@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
-def test_values_match_the_search_on_each_open(make, ring):
-    """G and V build the values over a disconnected open as products of the
-    values over its components; the search over that one open is the
-    oracle."""
-    a = constant_algebra_sheaf(make(), ring)
+def assert_values_match_the_search(a):
+    """G and V keep a disconnected open's join families whose part over
+    each component is a value there; the search over that one open is the
+    oracle.  A value is its family: it equals, and hashes like, the same
+    family in a fresh ambient, and restricts to itself over its domain."""
     for n in range(4):
+        fresh = free_sheaf(a, n)
         for k in range(n + 1):
             g = build_grassmann_presheaf(a, k, n)
             v = build_v_presheaf(a, k, n)
@@ -130,6 +129,27 @@ def test_values_match_the_search_on_each_open(make, ring):
                 for vals in (g.values[u], v.values[u]):
                     keys = [t.sort_key() for t in vals]
                     assert keys == sorted(set(keys))
+                    for t in vals:
+                        again = VectorSubsheaf(fresh, t.family)
+                        assert again == t and hash(again) == hash(t)
+                        assert restrict_subsheaf(t, u) == t
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_values_match_the_search_on_each_open(make, ring):
+    assert_values_match_the_search(constant_algebra_sheaf(make(), ring))
+
+
+def test_values_match_the_search_on_each_open_into_a_larger_field():
+    """F_2 stalks at c and p restricting into F_4 stalks: the disconnected
+    opens {o, p} and {o, c, p} have components over different rings."""
+    space = sierpinski_plus_point()
+    small = {"c", "p"}
+    a = AlgebraSheaf(space, {x: F2 if x in small else make_quotient(2, [1, 1, 1])
+                             for x in space.points},
+                     {(x, y): (0, 1) for x in small for y in space.min_open[x]})
+    assert_values_match_the_search(a)
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -322,6 +342,24 @@ def test_classify_draws_on_one_budget():
         classify(a, 2, 3, Budget(b.used - 1))
 
 
+def test_reference_runs_use_the_budget_they_always_used():
+    """Budget.used on the pseudo-circle for the runs that measure search
+    work: classify (ring, k, N), then grassmann's build plus completeness
+    hunt (ring, k, n)."""
+    a2 = constant_algebra_sheaf(pseudo_circle(), F2)
+    a3 = constant_algebra_sheaf(pseudo_circle(), F3)
+    used = []
+    for a, k, big_n in ((a2, 2, 3), (a3, 2, 3), (a2, 2, 4), (a2, 1, 2)):
+        b = Budget()
+        classify(a, k, big_n, b)
+        used.append(b.used)
+    for a, k, n in ((a2, 2, 4), (a3, 1, 2)):
+        b = Budget()
+        check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b), b)
+        used.append(b.used)
+    assert used == [525, 1300, 2625, 150, 1050, 80]
+
+
 def test_completeness_hunt_draws_on_the_grassmann_budget():
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     b = Budget()
@@ -417,8 +455,8 @@ def glues_are_values(v):
         rows = compatible_families(
             space, u, lambda x: v.values[space.min_open[x]],
             lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
-        glued = [make_subsheaf(v.ambient, u, {x: val.family_at(x)
-                                              for x, val in zip(sorted(u), row)})
+        glued = [make_subsheaf(v.ambient, {x: val.family_at(x)
+                                           for x, val in zip(sorted(u), row)})
                  for row in rows]
         if sorted(glued, key=VectorSubsheaf.sort_key) != vals:
             return False
@@ -467,29 +505,31 @@ def test_discrete_sections_multiply():
 
 
 def test_section_subsheaf_round_trip():
+    """On every open, the empty one included."""
     for make in CORPUS:
         a = constant_algebra_sheaf(make(), F2)
         g = build_grassmann_presheaf(a, 1, 2)
-        u = whole(make())
-        for s in enumerate_sections(g, u):
-            t = section_to_subsheaf(s)
-            assert subsheaf_to_section(t, 1).sort_key() == s.sort_key()
+        for u in enumerate_opens(a.space):
+            for s in enumerate_sections(g, u):
+                t = section_to_subsheaf(s)
+                assert subsheaf_to_section(t, 1).sort_key() == s.sort_key()
 
 
 def test_subsheaf_section_round_trip():
+    """On every open, the empty one included."""
     for make in CORPUS:
         a = constant_algebra_sheaf(make(), F3)
-        u = whole(make())
-        for t in enumerate_locally_free_subsheaves(a, 1, 2, u):
-            s = subsheaf_to_section(t, 1)
-            assert section_to_subsheaf(s).sort_key() == t.sort_key()
+        for u in enumerate_opens(a.space):
+            for t in enumerate_locally_free_subsheaves(a, 1, 2, u):
+                s = subsheaf_to_section(t, 1)
+                assert section_to_subsheaf(s).sort_key() == t.sort_key()
 
 
 def test_subsheaf_to_section_rejects_non_locally_free():
     a = constant_algebra_sheaf(sierpinski(), F2)
     amb = free_sheaf(a, 2)
     u = whole(sierpinski())
-    mixed = make_subsheaf(amb, u, {
+    mixed = make_subsheaf(amb, {
         "o": frozenset(span(F2, 2, [(1, 0), (0, 1)])),
         "c": frozenset(span(F2, 2, [(1, 0)])),
     })
@@ -536,7 +576,7 @@ def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
             for k in range(3):
                 answers = []
                 for restrict in (False, True):
-                    s = make_subsheaf(free_sheaf(a, 2), u, dict(t.family))
+                    s = make_subsheaf(free_sheaf(a, 2), dict(t.family))
                     if restrict:
                         s = restrict_subsheaf(s, ux)
                     b = Budget()
@@ -544,7 +584,7 @@ def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
                 assert answers[0] == answers[1]
                 assert answers[0][0][0] == (k == 1)
         amb = free_sheaf(a, 2)
-        s = make_subsheaf(amb, u, dict(t.family))
+        s = make_subsheaf(amb, dict(t.family))
         for x in sorted(u):
             ux = a.space.min_open[x]
             first, second = Budget(), Budget()

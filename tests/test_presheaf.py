@@ -101,7 +101,7 @@ def test_restriction_raising_key_error_is_undefined():
         return e
 
     p = build_presheaf(space, lambda w: Carrier(RING, (0, 1), F2), restrict)
-    assert validate(p) == [f"restriction {set(u)}->{set(v)} undefined at 1"]
+    assert validate(p) == [f"restriction {sorted(u)}->{sorted(v)} undefined at 1"]
 
 
 @pytest.mark.parametrize("name,p", corpus_presheaves())
@@ -129,15 +129,15 @@ def full_scan_validate(p):
                         pass
     for u in opens:
         if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
-            problems.append(f"restrict to itself not identity on {set(u)}")
+            problems.append(f"restrict to itself not identity on {sorted(u)}")
     sound = {u: {} for u in opens}
     for (u, v), ruv in tables.items():
         undefined = [e for e in p.carriers[u].elements if e not in ruv]
         if undefined:
             problems.append(
-                f"restriction {set(u)}->{set(v)} undefined at {undefined[0]!r}")
+                f"restriction {sorted(u)}->{sorted(v)} undefined at {undefined[0]!r}")
         elif any(ruv[e] not in p.carriers[v].elements for e in p.carriers[u].elements):
-            problems.append(f"restriction {set(u)}->{set(v)} leaves the carrier")
+            problems.append(f"restriction {sorted(u)}->{sorted(v)} leaves the carrier")
         else:
             sound[u][v] = ruv
     for u in opens:
@@ -146,7 +146,7 @@ def full_scan_validate(p):
                 ruw = sound[u].get(w)
                 if ruw is not None and any(rvw[ruv[e]] != ruw[e]
                                            for e in p.carriers[u].elements):
-                    problems.append(f"composition fails {set(u)}->{set(v)}->{set(w)}")
+                    problems.append(f"composition fails {sorted(u)}->{sorted(v)}->{sorted(w)}")
     return problems
 
 

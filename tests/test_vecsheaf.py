@@ -157,7 +157,7 @@ def test_validate_subsheaf_full_and_zero():
 
 def test_validate_subsheaf_mismatched_lines():
     amb = free_sheaf(A2_SIER, 2)
-    bad = make_subsheaf(amb, X_SIER, {
+    bad = make_subsheaf(amb, {
         "c": frozenset(span(F2, 2, [(1, 0)])),
         "o": frozenset(span(F2, 2, [(0, 1)])),
     })
@@ -165,9 +165,7 @@ def test_validate_subsheaf_mismatched_lines():
 
 
 def constant_line(amb, domain, vec, ring):
-    return make_subsheaf(amb, domain,
-                         {x: frozenset(span(ring, 2, [vec]))
-                          for x in sorted(domain)})
+    return make_subsheaf(amb, {x: frozenset(span(ring, 2, [vec])) for x in domain})
 
 
 def test_subsheaf_sections_counts():
@@ -586,7 +584,7 @@ def assert_freeness_matches_brute(amb, subs_by_size, k_max):
         for subs in subs_by_size.values():
             for choice in itertools.product(subs, repeat=len(pts)):
                 family = dict(zip(pts, choice))
-                s = make_subsheaf(amb, u, family)
+                s = make_subsheaf(amb, family)
                 for k in range(k_max + 1):
                     assert is_free_of_rank(s, u, k) == \
                         brute_free(amb, family, u, k), (pts, k)
@@ -616,8 +614,8 @@ def test_freeness_reads_the_family_below_the_maximal_points():
     the germ (1,0) drawn at c restricts out of the family at o, so the only
     section is zero and the family is not free of rank 1."""
     amb = free_sheaf(A2_SIER, 2)
-    s = make_subsheaf(amb, X_SIER, {"c": frozenset({(0, 0), (1, 0)}),
-                                    "o": frozenset({(0, 0), (0, 1)})})
+    s = make_subsheaf(amb, {"c": frozenset({(0, 0), (1, 0)}),
+                             "o": frozenset({(0, 0), (0, 1)})})
     assert validate_subsheaf(s)
     assert subsheaf_sections(s, X_SIER) == [((0, 0), (0, 0))]
     assert is_free_of_rank(s, X_SIER, 1) == (False, None)
@@ -635,8 +633,8 @@ def test_freeness_matches_a_brute_scan_on_the_mobius_sheaf():
 def test_repeated_freeness_question_is_answered_and_charged_alike():
     amb = free_sheaf(A3_PC, 2)
     first = full_subsheaf(amb, X_PC)
-    again = make_subsheaf(amb, X_PC, {x: frozenset(set(first.family_at(x)))
-                                      for x in PC.points})
+    again = make_subsheaf(amb, {x: frozenset(set(first.family_at(x)))
+                               for x in PC.points})
     assert again == first and again.family_at("a") is not first.family_at("a")
     b = Budget()
     answer = is_free_of_rank(first, X_PC, 2, b)

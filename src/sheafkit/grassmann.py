@@ -133,9 +133,8 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
     space = ambient.space
     pts = sorted(u)
     candidates = _stalk_candidates(ambient, k)
-    cands = [candidates[x] for x in pts]
     # one (point, elements) pair per candidate, shared by every family
-    entries = [[(x, c.elements) for c in cands[t]] for t, x in enumerate(pts)]
+    entries = [[(x, c.elements) for c in candidates[x]] for x in pts]
     steps = 0
 
     def spend(n: int) -> None:
@@ -159,7 +158,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
         if i == len(pts):
             out.append(tuple(map(operator.getitem, entries, choice)))
             return
-        mask = (1 << len(cands[i])) - 1
+        mask = (1 << len(entries[i])) - 1
         for j, masks in constraints[i]:
             mask &= masks[choice[j]]
         spend(mask.bit_count())

@@ -195,7 +195,10 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
     That is exact: closure constraints link only related points, which
     share a component, so a family is closed iff each part is; sections
     over a disjoint union are tuples of sections over the components, so
-    the family is free (or locally free) iff each part is.
+    the family is free (or locally free) iff each part is.  Over field
+    stalks no search rejects a closed family: its reduced row echelon bases
+    restrict to one another, so they are k sections forming a basis at
+    every point.
     """
     a = ambient.base
     values: Dict[PointSet, List[VectorSubsheaf]] = {}
@@ -253,8 +256,7 @@ def _glue(ambient: ModuleSheaf,
           family: Iterable[Tuple[Point, VectorSubsheaf]]) -> VectorSubsheaf:
     """One subsheaf from (point, value over its minimal open) pairs in point
     order: each value's own entry at its point."""
-    return VectorSubsheaf(ambient, tuple(next(e for e in val.family if e[0] == x)
-                                         for x, val in family))
+    return VectorSubsheaf(ambient, tuple((x, val.family_at(x)) for x, val in family))
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,

@@ -113,12 +113,12 @@ def test_discrete_values_are_products():
     assert len(g.values[whole(discrete2())]) == 9
 
 
-def assert_values_match_the_search(a):
+def assert_values_match_the_search(a, ranks=range(4)):
     """G and V keep a disconnected open's join families whose part over
     each component is a value there; the search over that one open is the
     oracle.  A value is its family: it equals, and hashes like, the same
     family in a fresh ambient, and restricts to itself over its domain."""
-    for n in range(4):
+    for n in ranks:
         fresh = free_sheaf(a, n)
         for k in range(n + 1):
             g = build_grassmann_presheaf(a, k, n)
@@ -150,6 +150,48 @@ def test_values_match_the_search_on_each_open_into_a_larger_field():
                              for x in space.points},
                      {(x, y): (0, 1) for x in small for y in space.min_open[x]})
     assert_values_match_the_search(a)
+
+
+def twisted_circle_plus_point():
+    """F_4 stalks on the pseudo-circle beside an isolated point e, with
+    Frobenius as the restriction from d to b: a closed family on the circle
+    is F_2-rational there, and {a, b, c, d, e} is disconnected."""
+    space = build_space({"a": ["a"], "b": ["b"], "c": ["a", "b", "c"],
+                         "d": ["a", "b", "d"], "e": ["e"]})
+    frobenius = (0, 1, 3, 2)  # t -> t^2 = t + 1 on the codes of F_2[t]/(t^2+t+1)
+    res = {pair: (0, 1, 2, 3) for pair in [("c", "a"), ("c", "b"), ("d", "a")]}
+    res[("d", "b")] = frobenius
+    return AlgebraSheaf(space, {x: make_quotient(2, [1, 1, 1]) for x in space.points}, res)
+
+
+def test_values_match_the_search_on_each_open_of_a_twisted_circle():
+    assert_values_match_the_search(twisted_circle_plus_point(), range(3))
+
+
+def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypatch):
+    """Over field stalks a closed family is free: the reduced row echelon
+    basis at x restricts to the one at each point of min_open(x), so these
+    are k sections forming a basis everywhere, and the freeness search
+    rejects nothing.  Here freeness also refuses a family whose stalk at c
+    holds e_1, so a disconnected open must drop exactly the join families
+    whose part over c's component is refused, as the search over it does."""
+    real = vecsheaf.is_free_of_rank
+
+    def refuse_e1_at_c(s, u, k, budget=None):
+        at_c = [vs for x, vs in s.family if x == "c" and x in u]
+        if any(v[:1] == (1,) and not any(v[1:]) for vs in at_c for v in vs):
+            return False, None
+        return real(s, u, k, budget)
+
+    monkeypatch.setattr(vecsheaf, "is_free_of_rank", refuse_e1_at_c)
+    monkeypatch.setattr(grassmann, "is_free_of_rank", refuse_e1_at_c)
+    a = twisted_circle_plus_point()
+    assert_values_match_the_search(a, range(3))
+    # n = 2, k = 1: three F_2-rational lines on the circle, one refused,
+    # times the five lines of F_4^2 at e
+    g = build_grassmann_presheaf(a, 1, 2)
+    assert len(grassmann._stalk_families(g.ambient, whole(a.space), 1)) == 15
+    assert len(g.values[whole(a.space)]) == 10
 
 
 def pairwise_stalk_families(ambient, u, k):

@@ -1,9 +1,12 @@
 """Grassmann presheaves of A^n and the section/subsheaf classification.
 
 G(U) collects the rank-k free subsheaves of A^n over U, V(U) the locally
-free ones.  Values are stored extensionally as stalk families, so the
-restriction maps are literal and germ computation collapses to the value at
-the minimal open.
+free ones.  A value over U is its stalk family, held as the tuple of its
+indices into the rank-k stalk candidate lists over sorted(U): restriction
+is a projection of the tuple, equality is tuple equality, and germ
+computation collapses to the value at the minimal open.  A value becomes a
+`VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where a freeness
+search reads its vectors and where the public API returns subsheaves.
 
 Every open's values come from one stalk-family join.  Sections over a
 disjoint union of opens are tuples of sections over the pieces, so a family
@@ -15,8 +18,8 @@ value there.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
@@ -36,10 +39,12 @@ from .vecsheaf import (
     identity_trivialization,
     is_free_of_rank,
     is_locally_free,
-    make_subsheaf,
     restrict_subsheaf,
     trivial_weight_family,
 )
+
+
+Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
 
 
 @dataclass
@@ -47,13 +52,32 @@ class GrassmannPresheaf:
     base: AlgebraSheaf
     k: int
     ambient: ModuleSheaf
-    values: Dict[PointSet, List[VectorSubsheaf]]
+    values: Dict[PointSet, List[Value]]
+    # restriction's positions kept over sorted(u), by (u, v)
+    positions: Dict[Tuple[PointSet, PointSet], List[int]] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
+        """The value t over u restricted to v ⊆ u: its entries over v."""
+        pos = self.positions.get((u, v))
+        if pos is None:
+            pos = self.positions[(u, v)] = [i for i, x in enumerate(sorted(u)) if x in v]
+        return t if len(pos) == len(t) else tuple([t[i] for i in pos])
+
+    @cached_property
+    def own_position(self) -> Dict[Point, int]:
+        """Each point's position in the sorted points of its minimal open."""
+        return {x: sorted(ux).index(x) for x, ux in self.base.space.min_open.items()}
+
+    def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
+        """The value t over u as a subsheaf of the ambient."""
+        return _subsheaf(self.ambient, self.k, sorted(u), t)
 
     def presheaf(self) -> Presheaf:
-        """The values as a set-valued presheaf, restricting subsheaves."""
+        """The values as a set-valued presheaf, restricting by projection."""
         return Presheaf(self.base.space,
                         {u: Carrier(SET, tuple(vals)) for u, vals in self.values.items()},
-                        lambda u, v, s: restrict_subsheaf(s, v))
+                        self.restrict)
 
 
 # A build holds [n k]_q stalk candidates of q^k vectors per distinct stalk
@@ -115,16 +139,16 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     return tables[(x, y)]
 
 
-def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
-                    ) -> List[Tuple[Tuple[Point, frozenset], ...]]:
+def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
     """Per-point rank-k submodule choices closed under the ambient
-    restrictions, as `VectorSubsheaf.family` tuples over sorted(u), in
-    lexicographic order of candidate index.
+    restrictions, as tuples of candidate indices over sorted(u), in
+    lexicographic order.
 
-    That order is `VectorSubsheaf.sort_key` order: each point's candidates
-    are sorted by `Submodule.sort_key`, its family entry's key, and every
-    family lists the same points, so comparing two families' keys compares
-    their candidate indices point by point over sorted(u).
+    That order is `VectorSubsheaf.sort_key` order of the families: each
+    point's candidates are sorted by `Submodule.sort_key`, its family
+    entry's key, and every family lists the same points, so comparing two
+    families' keys compares their candidate indices point by point over
+    sorted(u).
 
     A join: each point draws its candidates from the intersection of the
     masks its already chosen neighbours allow, in ascending index.  Table
@@ -133,8 +157,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
     space = ambient.space
     pts = sorted(u)
     candidates = _stalk_candidates(ambient, k)
-    # one (point, elements) pair per candidate, shared by every family
-    entries = [[(x, c.elements) for c in candidates[x]] for x in pts]
+    sizes = [len(candidates[x]) for x in pts]
     steps = 0
 
     def spend(n: int) -> None:
@@ -151,14 +174,14 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
                     for j, y in enumerate(pts[:i])
                     if y in space.min_open[x] or x in space.min_open[y]]
                    for i, x in enumerate(pts)]
-    out: List[Tuple[Tuple[Point, frozenset], ...]] = []
+    out: List[Value] = []
     choice = [0] * len(pts)
 
     def rec(i: int) -> None:
         if i == len(pts):
-            out.append(tuple(map(operator.getitem, entries, choice)))
+            out.append(tuple(choice))
             return
-        mask = (1 << len(entries[i])) - 1
+        mask = (1 << sizes[i]) - 1
         for j, masks in constraints[i]:
             mask &= masks[choice[j]]
         spend(mask.bit_count())
@@ -172,14 +195,38 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int
     return out
 
 
+def _subsheaf(ambient: ModuleSheaf, k: int, pts: List[Point], t: Value) -> VectorSubsheaf:
+    """The value t over the open of the sorted points pts as a subsheaf:
+    candidate t[i] at pts[i]."""
+    candidates = ambient.stalk_joins[k][0]
+    return VectorSubsheaf(ambient, tuple([(x, candidates[x][i].elements)
+                                          for x, i in zip(pts, t)]))
+
+
+def _candidate_index(ambient: ModuleSheaf, k: int,
+                     family: Iterable[Tuple[Point, frozenset]]) -> Optional[Value]:
+    """The value with family's stalk at each of its points, or None when
+    some stalk is not a rank-k candidate there."""
+    candidates = _stalk_candidates(ambient, k)
+    out = []
+    for x, vs in family:
+        i = next((i for i, c in enumerate(candidates[x]) if c.elements == vs), None)
+        if i is None:
+            return None
+        out.append(i)
+    return tuple(out)
+
+
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
-                      locally_free: bool, budget: Optional[Budget]
-                      ) -> List[VectorSubsheaf]:
+                      locally_free: bool, budget: Optional[Budget]) -> List[Value]:
     """The free (or locally free) values over u, in sort_key order."""
-    values = (VectorSubsheaf(ambient, fam) for fam in _stalk_families(ambient, u, k))
+    pts = sorted(u)
+    families = _stalk_families(ambient, u, k)
     if locally_free:
-        return [s for s in values if is_locally_free(s, u, k, budget)]
-    return [s for s in values if is_free_of_rank(s, u, k, budget)[0]]
+        return [t for t in families
+                if is_locally_free(_subsheaf(ambient, k, pts, t), u, k, budget)]
+    return [t for t in families
+            if is_free_of_rank(_subsheaf(ambient, k, pts, t), u, k, budget)[0]]
 
 
 def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
@@ -201,7 +248,7 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
     every point.
     """
     a = ambient.base
-    values: Dict[PointSet, List[VectorSubsheaf]] = {}
+    values: Dict[PointSet, List[Value]] = {}
     for u in enumerate_opens(a.space):
         parts = components(a.space, u)
         if len(parts) <= 1:
@@ -209,10 +256,10 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
             continue
         pts = sorted(u)
         where = [[i for i, x in enumerate(pts) if x in c] for c in parts]
-        kept = [{t.family for t in values[c]} for c in parts]
-        values[u] = [VectorSubsheaf(ambient, fam) for fam in _stalk_families(ambient, u, k)
-                     if all(tuple([fam[i] for i in idx]) in fams
-                            for idx, fams in zip(where, kept))]
+        kept = [set(values[c]) for c in parts]
+        values[u] = [t for t in _stalk_families(ambient, u, k)
+                     if all(tuple([t[i] for i in idx]) in ts
+                            for idx, ts in zip(where, kept))]
     g = GrassmannPresheaf(a, k, ambient, values)
     if locally_free and not is_complete(g.presheaf()):
         raise AssertionError("locally-free value presheaf failed completeness")
@@ -223,7 +270,9 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
-    return _enumerate_values(free_sheaf(a, n), k, u, False, budget)
+    ambient = free_sheaf(a, n)
+    return [_subsheaf(ambient, k, sorted(u), t)
+            for t in _enumerate_values(ambient, k, u, False, budget)]
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
@@ -231,7 +280,9 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list)."""
-    return _enumerate_values(free_sheaf(a, n), k, u, True, budget)
+    ambient = free_sheaf(a, n)
+    return [_subsheaf(ambient, k, sorted(u), t)
+            for t in _enumerate_values(ambient, k, u, True, budget)]
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
@@ -252,11 +303,11 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
     return is_monopresheaf(g.presheaf())
 
 
-def _glue(ambient: ModuleSheaf,
-          family: Iterable[Tuple[Point, VectorSubsheaf]]) -> VectorSubsheaf:
-    """One subsheaf from (point, value over its minimal open) pairs in point
-    order: each value's own entry at its point."""
-    return VectorSubsheaf(ambient, tuple((x, val.family_at(x)) for x, val in family))
+def _glue_row(g: GrassmannPresheaf, pts: List[Point], row: Tuple[Value, ...]) -> Value:
+    """One value over the open of pts from a row of values over the minimal
+    opens of its points: each value's own entry at its point."""
+    own = g.own_position
+    return tuple([t[own[x]] for x, t in zip(pts, row)])
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
@@ -266,8 +317,11 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
 
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value
-    presheaf.  At desk scale (constant coefficient sheaves) such witnesses
-    may not exist, which the report states explicitly.
+    presheaf.  Over field stalks, the only stalks the candidate lists
+    accept, no witness exists: a glue is a family closed under restriction,
+    restriction is an injective field map applied entrywise, so its reduced
+    row echelon basis at x restricts to the one at each point of
+    min_open(x), and these are k sections forming a basis at every point.
     """
     s = sheafify(g.presheaf())
     space = g.base.space
@@ -275,7 +329,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
-    glued = ((u, _glue(g.ambient, zip(sorted(u), row)))
+    glued = ((u, g.subsheaf(u, _glue_row(g, sorted(u), row)))
              for u, c in s.sections.carriers.items()
              if len(components(space, u)) <= 1 for row in c.elements)
     witness = next(({"open": sorted(u), "family": t.sort_key()}
@@ -295,12 +349,14 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
 
     The germ set at x is the value list at min_open(x); a locally free value
     there is already free on min_open(x), since the minimal open of x is the
-    smallest neighborhood available for a local witness.
+    smallest neighborhood available for a local witness.  Values compare as
+    index tuples where both builds list the same candidates.
     """
     space = g.base.space
+    cg, cv = _stalk_candidates(g.ambient, g.k), _stalk_candidates(v.ambient, v.k)
     for x in space.points:
         ux = space.min_open[x]
-        if g.values[ux] != v.values[ux]:
+        if g.values[ux] != v.values[ux] or any(cg[y] != cv[y] for y in ux):
             return False
     return True
 
@@ -318,20 +374,31 @@ class GrassmannSection:
         return tuple((x, s.sort_key()) for x, s in self.family)
 
 
+def _section_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...]]:
+    """The sections of the generated sheaf over u as rows of values over the
+    minimal opens of sorted(u), in lexicographic order of the rows, which is
+    `GrassmannSection.sort_key` order (see `_stalk_families`)."""
+    space = g.base.space
+    rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
+                               lambda x, y, t: g.restrict(space.min_open[x],
+                                                          space.min_open[y], t))
+    rows.sort()
+    return rows
+
+
 def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSection]:
     """All sections of the generated sheaf over u, deterministically ordered."""
     space = g.base.space
-    rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
-                               lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
     pts = sorted(u)
-    secs = [GrassmannSection(tuple(zip(pts, row)), g.ambient) for row in rows]
-    secs.sort(key=GrassmannSection.sort_key)
-    return secs
+    return [GrassmannSection(tuple([(x, g.subsheaf(space.min_open[x], t))
+                                    for x, t in zip(pts, row)]), g.ambient)
+            for row in _section_rows(g, u)]
 
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
-    """Glue a section's stalkwise values into one subsheaf of A^n."""
-    return _glue(s.ambient, s.family)
+    """Glue a section's stalkwise values into one subsheaf of A^n: each
+    value's own entry at its point."""
+    return VectorSubsheaf(s.ambient, tuple([(x, val.family_at(x)) for x, val in s.family]))
 
 
 def subsheaf_to_section(t: VectorSubsheaf, k: int,
@@ -348,6 +415,21 @@ def subsheaf_to_section(t: VectorSubsheaf, k: int,
     return GrassmannSection(tuple(family), t.ambient)
 
 
+def _value_to_row(g: GrassmannPresheaf, u: PointSet, t: Value,
+                  budget: Optional[Budget]) -> Tuple[Value, ...]:
+    """`subsheaf_to_section` on the value t over u, as a row of values: the
+    same freeness question about each restriction, in the same order."""
+    space = g.base.space
+    row = []
+    for x in sorted(u):
+        ux = space.min_open[x]
+        piece = g.restrict(u, ux, t)
+        if not is_free_of_rank(g.subsheaf(ux, piece), ux, g.k, budget)[0]:
+            raise NotLocallyFree(f"not free of rank {g.k} on min_open({x!r})")
+        row.append(piece)
+    return tuple(row)
+
+
 # -- the universal (truncated) construction -----------------------------------
 
 def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
@@ -359,14 +441,21 @@ def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
     return build_grassmann_presheaf(a, n, truncation, budget)
 
 
+def _included(family: Iterable[Tuple[Point, frozenset]], source: ModuleSheaf,
+              ambient: ModuleSheaf) -> Tuple[Tuple[Point, frozenset], ...]:
+    """Coordinate inclusion of a stalk family of source into ambient: stalk
+    vectors padded with zeros."""
+    out = []
+    for x, vs in family:
+        pad = ambient.rank_at[x] - source.rank_at[x]
+        assert pad >= 0
+        out.append((x, frozenset(v + zero_vec(source.ring_at(x), pad) for v in vs)))
+    return tuple(out)
+
+
 def include_subsheaf(t: VectorSubsheaf, ambient: ModuleSheaf) -> VectorSubsheaf:
     """Coordinate inclusion A^N -> A^(N'): pad stalk vectors with zeros."""
-    fam = {}
-    for x, vs in t.family:
-        pad = ambient.rank_at[x] - t.ambient.rank_at[x]
-        assert pad >= 0
-        fam[x] = frozenset(v + zero_vec(t.ambient.ring_at(x), pad) for v in vs)
-    return make_subsheaf(ambient, fam)
+    return VectorSubsheaf(ambient, _included(t.family, t.ambient, ambient))
 
 
 def classify(a: AlgebraSheaf, n: int, truncation: int,
@@ -375,9 +464,10 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     rank-n vector subsheaves of A^N, checking the two maps are mutually
     inverse bijections."""
     whole = frozenset(a.space.points)
+    pts = sorted(whole)
     g = build_universal_grassmann(a, n, truncation, budget)
     v = _build_values(g.ambient, n, True, budget)
-    sections = enumerate_sections(g, whole)
+    sections = _section_rows(g, whole)
     subsheaves = v.values[whole]
 
     sub_index = {t: i for i, t in enumerate(subsheaves)}
@@ -385,16 +475,16 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     pairs = []
     bijection = len(sections) == len(subsheaves)
     for i, s in enumerate(sections):
-        t = section_to_subsheaf(s)
+        t = _glue_row(g, pts, s)
         j = sub_index.get(t)
-        if j is None or subsheaf_to_section(t, n, budget) != s:
+        if j is None or _value_to_row(g, whole, t, budget) != s:
             bijection = False
             break
         pairs.append([i, j])
     if bijection:
-        for j, t in enumerate(subsheaves):
-            s = subsheaf_to_section(t, n, budget)
-            if s not in known_sections or section_to_subsheaf(s) != t:
+        for t in subsheaves:
+            s = _value_to_row(g, whole, t, budget)
+            if s not in known_sections or _glue_row(g, pts, s) != t:
                 bijection = False
                 break
 
@@ -406,9 +496,9 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
         morph = embed_via_weights(
             e, (whole,), {0: identity_trivialization(e, whole, n)},
             trivial_weight_family(a), n)
-        fam = {x: frozenset(morph.maps[x].values()) for x in a.space.points}
-        image = include_subsheaf(make_subsheaf(morph.target, fam), g.ambient)
-        embed_image_found = image in sub_index
+        image = _included([(x, frozenset(morph.maps[x].values())) for x in pts],
+                          morph.target, g.ambient)
+        embed_image_found = _candidate_index(g.ambient, n, image) in sub_index
 
     return {
         "k": n,

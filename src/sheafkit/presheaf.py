@@ -226,7 +226,8 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     for m in maxpts:
         states *= max(len(elems_at(m)), 1)
         if states > DEFAULT_STATE_BOUND:
-            raise SpaceTooLarge(f"section enumeration exceeds {DEFAULT_STATE_BOUND} states")
+            raise SpaceTooLarge(f"section enumeration over open {pts} exceeds "
+                                f"{DEFAULT_STATE_BOUND} states at {states}")
     below = [sorted(space.min_open[m]) for m in maxpts]
     out = []
     for choice in itertools.product(*[elems_at(m) for m in maxpts]):

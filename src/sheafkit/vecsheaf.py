@@ -346,21 +346,26 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     returns the first witness found.  The answer is kept on the ambient under
     the stalk families over u, so s and its restriction to u share it, and
     asking again charges the budget what the search took the first time.
+    A spent budget names the open, the rank and the steps used.
     """
     budget = budget or Budget()
     stalks = tuple((x, vs) for x, vs in s.family if x in u)
     key = (stalks, k)
     answer = s.ambient.freeness.get(key)
-    if answer is None:
-        before = budget.used
-        found, witness = _find_basis(
-            [s.ambient.ring_at(x) for x, _ in stalks],
-            [s.ambient.rank_at[x] for x, _ in stalks],
-            [len(vs) for _, vs in stalks],
-            lambda: subsheaf_sections(s, u), k, budget)
-        answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
-    else:
-        budget.spend("freeness search", answer[2])
+    try:
+        if answer is None:
+            before = budget.used
+            found, witness = _find_basis(
+                [s.ambient.ring_at(x) for x, _ in stalks],
+                [s.ambient.rank_at[x] for x, _ in stalks],
+                [len(vs) for _, vs in stalks],
+                lambda: subsheaf_sections(s, u), k, budget)
+            answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
+        else:
+            budget.spend("freeness search", answer[2])
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(f"{exc} over open {sorted(u)} at rank {k}, "
+                                   f"{budget.used} steps used") from None
     return answer[0], answer[1]
 
 

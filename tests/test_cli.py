@@ -260,6 +260,18 @@ def test_grassmann_budget_exit(tmp_path, capsys):
     assert err.startswith("budget exhausted: freeness search exceeded")
 
 
+def test_grassmann_budget_exit_names_open_rank_and_count(tmp_path, capsys):
+    """The first search over F_3 on the pseudo-circle, the line {a}, takes a
+    third step that a budget of 2 refuses."""
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    rg = write(tmp_path, "ring.json", F3)
+    code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
+                                     "-k", "1", "-n", "2", "--budget", "2"])
+    assert code == EXIT_BUDGET and report is None
+    assert err == ("budget exhausted: freeness search exceeded the budget of 2 steps "
+                   "over open ['a'] at rank 1, 3 steps used\n")
+
+
 def test_free_sheaf_guard_exits_before_listing(tmp_path, capsys, monkeypatch):
     def listing(*args):
         raise AssertionError("a stalk's vectors were listed")

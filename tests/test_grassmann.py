@@ -43,11 +43,13 @@ from sheafkit.vecsheaf import (
     VectorSubsheaf,
     constant_algebra_sheaf,
     free_sheaf,
+    full_subsheaf,
     is_free_of_rank,
     is_locally_free,
     make_subsheaf,
     restrict_subsheaf,
     validate_subsheaf,
+    zero_subsheaf,
 )
 
 F2 = make_field(2)
@@ -62,6 +64,11 @@ def sierpinski_plus_point():
 
 def whole(space):
     return frozenset(space.points)
+
+
+def subsheaves(g, u):
+    """The values of g over u, decoded into subsheaves of its ambient."""
+    return [g.subsheaf(u, t) for t in g.values[u]]
 
 
 # -- value enumeration -------------------------------------------------------
@@ -124,9 +131,9 @@ def assert_values_match_the_search(a, ranks=range(4)):
             g = build_grassmann_presheaf(a, k, n)
             v = build_v_presheaf(a, k, n)
             for u in enumerate_opens(a.space):
-                assert g.values[u] == enumerate_free_subsheaves(a, k, n, u)
-                assert v.values[u] == enumerate_locally_free_subsheaves(a, k, n, u)
-                for vals in (g.values[u], v.values[u]):
+                assert subsheaves(g, u) == enumerate_free_subsheaves(a, k, n, u)
+                assert subsheaves(v, u) == enumerate_locally_free_subsheaves(a, k, n, u)
+                for vals in (subsheaves(g, u), subsheaves(v, u)):
                     keys = [t.sort_key() for t in vals]
                     assert keys == sorted(set(keys))
                     for t in vals:
@@ -141,15 +148,20 @@ def test_values_match_the_search_on_each_open(make, ring):
     assert_values_match_the_search(constant_algebra_sheaf(make(), ring))
 
 
+def f2_into_f4_plus_point():
+    """F_2 stalks at c and p restricting into F_4 stalks on Sierpinski plus
+    a point."""
+    space = sierpinski_plus_point()
+    small = {"c", "p"}
+    return AlgebraSheaf(space, {x: F2 if x in small else make_quotient(2, [1, 1, 1])
+                                for x in space.points},
+                        {(x, y): (0, 1) for x in small for y in space.min_open[x]})
+
+
 def test_values_match_the_search_on_each_open_into_a_larger_field():
     """F_2 stalks at c and p restricting into F_4 stalks: the disconnected
     opens {o, p} and {o, c, p} have components over different rings."""
-    space = sierpinski_plus_point()
-    small = {"c", "p"}
-    a = AlgebraSheaf(space, {x: F2 if x in small else make_quotient(2, [1, 1, 1])
-                             for x in space.points},
-                     {(x, y): (0, 1) for x in small for y in space.min_open[x]})
-    assert_values_match_the_search(a)
+    assert_values_match_the_search(f2_into_f4_plus_point())
 
 
 def twisted_circle_plus_point():
@@ -166,6 +178,39 @@ def twisted_circle_plus_point():
 
 def test_values_match_the_search_on_each_open_of_a_twisted_circle():
     assert_values_match_the_search(twisted_circle_plus_point(), range(3))
+
+
+def assert_restriction_is_projection(g):
+    """Oracle: the materialised subsheaves.  A value's projection onto an
+    open v decodes to the restriction of its subsheaf to v, and each open's
+    values decode in strictly ascending sort_key order."""
+    restrict = g.presheaf().restrict
+    for u, vals in g.values.items():
+        keys = [t.sort_key() for t in subsheaves(g, u)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for v in g.values:
+            if v <= u:
+                for t in vals:
+                    assert g.subsheaf(v, restrict(u, v, t)) == \
+                        restrict_subsheaf(g.subsheaf(u, t), v)
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_restriction_is_projection_on_the_report_corpus(make, ring):
+    a = constant_algebra_sheaf(make(), ring)
+    for k, n in ((0, 1), (1, 2), (2, 3)):
+        assert_restriction_is_projection(build_grassmann_presheaf(a, k, n))
+        assert_restriction_is_projection(build_v_presheaf(a, k, n))
+
+
+@pytest.mark.parametrize("make", [f2_into_f4_plus_point, twisted_circle_plus_point])
+def test_restriction_is_projection_over_non_constant_stalks(make):
+    a = make()
+    for n in range(3):
+        for k in range(n + 1):
+            assert_restriction_is_projection(build_grassmann_presheaf(a, k, n))
+            assert_restriction_is_projection(build_v_presheaf(a, k, n))
 
 
 def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypatch):
@@ -236,7 +281,8 @@ def test_stalk_join_matches_the_pairwise_scan(make, ring):
         for k in range(min(n, 2) + 1):
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) <= 1:
-                    assert [dict(f) for f in grassmann._stalk_families(ambient, u, k)] \
+                    assert [dict(grassmann._subsheaf(ambient, k, sorted(u), f).family)
+                            for f in grassmann._stalk_families(ambient, u, k)] \
                         == pairwise_stalk_families(ambient, u, k)
 
 
@@ -252,7 +298,8 @@ def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
             ambient = free_sheaf(a, n)
             for k in range(min(n, 2) + 1):
                 for u in enumerate_opens(space):
-                    assert [dict(f) for f in grassmann._stalk_families(ambient, u, k)] \
+                    assert [dict(grassmann._subsheaf(ambient, k, sorted(u), f).family)
+                            for f in grassmann._stalk_families(ambient, u, k)] \
                         == pairwise_stalk_families(ambient, u, k)
 
 
@@ -337,8 +384,8 @@ def test_sections_are_searched_only_on_connected_opens(monkeypatch):
 def test_values_are_valid_free_subsheaves():
     a = constant_algebra_sheaf(pseudo_circle(), F3)
     g = build_grassmann_presheaf(a, 1, 2)
-    for u, vals in g.values.items():
-        for t in vals:
+    for u in g.values:
+        for t in subsheaves(g, u):
             assert validate_subsheaf(t) == []
             assert is_free_of_rank(t, u, 1)[0]
 
@@ -457,14 +504,14 @@ def test_restriction_of_value_is_value():
     g = build_grassmann_presheaf(a, 1, 2)
     opens = sorted(g.values, key=lambda s: (len(s), tuple(sorted(s))))
     for u in opens:
-        keys_u = {t.sort_key() for t in g.values[u]}
+        keys_u = {t.sort_key() for t in subsheaves(g, u)}
         for v in opens:
             if not v <= u:
                 continue
             from sheafkit.vecsheaf import restrict_subsheaf
-            for t in g.values[u]:
+            for t in subsheaves(g, u):
                 assert restrict_subsheaf(t, v).sort_key() in \
-                    {s.sort_key() for s in g.values[v]}
+                    {s.sort_key() for s in subsheaves(g, v)}
         assert len(keys_u) == len(g.values[u])
 
 
@@ -493,9 +540,10 @@ def glues_are_values(v):
     """Oracle for V's completeness: the values over each open are exactly
     the glues of the compatible families of values over its minimal opens."""
     space = v.base.space
-    for u, vals in v.values.items():
+    for u in v.values:
+        vals = subsheaves(v, u)
         rows = compatible_families(
-            space, u, lambda x: v.values[space.min_open[x]],
+            space, u, lambda x: subsheaves(v, space.min_open[x]),
             lambda x, y, s: restrict_subsheaf(s, space.min_open[y]))
         glued = [make_subsheaf(v.ambient, {x: val.family_at(x)
                                            for x, val in zip(sorted(u), row)})
@@ -696,13 +744,29 @@ def test_classify_embed_image_found():
         assert report["embed_image_found"] is True
 
 
+@pytest.mark.parametrize("stalks", [full_subsheaf, zero_subsheaf], ids=["full", "zero"])
+def test_a_family_outside_the_candidates_has_no_value_index(stalks, monkeypatch):
+    """The full stalk and the zero stalk are no rank-1 candidate of F_2^2:
+    the lookup gives no index, and classify reports the image not found."""
+    a = constant_algebra_sheaf(sierpinski(), F2)
+    g = build_grassmann_presheaf(a, 1, 2)
+    u = whole(a.space)
+    assert grassmann._candidate_index(g.ambient, 1, stalks(g.ambient, u).family) is None
+    for t in g.values[u]:
+        assert grassmann._candidate_index(g.ambient, 1, g.subsheaf(u, t).family) == t
+    monkeypatch.setattr(grassmann, "_included", lambda family, source, ambient:
+                        stalks(ambient, frozenset(x for x, _ in family)).family)
+    report = classify(a, 1, 2)
+    assert report["bijection"] is True and report["embed_image_found"] is False
+
+
 def brute_section_families(g, u):
     """Oracle: filter raw products of germ values by pairwise compatibility
     on overlaps of the minimal opens."""
     from sheafkit.vecsheaf import restrict_subsheaf
     space = g.base.space
     pts = sorted(u)
-    choices = [g.values[space.min_open[x]] for x in pts]
+    choices = [subsheaves(g, space.min_open[x]) for x in pts]
     out = []
     for row in itertools.product(*choices):
         ok = True

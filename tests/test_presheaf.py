@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sheafkit.errors import InvalidMorphism
+from sheafkit.errors import InvalidMorphism, SpaceTooLarge
 from sheafkit import presheaf
 from sheafkit.finalg import (
     RingMorphism,
@@ -247,6 +247,15 @@ def test_wrong_map_on_a_longer_step_fails_the_cover_check(monkeypatch):
 
 
 # -- stalks ------------------------------------------------------------------
+
+def test_section_enumeration_guard_names_its_open_and_count(monkeypatch):
+    """Two maximal points of three choices each: 9 states pass a bound of 5."""
+    monkeypatch.setattr(presheaf, "DEFAULT_STATE_BOUND", 5)
+    with pytest.raises(SpaceTooLarge) as hit:
+        presheaf.compatible_families(pseudo_circle(), frozenset({"a", "b"}),
+                                     lambda x: [0, 1, 2], lambda x, y, e: e)
+    assert str(hit.value) == "section enumeration over open ['a', 'b'] exceeds 5 states at 9"
+
 
 def test_constant_sheaf_stalk():
     p = constant_presheaf(sierpinski(), F2)

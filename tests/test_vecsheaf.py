@@ -646,3 +646,22 @@ def test_repeated_freeness_question_is_answered_and_charged_alike():
     assert is_free_of_rank(first, X_PC, 2, short) == answer
     with pytest.raises(SearchBudgetExceeded, match="freeness search exceeded"):
         is_free_of_rank(again, X_PC, 2, short)
+
+
+def test_spent_freeness_budget_names_its_open_rank_and_count():
+    """On the search path and on a memo charge alike, a spent budget keeps
+    its message and adds the open, the rank and the steps used."""
+    b = Budget()
+    is_free_of_rank(full_subsheaf(free_sheaf(A3_PC, 2), X_PC), X_PC, 2, b)
+    used = b.used
+    message = (f"freeness search exceeded the budget of {used - 1} steps over open "
+               f"['a', 'b', 'c', 'd'] at rank 2, {used} steps used")
+    with pytest.raises(SearchBudgetExceeded) as searched:
+        is_free_of_rank(full_subsheaf(free_sheaf(A3_PC, 2), X_PC), X_PC, 2,
+                        Budget(used - 1))
+    assert str(searched.value) == message
+    amb = free_sheaf(A3_PC, 2)
+    is_free_of_rank(full_subsheaf(amb, X_PC), X_PC, 2)
+    with pytest.raises(SearchBudgetExceeded) as charged:
+        is_free_of_rank(full_subsheaf(amb, X_PC), X_PC, 2, Budget(used - 1))
+    assert str(charged.value) == message

@@ -8,11 +8,19 @@ directory, so it runs from its committed files alone.  A --runs entry is
 WORKLOAD:SEED:PAIRS.  Pair i runs the parent first when i is odd and the
 change first when i is even, one process at a time, with
 `python3 perfbench/run.py --trace 0` from the root of each side.
---trace WORKLOAD:SEED adds one traced run per side.  The output keeps every
-run's summary line and result, and per workload and seed the median and
-quartiles of each end-to-end metric on each side and the pairs the change
-won (ties count for neither side).  It goes to BENCH_<PR>.json at the root
-of the repository.
+--trace WORKLOAD:SEED adds one traced run per side.  --cli "ARGS" runs
+`python3 -m sheafkit.cli ARGS` once per side, parent first, from the root
+of the repository with each side's src on the path, and records its exit
+code, wall time, peak RSS and the sha256 of its stdout:
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 15 \
+        --runs grassmann-search:11:10 --cli "classify --space \
+        tools/inputs/pseudo_circle.json --ring tools/inputs/f2.json -n 2 -N 6"
+
+The output keeps every run's summary line and result, and per workload and
+seed the median and quartiles of each end-to-end metric on each side and
+the pairs the change won (ties count for neither side).  It goes to
+BENCH_<PR>.json at the root of the repository.
 """
 
 from __future__ import annotations
@@ -20,11 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import hashlib
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +62,21 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} in {root} failed:\n{proc.stderr}")
     return {"summary_line": lines[-2], "result": json.loads(lines[-1])}
+
+
+def cli_run(root: Path, args: str) -> dict:
+    """One `sheafkit.cli` run from the root of the repository on root's src."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "sheafkit.cli", *shlex.split(args)],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 2),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "report_sha256": hashlib.sha256(out).hexdigest()}
 
 
 def quartiles(values: list) -> dict:
@@ -84,6 +110,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, help="names the output BENCH_<PR>.json")
     ap.add_argument("--runs", nargs="+", required=True, help="WORKLOAD:SEED:PAIRS")
     ap.add_argument("--trace", nargs="*", default=[], help="WORKLOAD:SEED")
+    ap.add_argument("--cli", nargs="*", default=[], help="sheafkit CLI arguments")
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
 
@@ -93,6 +120,11 @@ def main(argv=None) -> int:
         roots, labels = {}, {}
         for side in SIDES:
             roots[side], labels[side] = checkout(getattr(args, side), Path(tmp), side)
+        cli_runs = {}
+        for cli_args in args.cli:
+            sides = {side: cli_run(roots[side], cli_args) for side in SIDES}
+            sides["same_report"] = len({sides[side]["report_sha256"] for side in SIDES}) == 1
+            cli_runs[cli_args] = sides
         runs = []
         for spec in args.runs:
             workload, seed, pairs = spec.split(":")
@@ -123,6 +155,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, better),
         "runs": runs,
         "trace_runs": trace_runs,
+        "cli_runs": cli_runs,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=1) + "\n")
     return 0

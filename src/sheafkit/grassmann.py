@@ -53,7 +53,7 @@ class GrassmannPresheaf:
     k: int
     ambient: ModuleSheaf
     values: Dict[PointSet, List[Value]]
-    # restriction's positions kept over sorted(u), by (u, v)
+    # by (u, v): the positions in sorted(u) of the points of v, for restrict
     positions: Dict[Tuple[PointSet, PointSet], List[int]] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -208,13 +208,9 @@ def _candidate_index(ambient: ModuleSheaf, k: int,
     """The value with family's stalk at each of its points, or None when
     some stalk is not a rank-k candidate there."""
     candidates = _stalk_candidates(ambient, k)
-    out = []
-    for x, vs in family:
-        i = next((i for i, c in enumerate(candidates[x]) if c.elements == vs), None)
-        if i is None:
-            return None
-        out.append(i)
-    return tuple(out)
+    index = [next((i for i, c in enumerate(candidates[x]) if c.elements == vs), None)
+             for x, vs in family]
+    return None if None in index else tuple(index)
 
 
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,

@@ -8,18 +8,21 @@ computation collapses to the value at the minimal open.  A value becomes a
 `VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where a freeness
 search reads its vectors and where the public API returns subsheaves.
 
-Every open's values come from one stalk-family join.  Sections over a
-disjoint union of opens are tuples of sections over the pieces, so a family
-is (locally) free of rank k there iff it is so on each piece: only the empty
-open and connected opens run a freeness search, and every other open keeps
-the families whose part over each component (`finspace.components`) is a
-value there.
+The empty open and each connected open take the families of one
+stalk-family join that the freeness search accepts; the join is kept on the
+ambient, so G and V built on one ambient share it.  A disconnected open
+takes the product of its components' values (`finspace.components`):
+sections over a disjoint union are tuples of sections over the pieces, so a
+family there is (locally) free of rank k iff each piece is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
+from math import prod
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
@@ -85,24 +88,25 @@ class GrassmannPresheaf:
 MAX_CANDIDATE_VECTORS = 10 ** 5
 
 
-def _stalk_candidates(ambient: ModuleSheaf, k: int) -> Dict[Point, List[Submodule]]:
-    """The rank-k free submodules of each stalk of the ambient, listed once
-    per (stalk ring, n) and kept on the ambient with their compatibility
-    tables, so every build on one ambient shares them."""
+def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, Dict, Dict, Dict]:
+    """What rank-k builds on the ambient share, kept on it: each point's free
+    rank-k stalk submodules, listed once per (stalk ring, n), their indices
+    by elements, compatibility tables by point pair, and joins by open."""
     if k not in ambient.stalk_joins:
+        key = {x: (ambient.ring_at(x), ambient.rank_at[x])
+               for x in sorted(ambient.space.points)}
         lists: Dict[Tuple, List[Submodule]] = {}
-        for x in sorted(ambient.space.points):
-            r, n = ambient.ring_at(x), ambient.rank_at[x]
-            if (r, n) not in lists:
-                count = gaussian_binomial(n, k, r.size)
-                if count * r.size ** k > MAX_CANDIDATE_VECTORS:
-                    raise SpaceTooLarge(
-                        f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
-                        f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
-                lists[(r, n)] = enumerate_free_submodules(r, n, k)
-        ambient.stalk_joins[k] = ({x: lists[(ambient.ring_at(x), ambient.rank_at[x])]
-                                   for x in ambient.space.points}, {})
-    return ambient.stalk_joins[k][0]
+        for r, n in dict.fromkeys(key.values()):  # each (ring, rank) once, in point order
+            count = gaussian_binomial(n, k, r.size)
+            if count * r.size ** k > MAX_CANDIDATE_VECTORS:
+                raise SpaceTooLarge(
+                    f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
+                    f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
+            lists[(r, n)] = enumerate_free_submodules(r, n, k)
+        index = {rn: {c.elements: i for i, c in enumerate(cs)} for rn, cs in lists.items()}
+        ambient.stalk_joins[k] = ({x: lists[key[x]] for x in key},
+                                  {x: index[key[x]] for x in key}, {}, {})
+    return ambient.stalk_joins[k]
 
 
 def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
@@ -116,18 +120,17 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     A smaller image is tested against every candidate at y.  A table is
     charged its tests at every use, built then or earlier.
     """
-    candidates, tables = ambient.stalk_joins[k]
+    candidates, index, tables, _ = ambient.stalk_joins[k]
     if (x, y) in tables:
         spend(tables[(x, y)][2])
         return tables[(x, y)]
-    res, at_y = ambient.res[(x, y)], candidates[y]
-    index = {c.elements: j for j, c in enumerate(at_y)}
+    res, at_y, position = ambient.res[(x, y)], candidates[y], index[y]
     size = ambient.ring_at(y).size ** k
     into, from_x, tests = [], [0] * len(at_y), 0
     for i, c in enumerate(candidates[x]):
         image = frozenset(res[v] for v in c.elements)
         if len(image) == size:
-            cost, hits = 1, [index[image]] if image in index else []
+            cost, hits = 1, [position[image]] if image in position else []
         else:
             cost, hits = len(at_y), [j for j, d in enumerate(at_y) if image <= d.elements]
         spend(cost)
@@ -156,7 +159,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
     """
     space = ambient.space
     pts = sorted(u)
-    candidates = _stalk_candidates(ambient, k)
+    candidates = _stalk_joins(ambient, k)[0]
     sizes = [len(candidates[x]) for x in pts]
     steps = 0
 
@@ -207,17 +210,19 @@ def _candidate_index(ambient: ModuleSheaf, k: int,
                      family: Iterable[Tuple[Point, frozenset]]) -> Optional[Value]:
     """The value with family's stalk at each of its points, or None when
     some stalk is not a rank-k candidate there."""
-    candidates = _stalk_candidates(ambient, k)
-    index = [next((i for i, c in enumerate(candidates[x]) if c.elements == vs), None)
-             for x, vs in family]
-    return None if None in index else tuple(index)
+    index = _stalk_joins(ambient, k)[1]
+    found = [index[x].get(vs) for x, vs in family]
+    return None if None in found else tuple(found)
 
 
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
                       locally_free: bool, budget: Optional[Budget]) -> List[Value]:
-    """The free (or locally free) values over u, in sort_key order."""
-    pts = sorted(u)
-    families = _stalk_families(ambient, u, k)
+    """The free (or locally free) values over u, in sort_key order: the
+    families of its join, kept on the ambient, that the search accepts."""
+    joins = _stalk_joins(ambient, k)[3]
+    if u not in joins:
+        joins[u] = _stalk_families(ambient, u, k)
+    pts, families = sorted(u), joins[u]
     if locally_free:
         return [t for t in families
                 if is_locally_free(_subsheaf(ambient, k, pts, t), u, k, budget)]
@@ -230,18 +235,11 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
     """Values in the ambient A^n over every open; locally free values must
     form a complete presheaf.
 
-    Every open's values are families of the join, in its order, which is
-    sort_key order.  The empty open and connected opens keep the families
-    the freeness search accepts.  A disconnected open keeps the families
-    whose part over each component is a value there; components are
-    smaller opens, listed earlier, so their values are already built.
-    That is exact: closure constraints link only related points, which
-    share a component, so a family is closed iff each part is; sections
-    over a disjoint union are tuples of sections over the components, so
-    the family is free (or locally free) iff each part is.  Over field
-    stalks no search rejects a closed family: its reduced row echelon bases
-    restrict to one another, so they are k sections forming a basis at
-    every point.
+    The empty open and connected opens keep the families of their join
+    that the freeness search accepts.  A disconnected open takes every
+    choice of one value per component (a smaller open, listed earlier), its
+    entries placed over sorted(u) and sorted: the join's order, which is
+    sort_key order.
     """
     a = ambient.base
     values: Dict[PointSet, List[Value]] = {}
@@ -250,12 +248,14 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
         if len(parts) <= 1:
             values[u] = _enumerate_values(ambient, k, u, locally_free, budget)
             continue
-        pts = sorted(u)
-        where = [[i for i, x in enumerate(pts) if x in c] for c in parts]
-        kept = [set(values[c]) for c in parts]
-        values[u] = [t for t in _stalk_families(ambient, u, k)
-                     if all(tuple([t[i] for i in idx]) in ts
-                            for idx, ts in zip(where, kept))]
+        count = prod(len(values[c]) for c in parts)
+        if count > DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
+                                f"{DEFAULT_STATE_BOUND} values at {count}")
+        flat = [x for c in parts for x in sorted(c)]
+        place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+        values[u] = sorted(place(sum(choice, ()))
+                           for choice in product(*[values[c] for c in parts]))
     g = GrassmannPresheaf(a, k, ambient, values)
     if locally_free and not is_complete(g.presheaf()):
         raise AssertionError("locally-free value presheaf failed completeness")
@@ -349,7 +349,7 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
     index tuples where both builds list the same candidates.
     """
     space = g.base.space
-    cg, cv = _stalk_candidates(g.ambient, g.k), _stalk_candidates(v.ambient, v.k)
+    cg, cv = _stalk_joins(g.ambient, g.k)[0], _stalk_joins(v.ambient, v.k)[0]
     for x in space.points:
         ux = space.min_open[x]
         if g.values[ux] != v.values[ux] or any(cg[y] != cv[y] for y in ux):

@@ -19,6 +19,7 @@ from .errors import (
     SearchBudgetExceeded,
     SpaceTooLarge,
     TrivializationMismatch,
+    ValidationError,
 )
 from .finalg import (
     FinRing,
@@ -143,9 +144,9 @@ class ModuleSheaf:
         # is_free_of_rank answers by (stalk families over the open, rank):
         # (found, witness, budget steps the search took)
         self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
-        # grassmann's rank-k stalk candidates by point and their
-        # compatibility tables by point pair, by k, shared by every build
-        self.stalk_joins: Dict[int, Tuple[Dict, Dict]] = {}
+        # grassmann's rank-k stalk candidates, indices, tables and joins, by
+        # k, shared by every build (`grassmann._stalk_joins`)
+        self.stalk_joins: Dict[int, Tuple[Dict, Dict, Dict, Dict]] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
@@ -628,13 +629,12 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
     space = e.space
     pts = sorted(space.points)
     for x in pts:
-        r = e.ring_at(x)
         if e.rank_at[x] != f.rank_at[x]:
             return None
-        full = r.size ** e.rank_at[x]
+        full = e.ring_at(x).size ** e.rank_at[x]
         if len(e.stalk_elems[x]) != full or len(f.stalk_elems[x]) != full:
-            raise SearchBudgetExceeded(
-                "isomorphism search requires full free stalks")
+            raise ValidationError(f"isomorphism search requires full free stalks; "
+                                  f"the stalk at {x!r} is not full")
 
     actions = {key: _Actions(*key) for key in {(e.ring_at(x), e.rank_at[x]) for x in pts}}
     acts = {x: actions[(e.ring_at(x), e.rank_at[x])] for x in pts}

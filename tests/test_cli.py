@@ -576,7 +576,12 @@ def run_module(argv, timeout=60):
     ({"min_open": {"o": ["o"], "c1": ["o", "c1"], "c2": ["o", "c2"]}},
      ["-k", "1", "-n", "10"],
      "stalk-family join over open ['c1', 'c2', 'o'] exceeds 1000000 steps at"),
-], ids=["candidates", "join"])
+    # 255 lines at each of three pairwise unrelated points: 255^3 values
+    # over {a1, a2, e}, refused before any is listed
+    ({"min_open": {"a1": ["a1"], "a2": ["a2"], "e": ["e"], "m": ["a1", "a2", "m"]}},
+     ["-k", "1", "-n", "8"],
+     "value product over open ['a1', 'a2', 'e'] exceeds 1000000 values at 16581375"),
+], ids=["candidates", "join", "product"])
 def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
     sp = write(tmp_path, "space.json", space)
     rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})

@@ -40,6 +40,7 @@ from sheafkit.presheaf import compatible_families, is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
     AlgebraSheaf,
     Budget,
+    ModuleSheaf,
     VectorSubsheaf,
     constant_algebra_sheaf,
     free_sheaf,
@@ -121,8 +122,8 @@ def test_discrete_values_are_products():
 
 
 def assert_values_match_the_search(a, ranks=range(4)):
-    """G and V keep a disconnected open's join families whose part over
-    each component is a value there; the search over that one open is the
+    """G and V take a disconnected open's values as the product of its
+    components' values; the join and search over that one open is the
     oracle.  A value is its family: it equals, and hashes like, the same
     family in a fresh ambient, and restricts to itself over its domain."""
     for n in ranks:
@@ -239,6 +240,27 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
     assert len(g.values[whole(a.space)]) == 10
 
 
+def test_a_disconnected_open_sorts_its_product_into_join_order():
+    """Restriction from c to a projects F_2^2 onto its first axis, so two
+    values over {a, c} agree at a and differ at c.  With b sorted between
+    them, the product of the components' values lists (a, c) before b and
+    must be sorted to give the join's order over [a, b, c]."""
+    space = build_space({"a": ["a"], "b": ["b"], "c": ["a", "c"]})
+    vecs = tuple(itertools.product(range(2), repeat=2))
+
+    def ambient():
+        return ModuleSheaf(constant_algebra_sheaf(space, F2), dict.fromkeys(space.points, 2),
+                           dict.fromkeys(space.points, vecs),
+                           {("c", "a"): {v: (v[0], 0) for v in vecs}})
+
+    g = grassmann._build_values(ambient(), 1, False, None)
+    ac = g.values[frozenset("ac")]
+    assert len(ac) == 2 and ac[0][0] == ac[1][0]
+    assert len(g.values[whole(space)]) == 2 * 3
+    assert g.values[whole(space)] == grassmann._enumerate_values(
+        ambient(), 1, whole(space), False, None)
+
+
 def pairwise_stalk_families(ambient, u, k):
     """Oracle: per-point choices of rank-k free submodules over sorted(u),
     each kept when restriction maps it into, and is mapped into by, every
@@ -335,6 +357,26 @@ def test_classify_lists_stalk_candidates_once_per_ring(monkeypatch):
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
     assert calls == [(F2, 2, 1)]
+
+
+def test_classify_joins_each_connected_open_once(monkeypatch):
+    """G and V of one classify run share their ambient's joins: one per
+    connected or empty open, none over the disconnected open {a, b}, whose
+    values are the product of its components' values."""
+    joined = []
+    stalk_families = grassmann._stalk_families
+
+    def counting(ambient, u, k):
+        joined.append(u)
+        return stalk_families(ambient, u, k)
+
+    monkeypatch.setattr(grassmann, "_stalk_families", counting)
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    report = classify(a, 1, 2)
+    assert report["bijection"] is True
+    # G joins in the order of the opens; V joins nothing again
+    assert joined == [u for u in enumerate_opens(a.space) if len(components(a.space, u)) <= 1]
+    assert len(joined) == 6 and frozenset({"a", "b"}) not in joined
 
 
 def test_stalk_join_size_guard(monkeypatch):

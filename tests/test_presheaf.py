@@ -257,6 +257,29 @@ def test_section_enumeration_guard_names_its_open_and_count(monkeypatch):
     assert str(hit.value) == "section enumeration over open ['a', 'b'] exceeds 5 states at 9"
 
 
+# On the pseudo-circle the maximal points are c and d.  c has one choice,
+# whose germ at a is a0; d has d0 (germ a0) and d1 (germ a1).  A plain loop
+# over the product meets d1 only at (c0, d1), reads its germ at a first and
+# stops there, so it never asks for the germ of d1 at b.
+PC_RES = {("c", "a", "c0"): "a0", ("c", "b", "c0"): "b0", ("c", "c", "c0"): "c0",
+          ("d", "a", "d0"): "a0", ("d", "b", "d0"): "b0", ("d", "d", "d0"): "d0",
+          ("d", "a", "d1"): "a1", ("d", "d", "d1"): "d1"}
+PC_ELEMS = {"c": ["c0"], "d": ["d0", "d1"]}
+
+
+def test_compatible_families_raises_the_key_error_a_plain_loop_reaches():
+    res = {key: v for key, v in PC_RES.items() if key != ("d", "b", "d0")}
+    with pytest.raises(KeyError, match="'d', 'b', 'd0'"):
+        presheaf.compatible_families(pseudo_circle(), frozenset("abcd"), PC_ELEMS.get,
+                                     lambda x, y, e: res[(x, y, e)])
+
+
+def test_compatible_families_skips_a_key_error_a_plain_loop_never_reaches():
+    assert presheaf.compatible_families(
+        pseudo_circle(), frozenset("abcd"), PC_ELEMS.get,
+        lambda x, y, e: PC_RES[(x, y, e)]) == [("a0", "b0", "c0", "d0")]
+
+
 def test_constant_sheaf_stalk():
     p = constant_presheaf(sierpinski(), F2)
     assert len(stalk(p, "o").carrier.elements) == 2

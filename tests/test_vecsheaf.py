@@ -11,6 +11,7 @@ from sheafkit.errors import (
     InvalidWeights,
     SearchBudgetExceeded,
     TrivializationMismatch,
+    ValidationError,
 )
 from sheafkit.finalg import Matrix, make_field, make_mod_ring, make_quotient, span
 from sheafkit.finspace import (
@@ -256,6 +257,17 @@ def test_cohomologous_cocycles_isomorphic():
     assert iso is not None
     assert validate_module_morphism(iso) == []
     assert is_monomorphism(iso)
+
+
+def test_module_isomorphism_refuses_a_stalk_that_is_not_full_as_invalid_input():
+    """A rank-2 stalk holding one line of F_2^2 is invalid input for the
+    search, not a spent budget, and the error names its point."""
+    a = constant_algebra_sheaf(point_space(), F2)
+    line = ModuleSheaf(a, {"p": 2}, {"p": ((0, 0), (1, 0))}, {})
+    assert line.validate() == []
+    for e, f in ((line, free_sheaf(a, 2)), (free_sheaf(a, 2), line)):
+        with pytest.raises(ValidationError, match="the stalk at 'p' is not full"):
+            find_module_isomorphism(e, f, budget=Budget())
 
 
 def glued_pc_bundle(a, rank, g):

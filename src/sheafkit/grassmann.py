@@ -13,7 +13,11 @@ stalk-family join that the freeness search accepts; the join is kept on the
 ambient, so G and V built on one ambient share it.  A disconnected open
 takes the product of its components' values (`finspace.components`):
 sections over a disjoint union are tuples of sections over the pieces, so a
-family there is (locally) free of rank k iff each piece is.
+family there is (locally) free of rank k iff each piece is.  The checks
+(V's completeness, the monopresheaf verdict, the non-free-glue hunt and the
+section count over the whole space) likewise list section rows over the
+empty and connected opens alone, and settle a disconnected open by its
+components (the note above `_glues_are_values`).
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
                      zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
 from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf,
-                       compatible_families, is_complete, is_monopresheaf,
-                       sheafify, unit_injective)
+                       compatible_families, is_monopresheaf)
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -257,7 +260,7 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
         values[u] = sorted(place(sum(choice, ()))
                            for choice in product(*[values[c] for c in parts]))
     g = GrassmannPresheaf(a, k, ambient, values)
-    if locally_free and not is_complete(g.presheaf()):
+    if locally_free and not _glues_are_values(g):
         raise AssertionError("locally-free value presheaf failed completeness")
     return g
 
@@ -306,10 +309,53 @@ def _glue_row(g: GrassmannPresheaf, pts: List[Point], row: Tuple[Value, ...]) ->
     return tuple([t[own[x]] for x, t in zip(pts, row)])
 
 
+def _compatible_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...]]:
+    """The sections of the generated sheaf over u as rows of values over the
+    minimal opens of sorted(u), in `compatible_families` order."""
+    space = g.base.space
+    return compatible_families(space, u, lambda x: g.values[space.min_open[x]],
+                               lambda x, y, t: g.restrict(space.min_open[x],
+                                                          space.min_open[y], t))
+
+
+# The checks on G and V read the section rows over the empty and connected
+# opens only.  Over such an open u let unit(t) = (t|U_x) over sorted(u) and
+# glue = `_glue_row`.  glue(unit(t)) = t, since t|U_x holds t's entry at x;
+# and unit(glue(r)) = r on a compatible row r, since r_x's entry at y in U_x
+# is r_y's entry at y (r_y = r_x|U_y).  So unit is injective, and it is a
+# bijection from the values onto the rows iff {glue(r)} = set(values[u]):
+# then each value is glue(r) with unit(glue(r)) = r a row, and each row r is
+# unit(glue(r)); conversely each row is unit(t), so glue(r) = t is a value.
+#
+# A disconnected open u = c_1 ⊔ ... ⊔ c_m needs no walk.  Its values are the
+# product of the components' values (`_build_values`); its rows are the
+# product of the components' rows, since the minimal open of a point of u
+# lies in that point's component, so compatibility links no two components;
+# and unit acts componentwise, as t|U_x reads only the entries of x's
+# component.  A product of injective (bijective) maps is injective
+# (bijective), and each c_i is a connected open checked on its own, so the
+# unit is injective (bijective) on every open iff it is on the connected
+# (and empty) ones, and the rows over u number the product of the counts.
+
+def _glues_are_values(g: GrassmannPresheaf) -> bool:
+    """V's completeness: the unit is bijective on every open (see above)."""
+    space = g.base.space
+    return all({_glue_row(g, sorted(u), r) for r in _compatible_rows(g, u)} == set(g.values[u])
+               for u in enumerate_opens(space) if len(components(space, u)) <= 1)
+
+
+def _unit_injective(g: GrassmannPresheaf, u: PointSet) -> bool:
+    """No two values over u have the same restrictions to the minimal opens."""
+    mins = [g.base.space.min_open[x] for x in sorted(u)]
+    return len({tuple([g.restrict(u, ux, t) for ux in mins])
+                for t in g.values[u]}) == len(g.values[u])
+
+
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
                                     budget: Optional[Budget] = None) -> dict:
     """Monopresheaf verdict, a hunt for a non-free glue and the number of
-    sections over the whole space, from one sheafify.
+    sections over the whole space, from the section rows over the empty and
+    connected opens (see the note above `_glues_are_values`).
 
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value
@@ -319,23 +365,23 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     row echelon basis at x restricts to the one at each point of
     min_open(x), and these are k sections forming a basis at every point.
     """
-    s = sheafify(g.presheaf())
     space = g.base.space
-    whole = frozenset(space.points)
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
+    opens = [u for u in enumerate_opens(space) if len(components(space, u)) <= 1]
+    rows = {u: _compatible_rows(g, u) for u in opens}
     glued = ((u, g.subsheaf(u, _glue_row(g, sorted(u), row)))
-             for u, c in s.sections.carriers.items()
-             if len(components(space, u)) <= 1 for row in c.elements)
+             for u in opens for row in rows[u])
     witness = next(({"open": sorted(u), "family": t.sort_key()}
                     for u, t in glued if not is_free_of_rank(t, u, g.k, budget)[0]),
                    None)
     return {
-        "monopresheaf": all(unit_injective(s, u) for u in s.unit if u),
+        "monopresheaf": all(_unit_injective(g, u) for u in opens if u),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
-        "sections_over_whole": len(s.sections.carriers[whole].elements),
+        "sections_over_whole": prod(len(rows[c]) for c in
+                                    components(space, frozenset(space.points))),
     }
 
 
@@ -374,10 +420,7 @@ def _section_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...]]:
     """The sections of the generated sheaf over u as rows of values over the
     minimal opens of sorted(u), in lexicographic order of the rows, which is
     `GrassmannSection.sort_key` order (see `_stalk_families`)."""
-    space = g.base.space
-    rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
-                               lambda x, y, t: g.restrict(space.min_open[x],
-                                                          space.min_open[y], t))
+    rows = _compatible_rows(g, u)
     rows.sort()
     return rows
 

@@ -9,8 +9,8 @@ germs indexed by points.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import itemgetter, ne
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge
@@ -217,35 +217,74 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     Values are chosen at the maximal points of the open set and propagated
     downward; functoriality of `res` makes agreement at the propagated points
     equivalent to full compatibility. Families are tuples over sorted points,
-    in `itertools.product` order of the choices; `res` is called, and any
-    KeyError it raises surfaces, as in a plain loop over that product.
+    in `itertools.product` order of the choices.
+
+    A nested-loop join over the maximal points in order: each choice's germs
+    at the points below it are computed once, and under a prefix of choices
+    a choice is kept iff its germs agree (by `!=`) with those the prefix
+    fixed at the points they share.  The join walks the product in order and
+    drops a combination where a plain loop over it would stop, so a KeyError
+    that `res` raises surfaces iff such a loop reaches it first: it is held
+    with the germs before it and raised when the join reaches its choice
+    with no mismatch among them.  An open with one maximal point m is
+    min_open(m), and its families are the germ rows of m's choices.
     """
     pts = sorted(carrier_pts)
     maxpts = space.maximal_points(carrier_pts)
+    choices = [elems_at(m) for m in maxpts]
     states = 1
-    for m in maxpts:
-        states *= max(len(elems_at(m)), 1)
+    for vals in choices:
+        states *= max(len(vals), 1)
         if states > DEFAULT_STATE_BOUND:
             raise SpaceTooLarge(f"section enumeration over open {pts} exceeds "
                                 f"{DEFAULT_STATE_BOUND} states at {states}")
-    below = [sorted(space.min_open[m]) for m in maxpts]
-    out = []
-    for choice in itertools.product(*[elems_at(m) for m in maxpts]):
-        assign: Dict[Point, Elem] = {}
-        ok = True
-        for m, ys, val in zip(maxpts, below, choice):
-            for y in ys:
-                v = res(m, y, val)
-                if y in assign:
-                    if assign[y] != v:
-                        ok = False
-                        break
-                else:
-                    assign[y] = v
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(assign[x] for x in pts))
+    if not maxpts:
+        return [()]
+    if len(maxpts) == 1:
+        return [tuple([res(maxpts[0], y, val) for y in pts]) for val in choices[0]]
+    if not all(choices):  # an empty product calls no res
+        return []
+    # per maximal point: the prefix positions of the germs its choices must
+    # agree with, and per choice (its germs at those points, its germ row, a
+    # held KeyError); a prefix is its choices' germ rows laid end to end
+    owner: Dict[Point, int] = {}
+    levels = []
+    width = 0
+    for m, vals in zip(maxpts, choices):
+        ys = sorted(space.min_open[m])
+        shared = [j for j, y in enumerate(ys) if y in owner]
+        fixed = [owner[ys[j]] for j in shared]
+        for j, y in enumerate(ys, width):
+            owner.setdefault(y, j)
+        width += len(ys)
+        rows = []
+        for val in vals:
+            row, err = [], None
+            try:
+                for y in ys:
+                    row.append(res(m, y, val))
+            except KeyError as exc:
+                err = exc
+            rows.append((tuple([row[j] for j in shared if j < len(row)]), tuple(row), err))
+        levels.append((fixed, rows))
+    family = itemgetter(*[owner[x] for x in pts])
+    out: List[Tuple[Elem, ...]] = []
+    last = len(levels) - 1
+
+    def join(i: int, prefix: Tuple[Elem, ...]) -> None:
+        fixed, rows = levels[i]
+        agreed = [prefix[o] for o in fixed]
+        for germs, row, err in rows:
+            if any(map(ne, agreed, germs)):
+                continue
+            if err is not None:
+                raise err
+            if i == last:
+                out.append(family(prefix + row))
+            else:
+                join(i + 1, prefix + row)
+
+    join(0, ())
     return out
 
 

@@ -225,8 +225,8 @@ def test_grassmann_command(tmp_path, capsys):
 
 
 def test_grassmann_enumerates_the_whole_space_once(tmp_path, capsys, monkeypatch):
-    """`sections_over_whole` is read from the sheafification that also gives
-    the monopresheaf verdict, and equals the enumerated section count."""
+    """`sections_over_whole` is read from the section rows that the
+    completeness hunt lists, and equals the enumerated section count."""
     from sheafkit import grassmann, presheaf
     whole = frozenset("abcd")
     calls = []

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafkit import grassmann, vecsheaf
+from sheafkit import cli, grassmann, presheaf, vecsheaf
 from sheafkit.errors import (NotLocallyFree, SearchBudgetExceeded,
                              SpaceTooLarge, ValidationError)
 from sheafkit.finalg import (enumerate_free_submodules, gaussian_binomial,
@@ -36,7 +38,8 @@ from sheafkit.grassmann import (
     section_to_subsheaf,
     subsheaf_to_section,
 )
-from sheafkit.presheaf import compatible_families, is_complete, is_monopresheaf
+from sheafkit.presheaf import (compatible_families, is_complete, is_monopresheaf,
+                               sheafify, unit_injective)
 from sheafkit.vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -515,7 +518,7 @@ from sheafkit.finspace import sierpinski
 a = vecsheaf.constant_algebra_sheaf(sierpinski(), make_field(2))
 e = vecsheaf.free_sheaf(a, 1)
 whole = frozenset(a.space.points)
-grassmann.is_complete = lambda p: False
+grassmann._glues_are_values = lambda g: False
 vecsheaf.validate_module_morphism = lambda m: ["broken"]
 for check in (lambda: grassmann.build_v_presheaf(a, 1, 1),
               lambda: vecsheaf.embed_via_weights(
@@ -537,6 +540,127 @@ def test_cross_checks_survive_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_CROSS_CHECKS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the checks against sheafify ---------------------------------------------
+
+def sheafify_checks(g, budget=None):
+    """`check_monopresheaf_not_complete` read from `sheafify(g.presheaf())`
+    over every open, disconnected ones included: the oracle of the checks
+    on section rows.  A row glues to each value's own entry at its point."""
+    space = g.base.space
+    s = sheafify(g.presheaf())
+    glued = ((u, g.subsheaf(u, tuple(t[sorted(space.min_open[x]).index(x)]
+                                     for x, t in zip(sorted(u), row))))
+             for u, c in s.sections.carriers.items()
+             if len(components(space, u)) <= 1 for row in c.elements)
+    witness = next(({"open": sorted(u), "family": t.sort_key()} for u, t in glued
+                    if not grassmann.is_free_of_rank(t, u, g.k, budget)[0]), None)
+    return {"monopresheaf": all(unit_injective(s, u) for u in s.unit if u),
+            "complete_at_this_scale": witness is None,
+            "completeness_witness": witness,
+            "sections_over_whole": len(s.sections.carriers[whole(space)].elements)}
+
+
+def constant_sheaf(make, ring):
+    return lambda: constant_algebra_sheaf(make(), ring)
+
+
+CHECK_SHEAVES = {f"{make.__name__} {ring.label}": constant_sheaf(make, ring)
+                 for make in CORPUS + [sierpinski_plus_point] for ring in (F2, F3)}
+CHECK_SHEAVES.update(f2_into_f4_plus_point=f2_into_f4_plus_point,
+                     twisted_circle_plus_point=twisted_circle_plus_point)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
+def test_checks_on_section_rows_match_sheafify(name):
+    """The report corpus and the non-constant field sheaves, n <= 2: the
+    same verdicts, witness, section count and budget as the oracle, and V's
+    check agrees with `is_complete`, also once a value over a connected
+    whole space is dropped."""
+    a = CHECK_SHEAVES[name]()
+    top = whole(a.space)
+    for n in range(3):
+        for k in range(n + 1):
+            g = build_grassmann_presheaf(a, k, n)
+            used, oracle_used = Budget(), Budget()
+            assert check_monopresheaf_not_complete(g, used) == sheafify_checks(g, oracle_used)
+            assert used.used == oracle_used.used
+            v = build_v_presheaf(a, k, n)
+            variants = [g, v]
+            if len(components(a.space, top)) == 1 and v.values[top]:
+                variants.append(dataclasses.replace(
+                    v, values={**v.values, top: v.values[top][:-1]}))
+            for h in variants:
+                assert grassmann._glues_are_values(h) == is_complete(h.presheaf())
+
+
+def test_v_check_fails_when_a_glue_is_not_a_value():
+    """Over the pseudo-circle, unlike a minimal open, the whole space's rows
+    come from smaller opens, so a dropped value leaves a glue unmatched."""
+    v = build_v_presheaf(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
+    top = whole(pseudo_circle())
+    short = dataclasses.replace(v, values={**v.values, top: v.values[top][1:]})
+    assert grassmann._glues_are_values(v) and is_complete(v.presheaf())
+    assert not grassmann._glues_are_values(short) and not is_complete(short.presheaf())
+
+
+@pytest.mark.parametrize("name", ["pseudo_circle F_2", "twisted_circle_plus_point"])
+def test_the_hunt_finds_the_witness_sheafify_finds(name, monkeypatch):
+    """Values from the real search; the hunt then refuses a family whose
+    stalk at c holds e_1, and both hunts name the same first witness."""
+    a = CHECK_SHEAVES[name]()
+    g = build_grassmann_presheaf(a, 1, 2)
+    real = grassmann.is_free_of_rank
+
+    def refuse_e1_at_c(s, u, k, budget=None):
+        at_c = [vs for x, vs in s.family if x == "c"]
+        if any(v[:1] == (1,) and not any(v[1:]) for vs in at_c for v in vs):
+            return False, None
+        return real(s, u, k, budget)
+
+    monkeypatch.setattr(grassmann, "is_free_of_rank", refuse_e1_at_c)
+    used, oracle_used = Budget(), Budget()
+    verdict = check_monopresheaf_not_complete(g, used)
+    assert verdict["completeness_witness"]["open"] == ["a", "b", "c"]
+    assert verdict == sheafify_checks(g, oracle_used) and used.used == oracle_used.used
+
+
+def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
+    opens = []
+    original = presheaf.compatible_families
+
+    def recording(space, u, *args):
+        opens.append(len(components(space, u)))
+        return original(space, u, *args)
+
+    for module in (presheaf, grassmann):
+        monkeypatch.setattr(module, "compatible_families", recording)
+    for make in (discrete2, pseudo_circle, sierpinski_plus_point):
+        a = constant_algebra_sheaf(make(), F2)
+        build_v_presheaf(a, 1, 2)
+        check_monopresheaf_not_complete(build_grassmann_presheaf(a, 1, 2))
+    assert opens and max(opens) == 1
+
+
+def test_sections_over_a_disconnected_whole_space_are_a_product(tmp_path, capsys,
+                                                                monkeypatch):
+    """The pseudo-circle beside an isolated point e over F_2, with the
+    section-state bound at 20: the 27 states over ['a', 'b', 'e'] are never
+    listed, so `grassmann` exits 0 with 3 * 3 sections over the whole space,
+    while `classify` lists its rows over the whole space and exits 2 there."""
+    monkeypatch.setattr(presheaf, "DEFAULT_STATE_BOUND", 20)
+    sp, rg = tmp_path / "space.json", tmp_path / "ring.json"
+    sp.write_text(json.dumps({"min_open": {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"],
+                                           "d": ["a", "b", "d"], "e": ["e"]}}))
+    rg.write_text(json.dumps({"kind": "Fp", "p": 2}))
+    files = ["--space", str(sp), "--ring", str(rg)]
+    assert cli.main(["grassmann", *files, "-k", "1", "-n", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sections_over_whole"] == 9
+    assert cli.main(["classify", *files, "-n", "1", "-N", "2"]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "size guard hit: section enumeration over open ['a', 'b', 'c', 'd', 'e'] "
+        "exceeds 20 states at 27\n")
 
 
 # -- presheaf structure ------------------------------------------------------

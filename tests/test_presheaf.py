@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -278,6 +279,130 @@ def test_compatible_families_skips_a_key_error_a_plain_loop_never_reaches():
     assert presheaf.compatible_families(
         pseudo_circle(), frozenset("abcd"), PC_ELEMS.get,
         lambda x, y, e: PC_RES[(x, y, e)]) == [("a0", "b0", "c0", "d0")]
+
+
+# -- the join against the product loop ---------------------------------------
+
+def product_loop_families(space, carrier_pts, elems_at, res):
+    """`compatible_families` as a plain loop over the product of the choices
+    at the maximal points, guard included: the join's oracle."""
+    pts = sorted(carrier_pts)
+    maxpts = space.maximal_points(carrier_pts)
+    states = 1
+    for m in maxpts:
+        states *= max(len(elems_at(m)), 1)
+        if states > presheaf.DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"section enumeration over open {pts} exceeds "
+                                f"{presheaf.DEFAULT_STATE_BOUND} states at {states}")
+    below = [sorted(space.min_open[m]) for m in maxpts]
+    out = []
+    for choice in itertools.product(*[elems_at(m) for m in maxpts]):
+        assign = {}
+        ok = True
+        for m, ys, val in zip(maxpts, below, choice):
+            for y in ys:
+                v = res(m, y, val)
+                if y in assign:
+                    if assign[y] != v:
+                        ok = False
+                        break
+                else:
+                    assign[y] = v
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(assign[x] for x in pts))
+    return out
+
+
+def families_or_key_error(families, *args):
+    try:
+        return families(*args)
+    except KeyError as exc:
+        return "KeyError", exc.args
+
+
+def join_against_the_product_loop(space, elems_at, res):
+    """Each open's families by the join, or the args of its KeyError, after
+    checking that the product loop gives the same."""
+    outcomes = []
+    for u in enumerate_opens(space):
+        args = (space, u, elems_at, res)
+        outcome = families_or_key_error(presheaf.compatible_families, *args)
+        assert outcome == families_or_key_error(product_loop_families, *args), sorted(u)
+        outcomes.append(outcome)
+    return outcomes
+
+
+REPORT_CORPUS_SPACES = PROPERTY_SPACES + [
+    build_space({"o": ["o"], "c": ["o", "c"], "p": ["p"]})]
+
+
+@pytest.mark.parametrize("fault", ("none", "undefined", "cover", "longer"))
+def test_join_matches_the_product_loop_on_set_presheaves(fault):
+    """Every open of the report-corpus spaces, under the constant and the
+    locally constant set presheaves, as given and with one entry broken."""
+    rng = random.Random(fault)
+    for space in REPORT_CORPUS_SPACES:
+        for kind, s in itertools.product(
+                ("constant", "constant-everywhere", "locally-constant"), (2, 3)):
+            p, tables = set_presheaf(space, kind, s)
+            perturb(rng, p, tables, fault)
+            join_against_the_product_loop(
+                space, lambda x: list(p.stalk_carrier(x).elements),
+                lambda x, y, e: p.restrict(space.min_open[x], space.min_open[y], e))
+
+
+def test_join_matches_the_product_loop_on_random_partial_tables():
+    """Random T0 spaces of 1-6 points, up to three choices per point, some
+    points with none, and germs in {0, 1} missing from the table (KeyError)
+    one time in ten."""
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(1, 6))
+        elems = {x: [f"{x}{i}" for i in range(rng.choice((0, 1, 2, 3, 3)))]
+                 for x in space.points}
+        table = {(x, y, e): e if x == y else rng.choice("01")
+                 for x in space.points for y in sorted(space.min_open[x])
+                 for e in elems[x] if rng.random() < 0.9}
+        for outcome in join_against_the_product_loop(
+                space, elems.get, lambda x, y, e: table[(x, y, e)]):
+            kinds.add("raised" if isinstance(outcome, tuple) else
+                      "listed" if outcome else "empty")
+    assert kinds == {"raised", "listed", "empty"}
+
+
+def test_an_empty_choice_list_at_a_later_maximal_point_calls_no_res():
+    """c's germs are all undefined and d has no choices: the product is
+    empty, so a plain loop asks for no germ and raises nothing."""
+    def undefined(x, y, e):
+        raise KeyError((x, y, e))
+
+    whole = frozenset("abcd")
+    elems = {"a": ["a0"], "b": ["b0"], "c": ["c0", "c1"], "d": []}
+    assert product_loop_families(pseudo_circle(), whole, elems.get, undefined) == []
+    assert presheaf.compatible_families(pseudo_circle(), whole, elems.get, undefined) == []
+
+
+def test_join_asks_for_each_germ_once():
+    """Three choices at every point of the pseudo-circle, all germs 0: the
+    product loop asks for d's germs once per choice at c, the join once per
+    (maximal point, choice, point below), and over a minimal open exactly
+    its germ rows."""
+    space = pseudo_circle()
+    elems = dict.fromkeys(space.points, [0, 1, 2])
+    for u in [frozenset(space.points)] + [space.min_open[x] for x in space.points]:
+        calls = collections.Counter()
+
+        def res(x, y, e):
+            calls[(x, e, y)] += 1
+            return 0
+
+        families = presheaf.compatible_families(space, u, elems.get, res)
+        assert len(families) == 3 ** len(space.maximal_points(u))
+        assert set(calls.values()) == {1}
+        assert len(calls) == sum(3 * len(space.min_open[m]) for m in space.maximal_points(u))
 
 
 def test_constant_sheaf_stalk():

@@ -28,10 +28,11 @@ EXIT_OK, EXIT_INVALID, EXIT_BUDGET = 0, 1, 2
 # -- input parsing -----------------------------------------------------------
 
 def _load_json(path: str) -> dict:
+    # ValueError: bad JSON or bytes that are not UTF-8; RecursionError: deep nesting
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -469,7 +470,11 @@ def main(argv=None) -> int:
     except SheafkitError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(_summary(report), file=sys.stderr)
     return EXIT_OK
 

@@ -15,15 +15,14 @@ takes the product of its components' values (`finspace.components`):
 sections over a disjoint union are tuples of sections over the pieces, so a
 family there is (locally) free of rank k iff each piece is.  The checks
 (V's completeness, the monopresheaf verdict, the non-free-glue hunt and the
-section count over the whole space) likewise list section rows over the
-empty and connected opens alone, and settle a disconnected open by its
+section count over the whole space) read sections from the same joins over
+the empty and connected opens alone, and settle a disconnected open by its
 components (the note above `_glues_are_values`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -33,8 +32,7 @@ from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
 from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
                      zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf,
-                       compatible_families, is_monopresheaf)
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, is_monopresheaf
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
@@ -69,11 +67,6 @@ class GrassmannPresheaf:
         if pos is None:
             pos = self.positions[(u, v)] = [i for i, x in enumerate(sorted(u)) if x in v]
         return t if len(pos) == len(t) else tuple([t[i] for i in pos])
-
-    @cached_property
-    def own_position(self) -> Dict[Point, int]:
-        """Each point's position in the sorted points of its minimal open."""
-        return {x: sorted(ux).index(x) for x, ux in self.base.space.min_open.items()}
 
     def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
         """The value t over u as a subsheaf of the ambient."""
@@ -218,19 +211,38 @@ def _candidate_index(ambient: ModuleSheaf, k: int,
     return None if None in found else tuple(found)
 
 
-def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
-                      locally_free: bool, budget: Optional[Budget]) -> List[Value]:
-    """The free (or locally free) values over u, in sort_key order: the
-    families of its join, kept on the ambient, that the search accepts."""
+def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
+    """The families of u's stalk-family join, kept on the ambient."""
     joins = _stalk_joins(ambient, k)[3]
     if u not in joins:
         joins[u] = _stalk_families(ambient, u, k)
-    pts, families = sorted(u), joins[u]
+    return joins[u]
+
+
+def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
+                      locally_free: bool, budget: Optional[Budget]) -> List[Value]:
+    """The free (or locally free) values over u, in sort_key order: the
+    families of its join that the search accepts."""
+    pts, families = sorted(u), _join(ambient, k, u)
     if locally_free:
         return [t for t in families
                 if is_locally_free(_subsheaf(ambient, k, pts, t), u, k, budget)]
     return [t for t in families
             if is_free_of_rank(_subsheaf(ambient, k, pts, t), u, k, budget)[0]]
+
+
+def _placed_product(u: PointSet, parts: List[PointSet],
+                    factors: List[List[Value]]) -> List[Value]:
+    """Every choice of one tuple per component parts[i] of u from
+    factors[i], its entries placed over sorted(u), sorted: the join's order,
+    which is sort_key order."""
+    count = prod(len(f) for f in factors)
+    if count > DEFAULT_STATE_BOUND:
+        raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
+                            f"{DEFAULT_STATE_BOUND} values at {count}")
+    flat = [x for c in parts for x in sorted(c)]
+    place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+    return sorted(place(sum(choice, ())) for choice in product(*factors))
 
 
 def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
@@ -239,26 +251,16 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
     form a complete presheaf.
 
     The empty open and connected opens keep the families of their join
-    that the freeness search accepts.  A disconnected open takes every
-    choice of one value per component (a smaller open, listed earlier), its
-    entries placed over sorted(u) and sorted: the join's order, which is
-    sort_key order.
+    that the freeness search accepts.  A disconnected open takes the placed
+    product of its components' values (smaller opens, listed earlier).
     """
     a = ambient.base
     values: Dict[PointSet, List[Value]] = {}
     for u in enumerate_opens(a.space):
         parts = components(a.space, u)
-        if len(parts) <= 1:
-            values[u] = _enumerate_values(ambient, k, u, locally_free, budget)
-            continue
-        count = prod(len(values[c]) for c in parts)
-        if count > DEFAULT_STATE_BOUND:
-            raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
-                                f"{DEFAULT_STATE_BOUND} values at {count}")
-        flat = [x for c in parts for x in sorted(c)]
-        place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
-        values[u] = sorted(place(sum(choice, ()))
-                           for choice in product(*[values[c] for c in parts]))
+        values[u] = (_enumerate_values(ambient, k, u, locally_free, budget)
+                     if len(parts) <= 1 else
+                     _placed_product(u, parts, [values[c] for c in parts]))
     g = GrassmannPresheaf(a, k, ambient, values)
     if locally_free and not _glues_are_values(g):
         raise AssertionError("locally-free value presheaf failed completeness")
@@ -302,30 +304,21 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
     return is_monopresheaf(g.presheaf())
 
 
-def _glue_row(g: GrassmannPresheaf, pts: List[Point], row: Tuple[Value, ...]) -> Value:
-    """One value over the open of pts from a row of values over the minimal
-    opens of its points: each value's own entry at its point."""
-    own = g.own_position
-    return tuple([t[own[x]] for x, t in zip(pts, row)])
-
-
-def _compatible_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...]]:
-    """The sections of the generated sheaf over u as rows of values over the
-    minimal opens of sorted(u), in `compatible_families` order."""
+def _row(g: GrassmannPresheaf, u: PointSet, t: Value) -> Tuple[Value, ...]:
+    """The restrictions of t over u to the minimal opens of sorted(u)."""
     space = g.base.space
-    return compatible_families(space, u, lambda x: g.values[space.min_open[x]],
-                               lambda x, y, t: g.restrict(space.min_open[x],
-                                                          space.min_open[y], t))
+    return tuple([g.restrict(u, space.min_open[x], t) for x in sorted(u)])
 
 
-# The checks on G and V read the section rows over the empty and connected
-# opens only.  Over such an open u let unit(t) = (t|U_x) over sorted(u) and
-# glue = `_glue_row`.  glue(unit(t)) = t, since t|U_x holds t's entry at x;
-# and unit(glue(r)) = r on a compatible row r, since r_x's entry at y in U_x
-# is r_y's entry at y (r_y = r_x|U_y).  So unit is injective, and it is a
-# bijection from the values onto the rows iff {glue(r)} = set(values[u]):
-# then each value is glue(r) with unit(glue(r)) = r a row, and each row r is
-# unit(glue(r)); conversely each row is unit(t), so glue(r) = t is a value.
+# A section of the sheaf G generates over u is a compatible row r of values
+# r_x in values[U_x] over sorted(u): r_x|U_y = r_y for y in U_x.  Its glue t
+# takes r_x's entry at each x.  Then t|U_x = r_x, as r_x's entry at y in U_x
+# is r_y's; and t is closed, as each pair y in U_x lies inside U_x, where r_x
+# is closed.  Conversely the restrictions unit(t) = `_row` of a family t of
+# u's join whose restrictions are values form a row with glue t.  So
+# `_sections` lists the sections by their glues.  A value is such a family,
+# so unit is injective on the values, and onto the sections iff the glues
+# are exactly the values.
 #
 # A disconnected open u = c_1 ⊔ ... ⊔ c_m needs no walk.  Its values are the
 # product of the components' values (`_build_values`); its rows are the
@@ -337,24 +330,31 @@ def _compatible_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...
 # unit is injective (bijective) on every open iff it is on the connected
 # (and empty) ones, and the rows over u number the product of the counts.
 
+def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
+    """The sections of the generated sheaf over u as their glues (see
+    above): over the empty or a connected open the families of its join
+    whose restriction to each minimal open is a value, in join order, and
+    over a disconnected open the placed product of its components'."""
+    space = g.base.space
+    parts = components(space, u)
+    if len(parts) > 1:
+        return _placed_product(u, parts, [_sections(g, c) for c in parts])
+    mins = [(space.min_open[x], set(g.values[space.min_open[x]])) for x in sorted(u)]
+    return [t for t in _join(g.ambient, g.k, u)
+            if all(g.restrict(u, ux, t) in vals for ux, vals in mins)]
+
+
 def _glues_are_values(g: GrassmannPresheaf) -> bool:
     """V's completeness: the unit is bijective on every open (see above)."""
     space = g.base.space
-    return all({_glue_row(g, sorted(u), r) for r in _compatible_rows(g, u)} == set(g.values[u])
+    return all(set(_sections(g, u)) == set(g.values[u])
                for u in enumerate_opens(space) if len(components(space, u)) <= 1)
-
-
-def _unit_injective(g: GrassmannPresheaf, u: PointSet) -> bool:
-    """No two values over u have the same restrictions to the minimal opens."""
-    mins = [g.base.space.min_open[x] for x in sorted(u)]
-    return len({tuple([g.restrict(u, ux, t) for ux in mins])
-                for t in g.values[u]}) == len(g.values[u])
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
                                     budget: Optional[Budget] = None) -> dict:
     """Monopresheaf verdict, a hunt for a non-free glue and the number of
-    sections over the whole space, from the section rows over the empty and
+    sections over the whole space, from the sections over the empty and
     connected opens (see the note above `_glues_are_values`).
 
     A section of the generated sheaf glues to a locally free subsheaf; any
@@ -370,17 +370,18 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
     opens = [u for u in enumerate_opens(space) if len(components(space, u)) <= 1]
-    rows = {u: _compatible_rows(g, u) for u in opens}
-    glued = ((u, g.subsheaf(u, _glue_row(g, sorted(u), row)))
-             for u in opens for row in rows[u])
+    sections = {u: _sections(g, u) for u in opens}
+    glued = ((u, g.subsheaf(u, t)) for u in opens for t in sections[u])
     witness = next(({"open": sorted(u), "family": t.sort_key()}
                     for u, t in glued if not is_free_of_rank(t, u, g.k, budget)[0]),
                    None)
     return {
-        "monopresheaf": all(_unit_injective(g, u) for u in opens if u),
+        # no two values over u have the same restrictions to the minimal opens
+        "monopresheaf": all(len({_row(g, u, t) for t in g.values[u]}) == len(g.values[u])
+                            for u in opens if u),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
-        "sections_over_whole": prod(len(rows[c]) for c in
+        "sections_over_whole": prod(len(sections[c]) for c in
                                     components(space, frozenset(space.points))),
     }
 
@@ -416,22 +417,15 @@ class GrassmannSection:
         return tuple((x, s.sort_key()) for x, s in self.family)
 
 
-def _section_rows(g: GrassmannPresheaf, u: PointSet) -> List[Tuple[Value, ...]]:
-    """The sections of the generated sheaf over u as rows of values over the
-    minimal opens of sorted(u), in lexicographic order of the rows, which is
-    `GrassmannSection.sort_key` order (see `_stalk_families`)."""
-    rows = _compatible_rows(g, u)
-    rows.sort()
-    return rows
-
-
 def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSection]:
-    """All sections of the generated sheaf over u, deterministically ordered."""
+    """All sections of the generated sheaf over u, in lexicographic order of
+    their rows, which is `GrassmannSection.sort_key` order (see
+    `_stalk_families`)."""
     space = g.base.space
     pts = sorted(u)
     return [GrassmannSection(tuple([(x, g.subsheaf(space.min_open[x], t))
                                     for x, t in zip(pts, row)]), g.ambient)
-            for row in _section_rows(g, u)]
+            for row in sorted(_row(g, u, t) for t in _sections(g, u))]
 
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
@@ -459,14 +453,12 @@ def _value_to_row(g: GrassmannPresheaf, u: PointSet, t: Value,
     """`subsheaf_to_section` on the value t over u, as a row of values: the
     same freeness question about each restriction, in the same order."""
     space = g.base.space
-    row = []
-    for x in sorted(u):
+    row = _row(g, u, t)
+    for x, piece in zip(sorted(u), row):
         ux = space.min_open[x]
-        piece = g.restrict(u, ux, t)
         if not is_free_of_rank(g.subsheaf(ux, piece), ux, g.k, budget)[0]:
             raise NotLocallyFree(f"not free of rank {g.k} on min_open({x!r})")
-        row.append(piece)
-    return tuple(row)
+    return row
 
 
 # -- the universal (truncated) construction -----------------------------------
@@ -506,24 +498,26 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     pts = sorted(whole)
     g = build_universal_grassmann(a, n, truncation, budget)
     v = _build_values(g.ambient, n, True, budget)
-    sections = _section_rows(g, whole)
+    # sections as glues, in enumerate_sections order; the glue of a value's
+    # row is the value, so the maps are inverse iff glues and values coincide
+    sections = sorted(_sections(g, whole), key=lambda t: _row(g, whole, t))
     subsheaves = v.values[whole]
 
     sub_index = {t: i for i, t in enumerate(subsheaves)}
     known_sections = set(sections)
     pairs = []
     bijection = len(sections) == len(subsheaves)
-    for i, s in enumerate(sections):
-        t = _glue_row(g, pts, s)
+    for i, t in enumerate(sections):
         j = sub_index.get(t)
-        if j is None or _value_to_row(g, whole, t, budget) != s:
+        if j is None:
             bijection = False
             break
+        _value_to_row(g, whole, t, budget)
         pairs.append([i, j])
     if bijection:
         for t in subsheaves:
-            s = _value_to_row(g, whole, t, budget)
-            if s not in known_sections or _glue_row(g, pts, s) != t:
+            _value_to_row(g, whole, t, budget)
+            if t not in known_sections:
                 bijection = False
                 break
 

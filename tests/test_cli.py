@@ -225,21 +225,20 @@ def test_grassmann_command(tmp_path, capsys):
 
 
 def test_grassmann_enumerates_the_whole_space_once(tmp_path, capsys, monkeypatch):
-    """`sections_over_whole` is read from the section rows that the
+    """`sections_over_whole` is read from the sections that the
     completeness hunt lists, and equals the enumerated section count."""
-    from sheafkit import grassmann, presheaf
+    from sheafkit import grassmann
     whole = frozenset("abcd")
     calls = []
-    original = presheaf.compatible_families
+    original = grassmann._sections
 
-    def counted(space, u, *args, **kwargs):
-        out = original(space, u, *args, **kwargs)
+    def counted(g, u):
+        out = original(g, u)
         if u == whole:
             calls.append(len(out))
         return out
 
-    for module in (presheaf, grassmann):
-        monkeypatch.setattr(module, "compatible_families", counted)
+    monkeypatch.setattr(grassmann, "_sections", counted)
     sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
     rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
@@ -986,6 +985,24 @@ def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
     code, report, err = run(capsys, argv)
     assert code == EXIT_INVALID and report is None
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_unreadable_input_exits_invalid_with_one_line(tmp_path, capsys, content):
+    sp = tmp_path / "space.json"
+    sp.write_bytes(content)
+    code, report, err = run(capsys, ["space-check", "--space", str(sp)])
+    assert code == EXIT_INVALID and report is None
+    assert err.startswith(f"parse error: {sp}: ") and err.count("\n") == 1
+
+
+def test_out_in_a_missing_directory_exits_invalid_with_one_line(tmp_path, capsys):
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    out = tmp_path / "missing" / "report.json"
+    code, report, err = run(capsys, ["space-check", "--space", sp, "--out", str(out)])
+    assert code == EXIT_INVALID and report is None and not out.parent.exists()
+    assert err.startswith("output error: ") and str(out) in err and err.count("\n") == 1
 
 
 # -- demo --------------------------------------------------------------------

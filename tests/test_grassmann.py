@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -628,14 +629,13 @@ def test_the_hunt_finds_the_witness_sheafify_finds(name, monkeypatch):
 
 def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
     opens = []
-    original = presheaf.compatible_families
+    original = grassmann._sections
 
-    def recording(space, u, *args):
-        opens.append(len(components(space, u)))
-        return original(space, u, *args)
+    def recording(g, u):
+        opens.append(len(components(g.base.space, u)))
+        return original(g, u)
 
-    for module in (presheaf, grassmann):
-        monkeypatch.setattr(module, "compatible_families", recording)
+    monkeypatch.setattr(grassmann, "_sections", recording)
     for make in (discrete2, pseudo_circle, sierpinski_plus_point):
         a = constant_algebra_sheaf(make(), F2)
         build_v_presheaf(a, 1, 2)
@@ -643,12 +643,63 @@ def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
     assert opens and max(opens) == 1
 
 
+def compatible_glues(g, u):
+    """Oracle for `_sections`: the glues of `compatible_families` over the
+    values on the minimal opens of sorted(u), in its order, each glue
+    taking each value's own entry at its point."""
+    space = g.base.space
+    rows = compatible_families(space, u, lambda x: g.values[space.min_open[x]],
+                               lambda x, y, t: g.restrict(space.min_open[x],
+                                                          space.min_open[y], t))
+    return [tuple(t[sorted(space.min_open[x]).index(x)] for x, t in zip(sorted(u), row))
+            for row in rows]
+
+
+def assert_sections_are_the_compatible_glues(a):
+    """G, V, and G with the last value over the minimal open of each
+    maximal point dropped, so that the join keeps families that are not
+    sections while the values over the minimal opens still restrict to
+    values."""
+    tops = {ux for ux in a.space.min_open.values()
+            if not any(ux < uy for uy in a.space.min_open.values())}
+    for n in range(3):
+        for k in range(n + 1):
+            g = build_grassmann_presheaf(a, k, n)
+            short = dataclasses.replace(g, values={**g.values,
+                                                   **{ux: g.values[ux][:-1] for ux in tops}})
+            for h in (g, build_v_presheaf(a, k, n), short):
+                for u in enumerate_opens(a.space):
+                    if len(components(a.space, u)) <= 1:
+                        oracle = compatible_glues(h, u)
+                        assert set(grassmann._sections(h, u)) == set(oracle)
+                        assert grassmann._sections(h, u) == oracle
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
+def test_sections_are_the_compatible_glues(name):
+    assert_sections_are_the_compatible_glues(CHECK_SHEAVES[name]())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sections_are_the_compatible_glues_on_random_spaces(seed):
+    """Random T0 spaces with their points renamed at random, so that a
+    point may sort before or after the points below it."""
+    from test_presheaf import random_space
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(2, 6))
+    name = dict(zip(sorted(space.points), rng.sample("abcdefgh", len(space.points))))
+    renamed = build_space({name[x]: [name[y] for y in space.min_open[x]]
+                           for x in space.points})
+    assert_sections_are_the_compatible_glues(
+        constant_algebra_sheaf(renamed, rng.choice([F2, F3])))
+
+
 def test_sections_over_a_disconnected_whole_space_are_a_product(tmp_path, capsys,
                                                                 monkeypatch):
     """The pseudo-circle beside an isolated point e over F_2, with the
     section-state bound at 20: the 27 states over ['a', 'b', 'e'] are never
     listed, so `grassmann` exits 0 with 3 * 3 sections over the whole space,
-    while `classify` lists its rows over the whole space and exits 2 there."""
+    and `classify` pairs those 9 sections with the 9 subsheaves."""
     monkeypatch.setattr(presheaf, "DEFAULT_STATE_BOUND", 20)
     sp, rg = tmp_path / "space.json", tmp_path / "ring.json"
     sp.write_text(json.dumps({"min_open": {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"],
@@ -657,10 +708,10 @@ def test_sections_over_a_disconnected_whole_space_are_a_product(tmp_path, capsys
     files = ["--space", str(sp), "--ring", str(rg)]
     assert cli.main(["grassmann", *files, "-k", "1", "-n", "2"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["sections_over_whole"] == 9
-    assert cli.main(["classify", *files, "-n", "1", "-N", "2"]) == cli.EXIT_BUDGET
-    assert capsys.readouterr().err == (
-        "size guard hit: section enumeration over open ['a', 'b', 'c', 'd', 'e'] "
-        "exceeds 20 states at 27\n")
+    assert cli.main(["classify", *files, "-n", "1", "-N", "2"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"sections": 9, "subsheaves": 9}
+    assert report["bijection"] is True
 
 
 # -- presheaf structure ------------------------------------------------------

@@ -19,7 +19,8 @@ code, wall time, peak RSS and the sha256 of its stdout:
 
 The output keeps every run's summary line and result, and per workload and
 seed the median and quartiles of each end-to-end metric on each side and
-the pairs the change won (ties count for neither side).  It goes to
+the pairs the change won (ties count for neither side).  `src_lines` gives
+each side's line count of src/sheafkit/*.py, as `wc -l` counts them.  It goes to
 BENCH_<PR>.json at the root of the repository.
 """
 
@@ -79,6 +80,10 @@ def cli_run(root: Path, args: str) -> dict:
             "report_sha256": hashlib.sha256(out).hexdigest()}
 
 
+def src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "sheafkit").glob("*.py"))
+
+
 def quartiles(values: list) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -120,6 +125,7 @@ def main(argv=None) -> int:
         roots, labels = {}, {}
         for side in SIDES:
             roots[side], labels[side] = checkout(getattr(args, side), Path(tmp), side)
+        lines = {side: src_lines(roots[side]) for side in SIDES}
         cli_runs = {}
         for cli_args in args.cli:
             sides = {side: cli_run(roots[side], cli_args) for side in SIDES}
@@ -152,6 +158,7 @@ def main(argv=None) -> int:
                    f"{args.seconds:g} --trace T, from the root of a fresh copy of each tree",
         "pairs": "alternating which side runs first; " + ", ".join(
             f"{w} seed {s}: {n} pairs" for w, s, n in (r.split(":") for r in args.runs)),
+        "src_lines": lines,
         "summary": summarize(runs, better),
         "runs": runs,
         "trace_runs": trace_runs,

@@ -5,15 +5,21 @@ free ones.  A value over U is its stalk family, held as the tuple of its
 indices into the rank-k stalk candidate lists over sorted(U): restriction
 is a projection of the tuple, equality is tuple equality, and germ
 computation collapses to the value at the minimal open.  A value becomes a
-`VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where a freeness
-search reads its vectors and where the public API returns subsheaves.
+`VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where the public API
+returns subsheaves and where the non-free-glue hunt reports its witness.
+
+Every freeness question here is `_free`, asked on the index tuple: each
+(k, open, value) is searched at most once per ambient, and a later ask
+reads the kept answer and is charged the steps the search took, the rule
+`vecsheaf.is_free_of_rank` keeps for library callers (`_kept_search`).
 
 The empty open and each connected open take the families of one
-stalk-family join that the freeness search accepts; the join is kept on the
-ambient, so G and V built on one ambient share it.  A disconnected open
-takes the product of its components' values (`finspace.components`):
-sections over a disjoint union are tuples of sections over the pieces, so a
-family there is (locally) free of rank k iff each piece is.  The checks
+stalk-family join that the freeness search accepts; the join and the
+freeness answers are kept on the ambient, so G and V built on one ambient
+share them.  A disconnected open takes the product of its components'
+values (`finspace.components`): sections over a disjoint union are tuples
+of sections over the pieces, so a family there is (locally) free of rank k
+iff each piece is.  The checks
 (V's completeness, the monopresheaf verdict, the non-free-glue hunt and the
 section count over the whole space) read sections from the same joins over
 the empty and connected opens alone, and settle a disconnected open by its
@@ -32,17 +38,19 @@ from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
 from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
                      zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, is_monopresheaf
+from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, compatible_families,
+                       is_monopresheaf)
 from .vecsheaf import (
     AlgebraSheaf,
     Budget,
     ModuleSheaf,
     VectorSubsheaf,
+    _find_basis,
+    _kept_search,
     embed_via_weights,
     free_sheaf,
     identity_trivialization,
     is_free_of_rank,
-    is_locally_free,
     restrict_subsheaf,
     trivial_weight_family,
 )
@@ -84,10 +92,11 @@ class GrassmannPresheaf:
 MAX_CANDIDATE_VECTORS = 10 ** 5
 
 
-def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, Dict, Dict, Dict]:
+def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, ...]:
     """What rank-k builds on the ambient share, kept on it: each point's free
     rank-k stalk submodules, listed once per (stalk ring, n), their indices
-    by elements, compatibility tables by point pair, and joins by open."""
+    by elements, compatibility tables by point pair, joins by open, freeness
+    answers by (open, value) (`_free`) and the candidates' sorted vectors."""
     if k not in ambient.stalk_joins:
         key = {x: (ambient.ring_at(x), ambient.rank_at[x])
                for x in sorted(ambient.space.points)}
@@ -100,8 +109,10 @@ def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, Dict, Dict, Dict]:
                     f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
             lists[(r, n)] = enumerate_free_submodules(r, n, k)
         index = {rn: {c.elements: i for i, c in enumerate(cs)} for rn, cs in lists.items()}
+        ordered = {rn: [sorted(c.elements) for c in cs] for rn, cs in lists.items()}
         ambient.stalk_joins[k] = ({x: lists[key[x]] for x in key},
-                                  {x: index[key[x]] for x in key}, {}, {})
+                                  {x: index[key[x]] for x in key}, {}, {}, {},
+                                  {x: ordered[key[x]] for x in key})
     return ambient.stalk_joins[k]
 
 
@@ -116,7 +127,7 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     A smaller image is tested against every candidate at y.  A table is
     charged its tests at every use, built then or earlier.
     """
-    candidates, index, tables, _ = ambient.stalk_joins[k]
+    candidates, index, tables = ambient.stalk_joins[k][:3]
     if (x, y) in tables:
         spend(tables[(x, y)][2])
         return tables[(x, y)]
@@ -219,16 +230,57 @@ def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
     return joins[u]
 
 
+# `_free` asks `is_free_of_rank`'s question about the value t over u without
+# decoding it: the same rings, ranks, stalk sizes and sections, in the same
+# order, for the same search.  `subsheaf_sections` lists the compatible
+# families of the stalk families' sorted vectors and keeps those whose germ
+# at every point lies in the family there; here it would keep them all.  A
+# germ at y is the image under res(x, y) of a vector of the entry at a
+# maximal point x, y in min_open(x), and every family asked about is closed
+# under restriction.  A join family is, as `_stalk_families` draws each
+# point's candidate from the `_compatibility` masks of every related pair of
+# points in u; so is its restriction to an open v ⊆ u, which keeps the
+# entries over v, with min_open(x) ⊆ v for each x in v.  The values, the
+# glues of `_sections` and the rows `_value_to_row` reads are such families.
+
+def _free(ambient: ModuleSheaf, k: int, u: PointSet, t: Value,
+          budget: Optional[Budget]) -> bool:
+    """Whether the value t over u is free of rank k, searched once per
+    (ambient, k, u, t) and charged the search's steps at every ask
+    (`vecsheaf._kept_search`)."""
+    answers, ordered = _stalk_joins(ambient, k)[4:]
+    budget = budget or Budget()
+
+    def search() -> Tuple[bool, Optional[Tuple]]:
+        pts = sorted(u)
+        at = dict(zip(pts, t))
+        res = ambient.res
+        return _find_basis([ambient.ring_at(x) for x in pts],
+                           [ambient.rank_at[x] for x in pts],
+                           [len(ordered[x][i]) for x, i in at.items()],
+                           lambda: compatible_families(ambient.space, u,
+                                                       lambda x: ordered[x][at[x]],
+                                                       lambda x, y, v: res[(x, y)][v]),
+                           k, budget)
+
+    return _kept_search(answers, (u, t), u, k, budget, search)[0]
+
+
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
                       locally_free: bool, budget: Optional[Budget]) -> List[Value]:
     """The free (or locally free) values over u, in sort_key order: the
-    families of its join that the search accepts."""
-    pts, families = sorted(u), _join(ambient, k, u)
-    if locally_free:
-        return [t for t in families
-                if is_locally_free(_subsheaf(ambient, k, pts, t), u, k, budget)]
+    families of its join that the search accepts.  A locally free family is
+    free on the minimal open of each point of sorted(u), asked in that order
+    up to the first refusal, as `is_locally_free` asks."""
+    families = _join(ambient, k, u)
+    if not locally_free:
+        return [t for t in families if _free(ambient, k, u, t, budget)]
+    pts = sorted(u)
+    mins = [(ux, [i for i, y in enumerate(pts) if y in ux])
+            for ux in (ambient.space.min_open[x] for x in pts)]
     return [t for t in families
-            if is_free_of_rank(_subsheaf(ambient, k, pts, t), u, k, budget)[0]]
+            if all(_free(ambient, k, ux, tuple([t[i] for i in pos]), budget)
+                   for ux, pos in mins)]
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -371,10 +423,9 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     # (size, lex) order lies on a connected open
     opens = [u for u in enumerate_opens(space) if len(components(space, u)) <= 1]
     sections = {u: _sections(g, u) for u in opens}
-    glued = ((u, g.subsheaf(u, t)) for u in opens for t in sections[u])
-    witness = next(({"open": sorted(u), "family": t.sort_key()}
-                    for u, t in glued if not is_free_of_rank(t, u, g.k, budget)[0]),
-                   None)
+    witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
+                    for u in opens for t in sections[u]
+                    if not _free(g.ambient, g.k, u, t, budget)), None)
     return {
         # no two values over u have the same restrictions to the minimal opens
         "monopresheaf": all(len({_row(g, u, t) for t in g.values[u]}) == len(g.values[u])
@@ -456,7 +507,7 @@ def _value_to_row(g: GrassmannPresheaf, u: PointSet, t: Value,
     row = _row(g, u, t)
     for x, piece in zip(sorted(u), row):
         ux = space.min_open[x]
-        if not is_free_of_rank(g.subsheaf(ux, piece), ux, g.k, budget)[0]:
+        if not _free(g.ambient, g.k, ux, piece, budget):
             raise NotLocallyFree(f"not free of rank {g.k} on min_open({x!r})")
     return row
 

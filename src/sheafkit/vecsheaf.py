@@ -144,9 +144,10 @@ class ModuleSheaf:
         # is_free_of_rank answers by (stalk families over the open, rank):
         # (found, witness, budget steps the search took)
         self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
-        # grassmann's rank-k stalk candidates, indices, tables and joins, by
-        # k, shared by every build (`grassmann._stalk_joins`)
-        self.stalk_joins: Dict[int, Tuple[Dict, Dict, Dict, Dict]] = {}
+        # grassmann's rank-k stalk candidates, indices, tables, joins,
+        # freeness answers and sorted candidate vectors, by k, shared by
+        # every build (`grassmann._stalk_joins`)
+        self.stalk_joins: Dict[int, Tuple[Dict, ...]] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
@@ -337,6 +338,27 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
     return witness is not None, witness
 
 
+def _kept_search(memo: Dict, key, u: PointSet, k: int, budget: Budget,
+                 search: Callable[[], Tuple[bool, Optional[Tuple]]]
+                 ) -> Tuple[bool, Optional[Tuple]]:
+    """The freeness question about key, over u at rank k, answered once per
+    memo: a kept (found, witness, steps) is read and charged the steps the
+    search took, else `search` runs and its answer is kept.  A spent budget
+    names the open, the rank and the steps used."""
+    answer = memo.get(key)
+    try:
+        if answer is None:
+            before = budget.used
+            found, witness = search()
+            answer = memo[key] = (found, witness, budget.used - before)
+        else:
+            budget.spend("freeness search", answer[2])
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(f"{exc} over open {sorted(u)} at rank {k}, "
+                                   f"{budget.used} steps used") from None
+    return answer[0], answer[1]
+
+
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
                     budget: Optional[Budget] = None
                     ) -> Tuple[bool, Optional[Tuple]]:
@@ -345,29 +367,19 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
 
     Exhaustive over k-subsets of the section list in deterministic order;
     returns the first witness found.  The answer is kept on the ambient under
-    the stalk families over u, so s and its restriction to u share it, and
-    asking again charges the budget what the search took the first time.
-    A spent budget names the open, the rank and the steps used.
+    the stalk families over u (`_kept_search`), so s and its restriction to
+    u share it, and asking again charges the budget what the search took the
+    first time.  This memo serves library callers; the Grassmann builds keep
+    their own, by value index tuple (`grassmann._free`), with the same rule.
     """
     budget = budget or Budget()
     stalks = tuple((x, vs) for x, vs in s.family if x in u)
-    key = (stalks, k)
-    answer = s.ambient.freeness.get(key)
-    try:
-        if answer is None:
-            before = budget.used
-            found, witness = _find_basis(
-                [s.ambient.ring_at(x) for x, _ in stalks],
-                [s.ambient.rank_at[x] for x, _ in stalks],
-                [len(vs) for _, vs in stalks],
-                lambda: subsheaf_sections(s, u), k, budget)
-            answer = s.ambient.freeness[key] = (found, witness, budget.used - before)
-        else:
-            budget.spend("freeness search", answer[2])
-    except SearchBudgetExceeded as exc:
-        raise SearchBudgetExceeded(f"{exc} over open {sorted(u)} at rank {k}, "
-                                   f"{budget.used} steps used") from None
-    return answer[0], answer[1]
+    return _kept_search(
+        s.ambient.freeness, (stalks, k), u, k, budget,
+        lambda: _find_basis([s.ambient.ring_at(x) for x, _ in stalks],
+                            [s.ambient.rank_at[x] for x, _ in stalks],
+                            [len(vs) for _, vs in stalks],
+                            lambda: subsheaf_sections(s, u), k, budget))
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,

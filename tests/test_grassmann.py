@@ -218,6 +218,17 @@ def test_restriction_is_projection_over_non_constant_stalks(make):
             assert_restriction_is_projection(build_v_presheaf(a, k, n))
 
 
+def refusing_e1_at_c(free):
+    """`grassmann._free`, but refusing a value whose stalk at c holds e_1."""
+    def refuse(ambient, k, u, t, budget):
+        s = grassmann._subsheaf(ambient, k, sorted(u), t)
+        if any(v[:1] == (1,) and not any(v[1:]) for x, vs in s.family if x == "c"
+               for v in vs):
+            return False
+        return free(ambient, k, u, t, budget)
+    return refuse
+
+
 def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypatch):
     """Over field stalks a closed family is free: the reduced row echelon
     basis at x restricts to the one at each point of min_open(x), so these
@@ -225,16 +236,7 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
     rejects nothing.  Here freeness also refuses a family whose stalk at c
     holds e_1, so a disconnected open must drop exactly the join families
     whose part over c's component is refused, as the search over it does."""
-    real = vecsheaf.is_free_of_rank
-
-    def refuse_e1_at_c(s, u, k, budget=None):
-        at_c = [vs for x, vs in s.family if x == "c" and x in u]
-        if any(v[:1] == (1,) and not any(v[1:]) for vs in at_c for v in vs):
-            return False, None
-        return real(s, u, k, budget)
-
-    monkeypatch.setattr(vecsheaf, "is_free_of_rank", refuse_e1_at_c)
-    monkeypatch.setattr(grassmann, "is_free_of_rank", refuse_e1_at_c)
+    monkeypatch.setattr(grassmann, "_free", refusing_e1_at_c(grassmann._free))
     a = twisted_circle_plus_point()
     assert_values_match_the_search(a, range(3))
     # n = 2, k = 1: three F_2-rational lines on the circle, one refused,
@@ -409,14 +411,16 @@ def test_stalk_candidate_guard_precedes_enumeration(monkeypatch):
 
 
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
+    """The freeness search lists its sections with `compatible_families`,
+    which no other Grassmann code calls."""
     searched = []
-    sections = vecsheaf.subsheaf_sections
+    families = grassmann.compatible_families
 
-    def counting_sections(s, u):
-        searched.append(len(components(s.ambient.space, u)))
-        return sections(s, u)
+    def counting_families(space, u, elems_at, res):
+        searched.append(len(components(space, u)))
+        return families(space, u, elems_at, res)
 
-    monkeypatch.setattr(vecsheaf, "subsheaf_sections", counting_sections)
+    monkeypatch.setattr(grassmann, "compatible_families", counting_families)
     for make in CORPUS + [sierpinski_plus_point]:
         for ring in (F2, F3):
             a = constant_algebra_sheaf(make(), ring)
@@ -608,8 +612,9 @@ def test_v_check_fails_when_a_glue_is_not_a_value():
 
 @pytest.mark.parametrize("name", ["pseudo_circle F_2", "twisted_circle_plus_point"])
 def test_the_hunt_finds_the_witness_sheafify_finds(name, monkeypatch):
-    """Values from the real search; the hunt then refuses a family whose
-    stalk at c holds e_1, and both hunts name the same first witness."""
+    """Values from the real search; the hunt (through `_free`) and the
+    oracle (through `is_free_of_rank`) then refuse a family whose stalk at c
+    holds e_1, and both hunts name the same first witness."""
     a = CHECK_SHEAVES[name]()
     g = build_grassmann_presheaf(a, 1, 2)
     real = grassmann.is_free_of_rank
@@ -620,6 +625,7 @@ def test_the_hunt_finds_the_witness_sheafify_finds(name, monkeypatch):
             return False, None
         return real(s, u, k, budget)
 
+    monkeypatch.setattr(grassmann, "_free", refusing_e1_at_c(grassmann._free))
     monkeypatch.setattr(grassmann, "is_free_of_rank", refuse_e1_at_c)
     used, oracle_used = Budget(), Budget()
     verdict = check_monopresheaf_not_complete(g, used)
@@ -846,27 +852,83 @@ def test_subsheaf_to_section_rejects_non_locally_free():
 
 def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     """classify asks some freeness questions many times (building G and V,
-    both round trips) but enumerates the sections of each subsheaf once
-    per ambient."""
+    both round trips) but enumerates the sections of each value once
+    per ambient: the listing runs inside the ask it serves."""
     asked, searched = [], []
-    enumerate_secs = vecsheaf.subsheaf_sections
-    free = vecsheaf.is_free_of_rank
+    free, families = grassmann._free, grassmann.compatible_families
 
-    def counting_sections(s, u):
-        searched.append((s.ambient, s.family, u))
-        return enumerate_secs(s, u)
+    def counting_free(ambient, k, u, t, budget):
+        asked.append((ambient, k, u, t))
+        return free(ambient, k, u, t, budget)
 
-    def counting_free(s, u, k, budget=None):
-        asked.append((s.ambient, s.family, u, k))
-        return free(s, u, k, budget)
+    def counting_families(space, u, elems_at, res):
+        stalks = tuple(tuple(elems_at(x)) for x in sorted(u))
+        searched.append((asked[-1][0], u, stalks))
+        return families(space, u, elems_at, res)
 
-    monkeypatch.setattr(vecsheaf, "subsheaf_sections", counting_sections)
-    monkeypatch.setattr(vecsheaf, "is_free_of_rank", counting_free)
-    monkeypatch.setattr(grassmann, "is_free_of_rank", counting_free)
+    monkeypatch.setattr(grassmann, "_free", counting_free)
+    monkeypatch.setattr(grassmann, "compatible_families", counting_families)
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
     assert searched and len(searched) == len(set(searched))
     assert len(asked) > len(set(asked))
+
+
+def test_classify_searches_each_value_once_without_decoding(monkeypatch):
+    """classify on the pseudo-circle runs the basis search once per distinct
+    (open, value) it asks about, asks more often than it searches, and asks
+    no freeness question through a decoded subsheaf."""
+    asked, searched, decoded = [], [], []
+    free, find_basis, is_free = grassmann._free, grassmann._find_basis, is_free_of_rank
+
+    def counting_free(ambient, k, u, t, budget):
+        asked.append((ambient, k, u, t))
+        return free(ambient, k, u, t, budget)
+
+    def counting_search(*args):
+        searched.append(asked[-1])
+        return find_basis(*args)
+
+    def decoding(*args):
+        decoded.append(args)
+        return is_free(*args)
+
+    monkeypatch.setattr(grassmann, "_free", counting_free)
+    monkeypatch.setattr(grassmann, "_find_basis", counting_search)
+    monkeypatch.setattr(grassmann, "is_free_of_rank", decoding)
+    monkeypatch.setattr(vecsheaf, "is_free_of_rank", decoding)
+    report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
+    assert report["bijection"] is True
+    assert decoded == []
+    assert len(searched) == len(set(searched)) and set(searched) == set(asked)
+    assert len(asked) > len(searched)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
+def test_free_on_index_tuples_matches_is_free_of_rank(name):
+    """The oracle of `grassmann._free`: `is_free_of_rank` on the decoded
+    value over a fresh free sheaf, so that no memo is shared.  Every join
+    family over every connected open (the minimal opens among them), n <= 2,
+    asked twice on one ambient: the verdict and witness of the oracle, and
+    its budget charge both when searched and when read from the memo."""
+    a = CHECK_SHEAVES[name]()
+    for n in range(3):
+        ambient = free_sheaf(a, n)
+        for k in range(n + 1):
+            answers = grassmann._stalk_joins(ambient, k)[4]
+            for u in enumerate_opens(a.space):
+                if len(components(a.space, u)) > 1:
+                    continue
+                for t in grassmann._join(ambient, k, u):
+                    family = grassmann._subsheaf(ambient, k, sorted(u), t).family
+                    oracle = Budget()
+                    answer = is_free_of_rank(VectorSubsheaf(free_sheaf(a, n), family),
+                                             u, k, oracle)
+                    for _ in range(2):
+                        b = Budget()
+                        assert grassmann._free(ambient, k, u, t, b) == answer[0]
+                        assert b.used == oracle.used
+                    assert answers[(u, t)][:2] == answer
 
 
 @pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])

@@ -8,22 +8,20 @@ computation collapses to the value at the minimal open.  A value becomes a
 `VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where the public API
 returns subsheaves and where the non-free-glue hunt reports its witness.
 
-Every freeness question here is `_free`, asked on the index tuple: each
-(k, open, value) is searched at most once per ambient, and a later ask
-reads the kept answer and is charged the steps the search took, the rule
-`vecsheaf.is_free_of_rank` keeps for library callers (`_kept_search`).
+One `BuildState` per (ambient, k) holds what G and V built there share:
+the opens and their components, listed once; the stalk candidates; the
+joins; and the freeness answers of `_free`, each (open, value) searched at
+most once and a repeated ask charged the steps the search took.
 
-The empty open and each connected open take the families of one
-stalk-family join that the freeness search accepts; the join and the
-freeness answers are kept on the ambient, so G and V built on one ambient
-share them.  A disconnected open takes the product of its components'
-values (`finspace.components`): sections over a disjoint union are tuples
-of sections over the pieces, so a family there is (locally) free of rank k
-iff each piece is.  The checks
-(V's completeness, the monopresheaf verdict, the non-free-glue hunt and the
-section count over the whole space) read sections from the same joins over
-the empty and connected opens alone, and settle a disconnected open by its
-components (the note above `_glues_are_values`).
+The empty open and each connected open take the families of its
+stalk-family join that the freeness search accepts.  A disconnected open
+takes the product of its components' values: sections over a disjoint
+union are tuples of sections over the pieces, so a family there is
+(locally) free of rank k iff each piece is.  The checks (V's completeness,
+the monopresheaf verdict, the non-free-glue hunt and the section count
+over the whole space) read sections from the same joins over the empty and
+connected opens alone, and settle a disconnected open by its components
+(the note above `_glues_are_values`).
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
-from .finalg import (Submodule, enumerate_free_submodules, gaussian_binomial,
+from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
+from .finalg import (Submodule, Vec, enumerate_free_submodules, gaussian_binomial,
                      zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
 from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, compatible_families,
@@ -46,7 +44,7 @@ from .vecsheaf import (
     ModuleSheaf,
     VectorSubsheaf,
     _find_basis,
-    _kept_search,
+    _freeness_spent,
     embed_via_weights,
     free_sheaf,
     identity_trivialization,
@@ -58,48 +56,29 @@ from .vecsheaf import (
 
 Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
 
-
-@dataclass
-class GrassmannPresheaf:
-    base: AlgebraSheaf
-    k: int
-    ambient: ModuleSheaf
-    values: Dict[PointSet, List[Value]]
-    # by (u, v): the positions in sorted(u) of the points of v, for restrict
-    positions: Dict[Tuple[PointSet, PointSet], List[int]] = field(
-        default_factory=dict, repr=False, compare=False)
-
-    def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
-        """The value t over u restricted to v ⊆ u: its entries over v."""
-        pos = self.positions.get((u, v))
-        if pos is None:
-            pos = self.positions[(u, v)] = [i for i, x in enumerate(sorted(u)) if x in v]
-        return t if len(pos) == len(t) else tuple([t[i] for i in pos])
-
-    def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
-        """The value t over u as a subsheaf of the ambient."""
-        return _subsheaf(self.ambient, self.k, sorted(u), t)
-
-    def presheaf(self) -> Presheaf:
-        """The values as a set-valued presheaf, restricting by projection."""
-        return Presheaf(self.base.space,
-                        {u: Carrier(SET, tuple(vals)) for u, vals in self.values.items()},
-                        self.restrict)
-
-
 # A build holds [n k]_q stalk candidates of q^k vectors per distinct stalk
 # ring; it refuses before listing any when that is more vectors than this.
 MAX_CANDIDATE_VECTORS = 10 ** 5
 
 
-def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, ...]:
-    """What rank-k builds on the ambient share, kept on it: each point's free
-    rank-k stalk submodules, listed once per (stalk ring, n), their indices
-    by elements, compatibility tables by point pair, joins by open, freeness
-    answers by (open, value) (`_free`) and the candidates' sorted vectors."""
-    if k not in ambient.stalk_joins:
-        key = {x: (ambient.ring_at(x), ambient.rank_at[x])
-               for x in sorted(ambient.space.points)}
+class BuildState:
+    """What every rank-k build on one ambient shares (`_state`).
+
+    Listed once: the opens in (size, lex) order, their components, the
+    empty and connected opens, and each point's free rank-k stalk
+    submodules (one list per (stalk ring, n)) with their indices by
+    elements and their sorted vectors.  Kept as asked: restriction
+    positions by open pair, tables by point pair (`_compatibility`), joins
+    by open (`_join`) and freeness answers (found, witness, steps) by
+    (open, value) (`_free`).
+    """
+
+    def __init__(self, ambient: ModuleSheaf, k: int):
+        space = ambient.space
+        self.opens = enumerate_opens(space)
+        self.parts = {u: components(space, u) for u in self.opens}
+        self.connected = [u for u in self.opens if len(self.parts[u]) <= 1]
+        key = {x: (ambient.ring_at(x), ambient.rank_at[x]) for x in sorted(space.points)}
         lists: Dict[Tuple, List[Submodule]] = {}
         for r, n in dict.fromkeys(key.values()):  # each (ring, rank) once, in point order
             count = gaussian_binomial(n, k, r.size)
@@ -110,10 +89,48 @@ def _stalk_joins(ambient: ModuleSheaf, k: int) -> Tuple[Dict, ...]:
             lists[(r, n)] = enumerate_free_submodules(r, n, k)
         index = {rn: {c.elements: i for i, c in enumerate(cs)} for rn, cs in lists.items()}
         ordered = {rn: [sorted(c.elements) for c in cs] for rn, cs in lists.items()}
-        ambient.stalk_joins[k] = ({x: lists[key[x]] for x in key},
-                                  {x: index[key[x]] for x in key}, {}, {}, {},
-                                  {x: ordered[key[x]] for x in key})
-    return ambient.stalk_joins[k]
+        self.candidates = {x: lists[key[x]] for x in key}
+        self.index = {x: index[key[x]] for x in key}
+        self.vectors = {x: ordered[key[x]] for x in key}
+        self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
+        self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
+        self.joins: Dict[PointSet, List[Value]] = {}
+        self.answers: Dict[Tuple[PointSet, Value], Tuple[bool, Optional[Tuple], int]] = {}
+
+    def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
+        """The value t over u restricted to v ⊆ u: its entries over v."""
+        pos = self.positions.get((u, v))
+        if pos is None:
+            pos = self.positions[(u, v)] = [i for i, x in enumerate(sorted(u)) if x in v]
+        return t if len(pos) == len(t) else tuple([t[i] for i in pos])
+
+
+def _state(ambient: ModuleSheaf, k: int) -> BuildState:
+    """The ambient's rank-k build state, made at the first ask."""
+    return ambient.builds.get(k) or ambient.builds.setdefault(k, BuildState(ambient, k))
+
+
+@dataclass
+class GrassmannPresheaf:
+    base: AlgebraSheaf
+    k: int
+    ambient: ModuleSheaf
+    values: Dict[PointSet, List[Value]]
+    state: BuildState = field(repr=False, compare=False)
+
+    def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
+        """The value t over u restricted to v ⊆ u: its entries over v."""
+        return self.state.restrict(u, v, t)
+
+    def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
+        """The value t over u as a subsheaf of the ambient."""
+        return _subsheaf(self.ambient, self.k, sorted(u), t)
+
+    def presheaf(self) -> Presheaf:
+        """The values as a set-valued presheaf, restricting by projection."""
+        return Presheaf(self.base.space,
+                        {u: Carrier(SET, tuple(vals)) for u, vals in self.values.items()},
+                        self.restrict)
 
 
 def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
@@ -127,11 +144,12 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     A smaller image is tested against every candidate at y.  A table is
     charged its tests at every use, built then or earlier.
     """
-    candidates, index, tables = ambient.stalk_joins[k][:3]
+    state = _state(ambient, k)
+    candidates, tables = state.candidates, state.tables
     if (x, y) in tables:
         spend(tables[(x, y)][2])
         return tables[(x, y)]
-    res, at_y, position = ambient.res[(x, y)], candidates[y], index[y]
+    res, at_y, position = ambient.res[(x, y)], candidates[y], state.index[y]
     size = ambient.ring_at(y).size ** k
     into, from_x, tests = [], [0] * len(at_y), 0
     for i, c in enumerate(candidates[x]):
@@ -166,7 +184,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
     """
     space = ambient.space
     pts = sorted(u)
-    candidates = _stalk_joins(ambient, k)[0]
+    candidates = _state(ambient, k).candidates
     sizes = [len(candidates[x]) for x in pts]
     steps = 0
 
@@ -208,7 +226,7 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
 def _subsheaf(ambient: ModuleSheaf, k: int, pts: List[Point], t: Value) -> VectorSubsheaf:
     """The value t over the open of the sorted points pts as a subsheaf:
     candidate t[i] at pts[i]."""
-    candidates = ambient.stalk_joins[k][0]
+    candidates = _state(ambient, k).candidates
     return VectorSubsheaf(ambient, tuple([(x, candidates[x][i].elements)
                                           for x, i in zip(pts, t)]))
 
@@ -217,14 +235,14 @@ def _candidate_index(ambient: ModuleSheaf, k: int,
                      family: Iterable[Tuple[Point, frozenset]]) -> Optional[Value]:
     """The value with family's stalk at each of its points, or None when
     some stalk is not a rank-k candidate there."""
-    index = _stalk_joins(ambient, k)[1]
+    index = _state(ambient, k).index
     found = [index[x].get(vs) for x, vs in family]
     return None if None in found else tuple(found)
 
 
 def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
-    """The families of u's stalk-family join, kept on the ambient."""
-    joins = _stalk_joins(ambient, k)[3]
+    """The families of u's stalk-family join, kept in the build state."""
+    joins = _state(ambient, k).joins
     if u not in joins:
         joins[u] = _stalk_families(ambient, u, k)
     return joins[u]
@@ -246,24 +264,28 @@ def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
 def _free(ambient: ModuleSheaf, k: int, u: PointSet, t: Value,
           budget: Optional[Budget]) -> bool:
     """Whether the value t over u is free of rank k, searched once per
-    (ambient, k, u, t) and charged the search's steps at every ask
-    (`vecsheaf._kept_search`)."""
-    answers, ordered = _stalk_joins(ambient, k)[4:]
+    build state and (u, t); a later ask reads the kept answer and is
+    charged the steps the search took, so the budget's count and its exit
+    are those of a repeated search."""
+    state = _state(ambient, k)
     budget = budget or Budget()
-
-    def search() -> Tuple[bool, Optional[Tuple]]:
-        pts = sorted(u)
-        at = dict(zip(pts, t))
-        res = ambient.res
-        return _find_basis([ambient.ring_at(x) for x in pts],
-                           [ambient.rank_at[x] for x in pts],
-                           [len(ordered[x][i]) for x, i in at.items()],
-                           lambda: compatible_families(ambient.space, u,
-                                                       lambda x: ordered[x][at[x]],
-                                                       lambda x, y, v: res[(x, y)][v]),
-                           k, budget)
-
-    return _kept_search(answers, (u, t), u, k, budget, search)[0]
+    answer = state.answers.get((u, t))
+    if answer is not None:
+        try:
+            budget.spend("freeness search", answer[2])
+        except SearchBudgetExceeded as exc:
+            raise _freeness_spent(exc, u, k, budget) from None
+        return answer[0]
+    vectors, res = state.vectors, ambient.res
+    at = dict(zip(sorted(u), t))
+    before = budget.used
+    found, witness = _find_basis(
+        ambient, u, [len(vectors[x][i]) for x, i in at.items()],
+        lambda: compatible_families(ambient.space, u, lambda x: vectors[x][at[x]],
+                                    lambda x, y, v: res[(x, y)][v]),
+        k, budget)
+    state.answers[(u, t)] = (found, witness, budget.used - before)
+    return found
 
 
 def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
@@ -275,12 +297,10 @@ def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
     families = _join(ambient, k, u)
     if not locally_free:
         return [t for t in families if _free(ambient, k, u, t, budget)]
-    pts = sorted(u)
-    mins = [(ux, [i for i, y in enumerate(pts) if y in ux])
-            for ux in (ambient.space.min_open[x] for x in pts)]
+    restrict = _state(ambient, k).restrict
+    mins = [ambient.space.min_open[x] for x in sorted(u)]
     return [t for t in families
-            if all(_free(ambient, k, ux, tuple([t[i] for i in pos]), budget)
-                   for ux, pos in mins)]
+            if all(_free(ambient, k, ux, restrict(u, ux, t), budget) for ux in mins)]
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -306,14 +326,14 @@ def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
     that the freeness search accepts.  A disconnected open takes the placed
     product of its components' values (smaller opens, listed earlier).
     """
-    a = ambient.base
+    state = _state(ambient, k)
     values: Dict[PointSet, List[Value]] = {}
-    for u in enumerate_opens(a.space):
-        parts = components(a.space, u)
+    for u in state.opens:
+        parts = state.parts[u]
         values[u] = (_enumerate_values(ambient, k, u, locally_free, budget)
                      if len(parts) <= 1 else
                      _placed_product(u, parts, [values[c] for c in parts]))
-    g = GrassmannPresheaf(a, k, ambient, values)
+    g = GrassmannPresheaf(ambient.base, k, ambient, values, state)
     if locally_free and not _glues_are_values(g):
         raise AssertionError("locally-free value presheaf failed completeness")
     return g
@@ -358,8 +378,8 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
 
 def _row(g: GrassmannPresheaf, u: PointSet, t: Value) -> Tuple[Value, ...]:
     """The restrictions of t over u to the minimal opens of sorted(u)."""
-    space = g.base.space
-    return tuple([g.restrict(u, space.min_open[x], t) for x in sorted(u)])
+    space, restrict = g.base.space, g.state.restrict
+    return tuple([restrict(u, space.min_open[x], t) for x in sorted(u)])
 
 
 # A section of the sheaf G generates over u is a compatible row r of values
@@ -387,20 +407,18 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
     above): over the empty or a connected open the families of its join
     whose restriction to each minimal open is a value, in join order, and
     over a disconnected open the placed product of its components'."""
-    space = g.base.space
-    parts = components(space, u)
+    space, state = g.base.space, g.state
+    parts = state.parts[u]
     if len(parts) > 1:
         return _placed_product(u, parts, [_sections(g, c) for c in parts])
     mins = [(space.min_open[x], set(g.values[space.min_open[x]])) for x in sorted(u)]
     return [t for t in _join(g.ambient, g.k, u)
-            if all(g.restrict(u, ux, t) in vals for ux, vals in mins)]
+            if all(state.restrict(u, ux, t) in vals for ux, vals in mins)]
 
 
 def _glues_are_values(g: GrassmannPresheaf) -> bool:
     """V's completeness: the unit is bijective on every open (see above)."""
-    space = g.base.space
-    return all(set(_sections(g, u)) == set(g.values[u])
-               for u in enumerate_opens(space) if len(components(space, u)) <= 1)
+    return all(set(_sections(g, u)) == set(g.values[u]) for u in g.state.connected)
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
@@ -417,11 +435,10 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     row echelon basis at x restricts to the one at each point of
     min_open(x), and these are k sections forming a basis at every point.
     """
-    space = g.base.space
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
-    opens = [u for u in enumerate_opens(space) if len(components(space, u)) <= 1]
+    opens = g.state.connected
     sections = {u: _sections(g, u) for u in opens}
     witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
                     for u in opens for t in sections[u]
@@ -433,7 +450,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
         "sections_over_whole": prod(len(sections[c]) for c in
-                                    components(space, frozenset(space.points))),
+                                    g.state.parts[frozenset(g.base.space.points)]),
     }
 
 
@@ -447,7 +464,7 @@ def check_lemma_free_locally_free_same_germs(g: GrassmannPresheaf,
     index tuples where both builds list the same candidates.
     """
     space = g.base.space
-    cg, cv = _stalk_joins(g.ambient, g.k)[0], _stalk_joins(v.ambient, v.k)[0]
+    cg, cv = g.state.candidates, v.state.candidates
     for x in space.points:
         ux = space.min_open[x]
         if g.values[ux] != v.values[ux] or any(cg[y] != cv[y] for y in ux):

@@ -141,13 +141,9 @@ class ModuleSheaf:
                     else {v: v for v in stalk_elems[x]}
                     for x in self.space.points for y in self.space.min_open[x]}
         self.label = label or "E"
-        # is_free_of_rank answers by (stalk families over the open, rank):
-        # (found, witness, budget steps the search took)
-        self.freeness: Dict[Tuple, Tuple[bool, Optional[Tuple], int]] = {}
-        # grassmann's rank-k stalk candidates, indices, tables, joins,
-        # freeness answers and sorted candidate vectors, by k, shared by
-        # every build (`grassmann._stalk_joins`)
-        self.stalk_joins: Dict[int, Tuple[Dict, ...]] = {}
+        # grassmann's build state by rank, shared by every build on this
+        # sheaf (`grassmann._state`)
+        self.builds: Dict[int, object] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
@@ -285,21 +281,24 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
     return [sec for sec in secs if all(map(operator.contains, fams, sec))]
 
 
-def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
+def _find_basis(e: ModuleSheaf, u: PointSet, sizes: List[int],
                 sections: Callable[[], List[Tuple[Vec, ...]]], k: int,
                 budget: Optional[Budget]) -> Tuple[bool, Optional[Tuple]]:
-    """First k-tuple of sections, in `itertools.combinations` order, whose
-    germs at every point i span a stalk of sizes[i] vectors in
-    rings[i]^ranks[i]; lists follow the sorted points.  `sections` is called
-    only once every stalk has |ring|^k elements.
+    """First k-tuple of sections over u, in `itertools.combinations` order,
+    whose germs at every point i of sorted(u) span a stalk of sizes[i]
+    vectors in e's stalk ring to its rank there.  `sections` is called only
+    once every stalk has |ring|^k elements.
 
     Depth first, growing each point's span one germ at a time: a prefix of d
     sections whose germs span fewer than |ring|^d vectors at some point is
     cut.  Exact over any finite commutative ring, since germs spanning
     |ring|^k vectors make R^k -> R^n injective, and so every prefix too.
-    Each visited node spends one budget step."""
-    if not rings:
+    Each visited node spends one budget step; a spent budget names the
+    open, the rank and the steps used."""
+    pts = sorted(u)
+    if not pts:
         return True, ()
+    rings = [e.ring_at(x) for x in pts]
     for r, size in zip(rings, sizes):
         if size != r.size ** k:
             return False, None
@@ -333,30 +332,19 @@ def _find_basis(rings: List[FinRing], ranks: List[int], sizes: List[int],
                     return (secs[j],) + rest
         return None
 
-    witness = extend(0, 0, [frozenset({(r.zero,) * n})
-                            for r, n in zip(rings, ranks)])
+    try:
+        witness = extend(0, 0, [frozenset({(r.zero,) * e.rank_at[x]})
+                                for r, x in zip(rings, pts)])
+    except SearchBudgetExceeded as exc:
+        raise _freeness_spent(exc, u, k, budget) from None
     return witness is not None, witness
 
 
-def _kept_search(memo: Dict, key, u: PointSet, k: int, budget: Budget,
-                 search: Callable[[], Tuple[bool, Optional[Tuple]]]
-                 ) -> Tuple[bool, Optional[Tuple]]:
-    """The freeness question about key, over u at rank k, answered once per
-    memo: a kept (found, witness, steps) is read and charged the steps the
-    search took, else `search` runs and its answer is kept.  A spent budget
-    names the open, the rank and the steps used."""
-    answer = memo.get(key)
-    try:
-        if answer is None:
-            before = budget.used
-            found, witness = search()
-            answer = memo[key] = (found, witness, budget.used - before)
-        else:
-            budget.spend("freeness search", answer[2])
-    except SearchBudgetExceeded as exc:
-        raise SearchBudgetExceeded(f"{exc} over open {sorted(u)} at rank {k}, "
-                                   f"{budget.used} steps used") from None
-    return answer[0], answer[1]
+def _freeness_spent(exc: SearchBudgetExceeded, u: PointSet, k: int,
+                    budget: Budget) -> SearchBudgetExceeded:
+    """exc with the open u, the rank k and the steps used appended."""
+    return SearchBudgetExceeded(f"{exc} over open {sorted(u)} at rank {k}, "
+                                f"{budget.used} steps used")
 
 
 def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
@@ -366,20 +354,12 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     form a basis at every point.
 
     Exhaustive over k-subsets of the section list in deterministic order;
-    returns the first witness found.  The answer is kept on the ambient under
-    the stalk families over u (`_kept_search`), so s and its restriction to
-    u share it, and asking again charges the budget what the search took the
-    first time.  This memo serves library callers; the Grassmann builds keep
-    their own, by value index tuple (`grassmann._free`), with the same rule.
+    returns the first witness found.  Each call searches; the Grassmann
+    builds keep their answers by value index tuple (`grassmann._free`).
     """
-    budget = budget or Budget()
-    stalks = tuple((x, vs) for x, vs in s.family if x in u)
-    return _kept_search(
-        s.ambient.freeness, (stalks, k), u, k, budget,
-        lambda: _find_basis([s.ambient.ring_at(x) for x, _ in stalks],
-                            [s.ambient.rank_at[x] for x, _ in stalks],
-                            [len(vs) for _, vs in stalks],
-                            lambda: subsheaf_sections(s, u), k, budget))
+    family = dict(s.family)
+    return _find_basis(s.ambient, u, [len(family[x]) for x in sorted(u)],
+                       lambda: subsheaf_sections(s, u), k, budget)
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
@@ -396,9 +376,7 @@ def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
                         ) -> Tuple[bool, Optional[Tuple]]:
     """Freeness of a module sheaf over u: k sections whose germs are a basis
     of every stalk.  Same search as for subsheaves, against the full stalks."""
-    pts = sorted(u)
-    return _find_basis([e.ring_at(x) for x in pts], [e.rank_at[x] for x in pts],
-                       [len(e.stalk_elems[x]) for x in pts],
+    return _find_basis(e, u, [len(e.stalk_elems[x]) for x in sorted(u)],
                        lambda: e.sections(u), k, budget)
 
 

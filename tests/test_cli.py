@@ -670,6 +670,30 @@ def test_rejected_input_exits_invalid_without_traceback(tmp_path, capsys,
     assert message in err.strip().splitlines()[-1]
 
 
+F2_SQUARED = {"kind": "product", "left": {"kind": "Fp", "p": 2},
+              "right": {"kind": "Fp", "p": 2}}
+F2_SPLIT_QUOTIENT = {"kind": "quotient", "p": 2, "poly": [0, 1, 1]}  # F_2[t]/(t^2+t)
+
+
+@pytest.mark.parametrize("ring", [F2_SQUARED, F2_SPLIT_QUOTIENT],
+                         ids=["F2xF2", "F2[t]/(t^2+t)"])
+@pytest.mark.parametrize("argv", [["grassmann", "-k", "{}", "-n", "2"],
+                                  ["classify", "-n", "{}", "-N", "1"]],
+                         ids=["grassmann", "classify"])
+def test_rank_zero_accepts_any_ring(tmp_path, capsys, ring, argv):
+    """The zero submodule is free of rank 0 over any ring, and the candidate
+    listing returns it before its field check: rank 0 over a ring that is
+    not a field exits 0 with a report, rank 1 exits 1."""
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", ring)
+    files = ["--space", sp, "--ring", rg]
+    code, report, err = run(capsys, [a.format(0) for a in argv] + files)
+    assert code == EXIT_OK and report is not None
+    code, report, err = run(capsys, [a.format(1) for a in argv] + files)
+    assert code == EXIT_INVALID and report is None
+    assert err.strip().splitlines()[-1].endswith("is not a field")
+
+
 def test_classify_budget_caps_the_whole_command(tmp_path, capsys):
     a = constant_algebra_sheaf(pseudo_circle(), make_field(2))
     b = Budget()

@@ -365,6 +365,28 @@ def test_classify_lists_stalk_candidates_once_per_ring(monkeypatch):
     assert calls == [(F2, 2, 1)]
 
 
+def test_classify_lists_opens_and_components_once(monkeypatch):
+    """G and V of one classify run share their ambient's build state, which
+    lists the opens once and the components of each open once."""
+    listed, split = [], []
+    opens, parts = grassmann.enumerate_opens, grassmann.components
+
+    def counting_opens(space):
+        listed.append(space)
+        return opens(space)
+
+    def counting_components(space, u):
+        split.append(u)
+        return parts(space, u)
+
+    monkeypatch.setattr(grassmann, "enumerate_opens", counting_opens)
+    monkeypatch.setattr(grassmann, "components", counting_components)
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    assert classify(a, 1, 2)["bijection"] is True
+    assert len(listed) == 1
+    assert split == enumerate_opens(a.space) and len(split) == 7
+
+
 def test_classify_joins_each_connected_open_once(monkeypatch):
     """G and V of one classify run share their ambient's joins: one per
     connected or empty open, none over the disconnected open {a, b}, whose
@@ -907,15 +929,15 @@ def test_classify_searches_each_value_once_without_decoding(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
 def test_free_on_index_tuples_matches_is_free_of_rank(name):
     """The oracle of `grassmann._free`: `is_free_of_rank` on the decoded
-    value over a fresh free sheaf, so that no memo is shared.  Every join
-    family over every connected open (the minimal opens among them), n <= 2,
-    asked twice on one ambient: the verdict and witness of the oracle, and
-    its budget charge both when searched and when read from the memo."""
+    value over a fresh free sheaf.  Every join family over every connected
+    open (the minimal opens among them), n <= 2, asked twice on one
+    ambient: the verdict and witness of the oracle, and its budget charge
+    both when searched and when read from the build state's answers."""
     a = CHECK_SHEAVES[name]()
     for n in range(3):
         ambient = free_sheaf(a, n)
         for k in range(n + 1):
-            answers = grassmann._stalk_joins(ambient, k)[4]
+            answers = grassmann._state(ambient, k).answers
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) > 1:
                     continue
@@ -935,8 +957,7 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
 def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
     """is_free_of_rank(s, U_x, k) on a subsheaf over the whole space gives
     the answer, witness and budget charge of the same question about
-    restrict_subsheaf(s, U_x), each on a fresh ambient; on one ambient the
-    second question is answered from the first one's memo entry."""
+    restrict_subsheaf(s, U_x), on fresh ambients and on one ambient alike."""
     a = constant_algebra_sheaf(pseudo_circle(), ring)
     u = whole(a.space)
     for t in enumerate_locally_free_subsheaves(a, 1, 2, u):
@@ -958,9 +979,8 @@ def test_freeness_over_a_minimal_open_is_freeness_of_the_restriction(ring):
             ux = a.space.min_open[x]
             first, second = Budget(), Budget()
             answer = is_free_of_rank(s, ux, 1, first)
-            asked = len(amb.freeness)
             assert is_free_of_rank(restrict_subsheaf(s, ux), ux, 1, second) == answer
-            assert len(amb.freeness) == asked and second.used == first.used
+            assert second.used == first.used
 
 
 # -- universal construction and truncation -----------------------------------

@@ -208,6 +208,13 @@ def test_module_free_of_rank_budget():
     assert module_free_of_rank(free_sheaf(A2_SIER, 1), X_SIER, 1, budget=Budget(2))[0]
 
 
+def test_module_free_of_rank_spent_budget_names_its_open_rank_and_count():
+    with pytest.raises(SearchBudgetExceeded) as spent:
+        module_free_of_rank(free_sheaf(A3_PC, 2), X_PC, 2, Budget(3))
+    assert str(spent.value) == ("freeness search exceeded the budget of 3 steps "
+                                "over open ['a', 'b', 'c', 'd'] at rank 2, 4 steps used")
+
+
 def test_free_implies_locally_free():
     amb = free_sheaf(A2_SIER, 2)
     for s in (full_subsheaf(amb, X_SIER),
@@ -553,7 +560,7 @@ def test_embed_mono_for_every_valid_family():
         assert is_monomorphism(embed_via_weights(e, cover, trivs, w, 1))
 
 
-# -- the freeness kernel and its memo ----------------------------------------
+# -- the freeness kernel -----------------------------------------------------
 
 def brute_span(r, gens):
     """Every R-combination of `gens`, from the ring tables alone."""
@@ -661,8 +668,8 @@ def test_repeated_freeness_question_is_answered_and_charged_alike():
 
 
 def test_spent_freeness_budget_names_its_open_rank_and_count():
-    """On the search path and on a memo charge alike, a spent budget keeps
-    its message and adds the open, the rank and the steps used."""
+    """On a first and on a repeated search alike, a spent budget keeps its
+    message and adds the open, the rank and the steps used."""
     b = Budget()
     is_free_of_rank(full_subsheaf(free_sheaf(A3_PC, 2), X_PC), X_PC, 2, b)
     used = b.used
@@ -674,6 +681,6 @@ def test_spent_freeness_budget_names_its_open_rank_and_count():
     assert str(searched.value) == message
     amb = free_sheaf(A3_PC, 2)
     is_free_of_rank(full_subsheaf(amb, X_PC), X_PC, 2)
-    with pytest.raises(SearchBudgetExceeded) as charged:
+    with pytest.raises(SearchBudgetExceeded) as repeated:
         is_free_of_rank(full_subsheaf(amb, X_PC), X_PC, 2, Budget(used - 1))
-    assert str(charged.value) == message
+    assert str(repeated.value) == message

@@ -126,6 +126,9 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
         if not set(map(type, elements)) <= {str}:
             raise ParseError(f"presheaf carrier {key!r} elements must be "
                              f"strings, not {elements!r}")
+        if len(set(elements)) < len(elements):
+            twice = next(e for i, e in enumerate(elements) if e in elements[:i])
+            raise ParseError(f"presheaf carrier {key!r} lists {twice!r} twice")
         carriers[u] = psh.Carrier(psh.SET, tuple(elements))
     tables = {}
     for u in opens:

@@ -9,9 +9,11 @@ computation collapses to the value at the minimal open.  A value becomes a
 returns subsheaves and where the non-free-glue hunt reports its witness.
 
 One `BuildState` per (ambient, k) holds what G and V built there share:
-the opens and their components, listed once; the stalk candidates; the
-joins; and the freeness answers of `_free`, each (open, value) searched at
-most once and a repeated ask charged the steps the search took.
+the opens, their components and the stalk candidates, listed once at first
+need; the joins; a join plan and a basis set-up per open `_free` asks
+about, and one memo of germ multiples; and the freeness answers of
+`_free`, each (open, value) searched at most once and a repeated ask
+charged the steps the search took.
 
 The empty open and each connected open take the families of its
 stalk-family join that the freeness search accepts.  A disconnected open
@@ -27,19 +29,20 @@ connected opens alone, and settle a disconnected open by its components
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
-from .finalg import (Submodule, Vec, enumerate_free_submodules, gaussian_binomial,
-                     zero_vec)
+from .finalg import (FinRing, Submodule, Vec, enumerate_free_submodules,
+                     gaussian_binomial, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import (DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, compatible_families,
-                       is_monopresheaf)
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, JoinPlan, Presheaf, is_monopresheaf
 from .vecsheaf import (
     AlgebraSheaf,
+    BasisSetup,
     Budget,
     ModuleSheaf,
     VectorSubsheaf,
@@ -64,38 +67,69 @@ MAX_CANDIDATE_VECTORS = 10 ** 5
 class BuildState:
     """What every rank-k build on one ambient shares (`_state`).
 
-    Listed once: the opens in (size, lex) order, their components, the
-    empty and connected opens, and each point's free rank-k stalk
-    submodules (one list per (stalk ring, n)) with their indices by
-    elements and their sorted vectors.  Kept as asked: restriction
-    positions by open pair, tables by point pair (`_compatibility`), joins
-    by open (`_join`) and freeness answers (found, witness, steps) by
-    (open, value) (`_free`).
+    Listed once, at first read: the opens in (size, lex) order, each
+    one's components, the empty and connected opens, and each point's
+    free rank-k stalk submodules (one list per (stalk ring, n)) with their
+    indices by elements and their sorted vectors.  Kept as asked:
+    restriction positions by open pair, tables by point pair
+    (`_compatibility`), joins by open (`_join`), and for the freeness
+    search (`_free`) a join plan and a basis set-up by open, one memo of
+    germ multiples, and the answers (found, witness, steps) by (open,
+    value).
     """
 
     def __init__(self, ambient: ModuleSheaf, k: int):
-        space = ambient.space
-        self.opens = enumerate_opens(space)
-        self.parts = {u: components(space, u) for u in self.opens}
-        self.connected = [u for u in self.opens if len(self.parts[u]) <= 1]
-        key = {x: (ambient.ring_at(x), ambient.rank_at[x]) for x in sorted(space.points)}
-        lists: Dict[Tuple, List[Submodule]] = {}
-        for r, n in dict.fromkeys(key.values()):  # each (ring, rank) once, in point order
+        # the ambient holds its states, so a state holding the ambient would
+        # make a cycle that only the cyclic collector frees
+        self.space, self.k = ambient.space, k
+        self.stalks = {x: (ambient.ring_at(x), ambient.rank_at[x])
+                       for x in sorted(ambient.space.points)}
+        self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
+        self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
+        self.joins: Dict[PointSet, List[Value]] = {}
+        self.searches: Dict[PointSet, Tuple[JoinPlan, BasisSetup]] = {}
+        self.multiples: Dict[FinRing, Dict[Vec, List[Vec]]] = {}
+        self.answers: Dict[Tuple[PointSet, Value], Tuple[bool, Optional[Tuple], int]] = {}
+
+    @cached_property
+    def opens(self) -> List[PointSet]:
+        return enumerate_opens(self.space)
+
+    @cached_property
+    def parts(self) -> Dict[PointSet, List[PointSet]]:
+        return {u: components(self.space, u) for u in self.opens}
+
+    @cached_property
+    def connected(self) -> List[PointSet]:
+        return [u for u in self.opens if len(self.parts[u]) <= 1]
+
+    @cached_property
+    def lists(self) -> Dict[Tuple[FinRing, int], List[Submodule]]:
+        """The candidates per (stalk ring, rank), listed in point order."""
+        k, lists = self.k, {}
+        for r, n in dict.fromkeys(self.stalks.values()):
             count = gaussian_binomial(n, k, r.size)
             if count * r.size ** k > MAX_CANDIDATE_VECTORS:
                 raise SpaceTooLarge(
                     f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
                     f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
             lists[(r, n)] = enumerate_free_submodules(r, n, k)
-        index = {rn: {c.elements: i for i, c in enumerate(cs)} for rn, cs in lists.items()}
-        ordered = {rn: [sorted(c.elements) for c in cs] for rn, cs in lists.items()}
-        self.candidates = {x: lists[key[x]] for x in key}
-        self.index = {x: index[key[x]] for x in key}
-        self.vectors = {x: ordered[key[x]] for x in key}
-        self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
-        self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
-        self.joins: Dict[PointSet, List[Value]] = {}
-        self.answers: Dict[Tuple[PointSet, Value], Tuple[bool, Optional[Tuple], int]] = {}
+        return lists
+
+    @cached_property
+    def candidates(self) -> Dict[Point, List[Submodule]]:
+        return {x: self.lists[rn] for x, rn in self.stalks.items()}
+
+    @cached_property
+    def index(self) -> Dict[Point, Dict[frozenset, int]]:
+        index = {rn: {c.elements: i for i, c in enumerate(cs)}
+                 for rn, cs in self.lists.items()}
+        return {x: index[rn] for x, rn in self.stalks.items()}
+
+    @cached_property
+    def vectors(self) -> Dict[Point, List[List[Vec]]]:
+        ordered = {rn: [sorted(c.elements) for c in cs] for rn, cs in self.lists.items()}
+        return {x: ordered[rn] for x, rn in self.stalks.items()}
 
     def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
         """The value t over u restricted to v ⊆ u: its entries over v."""
@@ -276,14 +310,18 @@ def _free(ambient: ModuleSheaf, k: int, u: PointSet, t: Value,
         except SearchBudgetExceeded as exc:
             raise _freeness_spent(exc, u, k, budget) from None
         return answer[0]
+    search = state.searches.get(u)
+    if search is None:
+        search = state.searches[u] = (JoinPlan(ambient.space, u),
+                                      BasisSetup(ambient, u, k, state.multiples))
+    plan, setup = search
     vectors, res = state.vectors, ambient.res
-    at = dict(zip(sorted(u), t))
+    at = dict(zip(plan.pts, t))
     before = budget.used
     found, witness = _find_basis(
-        ambient, u, [len(vectors[x][i]) for x, i in at.items()],
-        lambda: compatible_families(ambient.space, u, lambda x: vectors[x][at[x]],
-                                    lambda x, y, v: res[(x, y)][v]),
-        k, budget)
+        setup, [len(vectors[x][i]) for x, i in at.items()],
+        lambda: plan.run(lambda x: vectors[x][at[x]], lambda x, y, v: res[(x, y)][v]),
+        budget)
     state.answers[(u, t)] = (found, witness, budget.used - before)
     return found
 

@@ -209,6 +209,89 @@ def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
 
 # -- compatible germ families ------------------------------------------------
 
+class JoinPlan:
+    """What `compatible_families` over one open needs besides its choices
+    and germs: the sorted points, the maximal points, and per maximal point
+    m the sorted min_open(m), the positions among them of the points an
+    earlier maximal point reaches, and the prefix positions of those
+    points' germs.  Made once per open and run on any choices and
+    `res` (`run`)."""
+
+    def __init__(self, space: FinSpace, carrier_pts: PointSet):
+        self.pts = pts = sorted(carrier_pts)
+        self.maxpts = maxpts = space.maximal_points(carrier_pts)
+        levels: List[Tuple[Point, List[Point], List[int], List[int]]] = []
+        self.levels = levels
+        if len(maxpts) < 2:  # min_open(m) or empty: no join
+            return
+        owner: Dict[Point, int] = {}
+        width = 0
+        for m in maxpts:
+            ys = sorted(space.min_open[m])
+            shared = [j for j, y in enumerate(ys) if y in owner]
+            levels.append((m, ys, shared, [owner[ys[j]] for j in shared]))
+            for j, y in enumerate(ys, width):
+                owner.setdefault(y, j)
+            width += len(ys)
+        # a family read off a full prefix, over the sorted points
+        self.family = itemgetter(*[owner[x] for x in pts])
+
+    def run(self, elems_at: Callable[[Point], List[Elem]],
+            res: Callable[[Point, Point, Elem], Elem]) -> List[Tuple[Elem, ...]]:
+        """`compatible_families` over the plan's open (see there)."""
+        maxpts = self.maxpts
+        choices = [elems_at(m) for m in maxpts]
+        states = 1
+        for vals in choices:
+            states *= max(len(vals), 1)
+            if states > DEFAULT_STATE_BOUND:
+                raise SpaceTooLarge(f"section enumeration over open {self.pts} exceeds "
+                                    f"{DEFAULT_STATE_BOUND} states at {states}")
+        if not maxpts:
+            return [()]
+        if len(maxpts) == 1:
+            pts = self.pts
+            return [tuple([res(maxpts[0], y, val) for y in pts]) for val in choices[0]]
+        if not all(choices):  # an empty product calls no res
+            return []
+        # per maximal point: the prefix positions of the germs its choices
+        # must agree with, and per choice (its germs at those points, its
+        # germ row, a held KeyError); a prefix is its choices' germ rows
+        # laid end to end
+        levels = []
+        for (m, ys, shared, fixed), vals in zip(self.levels, choices):
+            rows = []
+            for val in vals:
+                row, err = [], None
+                try:
+                    for y in ys:
+                        row.append(res(m, y, val))
+                except KeyError as exc:
+                    err = exc
+                rows.append((tuple([row[j] for j in shared if j < len(row)]),
+                             tuple(row), err))
+            levels.append((fixed, rows))
+        family = self.family
+        out: List[Tuple[Elem, ...]] = []
+        last = len(levels) - 1
+
+        def join(i: int, prefix: Tuple[Elem, ...]) -> None:
+            fixed, rows = levels[i]
+            agreed = [prefix[o] for o in fixed]
+            for germs, row, err in rows:
+                if any(map(ne, agreed, germs)):
+                    continue
+                if err is not None:
+                    raise err
+                if i == last:
+                    out.append(family(prefix + row))
+                else:
+                    join(i + 1, prefix + row)
+
+        join(0, ())
+        return out
+
+
 def compatible_families(space: FinSpace, carrier_pts: PointSet,
                         elems_at: Callable[[Point], List[Elem]],
                         res: Callable[[Point, Point, Elem], Elem]) -> List[Tuple[Elem, ...]]:
@@ -228,64 +311,11 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     with the germs before it and raised when the join reaches its choice
     with no mismatch among them.  An open with one maximal point m is
     min_open(m), and its families are the germ rows of m's choices.
+
+    The open's `JoinPlan`, made here, run once; a caller asking about one
+    open many times keeps the plan and runs it.
     """
-    pts = sorted(carrier_pts)
-    maxpts = space.maximal_points(carrier_pts)
-    choices = [elems_at(m) for m in maxpts]
-    states = 1
-    for vals in choices:
-        states *= max(len(vals), 1)
-        if states > DEFAULT_STATE_BOUND:
-            raise SpaceTooLarge(f"section enumeration over open {pts} exceeds "
-                                f"{DEFAULT_STATE_BOUND} states at {states}")
-    if not maxpts:
-        return [()]
-    if len(maxpts) == 1:
-        return [tuple([res(maxpts[0], y, val) for y in pts]) for val in choices[0]]
-    if not all(choices):  # an empty product calls no res
-        return []
-    # per maximal point: the prefix positions of the germs its choices must
-    # agree with, and per choice (its germs at those points, its germ row, a
-    # held KeyError); a prefix is its choices' germ rows laid end to end
-    owner: Dict[Point, int] = {}
-    levels = []
-    width = 0
-    for m, vals in zip(maxpts, choices):
-        ys = sorted(space.min_open[m])
-        shared = [j for j, y in enumerate(ys) if y in owner]
-        fixed = [owner[ys[j]] for j in shared]
-        for j, y in enumerate(ys, width):
-            owner.setdefault(y, j)
-        width += len(ys)
-        rows = []
-        for val in vals:
-            row, err = [], None
-            try:
-                for y in ys:
-                    row.append(res(m, y, val))
-            except KeyError as exc:
-                err = exc
-            rows.append((tuple([row[j] for j in shared if j < len(row)]), tuple(row), err))
-        levels.append((fixed, rows))
-    family = itemgetter(*[owner[x] for x in pts])
-    out: List[Tuple[Elem, ...]] = []
-    last = len(levels) - 1
-
-    def join(i: int, prefix: Tuple[Elem, ...]) -> None:
-        fixed, rows = levels[i]
-        agreed = [prefix[o] for o in fixed]
-        for germs, row, err in rows:
-            if any(map(ne, agreed, germs)):
-                continue
-            if err is not None:
-                raise err
-            if i == last:
-                out.append(family(prefix + row))
-            else:
-                join(i + 1, prefix + row)
-
-    join(0, ())
-    return out
+    return JoinPlan(space, carrier_pts).run(elems_at, res)
 
 
 # -- sheafification ----------------------------------------------------------

@@ -281,13 +281,32 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
     return [sec for sec in secs if all(map(operator.contains, fams, sec))]
 
 
-def _find_basis(e: ModuleSheaf, u: PointSet, sizes: List[int],
-                sections: Callable[[], List[Tuple[Vec, ...]]], k: int,
+class BasisSetup:
+    """What `_find_basis` over the open u at rank k needs besides the
+    stalk sizes and sections, per point of sorted(u): its stalk ring R,
+    the size |R|^k its stalk must have, its zero span, and the memo of
+    germ multiples over R, `multiples[R]`, which every set-up given the
+    same `multiples` shares.  Made once per (sheaf, open, k)."""
+
+    def __init__(self, e: ModuleSheaf, u: PointSet, k: int,
+                 multiples: Dict[FinRing, Dict[Vec, List[Vec]]]):
+        self.u, self.k = u, k
+        pts = sorted(u)
+        self.rings = [e.ring_at(x) for x in pts]
+        self.targets = [r.size ** k for r in self.rings]
+        self.zeros = [frozenset({(r.zero,) * e.rank_at[x]})
+                      for r, x in zip(self.rings, pts)]
+        self.memos = [multiples.setdefault(r, {}) for r in self.rings]
+
+
+def _find_basis(setup: BasisSetup, sizes: List[int],
+                sections: Callable[[], List[Tuple[Vec, ...]]],
                 budget: Optional[Budget]) -> Tuple[bool, Optional[Tuple]]:
-    """First k-tuple of sections over u, in `itertools.combinations` order,
-    whose germs at every point i of sorted(u) span a stalk of sizes[i]
-    vectors in e's stalk ring to its rank there.  `sections` is called only
-    once every stalk has |ring|^k elements.
+    """First k-tuple of sections over the set-up's open u, in
+    `itertools.combinations` order, whose germs at every point i of
+    sorted(u) span a stalk of sizes[i] vectors in its stalk ring to its
+    rank there.  `sections` is called only once every stalk has |ring|^k
+    elements.
 
     Depth first, growing each point's span one germ at a time: a prefix of d
     sections whose germs span fewer than |ring|^d vectors at some point is
@@ -295,17 +314,16 @@ def _find_basis(e: ModuleSheaf, u: PointSet, sizes: List[int],
     |ring|^k vectors make R^k -> R^n injective, and so every prefix too.
     Each visited node spends one budget step; a spent budget names the
     open, the rank and the steps used."""
-    pts = sorted(u)
-    if not pts:
+    k = setup.k
+    if not setup.rings:
         return True, ()
-    rings = [e.ring_at(x) for x in pts]
-    for r, size in zip(rings, sizes):
-        if size != r.size ** k:
-            return False, None
+    if sizes != setup.targets:
+        return False, None
     if k == 0:
         return True, ()
     budget = budget or Budget()
     secs = sections()
+    rings, memos = setup.rings, setup.memos
 
     def extend(start: int, depth: int, spans: List[FrozenSet[Vec]]
                ) -> Optional[Tuple]:
@@ -313,30 +331,31 @@ def _find_basis(e: ModuleSheaf, u: PointSet, sizes: List[int],
         for j in range(start, len(secs) - k + depth + 1):
             budget.spend("freeness search")
             grown = []
-            for r, acc, g in zip(rings, spans, secs[j]):
+            for r, memo, acc, g in zip(rings, memos, spans, secs[j]):
                 # acc + Rg has |acc| |R| elements iff no c g with c != 0 is in acc
-                mul = r.mul_table
-                multiples = [tuple(mul[c][b] for b in g)
-                             for c in r.elements() if c != r.zero]
-                if any(m in acc for m in multiples):
+                multiples = memo.get(g)
+                if multiples is None:
+                    multiples = memo[g] = [tuple([row[b] for b in g])
+                                           for c, row in enumerate(r.mul_table)
+                                           if c != r.zero]
+                if not acc.isdisjoint(multiples):
                     break
-                grown.append((r, acc, multiples))
+                grown.append((r.add_table, acc, multiples))
             else:
                 if depth + 1 == k:
                     return (secs[j],)
                 rest = extend(j + 1, depth + 1, [
-                    acc.union(tuple(r.add_table[a][b] for a, b in zip(s, m))
-                              for s in acc for m in multiples)
-                    for r, acc, multiples in grown])
+                    acc.union([tuple([add[a][b] for a, b in zip(s, m)])
+                               for s in acc for m in multiples])
+                    for add, acc, multiples in grown])
                 if rest is not None:
                     return (secs[j],) + rest
         return None
 
     try:
-        witness = extend(0, 0, [frozenset({(r.zero,) * e.rank_at[x]})
-                                for r, x in zip(rings, pts)])
+        witness = extend(0, 0, setup.zeros)
     except SearchBudgetExceeded as exc:
-        raise _freeness_spent(exc, u, k, budget) from None
+        raise _freeness_spent(exc, setup.u, k, budget) from None
     return witness is not None, witness
 
 
@@ -358,8 +377,9 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     builds keep their answers by value index tuple (`grassmann._free`).
     """
     family = dict(s.family)
-    return _find_basis(s.ambient, u, [len(family[x]) for x in sorted(u)],
-                       lambda: subsheaf_sections(s, u), k, budget)
+    return _find_basis(BasisSetup(s.ambient, u, k, {}),
+                       [len(family[x]) for x in sorted(u)],
+                       lambda: subsheaf_sections(s, u), budget)
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,
@@ -376,8 +396,9 @@ def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
                         ) -> Tuple[bool, Optional[Tuple]]:
     """Freeness of a module sheaf over u: k sections whose germs are a basis
     of every stalk.  Same search as for subsheaves, against the full stalks."""
-    return _find_basis(e, u, [len(e.stalk_elems[x]) for x in sorted(u)],
-                       lambda: e.sections(u), k, budget)
+    return _find_basis(BasisSetup(e, u, k, {}),
+                       [len(e.stalk_elems[x]) for x in sorted(u)],
+                       lambda: e.sections(u), budget)
 
 
 def module_locally_free(e: ModuleSheaf, u: PointSet, k: int,

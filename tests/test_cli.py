@@ -1012,6 +1012,9 @@ def test_embed_report_corpus_is_byte_identical(tmp_path, capsys):
     (["presheaf-check"], {"space": SIERPINSKI, "presheaf": {
         **CONSTANT_F2_PRESHEAF,
         "restrictions": {**CONSTANT_F2_PRESHEAF["restrictions"], "o|": "0"}}}),
+    (["stalks"], {"space": SIERPINSKI, "presheaf": {
+        **CONSTANT_F2_PRESHEAF,
+        "carriers": {**CONSTANT_F2_PRESHEAF["carriers"], "o": ["x", "x"]}}}),
     (["pullback"], {"space": SIERPINSKI, "presheaf": CONSTANT_F2_PRESHEAF,
                     "map": {"space": {"min_open": {"p": ["p"]}},
                             "assignment": {"p": ["c"]}}}),
@@ -1022,7 +1025,7 @@ def test_embed_report_corpus_is_byte_identical(tmp_path, capsys):
         "transitions-a-list", "cover-a-number", "cover-point-outside",
         "rank-negative", "rank-a-string", "transition-entry-missing-a-point",
         "weights-a-number", "member-not-open", "carrier-element-a-list", "restriction-a-string",
-        "map-image-a-list", "map-partial"])
+        "carrier-element-twice", "map-image-a-list", "map-partial"])
 def test_malformed_input_exits_invalid_without_traceback(tmp_path, capsys,
                                                          argv, inputs):
     for option, obj in inputs.items():

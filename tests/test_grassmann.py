@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafkit import cli, grassmann, presheaf, vecsheaf
+from sheafkit import cli, finspace, grassmann, presheaf, vecsheaf
 from sheafkit.errors import (NotLocallyFree, SearchBudgetExceeded,
                              SpaceTooLarge, ValidationError)
 from sheafkit.finalg import (enumerate_free_submodules, gaussian_binomial,
@@ -56,6 +56,8 @@ from sheafkit.vecsheaf import (
     validate_subsheaf,
     zero_subsheaf,
 )
+
+from test_presheaf import families_or_key_error, product_loop_families
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -432,17 +434,51 @@ def test_stalk_candidate_guard_precedes_enumeration(monkeypatch):
     assert built == []
 
 
+def test_open_count_guard_precedes_the_candidate_guard(monkeypatch):
+    """A build that trips both guards names the open count: the opens are
+    listed before any stalk candidate is counted."""
+    built = []
+    monkeypatch.setattr(grassmann, "enumerate_free_submodules",
+                        lambda r, n, k: built.append((n, k)) or [])
+    monkeypatch.setattr(finspace, "DEFAULT_MAX_OPENS", 2)
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    with pytest.raises(SpaceTooLarge, match="open count exceeds bound 2"):
+        build_grassmann_presheaf(a, 4, 12)
+    assert built == []
+
+
+def test_one_open_lists_no_other_open(monkeypatch):
+    """Values over one open of the 12-point discrete space list neither the
+    4096 opens nor any open's components."""
+    listed, split = [], []
+    opens, parts = grassmann.enumerate_opens, grassmann.components
+    monkeypatch.setattr(grassmann, "enumerate_opens",
+                        lambda space: listed.append(space) or opens(space))
+    monkeypatch.setattr(grassmann, "components",
+                        lambda space, u: split.append(u) or parts(space, u))
+    space = build_space({f"p{i:02d}": [f"p{i:02d}"] for i in range(12)})
+    a = constant_algebra_sheaf(space, F2)
+    free = enumerate_free_subsheaves(a, 1, 1, frozenset({"p00"}))
+    assert [t.sort_key() for t in free] == [(("p00", ((0,), (1,))),)]
+    assert enumerate_locally_free_subsheaves(a, 1, 1, frozenset({"p00"})) == free
+    assert listed == [] and split == []
+
+
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
-    """The freeness search lists its sections with `compatible_families`,
-    which no other Grassmann code calls."""
+    """The freeness search lists its sections by running a `JoinPlan`,
+    which no other Grassmann code makes."""
     searched = []
-    families = grassmann.compatible_families
 
-    def counting_families(space, u, elems_at, res):
-        searched.append(len(components(space, u)))
-        return families(space, u, elems_at, res)
+    class CountingPlan(grassmann.JoinPlan):
+        def __init__(self, space, u):
+            super().__init__(space, u)
+            self.parts = len(components(space, u))
 
-    monkeypatch.setattr(grassmann, "compatible_families", counting_families)
+        def run(self, elems_at, res):
+            searched.append(self.parts)
+            return super().run(elems_at, res)
+
+    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
     for make in CORPUS + [sierpinski_plus_point]:
         for ring in (F2, F3):
             a = constant_algebra_sheaf(make(), ring)
@@ -877,19 +913,20 @@ def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     both round trips) but enumerates the sections of each value once
     per ambient: the listing runs inside the ask it serves."""
     asked, searched = [], []
-    free, families = grassmann._free, grassmann.compatible_families
+    free = grassmann._free
 
     def counting_free(ambient, k, u, t, budget):
         asked.append((ambient, k, u, t))
         return free(ambient, k, u, t, budget)
 
-    def counting_families(space, u, elems_at, res):
-        stalks = tuple(tuple(elems_at(x)) for x in sorted(u))
-        searched.append((asked[-1][0], u, stalks))
-        return families(space, u, elems_at, res)
+    class CountingPlan(grassmann.JoinPlan):
+        def run(self, elems_at, res):
+            stalks = tuple(tuple(elems_at(x)) for x in self.pts)
+            searched.append((asked[-1][0], frozenset(self.pts), stalks))
+            return super().run(elems_at, res)
 
     monkeypatch.setattr(grassmann, "_free", counting_free)
-    monkeypatch.setattr(grassmann, "compatible_families", counting_families)
+    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
     assert searched and len(searched) == len(set(searched))
@@ -924,6 +961,79 @@ def test_classify_searches_each_value_once_without_decoding(monkeypatch):
     assert decoded == []
     assert len(searched) == len(set(searched)) and set(searched) == set(asked)
     assert len(asked) > len(searched)
+
+
+def test_classify_plans_each_search_once_per_open(monkeypatch):
+    """classify on the pseudo-circle makes one join plan and one basis
+    set-up per open it asks freeness about, all of them connected, and
+    runs each more than once on the whole; every set-up shares the build's
+    one memo of germ multiples."""
+    planned, set_up, memos, searched = [], [], [], []
+    find_basis = grassmann._find_basis
+
+    class CountingPlan(grassmann.JoinPlan):
+        def __init__(self, space, u):
+            planned.append(u)
+            super().__init__(space, u)
+
+    class CountingSetup(grassmann.BasisSetup):
+        def __init__(self, e, u, k, multiples):
+            set_up.append((e, u, k))
+            memos.append(multiples)
+            super().__init__(e, u, k, multiples)
+
+    def counting_search(setup, *args):
+        searched.append(setup.u)
+        return find_basis(setup, *args)
+
+    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
+    monkeypatch.setattr(grassmann, "BasisSetup", CountingSetup)
+    monkeypatch.setattr(grassmann, "_find_basis", counting_search)
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    assert classify(a, 1, 2)["bijection"] is True
+    assert planned and len(planned) == len(set(planned)) == len(set_up) == len(set(set_up))
+    assert set(planned) == set(searched) == {u for _, u, _ in set_up}
+    assert all(len(components(a.space, u)) <= 1 for u in planned)
+    assert len({id(m) for m in memos}) == 1 and memos[0]
+    assert len(searched) > len(planned)
+
+
+def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
+    """One `JoinPlan` per open of each check sheaf, run on the sections of
+    A, of A^1 and A^2, of A^2 drawn from each point's first rank-1
+    candidate, and of A^1 whose germs of nonzero vectors are missing along
+    every other specialization pair (a KeyError): the families, or the
+    KeyError raised, of a fresh `compatible_families` call and of the
+    product loop."""
+    kinds = set()
+    for name in sorted(CHECK_SHEAVES):
+        a = CHECK_SHEAVES[name]()
+        space = a.space
+        e1, e2 = free_sheaf(a, 1), free_sheaf(a, 2)
+        first = {x: sorted(cs[0].elements)
+                 for x, cs in grassmann._state(e2, 1).candidates.items()}
+        cut = set(sorted(pair for pair in e1.res if pair[0] != pair[1])[::2])
+
+        def partial(x, y, v):
+            if (x, y) in cut and any(v):
+                raise KeyError((x, y, v))
+            return e1.res[(x, y)][v]
+
+        inputs = [(lambda x: list(a.stalk_ring[x].elements()),
+                   lambda x, y, c: a.res[(x, y)][c]),
+                  (lambda x: list(e1.stalk_elems[x]), lambda x, y, v: e1.res[(x, y)][v]),
+                  (lambda x: list(e2.stalk_elems[x]), lambda x, y, v: e2.res[(x, y)][v]),
+                  (first.get, lambda x, y, v: e2.res[(x, y)][v]),
+                  (lambda x: list(e1.stalk_elems[x]), partial)]
+        for u in enumerate_opens(space):
+            plan = grassmann.JoinPlan(space, u)
+            for elems_at, res in inputs:
+                args = (space, u, elems_at, res)
+                outcome = families_or_key_error(plan.run, elems_at, res)
+                for oracle in (compatible_families, product_loop_families):
+                    assert outcome == families_or_key_error(oracle, *args), (name, u)
+                kinds.add("raised" if isinstance(outcome, tuple) else "listed")
+    assert kinds == {"raised", "listed"}
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))

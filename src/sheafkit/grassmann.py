@@ -8,8 +8,9 @@ computation collapses to the value at the minimal open.  A value becomes a
 `VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where the public API
 returns subsheaves and where the non-free-glue hunt reports its witness.
 
-One `BuildState` per (ambient, k) holds what G and V built there share:
-the opens, their components and the stalk candidates, listed once at first
+Each public build makes one `BuildState` on a fresh ambient A^n and passes
+it to every helper; `classify` builds V on G's state.  The state holds the
+opens, their components and the stalk candidates, listed once at first
 need; the joins; a join plan and a basis set-up per open `_free` asks
 about, and one memo of germ multiples; and the freeness answers of
 `_free`, each (open, value) searched at most once and a repeated ask
@@ -65,7 +66,7 @@ MAX_CANDIDATE_VECTORS = 10 ** 5
 
 
 class BuildState:
-    """What every rank-k build on one ambient shares (`_state`).
+    """What the rank-k builds on one ambient share, passed to every helper.
 
     Listed once, at first read: the opens in (size, lex) order, each
     one's components, the empty and connected opens, and each point's
@@ -79,9 +80,7 @@ class BuildState:
     """
 
     def __init__(self, ambient: ModuleSheaf, k: int):
-        # the ambient holds its states, so a state holding the ambient would
-        # make a cycle that only the cyclic collector frees
-        self.space, self.k = ambient.space, k
+        self.ambient, self.space, self.k = ambient, ambient.space, k
         self.stalks = {x: (ambient.ring_at(x), ambient.rank_at[x])
                        for x in sorted(ambient.space.points)}
         self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
@@ -139,11 +138,6 @@ class BuildState:
         return t if len(pos) == len(t) else tuple([t[i] for i in pos])
 
 
-def _state(ambient: ModuleSheaf, k: int) -> BuildState:
-    """The ambient's rank-k build state, made at the first ask."""
-    return ambient.builds.get(k) or ambient.builds.setdefault(k, BuildState(ambient, k))
-
-
 @dataclass
 class GrassmannPresheaf:
     base: AlgebraSheaf
@@ -158,7 +152,7 @@ class GrassmannPresheaf:
 
     def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
         """The value t over u as a subsheaf of the ambient."""
-        return _subsheaf(self.ambient, self.k, sorted(u), t)
+        return _subsheaf(self.state, u, t)
 
     def presheaf(self) -> Presheaf:
         """The values as a set-valued presheaf, restricting by projection."""
@@ -167,7 +161,7 @@ class GrassmannPresheaf:
                         self.restrict)
 
 
-def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
+def _compatibility(state: BuildState, x: Point, y: Point,
                    spend: Callable[[int], None]) -> Tuple[List[int], List[int], int]:
     """The table of (x, y), y in min_open(x): masks over y's candidates that
     contain the image of each candidate at x, masks over x's candidates whose
@@ -178,13 +172,12 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     A smaller image is tested against every candidate at y.  A table is
     charged its tests at every use, built then or earlier.
     """
-    state = _state(ambient, k)
     candidates, tables = state.candidates, state.tables
     if (x, y) in tables:
         spend(tables[(x, y)][2])
         return tables[(x, y)]
-    res, at_y, position = ambient.res[(x, y)], candidates[y], state.index[y]
-    size = ambient.ring_at(y).size ** k
+    res, at_y, position = state.ambient.res[(x, y)], candidates[y], state.index[y]
+    size = state.ambient.ring_at(y).size ** state.k
     into, from_x, tests = [], [0] * len(at_y), 0
     for i, c in enumerate(candidates[x]):
         image = frozenset(res[v] for v in c.elements)
@@ -201,7 +194,7 @@ def _compatibility(ambient: ModuleSheaf, k: int, x: Point, y: Point,
     return tables[(x, y)]
 
 
-def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
+def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
     """Per-point rank-k submodule choices closed under the ambient
     restrictions, as tuples of candidate indices over sorted(u), in
     lexicographic order.
@@ -216,9 +209,8 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
     masks its already chosen neighbours allow, in ascending index.  Table
     tests and visited nodes count against DEFAULT_STATE_BOUND.
     """
-    space = ambient.space
+    space, candidates = state.space, state.candidates
     pts = sorted(u)
-    candidates = _state(ambient, k).candidates
     sizes = [len(candidates[x]) for x in pts]
     steps = 0
 
@@ -231,8 +223,8 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
 
     # per point: (position of an earlier related point, masks over this
     # point's candidates indexed by that point's choice)
-    constraints = [[(j, _compatibility(ambient, k, x, y, spend)[1]) if y in space.min_open[x]
-                    else (j, _compatibility(ambient, k, y, x, spend)[0])
+    constraints = [[(j, _compatibility(state, x, y, spend)[1]) if y in space.min_open[x]
+                    else (j, _compatibility(state, y, x, spend)[0])
                     for j, y in enumerate(pts[:i])
                     if y in space.min_open[x] or x in space.min_open[y]]
                    for i, x in enumerate(pts)]
@@ -257,28 +249,26 @@ def _stalk_families(ambient: ModuleSheaf, u: PointSet, k: int) -> List[Value]:
     return out
 
 
-def _subsheaf(ambient: ModuleSheaf, k: int, pts: List[Point], t: Value) -> VectorSubsheaf:
-    """The value t over the open of the sorted points pts as a subsheaf:
-    candidate t[i] at pts[i]."""
-    candidates = _state(ambient, k).candidates
-    return VectorSubsheaf(ambient, tuple([(x, candidates[x][i].elements)
-                                          for x, i in zip(pts, t)]))
+def _subsheaf(state: BuildState, u: PointSet, t: Value) -> VectorSubsheaf:
+    """The value t over u as a subsheaf: candidate t[i] at the i-th point
+    of sorted(u)."""
+    return VectorSubsheaf(state.ambient, tuple([(x, state.candidates[x][i].elements)
+                                                for x, i in zip(sorted(u), t)]))
 
 
-def _candidate_index(ambient: ModuleSheaf, k: int,
+def _candidate_index(state: BuildState,
                      family: Iterable[Tuple[Point, frozenset]]) -> Optional[Value]:
     """The value with family's stalk at each of its points, or None when
     some stalk is not a rank-k candidate there."""
-    index = _state(ambient, k).index
-    found = [index[x].get(vs) for x, vs in family]
+    found = [state.index[x].get(vs) for x, vs in family]
     return None if None in found else tuple(found)
 
 
-def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
+def _join(state: BuildState, u: PointSet) -> List[Value]:
     """The families of u's stalk-family join, kept in the build state."""
-    joins = _state(ambient, k).joins
+    joins = state.joins
     if u not in joins:
-        joins[u] = _stalk_families(ambient, u, k)
+        joins[u] = _stalk_families(state, u)
     return joins[u]
 
 
@@ -295,27 +285,25 @@ def _join(ambient: ModuleSheaf, k: int, u: PointSet) -> List[Value]:
 # entries over v, with min_open(x) ⊆ v for each x in v.  The values, the
 # glues of `_sections` and the rows `_value_to_row` reads are such families.
 
-def _free(ambient: ModuleSheaf, k: int, u: PointSet, t: Value,
-          budget: Optional[Budget]) -> bool:
+def _free(state: BuildState, u: PointSet, t: Value, budget: Optional[Budget]) -> bool:
     """Whether the value t over u is free of rank k, searched once per
     build state and (u, t); a later ask reads the kept answer and is
     charged the steps the search took, so the budget's count and its exit
     are those of a repeated search."""
-    state = _state(ambient, k)
     budget = budget or Budget()
     answer = state.answers.get((u, t))
     if answer is not None:
         try:
             budget.spend("freeness search", answer[2])
         except SearchBudgetExceeded as exc:
-            raise _freeness_spent(exc, u, k, budget) from None
+            raise _freeness_spent(exc, u, state.k, budget) from None
         return answer[0]
     search = state.searches.get(u)
     if search is None:
-        search = state.searches[u] = (JoinPlan(ambient.space, u),
-                                      BasisSetup(ambient, u, k, state.multiples))
+        search = state.searches[u] = (JoinPlan(state.space, u),
+                                      BasisSetup(state.ambient, u, state.k, state.multiples))
     plan, setup = search
-    vectors, res = state.vectors, ambient.res
+    vectors, res = state.vectors, state.ambient.res
     at = dict(zip(plan.pts, t))
     before = budget.used
     found, witness = _find_basis(
@@ -326,19 +314,19 @@ def _free(ambient: ModuleSheaf, k: int, u: PointSet, t: Value,
     return found
 
 
-def _enumerate_values(ambient: ModuleSheaf, k: int, u: PointSet,
-                      locally_free: bool, budget: Optional[Budget]) -> List[Value]:
+def _enumerate_values(state: BuildState, u: PointSet, locally_free: bool,
+                      budget: Optional[Budget]) -> List[Value]:
     """The free (or locally free) values over u, in sort_key order: the
     families of its join that the search accepts.  A locally free family is
     free on the minimal open of each point of sorted(u), asked in that order
     up to the first refusal, as `is_locally_free` asks."""
-    families = _join(ambient, k, u)
+    families = _join(state, u)
     if not locally_free:
-        return [t for t in families if _free(ambient, k, u, t, budget)]
-    restrict = _state(ambient, k).restrict
-    mins = [ambient.space.min_open[x] for x in sorted(u)]
+        return [t for t in families if _free(state, u, t, budget)]
+    restrict = state.restrict
+    mins = [state.space.min_open[x] for x in sorted(u)]
     return [t for t in families
-            if all(_free(ambient, k, ux, restrict(u, ux, t), budget) for ux in mins)]
+            if all(_free(state, ux, restrict(u, ux, t), budget) for ux in mins)]
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -355,23 +343,22 @@ def _placed_product(u: PointSet, parts: List[PointSet],
     return sorted(place(sum(choice, ())) for choice in product(*factors))
 
 
-def _build_values(ambient: ModuleSheaf, k: int, locally_free: bool,
+def _build_values(state: BuildState, locally_free: bool,
                   budget: Optional[Budget]) -> GrassmannPresheaf:
-    """Values in the ambient A^n over every open; locally free values must
-    form a complete presheaf.
+    """Values in the state's ambient A^n over every open; locally free
+    values must form a complete presheaf.
 
     The empty open and connected opens keep the families of their join
     that the freeness search accepts.  A disconnected open takes the placed
     product of its components' values (smaller opens, listed earlier).
     """
-    state = _state(ambient, k)
     values: Dict[PointSet, List[Value]] = {}
     for u in state.opens:
         parts = state.parts[u]
-        values[u] = (_enumerate_values(ambient, k, u, locally_free, budget)
+        values[u] = (_enumerate_values(state, u, locally_free, budget)
                      if len(parts) <= 1 else
                      _placed_product(u, parts, [values[c] for c in parts]))
-    g = GrassmannPresheaf(ambient.base, k, ambient, values, state)
+    g = GrassmannPresheaf(state.ambient.base, state.k, state.ambient, values, state)
     if locally_free and not _glues_are_values(g):
         raise AssertionError("locally-free value presheaf failed completeness")
     return g
@@ -381,9 +368,8 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
-    ambient = free_sheaf(a, n)
-    return [_subsheaf(ambient, k, sorted(u), t)
-            for t in _enumerate_values(ambient, k, u, False, budget)]
+    state = BuildState(free_sheaf(a, n), k)
+    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, False, budget)]
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
@@ -391,22 +377,21 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list)."""
-    ambient = free_sheaf(a, n)
-    return [_subsheaf(ambient, k, sorted(u), t)
-            for t in _enumerate_values(ambient, k, u, True, budget)]
+    state = BuildState(free_sheaf(a, n), k)
+    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, True, budget)]
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    return _build_values(free_sheaf(a, n), k, False, budget)
+    return _build_values(BuildState(free_sheaf(a, n), k), False, budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}."""
-    return _build_values(free_sheaf(a, n), k, True, budget)
+    return _build_values(BuildState(free_sheaf(a, n), k), True, budget)
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
@@ -450,7 +435,7 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
     if len(parts) > 1:
         return _placed_product(u, parts, [_sections(g, c) for c in parts])
     mins = [(space.min_open[x], set(g.values[space.min_open[x]])) for x in sorted(u)]
-    return [t for t in _join(g.ambient, g.k, u)
+    return [t for t in _join(state, u)
             if all(state.restrict(u, ux, t) in vals for ux, vals in mins)]
 
 
@@ -480,7 +465,7 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     sections = {u: _sections(g, u) for u in opens}
     witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
                     for u in opens for t in sections[u]
-                    if not _free(g.ambient, g.k, u, t, budget)), None)
+                    if not _free(g.state, u, t, budget)), None)
     return {
         # no two values over u have the same restrictions to the minimal opens
         "monopresheaf": all(len({_row(g, u, t) for t in g.values[u]}) == len(g.values[u])
@@ -562,7 +547,7 @@ def _value_to_row(g: GrassmannPresheaf, u: PointSet, t: Value,
     row = _row(g, u, t)
     for x, piece in zip(sorted(u), row):
         ux = space.min_open[x]
-        if not _free(g.ambient, g.k, ux, piece, budget):
+        if not _free(g.state, ux, piece, budget):
             raise NotLocallyFree(f"not free of rank {g.k} on min_open({x!r})")
     return row
 
@@ -603,7 +588,7 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     whole = frozenset(a.space.points)
     pts = sorted(whole)
     g = build_universal_grassmann(a, n, truncation, budget)
-    v = _build_values(g.ambient, n, True, budget)
+    v = _build_values(g.state, True, budget)
     # sections as glues, in enumerate_sections order; the glue of a value's
     # row is the value, so the maps are inverse iff glues and values coincide
     sections = sorted(_sections(g, whole), key=lambda t: _row(g, whole, t))
@@ -637,7 +622,7 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
             trivial_weight_family(a), n)
         image = _included([(x, frozenset(morph.maps[x].values())) for x in pts],
                           morph.target, g.ambient)
-        embed_image_found = _candidate_index(g.ambient, n, image) in sub_index
+        embed_image_found = _candidate_index(g.state, image) in sub_index
 
     return {
         "k": n,

@@ -88,20 +88,11 @@ class AlgebraSheaf:
                     self.res[(x, y)] = tuple(res[(x, y)])
         self.label = label or "A"
 
-    def res_code(self, x: Point, y: Point, a: int) -> int:
-        return self.res[(x, y)][a]
-
     def sections(self, u: PointSet) -> List[Tuple[int, ...]]:
         return compatible_families(
             self.space, u,
             lambda x: list(self.stalk_ring[x].elements()),
             lambda x, y, a: self.res[(x, y)][a])
-
-    def germ(self, u: PointSet, sec: Tuple[int, ...], x: Point) -> int:
-        return sec[sorted(u).index(x)]
-
-    def sec_one(self, u):
-        return tuple(self.stalk_ring[x].one for x in sorted(u))
 
     def to_presheaf(self) -> Presheaf:
         """The (complete) presheaf of sections, with ring-tagged carriers."""
@@ -141,9 +132,6 @@ class ModuleSheaf:
                     else {v: v for v in stalk_elems[x]}
                     for x in self.space.points for y in self.space.min_open[x]}
         self.label = label or "E"
-        # grassmann's build state by rank, shared by every build on this
-        # sheaf (`grassmann._state`)
-        self.builds: Dict[int, object] = {}
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
@@ -191,14 +179,20 @@ def _broken_law(m: Dict[Vec, Vec], elems: Sequence[Vec], r: FinRing,
     return None
 
 
+def _guard_stalks(a: AlgebraSheaf, n: int, sheaf: str) -> None:
+    """Refuse, naming the sheaf, when its largest stalk R^n over A would
+    list more than MAX_STALK_VECTORS vectors."""
+    r = max((a.stalk_ring[x] for x in sorted(a.space.points)), key=lambda r: r.size)
+    # |R| >= 2 passes the bound within its bit length in factors
+    if r.size ** min(n, MAX_STALK_VECTORS.bit_length()) > MAX_STALK_VECTORS:
+        raise SpaceTooLarge(f"{sheaf}: stalk {r.label}^{n} "
+                            f"exceeds bound {MAX_STALK_VECTORS} vectors")
+
+
 def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
     """The free module sheaf A^n with componentwise restriction."""
     space = a.space
-    r = max((a.stalk_ring[x] for x in sorted(space.points)), key=lambda r: r.size)
-    # |R| >= 2 passes the bound within its bit length in factors
-    if r.size ** min(n, MAX_STALK_VECTORS.bit_length()) > MAX_STALK_VECTORS:
-        raise SpaceTooLarge(f"free sheaf {a.label}^{n}: stalk {r.label}^{n} "
-                            f"exceeds bound {MAX_STALK_VECTORS} vectors")
+    _guard_stalks(a, n, f"free sheaf {a.label}^{n}")
     vecs = {ring: tuple(all_vecs(ring, n)) for ring in a.stalk_ring.values()}
     stalks = {x: vecs[a.stalk_ring[x]] for x in space.points}
     maps = {}  # one vector map per distinct base restriction, shared by its pairs
@@ -373,8 +367,9 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     form a basis at every point.
 
     Exhaustive over k-subsets of the section list in deterministic order;
-    returns the first witness found.  Each call searches; the Grassmann
-    builds keep their answers by value index tuple (`grassmann._free`).
+    returns the first witness found.  Each call searches; a Grassmann
+    build keeps its answers in its `BuildState`, by open and value index
+    tuple (`grassmann._free`).
     """
     family = dict(s.family)
     return _find_basis(BasisSetup(s.ambient, u, k, {}),
@@ -470,7 +465,7 @@ def _chart_changes(c: TransitionCocycle
                 # member that is not open, reported above, may leave y outside)
                 for x in ov:
                     for y in c.base.space.min_open[x]:
-                        if y in ov and (c.base.res_code(x, y, entry[ov.index(x)])
+                        if y in ov and (c.base.res[(x, y)][entry[ov.index(x)]]
                                         != entry[ov.index(y)]):
                             problems.append(
                                 f"transition ({i},{j}) entry incompatible at {x!r}->{y!r}")
@@ -528,8 +523,10 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
 
     The stalk at x uses the chart of the least cover index containing x;
     restriction along specialization composes the base restriction with the
-    germ of the chart-change matrix.
+    germ of the chart-change matrix.  The stalk size is guarded before the
+    cocycle is checked, as that takes k x k determinants.
     """
+    _guard_stalks(c.base, c.rank, f"glued sheaf of rank {c.rank}")
     problems, changes = _chart_changes(c)
     if problems:
         raise CocycleConditionViolated("; ".join(problems))
@@ -546,10 +543,9 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
         for y in space.min_open[x]:
             if y == x:
                 continue
-            change = changes[(chart(y), chart(x))][y]
-            res[(x, y)] = {
-                v: change.apply(tuple(a.res_code(x, y, comp) for comp in v))
-                for v in stalk_elems[x]}
+            change, codes = changes[(chart(y), chart(x))][y], a.res[(x, y)]
+            res[(x, y)] = {v: change.apply(tuple(codes[comp] for comp in v))
+                           for v in stalk_elems[x]}
     sheaf = ModuleSheaf(a, {x: k for x in space.points}, stalk_elems, res,
                         label=f"glued(k={k})")
     trivs = {i: {x: changes[(i, chart(x))][x] for x in sorted(u)}
@@ -713,12 +709,11 @@ def validate_weights(w: WeightFamily) -> List[str]:
         if tuple(sec) not in global_secs:
             problems.append(f"weight {i} is not a global section")
             continue
-        for x in pts:
-            if x not in w.cover[i] and a.germ(whole, sec, x) != a.stalk_ring[x].zero:
+        for x, germ in zip(pts, sec):
+            if x not in w.cover[i] and germ != a.stalk_ring[x].zero:
                 problems.append(f"weight {i} has nonzero germ at {x!r} off its support")
-    for x in pts:
-        if not any(x in w.cover[i]
-                   and is_unit(a.stalk_ring[x], a.germ(whole, w.weights[i], x))
+    for j, x in enumerate(pts):
+        if not any(x in w.cover[i] and is_unit(a.stalk_ring[x], w.weights[i][j])
                    for i in range(len(w.cover))):
             problems.append(f"no weight has a unit germ at {x!r}")
     return problems
@@ -743,7 +738,7 @@ def enumerate_weight_families(a: AlgebraSheaf, cover: Tuple[PointSet, ...],
 
 def trivial_weight_family(a: AlgebraSheaf) -> WeightFamily:
     whole = frozenset(a.space.points)
-    return WeightFamily(a, (whole,), (a.sec_one(whole),))
+    return WeightFamily(a, (whole,), (tuple(a.stalk_ring[x].one for x in sorted(whole)),))
 
 
 # -- the embedding construction ----------------------------------------------
@@ -769,7 +764,8 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
         raise InvalidWeights("weight family cover differs from embedding cover")
     a = e.base
     space = a.space
-    whole = frozenset(space.points)
+    # the weights' germs at each point, weights being global sections
+    germs = dict(zip(sorted(space.points), zip(*w.weights)))
     m = len(cover)
     for i, u in enumerate(cover):
         psis = trivializations[i]
@@ -780,7 +776,7 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
                     f"trivialization {i} at {x!r} is not a k x k isomorphism")
             for y in space.min_open[x]:
                 lhs = {v: psis[y].apply(e.res[(x, y)][v]) for v in e.stalk_elems[x]}
-                rhs = {v: tuple(a.res_code(x, y, comp) for comp in psi.apply(v))
+                rhs = {v: tuple(a.res[(x, y)][comp] for comp in psi.apply(v))
                        for v in e.stalk_elems[x]}
                 if lhs != rhs:
                     raise TrivializationMismatch(
@@ -795,8 +791,7 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
             blocks = []
             for i in range(m):
                 if x in cover[i]:
-                    alpha = a.germ(whole, w.weights[i], x)
-                    blocks.extend(vec_scale(r, alpha, trivializations[i][x].apply(v)))
+                    blocks.extend(vec_scale(r, germs[x][i], trivializations[i][x].apply(v)))
                 else:
                     blocks.extend(zero_vec(r, k))
             comp[v] = tuple(blocks)

@@ -969,6 +969,23 @@ def test_embed_report_corpus_is_byte_identical(tmp_path, capsys):
     assert digests == EMBED_DIGESTS
 
 
+@pytest.mark.parametrize("transitions", [
+    {}, {"0,0": [["1" if r == c else "0" for c in range(17)] for r in range(17)]},
+], ids=["none", "identity"])
+def test_embed_stalk_guard_exits_before_the_cocycle_check(tmp_path, transitions):
+    """A glued stalk of F_2^17 lists 2^17 > 10^5 vectors: refused before
+    the stalks are listed and before any 17 x 17 determinant is taken."""
+    point = write(tmp_path, "space.json", {"min_open": {"p": ["p"]}})
+    rg = write(tmp_path, "ring.json", field(2))
+    cc = write(tmp_path, "cocycle.json", charts([["p"]], 17, transitions))
+    wt = write(tmp_path, "weights.json", one_weight([["p"]]))
+    proc = run_module(["-m", "sheafkit.cli", "embed", "--space", point, "--ring", rg,
+                       "--cocycle", cc, "--weights", wt], timeout=30)
+    assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
+    assert proc.stderr == ("size guard hit: glued sheaf of rank 17: stalk F_2^17 "
+                           "exceeds bound 100000 vectors\n")
+
+
 # -- malformed input ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv,inputs", [

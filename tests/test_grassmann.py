@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -222,12 +224,12 @@ def test_restriction_is_projection_over_non_constant_stalks(make):
 
 def refusing_e1_at_c(free):
     """`grassmann._free`, but refusing a value whose stalk at c holds e_1."""
-    def refuse(ambient, k, u, t, budget):
-        s = grassmann._subsheaf(ambient, k, sorted(u), t)
+    def refuse(state, u, t, budget):
+        s = grassmann._subsheaf(state, u, t)
         if any(v[:1] == (1,) and not any(v[1:]) for x, vs in s.family if x == "c"
                for v in vs):
             return False
-        return free(ambient, k, u, t, budget)
+        return free(state, u, t, budget)
     return refuse
 
 
@@ -244,7 +246,7 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
     # n = 2, k = 1: three F_2-rational lines on the circle, one refused,
     # times the five lines of F_4^2 at e
     g = build_grassmann_presheaf(a, 1, 2)
-    assert len(grassmann._stalk_families(g.ambient, whole(a.space), 1)) == 15
+    assert len(grassmann._stalk_families(g.state, whole(a.space))) == 15
     assert len(g.values[whole(a.space)]) == 10
 
 
@@ -261,12 +263,12 @@ def test_a_disconnected_open_sorts_its_product_into_join_order():
                            dict.fromkeys(space.points, vecs),
                            {("c", "a"): {v: (v[0], 0) for v in vecs}})
 
-    g = grassmann._build_values(ambient(), 1, False, None)
+    g = grassmann._build_values(grassmann.BuildState(ambient(), 1), False, None)
     ac = g.values[frozenset("ac")]
     assert len(ac) == 2 and ac[0][0] == ac[1][0]
     assert len(g.values[whole(space)]) == 2 * 3
     assert g.values[whole(space)] == grassmann._enumerate_values(
-        ambient(), 1, whole(space), False, None)
+        grassmann.BuildState(ambient(), 1), whole(space), False, None)
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -309,10 +311,11 @@ def test_stalk_join_matches_the_pairwise_scan(make, ring):
     for n in range(4):
         ambient = free_sheaf(a, n)
         for k in range(min(n, 2) + 1):
+            state = grassmann.BuildState(ambient, k)
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) <= 1:
-                    assert [dict(grassmann._subsheaf(ambient, k, sorted(u), f).family)
-                            for f in grassmann._stalk_families(ambient, u, k)] \
+                    assert [dict(grassmann._subsheaf(state, u, f).family)
+                            for f in grassmann._stalk_families(state, u)] \
                         == pairwise_stalk_families(ambient, u, k)
 
 
@@ -327,9 +330,10 @@ def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
         for n in range(4):
             ambient = free_sheaf(a, n)
             for k in range(min(n, 2) + 1):
+                state = grassmann.BuildState(ambient, k)
                 for u in enumerate_opens(space):
-                    assert [dict(grassmann._subsheaf(ambient, k, sorted(u), f).family)
-                            for f in grassmann._stalk_families(ambient, u, k)] \
+                    assert [dict(grassmann._subsheaf(state, u, f).family)
+                            for f in grassmann._stalk_families(state, u)] \
                         == pairwise_stalk_families(ambient, u, k)
 
 
@@ -396,9 +400,9 @@ def test_classify_joins_each_connected_open_once(monkeypatch):
     joined = []
     stalk_families = grassmann._stalk_families
 
-    def counting(ambient, u, k):
+    def counting(state, u):
         joined.append(u)
-        return stalk_families(ambient, u, k)
+        return stalk_families(state, u)
 
     monkeypatch.setattr(grassmann, "_stalk_families", counting)
     a = constant_algebra_sheaf(pseudo_circle(), F2)
@@ -413,15 +417,15 @@ def test_stalk_join_size_guard(monkeypatch):
     """Table tests and visited join nodes count against the state bound;
     past it the join names its open and count."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
-    ambient = free_sheaf(a, 2)
+    state = grassmann.BuildState(free_sheaf(a, 2), 1)
     u = frozenset({"a", "b", "c"})
     # one table test per candidate and pair, 3 + 9 + 3 nodes
-    assert len(grassmann._stalk_families(ambient, u, 1)) == 3
+    assert len(grassmann._stalk_families(state, u)) == 3
     monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 20)
     with pytest.raises(SpaceTooLarge,
                        match=r"open \['a', 'b', 'c'\] exceeds 20 steps at 21"):
-        grassmann._stalk_families(ambient, u, 1)
-    assert len(grassmann._stalk_families(ambient, frozenset({"a", "c"}), 1)) == 3
+        grassmann._stalk_families(state, u)
+    assert len(grassmann._stalk_families(state, frozenset({"a", "c"}))) == 3
 
 
 def test_stalk_candidate_guard_precedes_enumeration(monkeypatch):
@@ -915,9 +919,9 @@ def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     asked, searched = [], []
     free = grassmann._free
 
-    def counting_free(ambient, k, u, t, budget):
-        asked.append((ambient, k, u, t))
-        return free(ambient, k, u, t, budget)
+    def counting_free(state, u, t, budget):
+        asked.append((state, u, t))
+        return free(state, u, t, budget)
 
     class CountingPlan(grassmann.JoinPlan):
         def run(self, elems_at, res):
@@ -940,9 +944,9 @@ def test_classify_searches_each_value_once_without_decoding(monkeypatch):
     asked, searched, decoded = [], [], []
     free, find_basis, is_free = grassmann._free, grassmann._find_basis, is_free_of_rank
 
-    def counting_free(ambient, k, u, t, budget):
-        asked.append((ambient, k, u, t))
-        return free(ambient, k, u, t, budget)
+    def counting_free(state, u, t, budget):
+        asked.append((state, u, t))
+        return free(state, u, t, budget)
 
     def counting_search(*args):
         searched.append(asked[-1])
@@ -1011,7 +1015,7 @@ def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
         space = a.space
         e1, e2 = free_sheaf(a, 1), free_sheaf(a, 2)
         first = {x: sorted(cs[0].elements)
-                 for x, cs in grassmann._state(e2, 1).candidates.items()}
+                 for x, cs in grassmann.BuildState(e2, 1).candidates.items()}
         cut = set(sorted(pair for pair in e1.res if pair[0] != pair[1])[::2])
 
         def partial(x, y, v):
@@ -1047,20 +1051,37 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
     for n in range(3):
         ambient = free_sheaf(a, n)
         for k in range(n + 1):
-            answers = grassmann._state(ambient, k).answers
+            state = grassmann.BuildState(ambient, k)
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) > 1:
                     continue
-                for t in grassmann._join(ambient, k, u):
-                    family = grassmann._subsheaf(ambient, k, sorted(u), t).family
+                for t in grassmann._join(state, u):
+                    family = grassmann._subsheaf(state, u, t).family
                     oracle = Budget()
                     answer = is_free_of_rank(VectorSubsheaf(free_sheaf(a, n), family),
                                              u, k, oracle)
                     for _ in range(2):
                         b = Budget()
-                        assert grassmann._free(ambient, k, u, t, b) == answer[0]
+                        assert grassmann._free(state, u, t, b) == answer[0]
                         assert b.used == oracle.used
-                    assert answers[(u, t)][:2] == answer
+                    assert state.answers[(u, t)][:2] == answer
+
+
+def test_a_build_state_is_freed_without_the_cyclic_collector():
+    """The state holds its ambient and no object it reaches holds it, so
+    dropping the presheaf and its verdict frees it by reference counts."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = build_grassmann_presheaf(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
+        verdict = check_monopresheaf_not_complete(g)
+        state = weakref.ref(g.state)
+        assert state().ambient is g.ambient and verdict["complete_at_this_scale"]
+        del g, verdict
+        assert state() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
@@ -1160,9 +1181,9 @@ def test_a_family_outside_the_candidates_has_no_value_index(stalks, monkeypatch)
     a = constant_algebra_sheaf(sierpinski(), F2)
     g = build_grassmann_presheaf(a, 1, 2)
     u = whole(a.space)
-    assert grassmann._candidate_index(g.ambient, 1, stalks(g.ambient, u).family) is None
+    assert grassmann._candidate_index(g.state, stalks(g.ambient, u).family) is None
     for t in g.values[u]:
-        assert grassmann._candidate_index(g.ambient, 1, g.subsheaf(u, t).family) == t
+        assert grassmann._candidate_index(g.state, g.subsheaf(u, t).family) == t
     monkeypatch.setattr(grassmann, "_included", lambda family, source, ambient:
                         stalks(ambient, frozenset(x for x, _ in family)).family)
     report = classify(a, 1, 2)

@@ -427,20 +427,14 @@ class Matrix:
 
     def apply(self, v: Vec) -> Vec:
         assert len(v) == self.cols
-        r = self.ring
+        add, mul, n = self.ring.add_table, self.ring.mul_table, self.cols
         out = []
-        for i in range(self.rows):
-            acc = r.zero
-            for j in range(self.cols):
-                acc = r.add(acc, r.mul(self.at(i, j), v[j]))
+        for i in range(self.rows):  # a 0-column matrix sends () to zeros
+            acc = self.ring.zero
+            for a, b in zip(self.entries[i * n:i * n + n], v):
+                acc = add[acc][mul[a][b]]
             out.append(acc)
         return tuple(out)
-
-    def minor(self, drop_row: int, drop_col: int) -> "Matrix":
-        ent = [self.at(i, j)
-               for i in range(self.rows) if i != drop_row
-               for j in range(self.cols) if j != drop_col]
-        return Matrix(self.ring, self.rows - 1, self.cols - 1, tuple(ent))
 
 
 def identity_matrix(r: FinRing, n: int) -> Matrix:
@@ -448,25 +442,36 @@ def identity_matrix(r: FinRing, n: int) -> Matrix:
                                  for i in range(n) for j in range(n)))
 
 
-def det(m: Matrix) -> int:
-    """Determinant by cofactor expansion along the first row."""
+def is_invertible(m: Matrix) -> bool:
+    """Whether the k rows of m span R^k, growing the span one row at a time
+    and stopping at the first row with a nonzero multiple already in it.
+    Over a finite ring, onto R^k is bijective, so the transpose of m is
+    invertible, and with it m.  Rows, not columns: in entry product order
+    a leading zero row is rejected at once."""
     if m.rows != m.cols:
         raise NonSquare(f"{m.rows}x{m.cols}")
-    r = m.ring
-    if m.rows == 0:
-        return r.one
-    if m.rows == 1:
-        return m.at(0, 0)
-    acc = r.zero
-    for j in range(m.cols):
-        term = r.mul(m.at(0, j), det(m.minor(0, j)))
-        acc = r.add(acc, term if j % 2 == 0 else r.neg(term))
-    return acc
+    r, k = m.ring, m.cols
+    acc = frozenset({zero_vec(r, k)})
+    for i in range(k):
+        multiples = nonzero_multiples(r, m.entries[i * k:i * k + k])
+        if not acc.isdisjoint(multiples):
+            return False
+        if i + 1 < k:
+            acc = grow_span(r, acc, multiples)
+    return True
 
 
-def is_invertible(m: Matrix) -> bool:
-    """Over a commutative ring a square matrix is invertible iff det is a unit."""
-    return is_unit(m.ring, det(m))
+def inverse(m: Matrix) -> Matrix:
+    """m^-1, whose column j is the preimage of e_j under v -> m v."""
+    if m.rows != m.cols:
+        raise NonSquare(f"{m.rows}x{m.cols}")
+    r, k = m.ring, m.cols
+    preimage = {m.apply(v): v for v in all_vecs(r, k)}
+    if len(preimage) < r.size ** k:
+        raise RingError("matrix is not invertible")
+    ident = identity_matrix(r, k).entries
+    cols = [preimage[ident[j * k:j * k + k]] for j in range(k)]
+    return Matrix(r, k, k, tuple(col[i] for i in range(k) for col in cols))
 
 
 # -- vectors and submodules --------------------------------------------------
@@ -493,6 +498,20 @@ def span(r: FinRing, n: int, gens: Sequence[Vec]) -> FrozenSet[Vec]:
     for g in gens:
         acc = {vec_add(r, s, vec_scale(r, c, g)) for s in acc for c in r.elements()}
     return frozenset(acc)
+
+
+def nonzero_multiples(r: FinRing, g: Vec) -> List[Vec]:
+    """c g for every c != 0 in r, in code order."""
+    return [tuple([row[b] for b in g]) for c, row in enumerate(r.mul_table)
+            if c != r.zero]
+
+
+def grow_span(r: FinRing, acc: FrozenSet[Vec], multiples: List[Vec]) -> FrozenSet[Vec]:
+    """The submodule acc + R g, given the nonzero multiples of g.  It has
+    |acc| |R| elements iff no nonzero multiple of g lies in acc."""
+    add = r.add_table
+    return acc.union([tuple([add[a][b] for a, b in zip(s, m)])
+                      for s in acc for m in multiples])
 
 
 @dataclass(frozen=True)

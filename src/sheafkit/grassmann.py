@@ -42,6 +42,7 @@ from .finalg import (FinRing, Submodule, Vec, enumerate_free_submodules,
 from .finspace import PointSet, Point, components, enumerate_opens
 from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, JoinPlan, Presheaf, is_monopresheaf
 from .vecsheaf import (
+    MAX_STALK_VECTORS,
     AlgebraSheaf,
     BasisSetup,
     Budget,
@@ -59,10 +60,6 @@ from .vecsheaf import (
 
 
 Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
-
-# A build holds [n k]_q stalk candidates of q^k vectors per distinct stalk
-# ring; it refuses before listing any when that is more vectors than this.
-MAX_CANDIDATE_VECTORS = 10 ** 5
 
 
 class BuildState:
@@ -104,14 +101,16 @@ class BuildState:
 
     @cached_property
     def lists(self) -> Dict[Tuple[FinRing, int], List[Submodule]]:
-        """The candidates per (stalk ring, rank), listed in point order."""
+        """The candidates per (stalk ring, rank), listed in point order:
+        [n k]_q of q^k vectors each, refused before listing any when that
+        is more than MAX_STALK_VECTORS vectors."""
         k, lists = self.k, {}
         for r, n in dict.fromkeys(self.stalks.values()):
             count = gaussian_binomial(n, k, r.size)
-            if count * r.size ** k > MAX_CANDIDATE_VECTORS:
+            if count * r.size ** k > MAX_STALK_VECTORS:
                 raise SpaceTooLarge(
                     f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
-                    f"{r.size ** k} vectors exceed bound {MAX_CANDIDATE_VECTORS} vectors")
+                    f"{r.size ** k} vectors exceed bound {MAX_STALK_VECTORS} vectors")
             lists[(r, n)] = enumerate_free_submodules(r, n, k)
         return lists
 

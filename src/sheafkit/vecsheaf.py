@@ -27,10 +27,12 @@ from .finalg import (
     Submodule,
     Vec,
     all_vecs,
-    det,
+    grow_span,
     identity_matrix,
+    inverse,
     is_invertible,
     is_unit,
+    nonzero_multiples,
     vec_add,
     vec_scale,
     zero_vec,
@@ -326,22 +328,17 @@ def _find_basis(setup: BasisSetup, sizes: List[int],
             budget.spend("freeness search")
             grown = []
             for r, memo, acc, g in zip(rings, memos, spans, secs[j]):
-                # acc + Rg has |acc| |R| elements iff no c g with c != 0 is in acc
                 multiples = memo.get(g)
                 if multiples is None:
-                    multiples = memo[g] = [tuple([row[b] for b in g])
-                                           for c, row in enumerate(r.mul_table)
-                                           if c != r.zero]
+                    multiples = memo[g] = nonzero_multiples(r, g)
                 if not acc.isdisjoint(multiples):
                     break
-                grown.append((r.add_table, acc, multiples))
+                grown.append((r, acc, multiples))
             else:
                 if depth + 1 == k:
                     return (secs[j],)
-                rest = extend(j + 1, depth + 1, [
-                    acc.union([tuple([add[a][b] for a, b in zip(s, m)])
-                               for s in acc for m in multiples])
-                    for add, acc, multiples in grown])
+                rest = extend(j + 1, depth + 1,
+                              [grow_span(*step) for step in grown])
                 if rest is not None:
                     return (secs[j],) + rest
         return None
@@ -441,7 +438,9 @@ def _chart_changes(c: TransitionCocycle
     for every ordered pair (i, j) of cover members and every x in their
     overlap, the germ at x of the change from chart j to chart i.  That is
     the identity on the diagonal, the given transition (i, j), or else the
-    inverse of the given (j, i), inverted once per point."""
+    inverse of the given (j, i), inverted once per point.  The stalk size
+    is guarded before anything is checked or listed."""
+    _guard_stalks(c.base, c.rank, f"glued sheaf of rank {c.rank}")
     problems = []
     m = len(c.cover)
     covered = set().union(*c.cover) if c.cover else set()
@@ -480,7 +479,7 @@ def _chart_changes(c: TransitionCocycle
         if i == j or (i, j) in c.transitions:
             changes[(i, j)] = {x: c.germ_matrix(i, j, x) for x in ov}
         elif (j, i) in c.transitions:
-            changes[(i, j)] = {x: _matrix_inverse(c.germ_matrix(j, i, x)) for x in ov}
+            changes[(i, j)] = {x: inverse(c.germ_matrix(j, i, x)) for x in ov}
         elif ov and i < j:
             problems.append(f"no transition between charts {i} and {j}")
     if problems:
@@ -490,23 +489,6 @@ def _chart_changes(c: TransitionCocycle
             if changes[(i, j)][x].mul(changes[(j, l)][x]) != changes[(i, l)][x]:
                 problems.append(f"cocycle condition fails ({i},{j},{l}) at {x!r}")
     return problems, changes
-
-
-def _matrix_inverse(m: Matrix) -> Matrix:
-    r = m.ring
-    d = det(m)
-    dinv = next(y for y in r.elements() if r.mul(d, y) == r.one)
-    k = m.rows
-    if k == 1:
-        return Matrix(r, 1, 1, (dinv,))
-    adj = []
-    for i in range(k):
-        for j in range(k):
-            cof = det(m.minor(j, i))
-            if (i + j) % 2:
-                cof = r.neg(cof)
-            adj.append(r.mul(dinv, cof))
-    return Matrix(r, k, k, tuple(adj))
 
 
 @dataclass
@@ -524,9 +506,8 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
     The stalk at x uses the chart of the least cover index containing x;
     restriction along specialization composes the base restriction with the
     germ of the chart-change matrix.  The stalk size is guarded before the
-    cocycle is checked, as that takes k x k determinants.
+    cocycle is checked.
     """
-    _guard_stalks(c.base, c.rank, f"glued sheaf of rank {c.rank}")
     problems, changes = _chart_changes(c)
     if problems:
         raise CocycleConditionViolated("; ".join(problems))

@@ -974,7 +974,7 @@ def test_embed_report_corpus_is_byte_identical(tmp_path, capsys):
 ], ids=["none", "identity"])
 def test_embed_stalk_guard_exits_before_the_cocycle_check(tmp_path, transitions):
     """A glued stalk of F_2^17 lists 2^17 > 10^5 vectors: refused before
-    the stalks are listed and before any 17 x 17 determinant is taken."""
+    the stalks are listed and before any 17 x 17 germ is checked."""
     point = write(tmp_path, "space.json", {"min_open": {"p": ["p"]}})
     rg = write(tmp_path, "ring.json", field(2))
     cc = write(tmp_path, "cocycle.json", charts([["p"]], 17, transitions))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafkit.errors import NotAField, NotPrime, RingError, SpaceTooLarge
+from sheafkit.errors import NonSquare, NotAField, NotPrime, RingError, SpaceTooLarge
 from sheafkit.finalg import (
     DEFAULT_ISO_SEARCH_BOUND,
     DEFAULT_MAX_RING_SIZE,
@@ -15,12 +15,12 @@ from sheafkit.finalg import (
     RingMorphism,
     Submodule,
     all_vecs,
-    det,
     enumerate_free_submodules,
     enumerate_submodules_brute,
     find_ring_isomorphism,
     gaussian_binomial,
     identity_matrix,
+    inverse,
     is_field,
     is_invertible,
     is_unit,
@@ -468,17 +468,23 @@ def det_by_permutations(m):
 
 
 def test_det_examples():
-    assert det(identity_matrix(F2, 3)) == F2.one
+    # invertible exactly when the permutation-sum determinant is a unit
+    assert is_invertible(identity_matrix(F2, 3))
+    assert is_invertible(identity_matrix(F2, 0))
     m = Matrix(F2, 2, 2, (1, 1, 0, 1))
-    assert det(m) == F2.one and is_invertible(m)
+    assert det_by_permutations(m) == F2.one and is_invertible(m)
     t = name_code(DUAL, "t")
     m2 = Matrix(DUAL, 2, 2, (t, DUAL.zero, DUAL.zero, DUAL.one))
-    assert det(m2) == t and not is_invertible(m2)
+    assert det_by_permutations(m2) == t and not is_invertible(m2)
+    for square_only in (is_invertible, inverse):
+        with pytest.raises(NonSquare):
+            square_only(Matrix(F2, 1, 2, (1, 0)))
 
 
 @pytest.mark.parametrize("r", [F2, F3, Z6, DUAL], ids=lambda r: r.label)
 def test_det_matches_permutation_sum(r):
-    for size in (2, 3):
+    # the span test against a unit test of the signed permutation sum
+    for size in (0, 1, 2, 3):
         grids = itertools.product(r.elements(), repeat=size * size)
         # deterministic thinning for the larger rings
         step = max(1, (r.size ** (size * size)) // 200)
@@ -486,7 +492,7 @@ def test_det_matches_permutation_sum(r):
             if i % step:
                 continue
             m = Matrix(r, size, size, entries)
-            assert det(m) == det_by_permutations(m)
+            assert is_invertible(m) == is_unit(r, det_by_permutations(m))
 
 
 @pytest.mark.parametrize("r", [F2, F3, Z6, DUAL], ids=lambda r: r.label)
@@ -497,6 +503,20 @@ def test_invertible_iff_bijective(r):
             m = Matrix(r, size, size, entries)
             image = {m.apply(v) for v in all_vecs(r, size)}
             assert is_invertible(m) == (len(image) == r.size ** size)
+
+
+@pytest.mark.parametrize("r", [F2, F3, Z4, Z6, DUAL], ids=lambda r: r.label)
+def test_inverse_round_trip(r):
+    for size in range(4 if r is F2 else 3):
+        ident = identity_matrix(r, size)
+        for entries in itertools.product(r.elements(), repeat=size * size):
+            m = Matrix(r, size, size, entries)
+            if is_invertible(m):
+                m_inv = inverse(m)
+                assert m.mul(m_inv) == m_inv.mul(m) == ident
+            else:
+                with pytest.raises(RingError):
+                    inverse(m)
 
 
 # -- free submodules ---------------------------------------------------------
@@ -661,15 +681,3 @@ def test_ring_laws_random_elements(r, data):
     assert r.add(a, b) == r.add(b, a)
     assert r.mul(a, r.add(b, c)) == r.add(r.mul(a, b), r.mul(a, c))
     assert r.add(a, r.neg(a)) == r.zero
-
-
-@given(st.sampled_from([F2, F3, DUAL]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_det_is_multiplicative(r, data):
-    size = data.draw(st.integers(1, 2))
-    ents = st.integers(0, r.size - 1)
-    m1 = Matrix(r, size, size,
-                tuple(data.draw(ents) for _ in range(size * size)))
-    m2 = Matrix(r, size, size,
-                tuple(data.draw(ents) for _ in range(size * size)))
-    assert det(m1.mul(m2)) == r.mul(det(m1), det(m2))

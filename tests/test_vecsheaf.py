@@ -10,6 +10,7 @@ from sheafkit.errors import (
     CocycleConditionViolated,
     InvalidWeights,
     SearchBudgetExceeded,
+    SpaceTooLarge,
     TrivializationMismatch,
     ValidationError,
 )
@@ -431,8 +432,8 @@ def test_reverse_transition_inverted_once_per_point(monkeypatch):
     each overlap point; the glued sheaf is the one (0, 1) given directly
     makes."""
     inverses = []
-    invert = vecsheaf_module._matrix_inverse
-    monkeypatch.setattr(vecsheaf_module, "_matrix_inverse",
+    invert = vecsheaf_module.inverse
+    monkeypatch.setattr(vecsheaf_module, "inverse",
                         lambda m: inverses.append(m) or invert(m))
     reverse = sheaf_from_cocycle(
         TransitionCocycle(A3_PC, (UC, UD), 1, {(1, 0): (((1, 2),),)}))
@@ -440,6 +441,24 @@ def test_reverse_transition_inverted_once_per_point(monkeypatch):
     direct = sheaf_from_cocycle(mobius_cocycle())
     assert reverse.sheaf.res == direct.sheaf.res
     assert reverse.trivializations == direct.trivializations
+
+
+def test_validate_cocycle_guards_the_stalk_before_any_check(monkeypatch):
+    """validate_cocycle refuses a glued stalk F_2^40 as sheaf_from_cocycle
+    does, before any 40 x 40 germ is tested or inverted."""
+    def unreachable(m):
+        raise AssertionError("a germ was checked before the stalk guard")
+
+    monkeypatch.setattr(vecsheaf_module, "is_invertible", unreachable)
+    monkeypatch.setattr(vecsheaf_module, "inverse", unreachable)
+    a = constant_algebra_sheaf(point_space(), F2)
+    p = frozenset(a.space.points)
+    ident = tuple(tuple((F2.one if r == c else F2.zero,) for c in range(40))
+                  for r in range(40))
+    reverse_only = TransitionCocycle(a, (p, p), 40, {(1, 0): ident})
+    with pytest.raises(SpaceTooLarge, match=r"^glued sheaf of rank 40: stalk F_2\^40 "
+                                            r"exceeds bound 100000 vectors$"):
+        validate_cocycle(reverse_only)
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -76,6 +76,8 @@ def _points(value, what: str, space=None) -> list:
 def parse_space(obj: dict) -> finspace.FinSpace:
     (table,) = _fields(obj, "space", "min_open")
     for x, nbhd in _object(table, "space min_open").items():
+        if "," in x or "|" in x:  # the separators of open and restriction keys
+            raise ParseError(f"point name {x!r} contains ',' or '|'")
         _points(nbhd, f"min_open of {x!r}")
     try:
         return finspace.build_space(table)
@@ -238,9 +240,9 @@ def cmd_presheaf_check(args) -> dict:
     report = psh.validate(p)
     out = {"command": "presheaf-check", "violations": report, "valid": not report}
     if not report:
-        s = psh.sheafify(p)
-        out["monopresheaf"] = all(psh.unit_injective(s, u) for u in s.unit if u)
-        out["complete"] = all(psh.unit_bijective(s, u) for u in s.unit)
+        counts = psh.unit_counts(p)
+        out["monopresheaf"] = all(c.injective for u, c in counts.items() if u)
+        out["complete"] = all(c.bijective for c in counts.values())
     return out
 
 
@@ -249,14 +251,9 @@ def cmd_sheafify(args) -> dict:
     violations = psh.validate(p)
     if violations:
         raise ValidationError("; ".join(violations))
-    s = psh.sheafify(p)
-    per_open = {}
-    for u in finspace.enumerate_opens(space):
-        per_open[_open_key(u)] = {
-            "carrier": len(p.carriers[u].elements),
-            "sections": len(s.sections.carriers[u].elements),
-            "unit_bijective": psh.unit_bijective(s, u),
-        }
+    per_open = {_open_key(u): {"carrier": c.carrier, "sections": c.sections,
+                               "unit_bijective": c.bijective}
+                for u, c in psh.unit_counts(p).items()}
     return {"command": "sheafify", "opens": per_open,
             "unit_bijective_everywhere": all(v["unit_bijective"]
                                              for v in per_open.values())}

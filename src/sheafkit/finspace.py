@@ -42,11 +42,10 @@ class FinSpace:
         so sections are determined by their values there.
         """
         carrier = frozenset(carrier)
-        out = []
-        for x in sorted(carrier):
-            if not any(y != x and x in self.min_open[y] for y in carrier):
-                out.append(x)
-        return out
+        below = set()  # the union of the strict lower sets
+        for y in carrier:
+            below.update(self.min_open[y] - {y})
+        return sorted(carrier - below)
 
     def __repr__(self) -> str:
         return f"FinSpace({sorted(self.points)})"
@@ -128,26 +127,22 @@ def validate_map(f: ContinuousMap) -> bool:
 def components(space: FinSpace, u: PointSet) -> List[PointSet]:
     """The connected components of the open u, as opens ordered by least point.
 
-    Points of u are linked when one lies in the other's minimal open; a
-    component holds the minimal open of each of its points, so it is a union
-    of minimal opens and is open.
+    Points of u are linked when one lies in the other's minimal open, and
+    every point lies in the minimal open of a maximal point of u, so the
+    components are the unions of the maximal points' minimal opens linked
+    by overlap: each is a union of minimal opens, so it is open.
     """
-    remaining = set(u)
-    out = []
-    for first in sorted(u):
-        if first not in remaining:
-            continue
-        remaining.discard(first)
-        comp, stack = {first}, [first]
-        while stack:
-            x = stack.pop()
-            linked = {y for y in remaining
-                      if y in space.min_open[x] or x in space.min_open[y]}
-            remaining -= linked
-            comp |= linked
-            stack.extend(linked)
-        out.append(frozenset(comp))
-    return out
+    out: List[PointSet] = []
+    for m in space.maximal_points(u):
+        merged = space.min_open[m]
+        kept = []
+        for c in out:
+            if merged.isdisjoint(c):
+                kept.append(c)
+            else:
+                merged = merged | c
+        out = kept + [merged]
+    return sorted(out, key=min)
 
 
 def is_connected(space: FinSpace) -> bool:

@@ -10,13 +10,14 @@ germs indexed by points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
-from .finspace import (FinSpace, PointSet, Point, ContinuousMap, enumerate_opens,
-                       open_sort_key)
+from .finspace import (FinSpace, PointSet, Point, ContinuousMap, components,
+                       enumerate_opens, open_sort_key)
 
 Elem = Hashable
 ElemMap = Dict[Elem, Elem]
@@ -89,13 +90,16 @@ def _tabulate(p: Presheaf, u: PointSet, v: PointSet) -> ElemMap:
 def validate(p: Presheaf) -> List[str]:
     """Report of functor-law and structure violations; empty means valid.
 
-    Each restriction is tabulated over its source carrier.  One that is
-    undefined somewhere (raises KeyError) or leaves its target is reported
-    once and left out of every later check.  Composition is checked on the
-    cover steps alone unless some check fails; then every triple is scanned.
+    Validity is decided in one pass (`_valid`); only a presheaf that fails
+    it is tabulated here.  Each restriction is tabulated over its source
+    carrier.  One that is undefined somewhere (raises KeyError) or leaves
+    its target is reported once and left out of every later check, and
+    every triple of the others is scanned for composition.
     """
-    problems = []
     opens = sorted(p.carriers, key=open_sort_key)
+    if _valid(p, opens):
+        return []
+    problems = []
     tables = {(u, v): _tabulate(p, u, v) for u in opens for v in opens if v <= u}
     for u in opens:
         if any(tables[(u, u)].get(e) != e for e in p.carriers[u].elements):
@@ -116,43 +120,112 @@ def validate(p: Presheaf) -> List[str]:
                 f"restriction {sorted(u)}->{sorted(v)} leaves the carrier")
         else:
             sound[u][v] = ruv
-    if problems or next(_composition_failures(p, opens, sound, covers=True), None):
-        problems += [f"composition fails {sorted(u)}->{sorted(v)}->{sorted(w)}"
-                     for u, v, w in _composition_failures(p, opens, sound)]
+    problems += [f"composition fails {sorted(u)}->{sorted(v)}->{sorted(w)}"
+                 for u, v, w in _composition_failures(p, opens, sound)]
     for u, maps in sound.items():
         for v, m in maps.items():
-            cu, cv = p.carriers[u], p.carriers[v]
-            if cu.kind == RING == cv.kind:
-                f = RingMorphism(cu.ring, cv.ring,
-                                 tuple(cv.index(m[cu.elements[i]])
-                                       for i in range(cu.ring.size)))
-                if not validate_morphism(f):
-                    problems.append(
-                        f"restriction {sorted(u)}->{sorted(v)} not a ring morphism")
+            if not _ring_morphism(p, u, v, m):
+                problems.append(
+                    f"restriction {sorted(u)}->{sorted(v)} not a ring morphism")
     return problems
 
 
-def _composition_failures(p: Presheaf, opens: List[PointSet],
-                          sound: Dict[PointSet, Dict[PointSet, ElemMap]], covers=False):
-    """Triples u ⊇ v ⊇ w of sound maps with r(v,w) r(u,v) != r(u,w), in
-    scan order; with `covers`, only those with v = u - {x}, x maximal in u.
+def _ring_morphism(p: Presheaf, u: PointSet, v: PointSet, m: ElemMap) -> bool:
+    """False iff both carriers are rings and the map m from u's to v's is
+    not a unital ring morphism."""
+    cu, cv = p.carriers[u], p.carriers[v]
+    if not cu.kind == RING == cv.kind:
+        return True
+    return validate_morphism(RingMorphism(
+        cu.ring, cv.ring,
+        tuple(cv.index(m[cu.elements[i]]) for i in range(cu.ring.size))))
 
-    Once every map is sound and every r(u,u) the identity, the cover triples
-    decide all, by induction on |u - v| (at 0, the identity law): for x
-    maximal in u - v, no point of u above x lies in the open v, so x is
-    maximal in u and v' = u - {x} ⊇ v is open; the triples (u,v',w),
-    (u,v',v), (v',v,w) give r(u,w) = r(v',w) r(u,v') = r(v,w) r(v',v) r(u,v')
-    = r(v,w) r(u,v).
-    """
+
+def _composition_failures(p: Presheaf, opens: List[PointSet],
+                          sound: Dict[PointSet, Dict[PointSet, ElemMap]]):
+    """Triples u ⊇ v ⊇ w of sound maps with r(v,w) r(u,v) != r(u,w), in
+    scan order."""
     for u in opens:
-        middle = [u - {x} for x in p.space.maximal_points(u)] if covers else sound[u]
-        for v in middle:
-            ruv = sound[u][v]
+        for v, ruv in sound[u].items():
             for w, rvw in sound[v].items():
                 ruw = sound[u].get(w)
                 if ruw is not None and any(rvw[ruv[e]] != ruw[e]
                                            for e in p.carriers[u].elements):
                     yield u, v, w
+
+
+# Validity in one pass.  Write r(u,w) for restrict(u, w, -), and call
+# u -> u-{x} a cover step when x is maximal in u (then u-{x} is open).  For
+# w ⊊ u open, let x be a point of u-w maximal in u-w: a point of u above x
+# lies outside the open w (else x would too), so x is maximal in u, and
+# u-{x} ⊇ w.  `_valid` reads the opens u in size order and checks
+#   (a) the identity row r(u,u) on the carrier over u;
+#   (b) each cover step u -> u-{x}, tabulated: defined and inside the
+#       carrier over u-{x} (sound);
+#   (c) every other pair (u,w), read once: r(u,w) = r(v,w) r(u,v) through
+#       the cover step v = u-{x}, x the first maximal point of u outside w;
+#   (d) each square of cover steps x != y of u:
+#       r(u-x, u-xy) r(u, u-x) = r(u-y, u-xy) r(u, u-y);
+#   (e) on ring carriers, that each cover step and each pair of (c) whose
+#       v is not a ring carrier is a ring morphism.
+# Each is a check `validate` makes (a square is two of its triples through
+# (u, u-xy)), so a valid presheaf passes.  Conversely, by induction on
+# |u-w|: each step u -> u-{y} with y ∉ w gives r(u,w) = r(u-y,w) r(u,u-y).
+# At y = x that is (c).  Else x and y are maximal in u-y and u-x, so by
+# induction on the pairs (u-y, w) and (u-x, w) and by the square (d),
+#   r(u-y,w) r(u,u-y) = r(u-xy,w) r(u-y,u-xy) r(u,u-y)
+#                     = r(u-xy,w) r(u-x,u-xy) r(u,u-x) = r(u-x,w) r(u,u-x),
+# which is r(u,w) by (c); where u-xy = w, r(w,w) is the identity by (a).
+# These are the cover triples (u, u-y, w), and
+# with the identity law they give every triple u ⊇ v ⊇ w, by induction on
+# |u-v|: for y maximal in u-v, y is maximal in u and v' = u-{y} ⊇ v, and
+# the triples (u,v',w), (u,v',v), (v',v,w) give r(u,w) = r(v',w) r(u,v')
+# = r(v,w) r(v',v) r(u,v') = r(v,w) r(u,v).  Every map of (c) equals a
+# composite of sound maps, so it is defined and lands inside its carrier
+# (equal values are carrier members), and one between ring carriers is a
+# ring morphism: a composite of ring morphisms (by induction) when its v
+# is a ring carrier, checked by (e) otherwise.  So `validate` reports
+# nothing.
+
+def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
+    """True iff `validate` reports nothing, decided in one pass over the
+    opens in size order (the note above)."""
+    restrict, space = p.restrict, p.space
+    rows: Dict[Tuple[PointSet, PointSet], ElemMap] = {}
+    members = {u: set(p.carriers[u].elements) for u in opens}
+    rings = {u for u in opens if p.carriers[u].kind == RING}
+    try:
+        for i, u in enumerate(opens):
+            elems = p.carriers[u].elements
+            if any(restrict(u, u, e) != e for e in elems):
+                return False
+            maxpts = space.maximal_points(u)
+            steps = {}
+            for x in maxpts:
+                v = steps[x] = u - {x}
+                ruv = rows[(u, v)] = {e: restrict(u, v, e) for e in elems}
+                if not members[v].issuperset(ruv.values()) or (
+                        u in rings and not _ring_morphism(p, u, v, ruv)):
+                    return False
+            covers = set(steps.values())
+            for w in [w for w in opens[:i] if w < u and w not in covers]:
+                v = steps[next(x for x in maxpts if x not in w)]
+                ruv, rvw = rows[(u, v)], rows[(v, w)]
+                row = [restrict(u, w, e) for e in elems]
+                if row != [rvw[ruv[e]] for e in elems]:
+                    return False
+                ruw = rows[(u, w)] = dict(zip(elems, row))
+                if u in rings and v not in rings and not _ring_morphism(p, u, w, ruw):
+                    return False
+            for j, x in enumerate(maxpts):
+                for y in maxpts[j + 1:]:
+                    w = u - {x, y}
+                    ruw, ruv, rvw = rows[(u, w)], rows[(u, steps[y])], rows[(steps[y], w)]
+                    if any(rvw[ruv[e]] != ruw[e] for e in elems):
+                        return False
+    except (KeyError, TypeError):  # undefined, or unhashable so in no carrier
+        return False
+    return True
 
 
 # -- stalks ------------------------------------------------------------------
@@ -377,6 +450,48 @@ def unit_bijective(s: SheafSpace, u: PointSet) -> bool:
     image = set(s.unit[u].values())
     return (len(image) == len(s.unit[u])
             and image == set(s.sections.carriers[u].elements))
+
+
+class UnitCount(NamedTuple):
+    """What the generated sheaf says about one open (`unit_counts`)."""
+    carrier: int      # elements over the open
+    sections: int     # sections of the generated sheaf over it
+    injective: bool   # the unit is injective there
+    bijective: bool   # and onto the sections
+
+
+def unit_counts(p: Presheaf) -> Dict[PointSet, UnitCount]:
+    """Per open of a valid presheaf whose carriers list no element twice, in
+    `enumerate_opens` order: what `sheafify` with `unit_injective` and
+    `unit_bijective` gives, listing sections over the empty and connected
+    opens alone.
+
+    Those count their `compatible_families`.  A disconnected open's sections
+    are the tuples of its components' sections, since no minimal open meets
+    two components, so they number the product of the components' counts.
+    The unit sends a section e over u to its germs, a compatible family by
+    functoriality, so it is bijective iff it is injective and the carrier
+    size equals the count.  The germs at the maximal points of u determine
+    the others, so it is injective iff e -> (e|U_m) over them is.
+    """
+    space = p.space
+    stalks = {x: list(p.stalk_carrier(x).elements) for x in space.points}
+
+    def res(x: Point, y: Point, e: Elem) -> Elem:
+        return p.restrict(space.min_open[x], space.min_open[y], e)
+
+    out: Dict[PointSet, UnitCount] = {}
+    for u in enumerate_opens(space):
+        parts = components(space, u)
+        count = (len(compatible_families(space, u, stalks.__getitem__, res))
+                 if len(parts) <= 1 else prod(out[c].sections for c in parts))
+        elems = p.carriers[u].elements
+        tops = [space.min_open[m] for m in space.maximal_points(u)]
+        carrier = len(elems)
+        injective = len({tuple([p.restrict(u, um, e) for um in tops])
+                         for e in elems}) == carrier
+        out[u] = UnitCount(carrier, count, injective, injective and carrier == count)
+    return out
 
 
 def is_complete(p: Presheaf) -> bool:

@@ -170,15 +170,43 @@ class ModuleSheaf:
 def _broken_law(m: Dict[Vec, Vec], elems: Sequence[Vec], r: FinRing,
                 ry: FinRing, code: Sequence[int]) -> Optional[str]:
     """The first law, "additive" or "linear", that m breaks as a map from
-    elems in r^n to ry-vectors semi-linear along the codes `code`: at each
-    v in turn, additivity against every w, then scaling by every a."""
+    the submodule elems of r^n to ry-vectors semi-linear along the codes
+    `code`: additivity before scaling.
+
+    Both are checked against additive generators s of elems alone.  If
+    m(v+s) = m(v)+m(s) for every v and s, then m(0) = 0, and adding the
+    terms of a sum w of generators one at a time gives m(v+w) = m(v)+m(w).
+    An additive m with m(as) = code[a] m(s) on the generators has it on
+    their sums.  The zero module has no generator and is checked on itself.
+    """
+    gens = _additive_generators(r, elems) or list(elems)
     for v in elems:
-        if any(m[vec_add(r, v, w)] != vec_add(ry, m[v], m[w]) for w in elems):
+        if any(m[vec_add(r, v, s)] != vec_add(ry, m[v], m[s]) for s in gens):
             return "additive"
-        if any(m[vec_scale(r, a, v)] != vec_scale(ry, code[a], m[v])
+    for s in gens:
+        if any(m[vec_scale(r, a, s)] != vec_scale(ry, code[a], m[s])
                for a in r.elements()):
             return "linear"
     return None
+
+
+def _additive_generators(r: FinRing, elems: Sequence[Vec]) -> List[Vec]:
+    """Vectors of elems in order, each outside the subgroup the earlier
+    ones generate, so that they generate elems if it is a subgroup."""
+    gens: List[Vec] = []
+    reached: set = set()
+    for v in elems:
+        if not reached:
+            reached = {zero_vec(r, len(v))}
+        if v in reached:
+            continue
+        gens.append(v)
+        grown, kv = set(reached), v
+        while kv not in reached:  # the cosets reached + kv, k = 1, 2, ...
+            grown.update(vec_add(r, t, kv) for t in reached)
+            kv = vec_add(r, kv, v)
+        reached = grown
+    return gens
 
 
 def _guard_stalks(a: AlgebraSheaf, n: int, sheaf: str) -> None:

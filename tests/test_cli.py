@@ -178,6 +178,46 @@ def test_sheafify_enlarges_sections_on_disconnected_space(tmp_path, capsys):
     assert report["unit_bijective_everywhere"] is False
 
 
+def test_sheafify_counts_a_disconnected_open_past_the_section_guard(tmp_path, capsys):
+    """The constant presheaf of 33 symbols on four discrete points has
+    33^4 = 1,185,921 sections over the whole space, past the 10^6 guard on
+    listing them; a disconnected open's sections are counted as the product
+    of its components' counts, so both commands exit 0."""
+    points = "abcd"
+    opens = [frozenset(c) for r in range(5) for c in itertools.combinations(points, r)]
+    symbols = [f"s{i}" for i in range(33)]
+    key = ",".join
+    carriers = {key(sorted(u)): symbols if u else ["*"] for u in opens}
+    sp = write(tmp_path, "space.json", {"min_open": {x: [x] for x in points}})
+    ph = write(tmp_path, "presheaf.json", {
+        "carriers": carriers,
+        "restrictions": {f"{key(sorted(u))}|{key(sorted(v))}":
+                         {e: e if v else "*" for e in carriers[key(sorted(u))]}
+                         for u in opens for v in opens if v < u}})
+    code, report, err = run(capsys, ["sheafify", "--space", sp, "--presheaf", ph])
+    assert code == EXIT_OK
+    assert report["opens"]["a,b,c,d"] == {"carrier": 33, "sections": 1185921,
+                                         "unit_bijective": False}
+    assert report["opens"]["a"]["unit_bijective"] is True
+    code, report, err = run(capsys, ["presheaf-check", "--space", sp, "--presheaf", ph])
+    assert code == EXIT_OK
+    assert (report["monopresheaf"], report["complete"]) == (True, False)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a|b"])
+@pytest.mark.parametrize("command", ["space-check", "sheafify"])
+def test_point_names_with_key_separators_are_invalid(tmp_path, capsys, name, command):
+    """With points a, b and "a,b", the opens {a, b} and {"a,b"} would share
+    the key "a,b"; such a name is refused before any key is made."""
+    sp = write(tmp_path, "space.json",
+               {"min_open": {"a": ["a"], "b": ["b"], name: [name]}})
+    ph = write(tmp_path, "presheaf.json", {"carriers": {}, "restrictions": {}})
+    argv = [command, "--space", sp] + (["--presheaf", ph] if command == "sheafify" else [])
+    code, report, err = run(capsys, argv)
+    assert code == EXIT_INVALID and report is None
+    assert err == f"parse error: point name {name!r} contains ',' or '|'\n"
+
+
 def test_stalks_command(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     ph = write(tmp_path, "presheaf.json", CONSTANT_F2_PRESHEAF)

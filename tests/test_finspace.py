@@ -1,4 +1,5 @@
 import itertools
+import random
 import typing
 
 import pytest
@@ -187,6 +188,39 @@ def test_is_connected_matches_open_partition_scan(make):
         for c in parts:
             assert c in opens and c
             assert not splits(opens, c)
+
+
+def linked_parts(space, u):
+    """Oracle: the classes of u under the links y in min_open(x), grown
+    point by point, ordered by least point."""
+    parts = []
+    for x in sorted(u):
+        touching = [c for c in parts
+                    if any(x in space.min_open[y] or y in space.min_open[x] for y in c)]
+        parts = [c for c in parts if c not in touching] + [
+            frozenset({x}).union(*touching)]
+    return sorted(parts, key=min)
+
+
+def test_components_and_maximal_points_match_their_definitions():
+    """Every open of random T0 spaces on 1-9 points: components against the
+    link classes, maximal points against the pairwise definition."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        names = [f"p{i}" for i in range(rng.randint(1, 9))]
+        rng.shuffle(names)
+        below = {x: {x} for x in names}
+        density = rng.choice([0.1, 0.3, 0.5])
+        for j, x in enumerate(names):
+            for y in names[:j]:
+                if rng.random() < density:
+                    below[x] |= below[y]
+        space = build_space(below)
+        for u in enumerate_opens(space):
+            assert components(space, u) == linked_parts(space, u)
+            assert space.maximal_points(u) == [
+                x for x in sorted(u)
+                if not any(y != x and x in space.min_open[y] for y in u)]
 
 
 @pytest.mark.parametrize("cls", [FinSpace, ContinuousMap])

@@ -19,6 +19,7 @@ from sheafkit.finspace import (
     constant_map,
     discrete2,
     enumerate_opens,
+    open_sort_key,
     point_space,
     pseudo_circle,
     sierpinski,
@@ -38,6 +39,8 @@ from sheafkit.presheaf import (
     stalk,
     two_algebra_presheaf,
     unit_bijective,
+    unit_counts,
+    unit_injective,
     validate,
 )
 from sheafkit.vecsheaf import constant_algebra_sheaf
@@ -107,6 +110,8 @@ def test_restriction_raising_key_error_is_undefined():
 
 @pytest.mark.parametrize("name,p", corpus_presheaves())
 def test_corpus_functor_laws(name, p):
+    # ring-valued presheaves too are decided by the one pass, with no scan
+    assert presheaf._valid(p, sorted(p.carriers, key=open_sort_key))
     assert validate(p) == []
 
 
@@ -232,19 +237,63 @@ def test_validate_matches_the_full_scan(seed):
 
 
 def test_wrong_map_on_a_longer_step_fails_the_cover_check(monkeypatch):
-    # only the direct map {p1,p2,p3} -> {p1} is wrong: no cover step's own
-    # map is, and the cover scan fails on the triple through {p1,p2}
-    scans = []
-    failures = presheaf._composition_failures
-    monkeypatch.setattr(presheaf, "_composition_failures", lambda *args, covers=False:
-                        scans.append(covers) or failures(*args, covers=covers))
+    # only the direct map {p1,p2,p3} -> {p1} is wrong: every cover step is
+    # sound, and the one-pass decision fails on comparing that map with the
+    # composite through {p1,p2}; only then are the triples scanned
+    decisions, scans = [], []
+    valid, failures = presheaf._valid, presheaf._composition_failures
+    monkeypatch.setattr(presheaf, "_valid", lambda *args:
+                        decisions.append(valid(*args)) or decisions[-1])
+    monkeypatch.setattr(presheaf, "_composition_failures", lambda *args:
+                        scans.append(True) or failures(*args))
     p, tables = set_presheaf(chain3(), "constant", 2)
-    assert validate(p) == [] and scans == [True]
+    assert validate(p) == [] and decisions == [True] and scans == []
     tables[(frozenset({"p1", "p2", "p3"}), frozenset({"p1"}))]["x"] = "y"
     report = validate(p)
-    assert scans == [True, True, False]
+    assert decisions == [True, False] and scans == [True]
     assert report == full_scan_validate(p)
     assert len(report) == 1 and report[0].startswith("composition fails")
+
+
+def test_a_broken_cover_step_only_a_square_sees_fails_validation():
+    """On the pseudo-circle only the cover step {a,b,c,d} -> {a,b,c} (drop
+    the maximal point d) is wrong, by a bijection of the carrier.  It is
+    sound, and every longer pair from the whole space is compared through
+    the other cover step (drop c), so only the square of c and d sees it."""
+    p, tables = set_presheaf(pseudo_circle(), "constant", 2)
+    tables[(frozenset("abcd"), frozenset("abc"))].update(x="y", y="x")
+    assert not presheaf._valid(p, sorted(p.carriers, key=open_sort_key))
+    report = validate(p)
+    assert report == full_scan_validate(p)
+    assert report == [f"composition fails ['a', 'b', 'c', 'd']->['a', 'b', 'c']->{w}"
+                      for w in (["a"], ["b"], ["a", "b"])]
+
+
+def doubling_presheaf(space, set_opens, doubled):
+    """F_3 on every open but the set carriers {0, 1, 2} on `set_opens`;
+    restriction doubles an element when u is in `doubled` and v is not, and
+    is the identity otherwise, so every composite agrees."""
+    def carrier(u):
+        return Carrier(SET, (0, 1, 2)) if u in set_opens else Carrier(RING, (0, 1, 2), F3)
+
+    return build_presheaf(space, carrier, lambda u, v, e: 2 * e % 3
+                          if u in doubled and v not in doubled else e)
+
+
+def test_restrictions_that_are_not_ring_morphisms_are_reported():
+    """Doubling on F_3 is additive but sends 1 to 2.  On the Sierpinski
+    space a cover step doubles; on the chain p1 < p2 < p3 only the maps
+    from the whole space double, and the cover step goes to a set carrier,
+    so only the longer pairs, through a set carrier, break the law."""
+    whole = frozenset({"p1", "p2", "p3"})
+    for space, set_opens, doubled, broken in (
+            (sierpinski(), (), {frozenset("oc")}, [[], ["o"]]),
+            (chain3(), {frozenset({"p1", "p2"})}, {whole}, [[], ["p1"]])):
+        u = sorted(max(doubled, key=len))
+        p = doubling_presheaf(space, set_opens, doubled)
+        assert validate(p) == [f"restriction {u}->{v} not a ring morphism"
+                               for v in broken]
+        assert validate(doubling_presheaf(space, set_opens, set())) == []
 
 
 # -- stalks ------------------------------------------------------------------
@@ -336,6 +385,26 @@ def join_against_the_product_loop(space, elems_at, res):
 
 REPORT_CORPUS_SPACES = PROPERTY_SPACES + [
     build_space({"o": ["o"], "c": ["o", "c"], "p": ["p"]})]
+
+
+def test_unit_counts_match_sheafify():
+    """Carrier size, section count and the unit's injectivity and
+    bijectivity per open, in open order, against `sheafify` on the
+    report-corpus spaces under every set presheaf kind and on the ring
+    corpus."""
+    seen = set()
+    presheaves = [set_presheaf(space, kind, s)[0] for space in REPORT_CORPUS_SPACES
+                  for kind in ("constant", "constant-everywhere", "locally-constant")
+                  for s in (2, 3)]
+    for p in presheaves + [p for _, p in corpus_presheaves()]:
+        sh = sheafify(p)
+        expected = {u: (len(p.carriers[u].elements), len(sh.sections.carriers[u].elements),
+                        unit_injective(sh, u), unit_bijective(sh, u))
+                    for u in enumerate_opens(p.space)}
+        counts = unit_counts(p)
+        assert list(counts.items()) == list(expected.items())
+        seen |= {c[2:] for c in counts.values()}
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("fault", ("none", "undefined", "cover", "longer"))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -144,6 +145,51 @@ def test_first_broken_law_is_reported():
         h = {x: {v: v for v in e.stalk_elems[x]} for x in SIER.points}
         problems = validate_module_morphism(ModuleMorphism(e, e, {**h, "c": m}))
         assert f"component at 'c' not {law}" in problems
+
+
+def all_pairs_law(m, elems, r, ry, code):
+    """The law m breaks, additivity on every pair before scaling of every
+    vector by every scalar: the oracle of `_broken_law`."""
+    add = lambda ring, v, w: tuple(ring.add(a, b) for a, b in zip(v, w))
+    scale = lambda ring, c, v: tuple(ring.mul(c, a) for a in v)
+    if any(m[add(r, v, w)] != add(ry, m[v], m[w]) for v in elems for w in elems):
+        return "additive"
+    if any(m[scale(r, a, v)] != scale(ry, code[a], m[v])
+           for v in elems for a in r.elements()):
+        return "linear"
+    return None
+
+
+def test_broken_law_on_generators_matches_all_pairs():
+    """Random maps on r^n, n <= 2, over five rings: linear, Frobenius-twisted
+    (F_4, additive but not linear unless the codes twist too), a linear map
+    with one value changed, and maps with random values."""
+    f4 = make_quotient(2, [1, 1, 1])
+    frobenius = tuple(f4.mul(a, a) for a in f4.elements())
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        r = rng.choice([F2, F3, make_mod_ring(4), make_mod_ring(6), f4])
+        n = rng.choice([0, 1, 2])
+        elems = list(itertools.product(r.elements(), repeat=n))
+        rng.shuffle(elems)
+        matrix = [[rng.choice(r.elements()) for _ in range(n)] for _ in range(n)]
+        m = {v: tuple(functools.reduce(r.add, map(r.mul, row, v), r.zero)
+                      for row in matrix)
+             for v in elems}
+        code = tuple(r.elements())
+        shape = rng.choice(["linear", "frobenius", "changed", "random"])
+        if shape == "frobenius" and r is f4:
+            m = {v: tuple(frobenius[a] for a in w) for v, w in m.items()}
+            code = rng.choice([code, frobenius])
+        elif shape == "changed":
+            m[rng.choice(elems)] = tuple(rng.choice(r.elements()) for _ in range(n))
+        elif shape == "random":
+            m = {v: tuple(rng.choice(r.elements()) for _ in range(n)) for v in elems}
+        law = all_pairs_law(m, elems, r, r, code)
+        assert vecsheaf_module._broken_law(m, elems, r, r, code) == law, (seed, shape)
+        seen.add(law)
+    assert seen == {None, "additive", "linear"}
 
 
 @pytest.mark.parametrize("a,n", [(A2_SIER, 2), (A3_PC, 2), (A2_D2, 1)])

@@ -355,7 +355,7 @@ def demo_counterexample(a0: Optional[finalg.FinRing] = None,
         rho = finalg.RingMorphism(a0, a1, tuple(c % 2 for c in range(a0.size)))
     p = psh.two_algebra_presheaf(space, x0, a0, a1, rho)
     violations = psh.validate(p)
-    s = psh.sheafify(p)
+    counts = psh.unit_counts(p)
     point = finspace.point_space()
     pulls = {}
     pull_rings = {}
@@ -372,8 +372,7 @@ def demo_counterexample(a0: Optional[finalg.FinRing] = None,
         "presheaf_valid": not violations,
         "stalk_sizes": {"x0": len(psh.stalk(p, x0).carrier.elements),
                         "x1": len(psh.stalk(p, x1).carrier.elements)},
-        "section_counts": {_open_key(u): len(s.sections.carriers[u].elements)
-                           for u in finspace.enumerate_opens(space)},
+        "section_counts": {_open_key(u): c.sections for u, c in counts.items()},
         "pullback_stalk_sizes": pulls,
         "pullback_stalks_isomorphic": iso is not None,
         "conclusion": ("degenerate case: both pullback stalks are isomorphic"

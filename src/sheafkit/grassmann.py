@@ -11,20 +11,22 @@ returns subsheaves and where the non-free-glue hunt reports its witness.
 Each public build makes one `BuildState` on a fresh ambient A^n and passes
 it to every helper; `classify` builds V on G's state.  The state holds the
 opens, their components and the stalk candidates, listed once at first
-need; the joins; a join plan and a basis set-up per open `_free` asks
-about, and one memo of germ multiples; and the freeness answers of
-`_free`, each (open, value) searched at most once and a repeated ask
-charged the steps the search took.
+need; the joins; and a join plan and a basis set-up per open `_free` asks
+about, with one memo of germ multiples.  A build asks the freeness search
+about each (open, value) once: G's build asks, and V, the checks and
+`classify` read G's values.
 
-The empty open and each connected open take the families of its
-stalk-family join that the freeness search accepts.  A disconnected open
-takes the product of its components' values: sections over a disjoint
-union are tuples of sections over the pieces, so a family there is
-(locally) free of rank k iff each piece is.  The checks (V's completeness,
-the monopresheaf verdict, the non-free-glue hunt and the section count
-over the whole space) read sections from the same joins over the empty and
-connected opens alone, and settle a disconnected open by its components
-(the note above `_glues_are_values`).
+G over the empty open and each connected open takes the families of its
+stalk-family join that the freeness search accepts.  V there takes the
+families whose restriction to each minimal open is a G value: the glues
+of G, which are the sections of the sheaf G generates (the note above
+`_sections`).  A disconnected open takes the product of its components'
+values: sections over a disjoint union are tuples of sections over the
+pieces, so a family there is (locally) free of rank k iff each piece is.
+The checks (the monopresheaf verdict, the non-free-glue hunt and the
+section count over the whole space) read sections from the same joins over
+the empty and connected opens alone, and settle a disconnected open by its
+components.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
+from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
 from .finalg import (FinRing, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
@@ -49,7 +51,6 @@ from .vecsheaf import (
     ModuleSheaf,
     VectorSubsheaf,
     _find_basis,
-    _freeness_spent,
     embed_via_weights,
     free_sheaf,
     identity_trivialization,
@@ -71,9 +72,9 @@ class BuildState:
     indices by elements and their sorted vectors.  Kept as asked:
     restriction positions by open pair, tables by point pair
     (`_compatibility`), joins by open (`_join`), and for the freeness
-    search (`_free`) a join plan and a basis set-up by open, one memo of
-    germ multiples, and the answers (found, witness, steps) by (open,
-    value).
+    search (`_free`) a join plan and a basis set-up by open and one memo
+    of germ multiples.  No answer is kept: a build asks about each (open,
+    value) once.
     """
 
     def __init__(self, ambient: ModuleSheaf, k: int):
@@ -85,7 +86,6 @@ class BuildState:
         self.joins: Dict[PointSet, List[Value]] = {}
         self.searches: Dict[PointSet, Tuple[JoinPlan, BasisSetup]] = {}
         self.multiples: Dict[FinRing, Dict[Vec, List[Vec]]] = {}
-        self.answers: Dict[Tuple[PointSet, Value], Tuple[bool, Optional[Tuple], int]] = {}
 
     @cached_property
     def opens(self) -> List[PointSet]:
@@ -278,25 +278,14 @@ def _join(state: BuildState, u: PointSet) -> List[Value]:
 # at every point lies in the family there; here it would keep them all.  A
 # germ at y is the image under res(x, y) of a vector of the entry at a
 # maximal point x, y in min_open(x), and every family asked about is closed
-# under restriction.  A join family is, as `_stalk_families` draws each
-# point's candidate from the `_compatibility` masks of every related pair of
-# points in u; so is its restriction to an open v ⊆ u, which keeps the
-# entries over v, with min_open(x) ⊆ v for each x in v.  The values, the
-# glues of `_sections` and the rows `_value_to_row` reads are such families.
+# under restriction: it is a family of u's join, as `_stalk_families` draws
+# each point's candidate from the `_compatibility` masks of every related
+# pair of points in u.  Each candidate is a submodule, so a witness spans
+# it, as `is_free_of_rank` checks of a family it is given.
 
 def _free(state: BuildState, u: PointSet, t: Value, budget: Optional[Budget]) -> bool:
-    """Whether the value t over u is free of rank k, searched once per
-    build state and (u, t); a later ask reads the kept answer and is
-    charged the steps the search took, so the budget's count and its exit
-    are those of a repeated search."""
-    budget = budget or Budget()
-    answer = state.answers.get((u, t))
-    if answer is not None:
-        try:
-            budget.spend("freeness search", answer[2])
-        except SearchBudgetExceeded as exc:
-            raise _freeness_spent(exc, u, state.k, budget) from None
-        return answer[0]
+    """Whether the value t over u is free of rank k: one basis search, on
+    the join plan and basis set-up the state keeps for u."""
     search = state.searches.get(u)
     if search is None:
         search = state.searches[u] = (JoinPlan(state.space, u),
@@ -304,28 +293,38 @@ def _free(state: BuildState, u: PointSet, t: Value, budget: Optional[Budget]) ->
     plan, setup = search
     vectors, res = state.vectors, state.ambient.res
     at = dict(zip(plan.pts, t))
-    before = budget.used
-    found, witness = _find_basis(
+    return _find_basis(
         setup, [len(vectors[x][i]) for x, i in at.items()],
         lambda: plan.run(lambda x: vectors[x][at[x]], lambda x, y, v: res[(x, y)][v]),
-        budget)
-    state.answers[(u, t)] = (found, witness, budget.used - before)
-    return found
+        budget)[0]
 
 
-def _enumerate_values(state: BuildState, u: PointSet, locally_free: bool,
+def _enumerate_values(state: BuildState, u: PointSet,
                       budget: Optional[Budget]) -> List[Value]:
-    """The free (or locally free) values over u, in sort_key order: the
-    families of its join that the search accepts.  A locally free family is
-    free on the minimal open of each point of sorted(u), asked in that order
-    up to the first refusal, as `is_locally_free` asks."""
-    families = _join(state, u)
-    if not locally_free:
-        return [t for t in families if _free(state, u, t, budget)]
-    restrict = state.restrict
-    mins = [state.space.min_open[x] for x in sorted(u)]
-    return [t for t in families
-            if all(_free(state, ux, restrict(u, ux, t), budget) for ux in mins)]
+    """The free values over u, in sort_key order: the families of its join
+    that the search accepts."""
+    return [t for t in _join(state, u) if _free(state, u, t, budget)]
+
+
+def _glues(state: BuildState, u: PointSet,
+           values: Callable[[PointSet], List[Value]]) -> List[Value]:
+    """The families of u's join, in join order, whose restriction to the
+    minimal open U_x of each x in sorted(u) is among values(U_x)."""
+    restrict, min_open = state.restrict, state.space.min_open
+    mins = [(min_open[x], set(values(min_open[x]))) for x in sorted(u)]
+    return [t for t in _join(state, u) if all(restrict(u, ux, t) in vals for ux, vals in mins)]
+
+
+def _searched(state: BuildState, budget: Optional[Budget]
+              ) -> Callable[[PointSet], List[Value]]:
+    """G's values over an open, searched the first time they are read."""
+    values: Dict[PointSet, List[Value]] = {}
+
+    def at(u: PointSet) -> List[Value]:
+        if u not in values:
+            values[u] = _enumerate_values(state, u, budget)
+        return values[u]
+    return at
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -342,25 +341,18 @@ def _placed_product(u: PointSet, parts: List[PointSet],
     return sorted(place(sum(choice, ())) for choice in product(*factors))
 
 
-def _build_values(state: BuildState, locally_free: bool,
-                  budget: Optional[Budget]) -> GrassmannPresheaf:
-    """Values in the state's ambient A^n over every open; locally free
-    values must form a complete presheaf.
-
-    The empty open and connected opens keep the families of their join
-    that the freeness search accepts.  A disconnected open takes the placed
-    product of its components' values (smaller opens, listed earlier).
-    """
+def _build_values(state: BuildState,
+                  connected: Callable[[PointSet], List[Value]]) -> GrassmannPresheaf:
+    """Values in the state's ambient A^n over every open: connected(u) over
+    the empty open and each connected open u, and over a disconnected open
+    the placed product of its components' values (smaller opens, listed
+    earlier)."""
     values: Dict[PointSet, List[Value]] = {}
     for u in state.opens:
         parts = state.parts[u]
-        values[u] = (_enumerate_values(state, u, locally_free, budget)
-                     if len(parts) <= 1 else
+        values[u] = (connected(u) if len(parts) <= 1 else
                      _placed_product(u, parts, [values[c] for c in parts]))
-    g = GrassmannPresheaf(state.ambient.base, state.k, state.ambient, values, state)
-    if locally_free and not _glues_are_values(g):
-        raise AssertionError("locally-free value presheaf failed completeness")
-    return g
+    return GrassmannPresheaf(state.ambient.base, state.k, state.ambient, values, state)
 
 
 def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
@@ -368,29 +360,34 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
     state = BuildState(free_sheaf(a, n), k)
-    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, False, budget)]
+    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, budget)]
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       u: PointSet,
                                       budget: Optional[Budget] = None
                                       ) -> List[VectorSubsheaf]:
-    """Rank-k locally free subsheaves of A^n over u (one V value list)."""
+    """Rank-k locally free subsheaves of A^n over u (one V value list): the
+    families free on the minimal open of each point of u."""
     state = BuildState(free_sheaf(a, n), k)
-    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, True, budget)]
+    return [_subsheaf(state, u, t) for t in _glues(state, u, _searched(state, budget))]
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    return _build_values(BuildState(free_sheaf(a, n), k), False, budget)
+    state = BuildState(free_sheaf(a, n), k)
+    return _build_values(state, lambda u: _enumerate_values(state, u, budget))
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
-    """The complete companion: U -> {locally free rank-k subsheaves}."""
-    return _build_values(BuildState(free_sheaf(a, n), k), True, budget)
+    """The complete companion: U -> {locally free rank-k subsheaves}, the
+    glues of G's values on the minimal opens."""
+    state = BuildState(free_sheaf(a, n), k)
+    at = _searched(state, budget)
+    return _build_values(state, lambda u: _glues(state, u, at))
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
@@ -414,6 +411,14 @@ def _row(g: GrassmannPresheaf, u: PointSet, t: Value) -> Tuple[Value, ...]:
 # so unit is injective on the values, and onto the sections iff the glues
 # are exactly the values.
 #
+# V takes the glues of G as its values, so V is complete: its glues are its
+# values.  A family t of u's join is a glue of V iff t|U_x is a V value for
+# each x in u, that is iff (t|U_x)|U_y = t|U_y is a G value for each x in u
+# and y in U_x.  Each such y lies in u, and each y in u is one (take x = y),
+# so this says t|U_y is a G value for every y in u: t is a V value over u.
+# The V values are the locally free families, as a family of U_x's join is a
+# G value iff it is free on U_x.
+#
 # A disconnected open u = c_1 ⊔ ... ⊔ c_m needs no walk.  Its values are the
 # product of the components' values (`_build_values`); its rows are the
 # product of the components' rows, since the minimal open of a point of u
@@ -429,30 +434,26 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
     above): over the empty or a connected open the families of its join
     whose restriction to each minimal open is a value, in join order, and
     over a disconnected open the placed product of its components'."""
-    space, state = g.base.space, g.state
-    parts = state.parts[u]
+    parts = g.state.parts[u]
     if len(parts) > 1:
         return _placed_product(u, parts, [_sections(g, c) for c in parts])
-    mins = [(space.min_open[x], set(g.values[space.min_open[x]])) for x in sorted(u)]
-    return [t for t in _join(state, u)
-            if all(state.restrict(u, ux, t) in vals for ux, vals in mins)]
-
-
-def _glues_are_values(g: GrassmannPresheaf) -> bool:
-    """V's completeness: the unit is bijective on every open (see above)."""
-    return all(set(_sections(g, u)) == set(g.values[u]) for u in g.state.connected)
+    return _glues(g.state, u, g.values.__getitem__)
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf,
                                     budget: Optional[Budget] = None) -> dict:
     """Monopresheaf verdict, a hunt for a non-free glue and the number of
     sections over the whole space, from the sections over the empty and
-    connected opens (see the note above `_glues_are_values`).
+    connected opens (see the note above `_sections`).  No freeness question
+    is asked, so the budget is not drawn on.
 
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value
-    presheaf.  Over field stalks, the only stalks the candidate lists
-    accept, no witness exists: a glue is a family closed under restriction,
+    presheaf.  A glue over a connected open is a family of its join, and
+    G's values there are the join families the search accepts, so a glue
+    is free iff it is a value: the hunt names the first glue that is not.
+    Over field stalks, the only stalks the candidate lists accept, no
+    witness exists: a glue is a family closed under restriction,
     restriction is an injective field map applied entrywise, so its reduced
     row echelon basis at x restricts to the one at each point of
     min_open(x), and these are k sections forming a basis at every point.
@@ -463,8 +464,8 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf,
     opens = g.state.connected
     sections = {u: _sections(g, u) for u in opens}
     witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
-                    for u in opens for t in sections[u]
-                    if not _free(g.state, u, t, budget)), None)
+                    for u, values in ((u, set(g.values[u])) for u in opens)
+                    for t in sections[u] if t not in values), None)
     return {
         # no two values over u have the same restrictions to the minimal opens
         "monopresheaf": all(len({_row(g, u, t) for t in g.values[u]}) == len(g.values[u])
@@ -538,19 +539,6 @@ def subsheaf_to_section(t: VectorSubsheaf, k: int,
     return GrassmannSection(tuple(family), t.ambient)
 
 
-def _value_to_row(g: GrassmannPresheaf, u: PointSet, t: Value,
-                  budget: Optional[Budget]) -> Tuple[Value, ...]:
-    """`subsheaf_to_section` on the value t over u, as a row of values: the
-    same freeness question about each restriction, in the same order."""
-    space = g.base.space
-    row = _row(g, u, t)
-    for x, piece in zip(sorted(u), row):
-        ux = space.min_open[x]
-        if not _free(g.state, ux, piece, budget):
-            raise NotLocallyFree(f"not free of rank {g.k} on min_open({x!r})")
-    return row
-
-
 # -- the universal (truncated) construction -----------------------------------
 
 def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
@@ -587,29 +575,14 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     whole = frozenset(a.space.points)
     pts = sorted(whole)
     g = build_universal_grassmann(a, n, truncation, budget)
-    v = _build_values(g.state, True, budget)
+    v = _build_values(g.state, lambda u: _sections(g, u))
     # sections as glues, in enumerate_sections order; the glue of a value's
     # row is the value, so the maps are inverse iff glues and values coincide
     sections = sorted(_sections(g, whole), key=lambda t: _row(g, whole, t))
     subsheaves = v.values[whole]
-
     sub_index = {t: i for i, t in enumerate(subsheaves)}
-    known_sections = set(sections)
-    pairs = []
-    bijection = len(sections) == len(subsheaves)
-    for i, t in enumerate(sections):
-        j = sub_index.get(t)
-        if j is None:
-            bijection = False
-            break
-        _value_to_row(g, whole, t, budget)
-        pairs.append([i, j])
-    if bijection:
-        for t in subsheaves:
-            _value_to_row(g, whole, t, budget)
-            if t not in known_sections:
-                bijection = False
-                break
+    pairs = [[i, sub_index.get(t)] for i, t in enumerate(sections)]
+    bijection = len(sections) == len(subsheaves) and all(j is not None for _, j in pairs)
 
     # Embedding cross-check: the image of the free rank-n sheaf under the
     # trivial-cover weighted embedding must be among the classified subsheaves.

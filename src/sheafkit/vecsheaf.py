@@ -33,6 +33,7 @@ from .finalg import (
     is_invertible,
     is_unit,
     nonzero_multiples,
+    span,
     vec_add,
     vec_scale,
     zero_vec,
@@ -54,9 +55,10 @@ MAX_STALK_VECTORS = 10 ** 5  # vectors of one stalk a free sheaf may list
 class Budget:
     """Search steps one command may take, shared by every search it runs.
 
-    A step is one node of a freeness search, one isomorphism candidate or
-    one weight family.  A library call given no budget makes a fresh one
-    per search.
+    A step is one node of a freeness search that runs, one isomorphism
+    candidate or one weight family.  A Grassmann build asks each (open,
+    value) once.  A library call given no budget makes a fresh one per
+    search.
     """
     limit: int = DEFAULT_SEARCH_BUDGET
     used: int = 0
@@ -392,14 +394,21 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     form a basis at every point.
 
     Exhaustive over k-subsets of the section list in deterministic order;
-    returns the first witness found.  Each call searches; a Grassmann
-    build keeps its answers in its `BuildState`, by open and value index
-    tuple (`grassmann._free`).
+    returns the first witness found, counted only when its germs span the
+    family at each point.  They span |R|^k vectors there, as many as the
+    family holds, so containment decides it; a family that is not a
+    submodule is spanned by no witness.  Each call searches.
     """
     family = dict(s.family)
-    return _find_basis(BasisSetup(s.ambient, u, k, {}),
-                       [len(family[x]) for x in sorted(u)],
-                       lambda: subsheaf_sections(s, u), budget)
+    pts = sorted(u)
+    found, witness = _find_basis(BasisSetup(s.ambient, u, k, {}),
+                                 [len(family[x]) for x in pts],
+                                 lambda: subsheaf_sections(s, u), budget)
+    if found and not all(span(s.ambient.ring_at(x), s.ambient.rank_at[x],
+                              [sec[i] for sec in witness]) <= family[x]
+                         for i, x in enumerate(pts)):
+        return False, None
+    return found, witness
 
 
 def is_locally_free(s: VectorSubsheaf, u: PointSet, k: int,

@@ -263,12 +263,13 @@ def test_a_disconnected_open_sorts_its_product_into_join_order():
                            dict.fromkeys(space.points, vecs),
                            {("c", "a"): {v: (v[0], 0) for v in vecs}})
 
-    g = grassmann._build_values(grassmann.BuildState(ambient(), 1), False, None)
+    state = grassmann.BuildState(ambient(), 1)
+    g = grassmann._build_values(state, lambda u: grassmann._enumerate_values(state, u, None))
     ac = g.values[frozenset("ac")]
     assert len(ac) == 2 and ac[0][0] == ac[1][0]
     assert len(g.values[whole(space)]) == 2 * 3
     assert g.values[whole(space)] == grassmann._enumerate_values(
-        grassmann.BuildState(ambient(), 1), whole(space), False, None)
+        grassmann.BuildState(ambient(), 1), whole(space), None)
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -531,13 +532,14 @@ def test_budget_guard():
 
 
 def test_classify_draws_on_one_budget():
+    """classify searches only in G's build: V, the sections and the pairing
+    read G's values."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     b = Budget()
     report = classify(a, 2, 3, b)
     built = Budget()
     build_universal_grassmann(a, 2, 3, built)
-    build_v_presheaf(a, 2, 3, built)
-    assert b.used > built.used  # the round-trip searches count too
+    assert b.used == built.used
     assert classify(a, 2, 3, Budget(b.used)) == report
     with pytest.raises(SearchBudgetExceeded):
         classify(a, 2, 3, Budget(b.used - 1))
@@ -546,7 +548,8 @@ def test_classify_draws_on_one_budget():
 def test_reference_runs_use_the_budget_they_always_used():
     """Budget.used on the pseudo-circle for the runs that measure search
     work: classify (ring, k, N), then grassmann's build plus completeness
-    hunt (ring, k, n)."""
+    hunt (ring, k, n).  Each is the steps of the searches the run takes,
+    one per (open, value) of G's build."""
     a2 = constant_algebra_sheaf(pseudo_circle(), F2)
     a3 = constant_algebra_sheaf(pseudo_circle(), F3)
     used = []
@@ -558,23 +561,23 @@ def test_reference_runs_use_the_budget_they_always_used():
         b = Budget()
         check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b), b)
         used.append(b.used)
-    assert used == [525, 1300, 2625, 150, 1050, 80]
+    assert used == [105, 260, 525, 30, 525, 40]
 
 
 def test_completeness_hunt_draws_on_the_grassmann_budget():
+    """The hunt reads G's values and charges nothing; the build's budget is
+    the whole run's."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     b = Budget()
     g = build_grassmann_presheaf(a, 1, 2, b)
     built = b.used
     verdict = check_monopresheaf_not_complete(g, b)
-    assert b.used > built
-    exact = Budget(b.used)
+    assert b.used == built
+    exact = Budget(built)
     assert check_monopresheaf_not_complete(
         build_grassmann_presheaf(a, 1, 2, exact), exact) == verdict
-    short = Budget(b.used - 1)
-    g = build_grassmann_presheaf(a, 1, 2, short)
     with pytest.raises(SearchBudgetExceeded):
-        check_monopresheaf_not_complete(g, short)
+        build_grassmann_presheaf(a, 1, 2, Budget(built - 1))
 
 
 BROKEN_CROSS_CHECKS = """
@@ -585,23 +588,20 @@ from sheafkit.finspace import sierpinski
 a = vecsheaf.constant_algebra_sheaf(sierpinski(), make_field(2))
 e = vecsheaf.free_sheaf(a, 1)
 whole = frozenset(a.space.points)
-grassmann._glues_are_values = lambda g: False
 vecsheaf.validate_module_morphism = lambda m: ["broken"]
-for check in (lambda: grassmann.build_v_presheaf(a, 1, 1),
-              lambda: vecsheaf.embed_via_weights(
-                  e, (whole,), {0: vecsheaf.identity_trivialization(e, whole, 1)},
-                  vecsheaf.trivial_weight_family(a), 1)):
-    try:
-        check()
-    except AssertionError:
-        continue
-    raise SystemExit("a failed cross-check went unreported")
+try:
+    vecsheaf.embed_via_weights(
+        e, (whole,), {0: vecsheaf.identity_trivialization(e, whole, 1)},
+        vecsheaf.trivial_weight_family(a), 1)
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit("a failed cross-check went unreported")
 """
 
 
 def test_cross_checks_survive_python_optimize():
-    """V's completeness check and the embedding's morphism check still raise
-    under `python -O`, which strips bare asserts."""
+    """The embedding's morphism check still raises under `python -O`, which
+    strips bare asserts."""
     src = Path(grassmann.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_CROSS_CHECKS],
@@ -611,18 +611,22 @@ def test_cross_checks_survive_python_optimize():
 
 # -- the checks against sheafify ---------------------------------------------
 
-def sheafify_checks(g, budget=None):
+def sheafify_checks(g):
     """`check_monopresheaf_not_complete` read from `sheafify(g.presheaf())`
     over every open, disconnected ones included: the oracle of the checks
-    on section rows.  A row glues to each value's own entry at its point."""
+    on section rows.  The witness is the first section over a connected
+    open that the unit does not reach, as a glue: a row glues to each
+    value's own entry at its point."""
     space = g.base.space
     s = sheafify(g.presheaf())
-    glued = ((u, g.subsheaf(u, tuple(t[sorted(space.min_open[x]).index(x)]
-                                     for x, t in zip(sorted(u), row))))
-             for u, c in s.sections.carriers.items()
-             if len(components(space, u)) <= 1 for row in c.elements)
-    witness = next(({"open": sorted(u), "family": t.sort_key()} for u, t in glued
-                    if not grassmann.is_free_of_rank(t, u, g.k, budget)[0]), None)
+    missed = ((u, row) for u, c in s.sections.carriers.items()
+              if len(components(space, u)) <= 1
+              for image in [set(s.unit[u].values())]
+              for row in c.elements if row not in image)
+    witness = next(({"open": sorted(u),
+                     "family": g.subsheaf(u, tuple(t[sorted(space.min_open[x]).index(x)]
+                                                   for x, t in zip(sorted(u), row))).sort_key()}
+                    for u, row in missed), None)
     return {"monopresheaf": all(unit_injective(s, u) for u in s.unit if u),
             "complete_at_this_scale": witness is None,
             "completeness_witness": witness,
@@ -642,24 +646,25 @@ CHECK_SHEAVES.update(f2_into_f4_plus_point=f2_into_f4_plus_point,
 @pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
 def test_checks_on_section_rows_match_sheafify(name):
     """The report corpus and the non-constant field sheaves, n <= 2: the
-    same verdicts, witness, section count and budget as the oracle, and V's
-    check agrees with `is_complete`, also once a value over a connected
-    whole space is dropped."""
+    same verdicts, witness and section count as the oracle, and the checks
+    agree with `is_complete` on G, on V, which is complete, and on V once a
+    value over a connected whole space is dropped."""
     a = CHECK_SHEAVES[name]()
     top = whole(a.space)
     for n in range(3):
         for k in range(n + 1):
             g = build_grassmann_presheaf(a, k, n)
-            used, oracle_used = Budget(), Budget()
-            assert check_monopresheaf_not_complete(g, used) == sheafify_checks(g, oracle_used)
-            assert used.used == oracle_used.used
+            assert check_monopresheaf_not_complete(g) == sheafify_checks(g)
             v = build_v_presheaf(a, k, n)
+            assert is_complete(v.presheaf())
             variants = [g, v]
             if len(components(a.space, top)) == 1 and v.values[top]:
                 variants.append(dataclasses.replace(
                     v, values={**v.values, top: v.values[top][:-1]}))
             for h in variants:
-                assert grassmann._glues_are_values(h) == is_complete(h.presheaf())
+                verdict = check_monopresheaf_not_complete(h)
+                assert is_complete(h.presheaf()) == (verdict["monopresheaf"] and
+                                                     verdict["complete_at_this_scale"])
 
 
 def test_v_check_fails_when_a_glue_is_not_a_value():
@@ -668,31 +673,24 @@ def test_v_check_fails_when_a_glue_is_not_a_value():
     v = build_v_presheaf(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     top = whole(pseudo_circle())
     short = dataclasses.replace(v, values={**v.values, top: v.values[top][1:]})
-    assert grassmann._glues_are_values(v) and is_complete(v.presheaf())
-    assert not grassmann._glues_are_values(short) and not is_complete(short.presheaf())
+    assert is_complete(v.presheaf())
+    assert not is_complete(short.presheaf())
 
 
 @pytest.mark.parametrize("name", ["pseudo_circle F_2", "twisted_circle_plus_point"])
-def test_the_hunt_finds_the_witness_sheafify_finds(name, monkeypatch):
-    """Values from the real search; the hunt (through `_free`) and the
-    oracle (through `is_free_of_rank`) then refuse a family whose stalk at c
-    holds e_1, and both hunts name the same first witness."""
+def test_the_hunt_finds_the_witness_sheafify_finds(name):
+    """Values from the real search, with the first value over the whole
+    pseudo-circle dropped: that open is connected and not a minimal open,
+    so the dropped value is still a glue there, and both hunts name it."""
     a = CHECK_SHEAVES[name]()
     g = build_grassmann_presheaf(a, 1, 2)
-    real = grassmann.is_free_of_rank
-
-    def refuse_e1_at_c(s, u, k, budget=None):
-        at_c = [vs for x, vs in s.family if x == "c"]
-        if any(v[:1] == (1,) and not any(v[1:]) for vs in at_c for v in vs):
-            return False, None
-        return real(s, u, k, budget)
-
-    monkeypatch.setattr(grassmann, "_free", refusing_e1_at_c(grassmann._free))
-    monkeypatch.setattr(grassmann, "is_free_of_rank", refuse_e1_at_c)
-    used, oracle_used = Budget(), Budget()
-    verdict = check_monopresheaf_not_complete(g, used)
-    assert verdict["completeness_witness"]["open"] == ["a", "b", "c"]
-    assert verdict == sheafify_checks(g, oracle_used) and used.used == oracle_used.used
+    circle = frozenset("abcd")
+    dropped = g.values[circle][0]
+    short = dataclasses.replace(g, values={**g.values, circle: g.values[circle][1:]})
+    verdict = check_monopresheaf_not_complete(short)
+    assert verdict["completeness_witness"] == {
+        "open": ["a", "b", "c", "d"], "family": g.subsheaf(circle, dropped).sort_key()}
+    assert verdict == sheafify_checks(short)
 
 
 def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
@@ -913,9 +911,9 @@ def test_subsheaf_to_section_rejects_non_locally_free():
 
 
 def test_classify_enumerates_each_subsheaf_once(monkeypatch):
-    """classify asks some freeness questions many times (building G and V,
-    both round trips) but enumerates the sections of each value once
-    per ambient: the listing runs inside the ask it serves."""
+    """classify asks each freeness question once per ambient, in G's
+    build, and enumerates the sections of each value once: the listing
+    runs inside the ask it serves."""
     asked, searched = [], []
     free = grassmann._free
 
@@ -934,13 +932,13 @@ def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
     assert searched and len(searched) == len(set(searched))
-    assert len(asked) > len(set(asked))
+    assert len(asked) == len(set(asked))
 
 
 def test_classify_searches_each_value_once_without_decoding(monkeypatch):
-    """classify on the pseudo-circle runs the basis search once per distinct
-    (open, value) it asks about, asks more often than it searches, and asks
-    no freeness question through a decoded subsheaf."""
+    """classify on the pseudo-circle asks about each (open, value) once,
+    runs the basis search once per ask, and asks no freeness question
+    through a decoded subsheaf."""
     asked, searched, decoded = [], [], []
     free, find_basis, is_free = grassmann._free, grassmann._find_basis, is_free_of_rank
 
@@ -963,8 +961,8 @@ def test_classify_searches_each_value_once_without_decoding(monkeypatch):
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
     assert decoded == []
-    assert len(searched) == len(set(searched)) and set(searched) == set(asked)
-    assert len(asked) > len(searched)
+    assert len(asked) == len(set(asked)) == len(searched)
+    assert searched == asked
 
 
 def test_classify_plans_each_search_once_per_open(monkeypatch):
@@ -1045,8 +1043,8 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
     """The oracle of `grassmann._free`: `is_free_of_rank` on the decoded
     value over a fresh free sheaf.  Every join family over every connected
     open (the minimal opens among them), n <= 2, asked twice on one
-    ambient: the verdict and witness of the oracle, and its budget charge
-    both when searched and when read from the build state's answers."""
+    ambient: the verdict of the oracle and its budget charge, each ask
+    searching again."""
     a = CHECK_SHEAVES[name]()
     for n in range(3):
         ambient = free_sheaf(a, n)
@@ -1064,7 +1062,6 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
                         b = Budget()
                         assert grassmann._free(state, u, t, b) == answer[0]
                         assert b.used == oracle.used
-                    assert state.answers[(u, t)][:2] == answer
 
 
 def test_a_build_state_is_freed_without_the_cyclic_collector():

@@ -705,6 +705,26 @@ def test_freeness_reads_the_family_below_the_maximal_points():
     assert is_free_of_rank(s, X_SIER, 1) == (False, None)
 
 
+@pytest.mark.parametrize("ring, family", [
+    (F3, {(0, 0), (1, 0), (0, 1)}),
+    (F2, {(1, 0), (0, 1)}),
+], ids=["F3-three-vectors", "F2-pair"])
+def test_a_family_that_is_no_submodule_is_not_free(ring, family):
+    """|R| vectors of R^2 at one point, as many as a line holds, that no
+    line spans: the first section's germ spans a line outside the family,
+    so there is no witness, and the section map refuses the family."""
+    from sheafkit.errors import NotLocallyFree
+    from sheafkit.grassmann import subsheaf_to_section
+    p = frozenset({"p"})
+    s = make_subsheaf(free_sheaf(constant_algebra_sheaf(point_space(), ring), 2),
+                      {"p": frozenset(family)})
+    assert validate_subsheaf(s) == ["family at 'p' is not a submodule"]
+    assert is_free_of_rank(s, p, 1) == (False, None)
+    assert not is_locally_free(s, p, 1)
+    with pytest.raises(NotLocallyFree):
+        subsheaf_to_section(s, 1)
+
+
 def test_freeness_matches_a_brute_scan_on_the_mobius_sheaf():
     """The glued Mobius line is locally free but not free: the full stalks
     have the right size and no global section spans them."""

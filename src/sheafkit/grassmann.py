@@ -570,16 +570,20 @@ def include_subsheaf(t: VectorSubsheaf, ambient: ModuleSheaf) -> VectorSubsheaf:
 def classify(a: AlgebraSheaf, n: int, truncation: int,
              budget: Optional[Budget] = None) -> dict:
     """Pair global sections of the truncated universal Grassmann with the
-    rank-n vector subsheaves of A^N, checking the two maps are mutually
-    inverse bijections."""
+    rank-n vector subsheaves of A^N.
+
+    The subsheaves are V's values over the whole space, and V takes the
+    glues of G as its values, so they are `_sections(g, whole)`; the
+    sections, in enumerate_sections order, are the same glues sorted by
+    row.  By the glue argument above `_sections`, unit and glue are mutually
+    inverse bijections between them, so `bijection` holds and `pairs` is
+    the permutation that sorts the values by row.
+    """
     whole = frozenset(a.space.points)
     pts = sorted(whole)
     g = build_universal_grassmann(a, n, truncation, budget)
-    v = _build_values(g.state, lambda u: _sections(g, u))
-    # sections as glues, in enumerate_sections order; the glue of a value's
-    # row is the value, so the maps are inverse iff glues and values coincide
-    sections = sorted(_sections(g, whole), key=lambda t: _row(g, whole, t))
-    subsheaves = v.values[whole]
+    subsheaves = _sections(g, whole)
+    sections = sorted(subsheaves, key=lambda t: _row(g, whole, t))
     sub_index = {t: i for i, t in enumerate(subsheaves)}
     pairs = [[i, sub_index.get(t)] for i, t in enumerate(sections)]
     bijection = len(sections) == len(subsheaves) and all(j is not None for _, j in pairs)

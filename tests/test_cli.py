@@ -16,8 +16,9 @@ from sheafkit.cli import (
     EXIT_OK,
     demo_counterexample,
     main,
+    parse_ring,
 )
-from sheafkit.finalg import make_field
+from sheafkit.finalg import FinRing, make_field
 from sheafkit.finspace import build_space, components, enumerate_opens, pseudo_circle
 from sheafkit.grassmann import classify
 from sheafkit.vecsheaf import Budget, constant_algebra_sheaf
@@ -689,6 +690,39 @@ def test_grassmann_non_prime_field(tmp_path, capsys):
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
                                      "-k", "1", "-n", "2"])
     assert code == EXIT_INVALID and report is None
+
+
+def test_cli_rings_build_without_the_axiom_check(monkeypatch):
+    def axiom_check(self):
+        raise AssertionError("axiom check run")
+    monkeypatch.setattr(FinRing, "check_axioms", axiom_check)
+    rings = [F3, {"kind": "Zm", "m": 12}, {"kind": "quotient", "p": 2, "poly": [1, 1, 1]},
+             {"kind": "product", "left": F3, "right": {"kind": "Zm", "m": 4}}]
+    assert [parse_ring(r).label for r in rings] == ["F_3", "Z/12", "F_2[t]/(t^2+t+1)",
+                                                    "F_3xZ/4"]
+
+
+@pytest.mark.parametrize("ring,message", [
+    ({"kind": "Zm", "m": 1}, "modulus 1 < 2"),
+    ({"kind": "Zm", "m": -5}, "modulus -5 < 2"),
+    ({"kind": "Fp", "p": 9}, "9 is not prime"),
+    ({"kind": "quotient", "p": 4, "poly": [1, 1]}, "4 is not prime"),
+    ({"kind": "quotient", "p": 3, "poly": [1, 2]}, "must be monic of degree >= 1"),
+    ({"kind": "quotient", "p": 3, "poly": [1, 3]}, "must be monic of degree >= 1"),
+    ({"kind": "product", "left": F3, "right": {"kind": "Zm", "m": 0}}, "modulus 0 < 2"),
+], ids=["m1", "m-5", "p9", "quotient-p4", "non-monic", "degree-0", "product-m0"])
+def test_bad_cli_rings_exit_invalid_without_the_axiom_check(tmp_path, capsys, monkeypatch,
+                                                            ring, message):
+    """Moduli and polynomials are refused before any table is built."""
+    def axiom_check(self):
+        raise AssertionError("axiom check run")
+    monkeypatch.setattr(FinRing, "check_axioms", axiom_check)
+    sp = write(tmp_path, "space.json", SIERPINSKI)
+    rg = write(tmp_path, "ring.json", ring)
+    code, report, err = run(capsys, ["grassmann", "-k", "1", "-n", "2",
+                                     "--space", sp, "--ring", rg])
+    assert code == EXIT_INVALID and report is None
+    assert message in err.strip().splitlines()[-1], err
 
 
 @pytest.mark.parametrize("ring,argv,message", [

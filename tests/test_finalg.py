@@ -309,10 +309,43 @@ def distinct_rings(limit):
 SMALL_RINGS = distinct_rings(16)
 
 
+def ring_of_size(rng, size, kind):
+    """A ring of one kind ("Zm", "quotient", "product") with `size`
+    elements: Z/size, F_p[t]/(f) for a random monic f of degree d when size
+    is p^d, or a product split at a random divisor with random kinds."""
+    if kind == "Zm":
+        return make_mod_ring(size)
+    if kind == "quotient":
+        p = next(p for p in PRIMES_TO_128 if size % p == 0)
+        d = next(d for d in range(1, size) if p ** d == size)
+        return make_quotient(p, [rng.randrange(p) for _ in range(d)] + [1])
+    a = rng.choice([a for a in range(2, size) if size % a == 0])
+    return make_product(*(ring_of_size(rng, b, rng.choice(size_kinds(b)))
+                          for b in (a, size // a)))
+
+
+def size_kinds(size):
+    """The kinds with a ring of `size` elements."""
+    p = next(p for p in PRIMES_TO_128 if size % p == 0)
+    return (["Zm"] + ["quotient"] * any(p ** d == size for d in range(1, size))
+            + ["product"] * (size != p))
+
+
 def test_axiom_check_agrees_with_the_cubic_oracle_on_built_rings():
+    """The constructors skip the axiom check (`finalg._constructed`), so the
+    check and the cubic oracle run here on their output: every ring of at
+    most 16 elements, one ring of each kind at every size ring-search
+    builds (12-64), and a sample above that up to the size guard."""
     assert len(SMALL_RINGS) > 100
-    for r in SMALL_RINGS:
-        assert r.check_axioms() == []
+    rng = random.Random(11)
+    per_kind = [ring_of_size(rng, size, kind)
+                for size in range(12, 65) for kind in size_kinds(size)]
+    assert len(per_kind) == 53 + 19 + 40  # Z/m; prime powers; composites
+    above = [ring_of_size(rng, size, kind) for size, kind in
+             [(72, "product"), (81, "quotient"), (100, "Zm"),
+              (DEFAULT_MAX_RING_SIZE, "quotient")]]
+    for r in SMALL_RINGS + per_kind + above:
+        assert r.check_axioms() == [], r.label
         assert cubic_axioms_hold(r.add_table, r.mul_table, r.zero, r.one), r.label
 
 
@@ -413,6 +446,47 @@ def test_broken_table_fails_with_one_bounded_line():
     axioms = [violated_axiom(p, add, z64.mul_table, 0, 1) for p in problems]
     assert None not in axioms and len(set(axioms)) == len(axioms)
     assert "add associative" in axioms
+
+
+class AxiomCheckRun(Exception):
+    pass
+
+
+def nonassociative_mul(a, b):
+    """A commutative, unital, F_2-bilinear product on F_2^3 (bits 1, x, y)
+    with x*x = y, x*y = 0 and y*y = x, so (x*x)*y = x != 0 = x*(x*y)."""
+    basis = [[1, 2, 4], [2, 4, 0], [4, 0, 2]]
+    out = 0
+    for i, j in itertools.product(range(3), repeat=2):
+        if a >> i & 1 and b >> j & 1:
+            out ^= basis[i][j]
+    return out
+
+
+def test_constructors_build_without_the_axiom_check(monkeypatch):
+    def axiom_check(self):
+        raise AxiomCheckRun
+    monkeypatch.setattr(FinRing, "check_axioms", axiom_check)
+    built = [make_mod_ring(12), make_field(13), make_quotient(3, [1, 0, 1]),
+             make_product(make_field(2), make_quotient(2, [0, 0, 1]))]
+    assert [(r.label, r.size) for r in built] == [
+        ("Z/12", 12), ("F_13", 13), ("F_3[t]/(t^2+1)", 9), ("F_2xF_2[t]/(t^2)", 8)]
+    assert [r.neg(r.one) for r in built] == [11, 12, 2, 5]
+    # tables given directly still go through the check
+    with pytest.raises(AxiomCheckRun):
+        FinRing(F2.names, F2.add_table, F2.mul_table, F2.zero, F2.one)
+    with pytest.raises(AxiomCheckRun):
+        ring_from_ops([0, 1], lambda a, b: a ^ b, lambda a, b: a & b, 0, 1)
+
+
+def test_tables_given_directly_are_still_checked():
+    z12 = make_mod_ring(12)
+    add = [list(row) for row in z12.add_table]
+    add[3][4] = add[4][3] = 8
+    with pytest.raises(RingError, match="add not associative"):
+        FinRing(z12.names, add, z12.mul_table, z12.zero, z12.one)
+    with pytest.raises(RingError, match=r"^mul not associative at \(\d+,\d+,\d+\)$"):
+        ring_from_ops(range(8), lambda a, b: a ^ b, nonassociative_mul, 0, 1)
 
 
 class TableBuilt(Exception):

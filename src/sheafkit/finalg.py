@@ -499,6 +499,54 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(r, k, k, tuple(col[i] for i in range(k) for col in cols))
 
 
+def invertible_matrices(r: FinRing, k: int):
+    """The invertible k x k matrices over r in entry product order, the
+    product filtered by `is_invertible`: rows are chosen depth first in
+    product order, and a row with a nonzero multiple in the span of the
+    rows above it is cut with every matrix that continues it."""
+    rows = [(row, nonzero_multiples(r, row))
+            for row in itertools.product(r.elements(), repeat=k)]
+
+    def extend(entries: Tuple[int, ...], acc: FrozenSet[Vec], depth: int):
+        if depth == k:
+            yield Matrix(r, k, k, entries)
+            return
+        for row, multiples in rows:
+            if acc.isdisjoint(multiples):
+                yield from extend(entries + row,
+                                  grow_span(r, acc, multiples) if depth + 1 < k else acc,
+                                  depth + 1)
+
+    yield from extend((), frozenset({zero_vec(r, k)}), 0)
+
+
+class MatrixActions:
+    """The invertible k x k matrices over r as actions on r^k, in
+    `invertible_matrices` order: each the tuple of the images of `vecs`, so
+    the image of v sits at `index[v]`.  Listed only as far as some iteration
+    has reached, so each matrix is built and applied once however often the
+    list is walked."""
+
+    def __init__(self, r: FinRing, k: int):
+        self.vecs = tuple(all_vecs(r, k))
+        self.index = {v: i for i, v in enumerate(self.vecs)}
+        self.mats = invertible_matrices(r, k)
+        self.listed: List[Tuple[Vec, ...]] = []
+
+    def __iter__(self):
+        listed, vecs, index = self.listed, self.vecs, self.index
+        i = 0
+        while True:
+            if i == len(listed):
+                mat = next(self.mats, None)
+                if mat is None:
+                    return
+                # images share the tuples of `vecs`
+                listed.append(tuple(vecs[index[mat.apply(v)]] for v in vecs))
+            yield listed[i]
+            i += 1
+
+
 # -- vectors and submodules --------------------------------------------------
 
 def vec_add(r: FinRing, u: Vec, v: Vec) -> Vec:
@@ -537,6 +585,51 @@ def grow_span(r: FinRing, acc: FrozenSet[Vec], multiples: List[Vec]) -> FrozenSe
     add = r.add_table
     return acc.union([tuple([add[a][b] for a, b in zip(s, m)])
                       for s in acc for m in multiples])
+
+
+def vec_generators(r: FinRing, elems: Sequence[Vec]) -> List[Vec]:
+    """Vectors of elems in order, each outside the subgroup the earlier
+    ones generate, so that they generate elems if it is a subgroup."""
+    gens: List[Vec] = []
+    reached: set = set()
+    for v in elems:
+        if not reached:
+            reached = {zero_vec(r, len(v))}
+        if v in reached:
+            continue
+        gens.append(v)
+        grown, kv = set(reached), v
+        while kv not in reached:  # the cosets reached + kv, k = 1, 2, ...
+            grown.update(vec_add(r, t, kv) for t in reached)
+            kv = vec_add(r, kv, v)
+        reached = grown
+    return gens
+
+
+def broken_law(m: Dict[Vec, Vec], elems: Sequence[Vec], r: FinRing,
+               ry: FinRing, code: Sequence[int],
+               gens: Optional[List[Vec]] = None) -> Optional[str]:
+    """The first law, "additive" or "linear", that m breaks as a map from
+    the submodule elems of r^n to ry-vectors semi-linear along the codes
+    `code`: additivity before scaling.
+
+    Both are checked against additive generators s of elems alone, `gens`
+    when given.  If m(v+s) = m(v)+m(s) for every v and s, then m(0) = 0,
+    and adding the terms of a sum w of generators one at a time gives
+    m(v+w) = m(v)+m(w).  An additive m with m(as) = code[a] m(s) on the
+    generators has it on their sums.  The zero module has no generator and
+    is checked on itself.
+    """
+    if gens is None:
+        gens = vec_generators(r, elems) or list(elems)
+    for v in elems:
+        if any(m[vec_add(r, v, s)] != vec_add(ry, m[v], m[s]) for s in gens):
+            return "additive"
+    for s in gens:
+        if any(m[vec_scale(r, a, s)] != vec_scale(ry, code[a], m[s])
+               for a in r.elements()):
+            return "linear"
+    return None
 
 
 @dataclass(frozen=True)

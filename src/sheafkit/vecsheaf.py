@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -24,9 +25,11 @@ from .errors import (
 from .finalg import (
     FinRing,
     Matrix,
+    MatrixActions,
     Submodule,
     Vec,
     all_vecs,
+    broken_law,
     grow_span,
     identity_matrix,
     inverse,
@@ -34,7 +37,7 @@ from .finalg import (
     is_unit,
     nonzero_multiples,
     span,
-    vec_add,
+    vec_generators,
     vec_scale,
     zero_vec,
 )
@@ -79,6 +82,8 @@ class AlgebraSheaf:
     of sections complete by construction.
     """
 
+    _additive_res = False  # True on constant sheaves
+
     def __init__(self, space: FinSpace, stalk_ring: Dict[Point, FinRing],
                  res: Dict[Tuple[Point, Point], Sequence[int]], label: str = ""):
         self.space = space
@@ -109,10 +114,12 @@ class AlgebraSheaf:
 
 def constant_algebra_sheaf(space: FinSpace, ring: FinRing) -> AlgebraSheaf:
     """Sheaf of locally constant functions with values in the ring."""
-    return AlgebraSheaf(space, {x: ring for x in space.points},
-                        {(x, y): tuple(range(ring.size))
-                         for x in space.points for y in space.min_open[x]},
-                        label=f"const({ring.label})")
+    a = AlgebraSheaf(space, {x: ring for x in space.points},
+                     {(x, y): tuple(range(ring.size))
+                      for x in space.points for y in space.min_open[x]},
+                     label=f"const({ring.label})")
+    a._additive_res = True  # every restriction is the identity
+    return a
 
 
 class ModuleSheaf:
@@ -123,6 +130,10 @@ class ModuleSheaf:
     restriction dicts are kept, not copied, so pairs may share one; an
     identity pair left out of ``res`` gets the identity map.
     """
+
+    # True on free and glued sheaves over a constant algebra sheaf: their
+    # stalks are full and every restriction is additive
+    _additive_res = False
 
     def __init__(self, base: AlgebraSheaf, rank_at: Dict[Point, int],
                  stalk_elems: Dict[Point, Tuple[Vec, ...]],
@@ -136,9 +147,19 @@ class ModuleSheaf:
                     else {v: v for v in stalk_elems[x]}
                     for x in self.space.points for y in self.space.min_open[x]}
         self.label = label or "E"
+        self._generators = {}  # (id(stalk), ring) -> (stalk, its generators)
 
     def ring_at(self, x: Point) -> FinRing:
         return self.base.stalk_ring[x]
+
+    def generators(self, x: Point) -> List[Vec]:
+        """The stalk's additive generators, as `broken_law` takes them,
+        computed once per stalk."""
+        elems, r = self.stalk_elems[x], self.ring_at(x)
+        key = (id(elems), r)  # points over one ring may share a stalk, held here
+        if key not in self._generators:
+            self._generators[key] = (elems, vec_generators(r, elems) or list(elems))
+        return self._generators[key][1]
 
     def sections(self, u: PointSet) -> List[Tuple[Vec, ...]]:
         return compatible_families(
@@ -155,8 +176,8 @@ class ModuleSheaf:
                 problems.append(f"stalk at {x!r} misses zero")
             for y in self.space.min_open[x]:
                 m = self.res[(x, y)]
-                law = _broken_law(m, self.stalk_elems[x], r, self.ring_at(y),
-                                  self.base.res[(x, y)])
+                law = broken_law(m, self.stalk_elems[x], r, self.ring_at(y),
+                                 self.base.res[(x, y)], self.generators(x))
                 if law:
                     problems.append(f"res({x!r},{y!r}) not "
                                     + ("semi-linear" if law == "linear" else law))
@@ -169,48 +190,6 @@ class ModuleSheaf:
         return problems
 
 
-def _broken_law(m: Dict[Vec, Vec], elems: Sequence[Vec], r: FinRing,
-                ry: FinRing, code: Sequence[int]) -> Optional[str]:
-    """The first law, "additive" or "linear", that m breaks as a map from
-    the submodule elems of r^n to ry-vectors semi-linear along the codes
-    `code`: additivity before scaling.
-
-    Both are checked against additive generators s of elems alone.  If
-    m(v+s) = m(v)+m(s) for every v and s, then m(0) = 0, and adding the
-    terms of a sum w of generators one at a time gives m(v+w) = m(v)+m(w).
-    An additive m with m(as) = code[a] m(s) on the generators has it on
-    their sums.  The zero module has no generator and is checked on itself.
-    """
-    gens = _additive_generators(r, elems) or list(elems)
-    for v in elems:
-        if any(m[vec_add(r, v, s)] != vec_add(ry, m[v], m[s]) for s in gens):
-            return "additive"
-    for s in gens:
-        if any(m[vec_scale(r, a, s)] != vec_scale(ry, code[a], m[s])
-               for a in r.elements()):
-            return "linear"
-    return None
-
-
-def _additive_generators(r: FinRing, elems: Sequence[Vec]) -> List[Vec]:
-    """Vectors of elems in order, each outside the subgroup the earlier
-    ones generate, so that they generate elems if it is a subgroup."""
-    gens: List[Vec] = []
-    reached: set = set()
-    for v in elems:
-        if not reached:
-            reached = {zero_vec(r, len(v))}
-        if v in reached:
-            continue
-        gens.append(v)
-        grown, kv = set(reached), v
-        while kv not in reached:  # the cosets reached + kv, k = 1, 2, ...
-            grown.update(vec_add(r, t, kv) for t in reached)
-            kv = vec_add(r, kv, v)
-        reached = grown
-    return gens
-
-
 def _guard_stalks(a: AlgebraSheaf, n: int, sheaf: str) -> None:
     """Refuse, naming the sheaf, when its largest stalk R^n over A would
     list more than MAX_STALK_VECTORS vectors."""
@@ -221,19 +200,59 @@ def _guard_stalks(a: AlgebraSheaf, n: int, sheaf: str) -> None:
                             f"exceeds bound {MAX_STALK_VECTORS} vectors")
 
 
+def _stalk_vectors(a: AlgebraSheaf, n: int) -> Dict[Point, Tuple[Vec, ...]]:
+    """The stalks R^n of A^n: one vector tuple per stalk ring, shared by
+    the points over it."""
+    vecs = {ring: tuple(all_vecs(ring, n)) for ring in set(a.stalk_ring.values())}
+    return {x: vecs[a.stalk_ring[x]] for x in a.space.points}
+
+
 def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
     """The free module sheaf A^n with componentwise restriction."""
     space = a.space
     _guard_stalks(a, n, f"free sheaf {a.label}^{n}")
-    vecs = {ring: tuple(all_vecs(ring, n)) for ring in a.stalk_ring.values()}
-    stalks = {x: vecs[a.stalk_ring[x]] for x in space.points}
+    stalks = _stalk_vectors(a, n)
     maps = {}  # one vector map per distinct base restriction, shared by its pairs
     for (x, y), codes in a.res.items():
         if codes not in maps:
             maps[codes] = {v: tuple(codes[c] for c in v) for v in stalks[x]}
-    return ModuleSheaf(a, {x: n for x in space.points}, stalks,
-                       {pair: maps[codes] for pair, codes in a.res.items()},
-                       label=f"{a.label}^{n}")
+    e = ModuleSheaf(a, {x: n for x in space.points}, stalks,
+                    {pair: maps[codes] for pair, codes in a.res.items()},
+                    label=f"{a.label}^{n}")
+    e._additive_res = a._additive_res
+    return e
+
+
+class _Componentwise:
+    """A restriction of A^n, v -> its components' codes, on lookup."""
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: Tuple[int, ...]):
+        self.codes = codes
+
+    def __getitem__(self, v: Vec) -> Vec:
+        return tuple([self.codes[c] for c in v])
+
+
+class _StalksOnRead(Mapping):
+    """The stalks of A^n, listed under the stalk guard when first read, one
+    tuple per stalk ring as in `free_sheaf`."""
+
+    def __init__(self, a: AlgebraSheaf, n: int):
+        self.a, self.n, self.listed = a, n, {}
+
+    def __getitem__(self, x: Point) -> Tuple[Vec, ...]:
+        r = self.a.stalk_ring[x]
+        if r not in self.listed:
+            _guard_stalks(self.a, self.n, f"free sheaf {self.a.label}^{self.n}")
+            self.listed[r] = tuple(all_vecs(r, self.n))
+        return self.listed[r]
+
+    def __iter__(self):
+        return iter(self.a.space.points)
+
+    def __len__(self) -> int:
+        return len(self.a.space.points)
 
 
 # -- vector subsheaves of A^n ------------------------------------------------
@@ -476,7 +495,14 @@ def _chart_changes(c: TransitionCocycle
     overlap, the germ at x of the change from chart j to chart i.  That is
     the identity on the diagonal, the given transition (i, j), or else the
     inverse of the given (j, i), inverted once per point.  The stalk size
-    is guarded before anything is checked or listed."""
+    is guarded before anything is checked or listed.
+
+    g_ij g_jl = g_il is checked for i < j < l, and g_ij g_ji = I where
+    both are given.  That implies every triple: g_ii = I, a derived g_ji
+    is the inverse, and AB = I gives BA = I over a commutative ring, so
+    g_ji = g_ij^-1, and each order of i, j, l is the sorted one times
+    inverses.  All m^3 triples are scanned, for the same problems, only
+    when a check fails."""
     _guard_stalks(c.base, c.rank, f"glued sheaf of rank {c.rank}")
     problems = []
     m = len(c.cover)
@@ -486,6 +512,7 @@ def _chart_changes(c: TransitionCocycle
     for u in c.cover:
         if not c.base.space.is_open(u):
             problems.append("cover member is not open")
+    given = {}  # (i, j) -> the germs of the given transition (i, j)
     for (i, j), g in c.transitions.items():
         ov = sorted(c.overlap(i, j))
         if len(g) != c.rank or any(len(row) != c.rank for row in g):
@@ -505,26 +532,36 @@ def _chart_changes(c: TransitionCocycle
                                         != entry[ov.index(y)]):
                             problems.append(
                                 f"transition ({i},{j}) entry incompatible at {x!r}->{y!r}")
+        given[(i, j)] = {x: c.germ_matrix(i, j, x) for x in ov}
         for x in ov:
-            if not is_invertible(c.germ_matrix(i, j, x)):
+            if not is_invertible(given[(i, j)][x]):
                 problems.append(f"transition ({i},{j}) not invertible at {x!r}")
     if problems:
         return problems, {}
+    idents = {r: identity_matrix(r, c.rank) for r in set(c.base.stalk_ring.values())}
     changes = {}
     for i, j in itertools.product(range(m), repeat=2):
         ov = sorted(c.overlap(i, j))
-        if i == j or (i, j) in c.transitions:
-            changes[(i, j)] = {x: c.germ_matrix(i, j, x) for x in ov}
-        elif (j, i) in c.transitions:
-            changes[(i, j)] = {x: inverse(c.germ_matrix(j, i, x)) for x in ov}
+        if i == j:
+            changes[(i, j)] = {x: idents[c.base.stalk_ring[x]] for x in ov}
+        elif (i, j) in given:
+            changes[(i, j)] = given[(i, j)]
+        elif (j, i) in given:
+            changes[(i, j)] = {x: inverse(given[(j, i)][x]) for x in ov}
         elif ov and i < j:
             problems.append(f"no transition between charts {i} and {j}")
     if problems:
         return problems, {}
-    for i, j, l in itertools.product(range(m), repeat=3):
-        for x in sorted(c.cover[i] & c.cover[j] & c.cover[l]):
-            if changes[(i, j)][x].mul(changes[(j, l)][x]) != changes[(i, l)][x]:
-                problems.append(f"cocycle condition fails ({i},{j},{l}) at {x!r}")
+    # (i, j, i) checks g_ij g_ji = I
+    implying = [(i, j, i) for i, j in given if i < j and (j, i) in given]
+    implying += itertools.combinations(range(m), 3)
+    for triples in (implying, itertools.product(range(m), repeat=3)):
+        problems = [f"cocycle condition fails ({i},{j},{l}) at {x!r}"
+                    for i, j, l in triples
+                    for x in sorted(c.cover[i] & c.cover[j] & c.cover[l])
+                    if changes[(i, j)][x].mul(changes[(j, l)][x]) != changes[(i, l)][x]]
+        if not problems:
+            break
     return problems, changes
 
 
@@ -551,22 +588,20 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
     a = c.base
     space = a.space
     k = c.rank
-
-    def chart(x: Point) -> int:
-        return min(i for i, u in enumerate(c.cover) if x in u)
-
-    stalk_elems = {x: tuple(all_vecs(a.stalk_ring[x], k)) for x in space.points}
+    chart = {x: min(i for i, u in enumerate(c.cover) if x in u) for x in space.points}
+    stalk_elems = _stalk_vectors(a, k)
     res = {}
     for x in space.points:
         for y in space.min_open[x]:
             if y == x:
                 continue
-            change, codes = changes[(chart(y), chart(x))][y], a.res[(x, y)]
+            change, codes = changes[(chart[y], chart[x])][y], a.res[(x, y)]
             res[(x, y)] = {v: change.apply(tuple(codes[comp] for comp in v))
                            for v in stalk_elems[x]}
     sheaf = ModuleSheaf(a, {x: k for x in space.points}, stalk_elems, res,
                         label=f"glued(k={k})")
-    trivs = {i: {x: changes[(i, chart(x))][x] for x in sorted(u)}
+    sheaf._additive_res = a._additive_res
+    trivs = {i: {x: changes[(i, chart[x])][x] for x in sorted(u)}
              for i, u in enumerate(c.cover)}
     return GluedSheaf(sheaf, c.cover, k, trivs)
 
@@ -581,18 +616,28 @@ class ModuleMorphism:
 
 
 def validate_module_morphism(m: ModuleMorphism) -> List[str]:
+    """The components' broken laws and the pairs where naturality fails.
+    Naturality is read on the source's additive generators where both
+    sheaves restrict additively and both components are additive, since
+    its two sides are then additive; on every stalk vector otherwise."""
     problems = []
-    space = m.source.space
+    source = m.source
+    space = source.space
+    laws = {x: broken_law(m.maps[x], source.stalk_elems[x], source.ring_at(x),
+                          source.ring_at(x), source.ring_at(x).elements(),
+                          source.generators(x))
+            for x in space.points}
+    additive = source._additive_res and m.target._additive_res
     for x in space.points:
-        r = m.source.ring_at(x)
         h = m.maps[x]
-        law = _broken_law(h, m.source.stalk_elems[x], r, r, r.elements())
-        if law:
-            problems.append(f"component at {x!r} not {law}")
+        if laws[x]:
+            problems.append(f"component at {x!r} not {laws[x]}")
         for y in space.min_open[x]:
             hy = m.maps[y]
-            if any(m.target.res[(x, y)][h[v]] != hy[m.source.res[(x, y)][v]]
-                   for v in m.source.stalk_elems[x]):
+            vs = (source.generators(x)
+                  if additive and "additive" not in (laws[x], laws[y])
+                  else source.stalk_elems[x])
+            if any(m.target.res[(x, y)][h[v]] != hy[source.res[(x, y)][v]] for v in vs):
                 problems.append(f"naturality fails {x!r}->{y!r}")
     return problems
 
@@ -606,40 +651,6 @@ def is_monomorphism(m: ModuleMorphism) -> bool:
     return True
 
 
-def _invertible_matrices(r: FinRing, k: int):
-    for entries in itertools.product(r.elements(), repeat=k * k):
-        mat = Matrix(r, k, k, entries)
-        if is_invertible(mat):
-            yield mat
-
-
-class _Actions:
-    """The invertible k x k matrices over r as actions on r^k, in
-    `_invertible_matrices` order: each the tuple of the images of `vecs`, so
-    the image of v sits at `index[v]`.  Listed only as far as some iteration
-    has reached, so each matrix is tested and applied once however often the
-    list is walked."""
-
-    def __init__(self, r: FinRing, k: int):
-        self.vecs = tuple(all_vecs(r, k))
-        self.index = {v: i for i, v in enumerate(self.vecs)}
-        self.mats = _invertible_matrices(r, k)
-        self.listed: List[Tuple[Vec, ...]] = []
-
-    def __iter__(self):
-        listed, vecs, index = self.listed, self.vecs, self.index
-        i = 0
-        while True:
-            if i == len(listed):
-                mat = next(self.mats, None)
-                if mat is None:
-                    return
-                # images share the tuples of `vecs`
-                listed.append(tuple(vecs[index[mat.apply(v)]] for v in vecs))
-            yield listed[i]
-            i += 1
-
-
 def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
                             budget: Optional[Budget] = None
                             ) -> Optional[ModuleMorphism]:
@@ -649,6 +660,7 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
     invertible matrices over the stalk ring, assigned in point order with
     naturality pruning against already-assigned specialization pairs.  The
     candidates of each (stalk ring, rank) are listed once per search.
+    Naturality is read on generators where both sheaves restrict additively.
     Returns the lexicographically least witness, or None after exhaustion.
     """
     space = e.space
@@ -661,12 +673,13 @@ def find_module_isomorphism(e: ModuleSheaf, f: ModuleSheaf,
             raise ValidationError(f"isomorphism search requires full free stalks; "
                                   f"the stalk at {x!r} is not full")
 
-    actions = {key: _Actions(*key) for key in {(e.ring_at(x), e.rank_at[x]) for x in pts}}
+    actions = {key: MatrixActions(*key) for key in {(e.ring_at(x), e.rank_at[x]) for x in pts}}
     acts = {x: actions[(e.ring_at(x), e.rank_at[x])] for x in pts}
-    # per specialization pair x -> y: for each v at x, the positions of v at
-    # x and of its restriction at y
+    # per specialization pair x -> y: for each v at x (each generator, when
+    # every map is additive), the positions of v at x and of its restriction
+    additive = e._additive_res and f._additive_res
     positions = {(x, y): [(acts[x].index[v], acts[y].index[e.res[(x, y)][v]])
-                          for v in e.stalk_elems[x]]
+                          for v in (e.generators(x) if additive else e.stalk_elems[x])]
                  for x in pts for y in space.min_open[x]}
     assigned: Dict[Point, Tuple[Vec, ...]] = {}
     budget = budget or Budget()
@@ -773,7 +786,9 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
     Sends a stalk element u at x to the concatenation, over cover members,
     of (germ of weight i at x) * (chart-i coordinates of u), the block being
     zero when x lies outside member i.  With valid weights the result is a
-    stalkwise-injective morphism into A^(k*m), m the cover size.
+    stalkwise-injective morphism into A^(k*m), m the cover size.  The
+    target lists a stalk only when one is read, so only e's meet the stalk
+    guard.  Naturality is read on generators where e restricts additively.
     """
     problems = validate_weights(w)
     if problems:
@@ -792,15 +807,19 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
             if psi.rows != k or psi.cols != k or not is_invertible(psi):
                 raise TrivializationMismatch(
                     f"trivialization {i} at {x!r} is not a k x k isomorphism")
+            vs = e.generators(x) if e._additive_res else e.stalk_elems[x]
             for y in space.min_open[x]:
-                lhs = {v: psis[y].apply(e.res[(x, y)][v]) for v in e.stalk_elems[x]}
-                rhs = {v: tuple(a.res[(x, y)][comp] for comp in psi.apply(v))
-                       for v in e.stalk_elems[x]}
-                if lhs != rhs:
+                codes, psi_y, res = a.res[(x, y)], psis[y], e.res[(x, y)]
+                if any(psi_y.apply(res[v]) != tuple([codes[c] for c in psi.apply(v)])
+                       for v in vs):
                     raise TrivializationMismatch(
                         f"trivialization {i} not natural at {x!r}->{y!r}")
 
-    target = free_sheaf(a, k * m)
+    n = k * m
+    target = ModuleSheaf(a, {x: n for x in space.points}, _StalksOnRead(a, n),
+                         {pair: _Componentwise(codes) for pair, codes in a.res.items()},
+                         label=f"{a.label}^{n}")
+    target._additive_res = a._additive_res
     maps = {}
     for x in space.points:
         r = a.stalk_ring[x]

@@ -1061,6 +1061,35 @@ def test_embed_stalk_guard_exits_before_the_cocycle_check(tmp_path, transitions)
                            "exceeds bound 100000 vectors\n")
 
 
+def reverse_identity(rank):
+    """Two charts of one point, glued by the identity given only as (1, 0)."""
+    return charts([["p"], ["p"]], rank,
+                  {"1,0": [["1" if r == c else "0" for c in range(rank)]
+                           for r in range(rank)]})
+
+
+def test_embed_guards_the_glued_stalk_not_the_target(tmp_path, capsys):
+    """The target A^(k m) lists no stalk, so only the glued stalk meets the
+    10^5-vector guard: rank 9 on two charts embeds into F_2^18 (it exited 2
+    on the target's 2^18 vectors when the target was listed), and rank 17
+    still exits 2 on the glued stalk F_2^17."""
+    point = write(tmp_path, "space.json", {"min_open": {"p": ["p"]}})
+    rg = write(tmp_path, "ring.json", field(2))
+    wt = write(tmp_path, "weights.json", one_weight([["p"], ["p"]]))
+    cc = write(tmp_path, "cocycle.json", reverse_identity(9))
+    code, report, err = run(capsys, ["embed", "--space", point, "--ring", rg,
+                                     "--cocycle", cc, "--weights", wt])
+    assert code == EXIT_OK and err == "embed: monomorphism=True\n"
+    assert report == {"command": "embed", "rank": 9, "cover_size": 2,
+                      "target_rank": 18, "monomorphism": True}
+    cc = write(tmp_path, "cocycle.json", reverse_identity(17))
+    code, report, err = run(capsys, ["embed", "--space", point, "--ring", rg,
+                                     "--cocycle", cc, "--weights", wt])
+    assert code == EXIT_BUDGET and report is None
+    assert err == ("size guard hit: glued sheaf of rank 17: stalk F_2^17 "
+                   "exceeds bound 100000 vectors\n")
+
+
 # -- malformed input ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv,inputs", [

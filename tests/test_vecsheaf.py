@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import sheafkit.finalg as finalg_module
 import sheafkit.vecsheaf as vecsheaf_module
 
 from sheafkit.errors import (
@@ -15,10 +16,20 @@ from sheafkit.errors import (
     TrivializationMismatch,
     ValidationError,
 )
-from sheafkit.finalg import Matrix, make_field, make_mod_ring, make_quotient, span
+from sheafkit.finalg import (
+    Matrix,
+    broken_law,
+    invertible_matrices,
+    is_invertible,
+    make_field,
+    make_mod_ring,
+    make_quotient,
+    span,
+)
 from sheafkit.finspace import (
     build_space,
     chain3,
+    components,
     discrete2,
     enumerate_opens,
     point_space,
@@ -27,6 +38,7 @@ from sheafkit.finspace import (
 )
 from sheafkit.presheaf import is_complete
 from sheafkit.vecsheaf import (
+    AlgebraSheaf,
     Budget,
     ModuleMorphism,
     ModuleSheaf,
@@ -149,7 +161,7 @@ def test_first_broken_law_is_reported():
 
 def all_pairs_law(m, elems, r, ry, code):
     """The law m breaks, additivity on every pair before scaling of every
-    vector by every scalar: the oracle of `_broken_law`."""
+    vector by every scalar: the oracle of `broken_law`."""
     add = lambda ring, v, w: tuple(ring.add(a, b) for a, b in zip(v, w))
     scale = lambda ring, c, v: tuple(ring.mul(c, a) for a in v)
     if any(m[add(r, v, w)] != add(ry, m[v], m[w]) for v in elems for w in elems):
@@ -187,7 +199,7 @@ def test_broken_law_on_generators_matches_all_pairs():
         elif shape == "random":
             m = {v: tuple(rng.choice(r.elements()) for _ in range(n)) for v in elems}
         law = all_pairs_law(m, elems, r, r, code)
-        assert vecsheaf_module._broken_law(m, elems, r, r, code) == law, (seed, shape)
+        assert broken_law(m, elems, r, r, code) == law, (seed, shape)
         seen.add(law)
     assert seen == {None, "additive", "linear"}
 
@@ -402,30 +414,66 @@ def test_module_isomorphism_lists_matrices_only_as_far_as_the_budget_reaches(mon
     # rank 3 over F_5: 5^9 matrices.  Holonomy diag(2,1,1) against the
     # trivial bundle: no isomorphism, so the search runs until the budget
     # trips, with every point's candidates walked many times.
-    calls = []
-    is_invertible = vecsheaf_module.is_invertible
+    listed = []
 
-    def counted(m):
-        calls.append(m.entries)
-        return is_invertible(m)
+    def counted(r, k):
+        for mat in invertible_matrices(r, k):
+            listed.append(mat.entries)
+            yield mat
 
     a = constant_algebra_sheaf(PC, make_field(5))
     ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     e, f = free_sheaf(a, 3), glued_pc_bundle(a, 3, (ident, (2, 0, 0, 0, 1, 0, 0, 0, 1)))
-    monkeypatch.setattr(vecsheaf_module, "is_invertible", counted)
+    monkeypatch.setattr(finalg_module, "invertible_matrices", counted)
     limit = 1000
     with pytest.raises(SearchBudgetExceeded):
         find_module_isomorphism(e, f, budget=Budget(limit))
-    # each matrix is tested at most once, in product order, and no further
+    # each matrix is drawn at most once, in product order, and no further
     # than the (limit + 1)-th invertible one: the last candidate paid for
-    assert len(calls) == len(set(calls))
-    assert calls == sorted(calls)
-    invertible = 0
+    assert 0 < len(listed) <= limit + 1
+    expected = []
     for n, m in enumerate(itertools.product(range(5), repeat=9), 1):
-        invertible += is_invertible(Matrix(a.stalk_ring["a"], 3, 3, m))
-        if invertible == limit + 1:
+        expected += [m] if is_invertible(Matrix(a.stalk_ring["a"], 3, 3, m)) else []
+        if len(expected) == len(listed):
             break
-    assert len(calls) <= n < 5 ** 9 // 100
+    assert listed == expected
+    assert n < 5 ** 9 // 100
+
+
+def signed_permutations(k):
+    """(row-major positions of the entries, odd) for each permutation of k."""
+    out = []
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        out.append(([k * i + j for i, j in enumerate(perm)], inversions % 2))
+    return out
+
+
+def unit_determinant(r, perms, entries):
+    """Oracle: the Leibniz determinant from the ring tables is a unit, which
+    over a commutative ring is invertibility."""
+    add, mul = r.add_table, r.mul_table
+    det = r.zero
+    for positions, odd in perms:
+        term = r.one
+        for i in positions:
+            term = mul[term][entries[i]]
+        det = add[det][r.neg(term) if odd else term]
+    return r.one in mul[det]
+
+
+@pytest.mark.parametrize("ring", [F2, F3, make_mod_ring(4)], ids=["F2", "F3", "Z4"])
+def test_invertible_matrices_are_the_filtered_product(ring):
+    """The rows grown depth first give the sequence that filtering the
+    entry product by `is_invertible` gives, up to 20,000 matrices, and by
+    a unit determinant at every k <= 3 (Z/4 at k = 3 has 4^9)."""
+    for k in range(4):
+        listed = [m.entries for m in invertible_matrices(ring, k)]
+        product = list(itertools.product(ring.elements(), repeat=k * k))
+        perms = signed_permutations(k)
+        assert listed == [m for m in product if unit_determinant(ring, perms, m)]
+        if len(product) <= 20_000:
+            assert listed == [m for m in product if is_invertible(Matrix(ring, k, k, m))]
 
 
 def test_module_isomorphism_keeps_listed_matrices_small():
@@ -505,6 +553,129 @@ def test_validate_cocycle_guards_the_stalk_before_any_check(monkeypatch):
     with pytest.raises(SpaceTooLarge, match=r"^glued sheaf of rank 40: stalk F_2\^40 "
                                             r"exceeds bound 100000 vectors$"):
         validate_cocycle(reverse_only)
+
+
+def table_mul(r, k, x, y):
+    """Row-major k x k product from the ring tables."""
+    add, mul = r.add_table, r.mul_table
+    return tuple(functools.reduce(lambda acc, t: add[acc][mul[x[k * i + t]][y[k * t + j]]],
+                                  range(k), r.zero)
+                 for i in range(k) for j in range(k))
+
+
+def table_identity(r, k):
+    return tuple(r.one if i == j else r.zero for i in range(k) for j in range(k))
+
+
+def full_cocycle_scan(c):
+    """Oracle: the problems of a cocycle whose transitions are sections with
+    invertible germs, one on each overlapping pair of charts, from the ring
+    tables alone: chart changes (identity, given, or a given one inverted by
+    search over every matrix), then all m^3 ordered triples."""
+    k, m = c.rank, len(c.cover)
+
+    def germ(i, j, x):
+        ov = sorted(c.cover[i] & c.cover[j])
+        g = c.transitions[(i, j)]
+        return tuple(g[r][col][ov.index(x)] for r in range(k) for col in range(k))
+
+    @functools.lru_cache(maxsize=None)
+    def change(i, j, x):
+        r = c.base.stalk_ring[x]
+        if i == j:
+            return table_identity(r, k)
+        if (i, j) in c.transitions:
+            return germ(i, j, x)
+        g = germ(j, i, x)
+        return next(h for h in itertools.product(r.elements(), repeat=k * k)
+                    if table_mul(r, k, g, h) == table_identity(r, k))
+
+    problems = []
+    for i, j, l in itertools.product(range(m), repeat=3):
+        for x in sorted(c.cover[i] & c.cover[j] & c.cover[l]):
+            r = c.base.stalk_ring[x]
+            if table_mul(r, k, change(i, j, x), change(j, l, x)) != change(i, l, x):
+                problems.append(f"cocycle condition fails ({i},{j},{l}) at {x!r}")
+    return problems
+
+
+@functools.lru_cache(maxsize=None)
+def unit_matrices(r, k):
+    """The k x k matrices over r with a unit determinant."""
+    return [g for g in itertools.product(r.elements(), repeat=k * k)
+            if unit_determinant(r, signed_permutations(k), g)]
+
+
+def random_cocycle(rng, space, ring, k, m, corrupt):
+    """A cocycle on m charts of space over ring at rank k: chart i carries
+    matrices h_i, constant on each component of U_i, and g_ij = h_i h_j^-1.
+    Each overlapping pair is given forward, backward or both ways.  With
+    `corrupt`, some given transitions take a random invertible matrix on one
+    component of their overlap."""
+    whole = frozenset(space.points)
+    opens = [u for u in enumerate_opens(space) if u]
+    cover = [rng.choice(opens) for _ in range(m)]
+    if frozenset().union(*cover) != whole:
+        cover[0] = whole
+    units = unit_matrices(ring, k)
+    h = {}
+    for i, u in enumerate(cover):
+        for comp in components(space, u):
+            g = rng.choice(units)
+            h.update({(i, x): g for x in comp})
+
+    def inverse_of(g):
+        return next(v for v in units if table_mul(ring, k, g, v) == table_identity(ring, k))
+
+    transitions = {}
+    for i, j in itertools.combinations(range(m), 2):
+        ov = sorted(cover[i] & cover[j])
+        if not ov:
+            continue
+        for a, b in rng.choice([[(i, j)], [(j, i)], [(i, j), (j, i)]]):
+            germs = {x: table_mul(ring, k, h[(a, x)], inverse_of(h[(b, x)])) for x in ov}
+            if corrupt and rng.random() < 0.4:
+                g = rng.choice(units)
+                germs.update({x: g for x in rng.choice(components(space, frozenset(ov)))})
+            transitions[(a, b)] = tuple(
+                tuple(tuple(germs[x][k * r + col] for x in ov) for col in range(k))
+                for r in range(k))
+    return TransitionCocycle(constant_algebra_sheaf(space, ring), tuple(cover), k,
+                             transitions)
+
+
+def test_cocycle_problems_match_the_full_triple_scan():
+    """validate_cocycle checks g_ij g_jl = g_il for i < j < l and the
+    two-way pairs, and scans every triple only on a failure: its problems
+    are the full scan's on 2-4 charts of five spaces, ranks 1-2, over F_2,
+    F_3 and Z/4, with and without corrupted transitions."""
+    rings = [F2, F3, make_mod_ring(4)]
+    spaces = [point_space(), sierpinski(), chain3(), discrete2(), pseudo_circle()]
+    seen = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        c = random_cocycle(rng, rng.choice(spaces), rng.choice(rings), rng.choice([1, 2]),
+                           rng.choice([2, 3, 4]), corrupt=seed % 2 == 1)
+        problems = validate_cocycle(c)
+        assert problems == full_cocycle_scan(c), seed
+        two_way = any((j, i) in c.transitions for i, j in c.transitions if i < j)
+        seen.add((bool(problems), two_way))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_two_way_pair_that_is_not_mutually_inverse_fails():
+    """(0, 1) and (1, 0) both given, inverse at a but not at b: each
+    triple through both directions fails at b, as the full scan says."""
+    c = TransitionCocycle(A3_PC, (UC, UD), 1, {(0, 1): (((1, 1),),), (1, 0): (((1, 2),),)})
+    expected = ["cocycle condition fails (0,1,0) at 'b'",
+                "cocycle condition fails (1,0,1) at 'b'"]
+    assert validate_cocycle(c) == full_cocycle_scan(c) == expected
+    with pytest.raises(CocycleConditionViolated) as raised:
+        sheaf_from_cocycle(c)
+    assert str(raised.value) == "; ".join(expected)
+    inverse_pair = TransitionCocycle(A3_PC, (UC, UD), 1,
+                                     {(0, 1): (((1, 2),),), (1, 0): (((1, 2),),)})
+    assert validate_cocycle(inverse_pair) == full_cocycle_scan(inverse_pair) == []
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -623,6 +794,143 @@ def test_embed_mono_for_every_valid_family():
     assert families
     for w in families:
         assert is_monomorphism(embed_via_weights(e, cover, trivs, w, 1))
+
+
+# -- naturality on additive generators ----------------------------------------
+#
+# Sheaves that free_sheaf and sheaf_from_cocycle build restrict additively,
+# and their naturality identities are read on the stalks' additive
+# generators.  A ModuleSheaf built by hand may restrict by any map, and is
+# read on every stalk vector; the oracles below read every vector always.
+
+F5 = make_field(5)
+A5_SIER = constant_algebra_sheaf(SIER, F5)
+# fixes 0 and 1, swaps 2 and 3: agrees with the identity on the generator 1
+SWAP_2_3 = {(0,): (0,), (1,): (1,), (2,): (3,), (3,): (2,), (4,): (4,)}
+
+
+def by_hand(e, **res):
+    """The module sheaf of e's data, built by hand (so not known to restrict
+    additively), with the restrictions `res` (c->o as `co`) replaced."""
+    pairs = {tuple(name): m for name, m in res.items()}
+    return ModuleSheaf(e.base, e.rank_at, e.stalk_elems, {**e.res, **pairs})
+
+
+def per_vector_problems(m):
+    """Oracle for validate_module_morphism: every law and every naturality
+    identity checked on every stalk vector."""
+    problems = []
+    for x in m.source.space.points:
+        r, h = m.source.ring_at(x), m.maps[x]
+        law = all_pairs_law(h, m.source.stalk_elems[x], r, r, r.elements())
+        if law:
+            problems.append(f"component at {x!r} not {law}")
+        for y in m.source.space.min_open[x]:
+            if any(m.target.res[(x, y)][h[v]] != m.maps[y][m.source.res[(x, y)][v]]
+                   for v in m.source.stalk_elems[x]):
+                problems.append(f"naturality fails {x!r}->{y!r}")
+    return problems
+
+
+def test_isomorphism_search_reads_every_vector_of_a_sheaf_built_by_hand():
+    """c->o restricting by a map that is not additive but agrees with the
+    identity on the generator 1: the search must find no isomorphism with
+    the free line, as the per-vector oracle says, where naturality read on
+    generators alone would accept the identity.  The same map as a base
+    restriction makes free_sheaf's restriction not additive either."""
+    free = free_sheaf(A5_SIER, 1)
+    odd = by_hand(free, co=SWAP_2_3)
+    odd_base = free_sheaf(AlgebraSheaf(SIER, {x: F5 for x in SIER.points},
+                                       {("c", "o"): (0, 1, 3, 2, 4)}), 1)
+    assert odd_base.res[("c", "o")] == SWAP_2_3
+    acts = prime_field_actions(5, 1)
+    for e, f in ((odd, free), (free, odd), (odd, odd), (by_hand(free), free),
+                 (odd_base, free), (free, odd_base)):
+        iso = find_module_isomorphism(e, f, budget=Budget())
+        assert (iso and iso.maps) == first_natural_assignment(e, f, acts)
+    assert find_module_isomorphism(odd, free) is None
+    assert find_module_isomorphism(odd_base, free) is None
+    assert find_module_isomorphism(odd, odd) is not None
+
+
+def test_bundle_witnesses_do_not_depend_on_the_generator_reading():
+    """Glued bundles are searched on generators; the same bundles built by
+    hand are searched on every vector, with the same witness and steps."""
+    rng = random.Random(7)
+    for p, rank in ((3, 1), (5, 1), (2, 2)):
+        a = constant_algebra_sheaf(PC, make_field(p))
+        mats = [m for m, _ in prime_field_actions(p, rank)]
+        for _ in range(3):
+            e, f = (glued_pc_bundle(a, rank, (rng.choice(mats), rng.choice(mats)))
+                    for _ in range(2))
+            read_on_generators, read_on_vectors = Budget(), Budget()
+            iso = find_module_isomorphism(e, f, budget=read_on_generators)
+            again = find_module_isomorphism(by_hand(e), by_hand(f), budget=read_on_vectors)
+            assert (iso and iso.maps) == (again and again.maps)
+            assert read_on_generators.used == read_on_vectors.used
+
+
+def test_morphism_check_reads_every_vector_unless_all_maps_are_additive():
+    """Each case breaks naturality off the generator 1 only: a source built
+    by hand, a component that is not additive, and (over F_4, where
+    Frobenius is additive but not linear) a component read on generators
+    because it passes additivity.  Every report is the per-vector one."""
+    free = free_sheaf(A5_SIER, 1)
+    ident = {x: {v: v for v in free.stalk_elems[x]} for x in SIER.points}
+    f4 = make_quotient(2, [1, 1, 1])
+    free4 = free_sheaf(constant_algebra_sheaf(SIER, f4), 1)
+    frobenius = {(a,): (f4.mul(a, a),) for a in f4.elements()}
+    cases = [
+        (ModuleMorphism(by_hand(free, co=SWAP_2_3), free, ident),
+         ["naturality fails 'c'->'o'"]),
+        (ModuleMorphism(free, free, {**ident, "o": SWAP_2_3}),
+         ["component at 'o' not additive", "naturality fails 'c'->'o'"]),
+        (ModuleMorphism(free4, free4, {"c": {v: v for v in free4.stalk_elems["c"]},
+                                       "o": frobenius}),
+         ["component at 'o' not linear", "naturality fails 'c'->'o'"]),
+        (ModuleMorphism(by_hand(free), by_hand(free), ident), []),
+    ]
+    for m, expected in cases:
+        assert sorted(validate_module_morphism(m)) == sorted(expected)
+        assert validate_module_morphism(m) == per_vector_problems(m)
+
+
+def test_embedding_checks_a_trivialization_of_a_sheaf_built_by_hand_on_every_vector():
+    """The identity trivializes the free line but not the sheaf whose c->o
+    map swaps 2 and 3; naturality read on generators alone would pass it."""
+    w = trivial_weight_family(A5_SIER)
+    for e, natural in ((by_hand(free_sheaf(A5_SIER, 1), co=SWAP_2_3), False),
+                       (by_hand(free_sheaf(A5_SIER, 1)), True)):
+        psi = identity_trivialization(e, X_SIER, 1)
+        oracle = all(psi[y].apply(e.res[(x, y)][v]) == psi[x].apply(v)
+                     for x in SIER.points for y in SIER.min_open[x]
+                     for v in e.stalk_elems[x])
+        assert oracle == natural
+        if natural:
+            m = embed_via_weights(e, (X_SIER,), {0: psi}, w, 1)
+            assert m.maps == embed_via_weights(free_sheaf(A5_SIER, 1), (X_SIER,),
+                                               {0: psi}, w, 1).maps
+        else:
+            with pytest.raises(TrivializationMismatch,
+                               match=r"^trivialization 0 not natural at 'c'->'o'$"):
+                embed_via_weights(e, (X_SIER,), {0: psi}, w, 1)
+
+
+def test_embedding_target_is_the_free_sheaf_listed_on_read():
+    """The target A^(k m) restricts as free_sheaf's and lists the same
+    stalks once one is read."""
+    glued = sheaf_from_cocycle(untwisted_cocycle())
+    trivs = {0: {x: (glued.trivializations[0][x] if x in glued.trivializations[0]
+                     else glued.trivializations[1][x]) for x in PC.points}}
+    target = embed_via_weights(glued.sheaf, (X_PC,), trivs,
+                               trivial_weight_family(A3_PC), 1).target
+    free = free_sheaf(A3_PC, 1)
+    assert target.rank_at == free.rank_at
+    for pair, m in free.res.items():
+        assert {v: target.res[pair][v] for v in m} == m
+    assert dict(target.stalk_elems) == free.stalk_elems
+    assert target.stalk_elems["a"] is target.stalk_elems["d"]
+    assert target.validate() == []
 
 
 # -- the freeness kernel -----------------------------------------------------

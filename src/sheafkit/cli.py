@@ -279,13 +279,16 @@ def cmd_pullback(args) -> dict:
                             for y in sorted(f.domain.points)}}
 
 
-def cmd_grassmann(args) -> dict:
+def _algebra_from_args(args) -> Tuple[finalg.FinRing, vecsheaf.AlgebraSheaf]:
     space = parse_space(_load_json(args.space))
     ring = parse_ring(_load_json(args.ring))
-    a = vecsheaf.constant_algebra_sheaf(space, ring)
-    budget = vecsheaf.Budget(args.budget)
-    g = grassmann.build_grassmann_presheaf(a, args.k, args.n, budget)
-    verdict = grassmann.check_monopresheaf_not_complete(g, budget)
+    return ring, vecsheaf.constant_algebra_sheaf(space, ring)
+
+
+def cmd_grassmann(args) -> dict:
+    ring, a = _algebra_from_args(args)
+    g = grassmann.build_grassmann_presheaf(a, args.k, args.n, vecsheaf.Budget(args.budget))
+    verdict = grassmann.check_monopresheaf_not_complete(g)
     return {
         "command": "grassmann",
         "k": args.k,
@@ -299,9 +302,7 @@ def cmd_grassmann(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    space = parse_space(_load_json(args.space))
-    ring = parse_ring(_load_json(args.ring))
-    a = vecsheaf.constant_algebra_sheaf(space, ring)
+    ring, a = _algebra_from_args(args)
     report = grassmann.classify(a, args.n, args.N, vecsheaf.Budget(args.budget))
     report["command"] = "classify"
     report["ring"] = ring.label
@@ -309,9 +310,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_embed(args) -> dict:
-    space = parse_space(_load_json(args.space))
-    ring = parse_ring(_load_json(args.ring))
-    a = vecsheaf.constant_algebra_sheaf(space, ring)
+    ring, a = _algebra_from_args(args)
     cocycle = parse_cocycle(a, ring, _load_json(args.cocycle))
     try:
         glued = vecsheaf.sheaf_from_cocycle(cocycle)
@@ -319,10 +318,8 @@ def cmd_embed(args) -> dict:
         raise ValidationError(str(exc)) from exc
     w = parse_weights(a, ring, _load_json(args.weights))
     try:
-        morph = vecsheaf.embed_via_weights(
-            glued.sheaf, glued.cover,
-            {i: glued.trivializations[i] for i in range(len(glued.cover))},
-            w, glued.rank)
+        morph = vecsheaf.embed_via_weights(glued.sheaf, glued.cover, glued.trivializations,
+                                           w, glued.rank)
     except (vecsheaf.InvalidWeights, vecsheaf.TrivializationMismatch) as exc:
         raise ValidationError(str(exc)) from exc
     return {

@@ -57,7 +57,6 @@ class FinRing:
             problems = self.check_axioms()
             if problems:
                 raise RingError("; ".join(problems))
-        self._neg = tuple(row.index(zero) for row in self.add_table)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -66,7 +65,7 @@ class FinRing:
         return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self.add_table[a].index(self.zero)
 
     def elements(self) -> range:
         return range(self.size)

@@ -440,12 +440,11 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
     return _glues(g.state, u, g.values.__getitem__)
 
 
-def check_monopresheaf_not_complete(g: GrassmannPresheaf,
-                                    budget: Optional[Budget] = None) -> dict:
+def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
     """Monopresheaf verdict, a hunt for a non-free glue and the number of
     sections over the whole space, from the sections over the empty and
     connected opens (see the note above `_sections`).  No freeness question
-    is asked, so the budget is not drawn on.
+    is asked, so it takes no budget.
 
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value

@@ -112,6 +112,18 @@ class AlgebraSheaf:
             lambda x, y, a: self.res[(x, y)][a], lambda u: RING, self.label)
 
 
+def _broken_restrictions(a: AlgebraSheaf, pts: List[Point], germs: Sequence[int]
+                         ) -> List[Tuple[Point, Point]]:
+    """The pairs (x, y), x in pts and y in min_open(x) and in pts, both in
+    sorted order, at which the germ family (germs indexed like pts) breaks
+    A's restriction.  pts are an open's sorted points, and the family is a
+    section of A there iff there are none, as `compatible_families` lists
+    sections; a cover member that is not open may leave y out of pts."""
+    at = dict(zip(pts, germs))
+    return [(x, y) for x in pts for y in sorted(a.space.min_open[x])
+            if y in at and a.res[(x, y)][at[x]] != at[y]]
+
+
 def constant_algebra_sheaf(space: FinSpace, ring: FinRing) -> AlgebraSheaf:
     """Sheaf of locally constant functions with values in the ring."""
     a = AlgebraSheaf(space, {x: ring for x in space.points},
@@ -137,8 +149,7 @@ class ModuleSheaf:
 
     def __init__(self, base: AlgebraSheaf, rank_at: Dict[Point, int],
                  stalk_elems: Dict[Point, Tuple[Vec, ...]],
-                 res: Dict[Tuple[Point, Point], Dict[Vec, Vec]],
-                 label: str = ""):
+                 res: Dict[Tuple[Point, Point], Dict[Vec, Vec]]):
         self.base = base
         self.space = base.space
         self.rank_at = rank_at
@@ -146,7 +157,6 @@ class ModuleSheaf:
         self.res = {(x, y): res[(x, y)] if x != y or (x, x) in res
                     else {v: v for v in stalk_elems[x]}
                     for x in self.space.points for y in self.space.min_open[x]}
-        self.label = label or "E"
         self._generators = {}  # (id(stalk), ring) -> (stalk, its generators)
 
     def ring_at(self, x: Point) -> FinRing:
@@ -174,14 +184,14 @@ class ModuleSheaf:
             zero = zero_vec(r, self.rank_at[x])
             if zero not in self.stalk_elems[x]:
                 problems.append(f"stalk at {x!r} misses zero")
-            for y in self.space.min_open[x]:
+            for y in sorted(self.space.min_open[x]):
                 m = self.res[(x, y)]
                 law = broken_law(m, self.stalk_elems[x], r, self.ring_at(y),
                                  self.base.res[(x, y)], self.generators(x))
                 if law:
                     problems.append(f"res({x!r},{y!r}) not "
                                     + ("semi-linear" if law == "linear" else law))
-                for z in self.space.min_open[y]:
+                for z in sorted(self.space.min_open[y]):
                     mz = self.res[(y, z)]
                     mxz = self.res[(x, z)]
                     if any(mz[m[v]] != mxz[v] for v in self.stalk_elems[x]):
@@ -217,8 +227,7 @@ def free_sheaf(a: AlgebraSheaf, n: int) -> ModuleSheaf:
         if codes not in maps:
             maps[codes] = {v: tuple(codes[c] for c in v) for v in stalks[x]}
     e = ModuleSheaf(a, {x: n for x in space.points}, stalks,
-                    {pair: maps[codes] for pair, codes in a.res.items()},
-                    label=f"{a.label}^{n}")
+                    {pair: maps[codes] for pair, codes in a.res.items()})
     e._additive_res = a._additive_res
     return e
 
@@ -308,7 +317,7 @@ def validate_subsheaf(s: VectorSubsheaf) -> List[str]:
         sub = Submodule(s.ambient.ring_at(x), s.ambient.rank_at[x], vs)
         if not sub.validate():
             problems.append(f"family at {x!r} is not a submodule")
-        for y in space.min_open[x]:
+        for y in sorted(space.min_open[x]):
             m = s.ambient.res[(x, y)]
             if any(m[v] not in s.family_at(y) for v in vs):
                 problems.append(
@@ -518,20 +527,15 @@ def _chart_changes(c: TransitionCocycle
         if len(g) != c.rank or any(len(row) != c.rank for row in g):
             problems.append(f"transition ({i},{j}) has wrong shape")
             continue
-        for r_idx, row in enumerate(g):
+        for row in g:
             for entry in row:
                 if len(entry) != len(ov):
                     problems.append(f"transition ({i},{j}) entry not an overlap section")
                     continue
                 # entries must be sections of A over the overlap, otherwise
-                # chart changes do not commute with the base restrictions (a
-                # member that is not open, reported above, may leave y outside)
-                for x in ov:
-                    for y in c.base.space.min_open[x]:
-                        if y in ov and (c.base.res[(x, y)][entry[ov.index(x)]]
-                                        != entry[ov.index(y)]):
-                            problems.append(
-                                f"transition ({i},{j}) entry incompatible at {x!r}->{y!r}")
+                # chart changes do not commute with the base restrictions
+                problems += [f"transition ({i},{j}) entry incompatible at {x!r}->{y!r}"
+                             for x, y in _broken_restrictions(c.base, ov, entry)]
         given[(i, j)] = {x: c.germ_matrix(i, j, x) for x in ov}
         for x in ov:
             if not is_invertible(given[(i, j)][x]):
@@ -598,8 +602,7 @@ def sheaf_from_cocycle(c: TransitionCocycle) -> GluedSheaf:
             change, codes = changes[(chart[y], chart[x])][y], a.res[(x, y)]
             res[(x, y)] = {v: change.apply(tuple(codes[comp] for comp in v))
                            for v in stalk_elems[x]}
-    sheaf = ModuleSheaf(a, {x: k for x in space.points}, stalk_elems, res,
-                        label=f"glued(k={k})")
+    sheaf = ModuleSheaf(a, {x: k for x in space.points}, stalk_elems, res)
     sheaf._additive_res = a._additive_res
     trivs = {i: {x: changes[(i, chart[x])][x] for x in sorted(u)}
              for i, u in enumerate(c.cover)}
@@ -632,7 +635,7 @@ def validate_module_morphism(m: ModuleMorphism) -> List[str]:
         h = m.maps[x]
         if laws[x]:
             problems.append(f"component at {x!r} not {laws[x]}")
-        for y in space.min_open[x]:
+        for y in sorted(space.min_open[x]):
             hy = m.maps[y]
             vs = (source.generators(x)
                   if additive and "additive" not in (laws[x], laws[y])
@@ -727,17 +730,15 @@ class WeightFamily:
 
 
 def validate_weights(w: WeightFamily) -> List[str]:
-    problems = []
     a = w.base
-    space = a.space
-    whole = frozenset(space.points)
-    pts = sorted(whole)
-    global_secs = set(map(tuple, a.sections(whole)))
+    pts = sorted(a.space.points)
     if len(w.weights) != len(w.cover):
-        problems.append("weight count differs from cover size")
-        return problems
+        return ["weight count differs from cover size"]
+    problems = []
     for i, sec in enumerate(w.weights):
-        if tuple(sec) not in global_secs:
+        if (len(sec) != len(pts)
+                or not all(0 <= germ < a.stalk_ring[x].size for x, germ in zip(pts, sec))
+                or _broken_restrictions(a, pts, sec)):
             problems.append(f"weight {i} is not a global section")
             continue
         for x, germ in zip(pts, sec):
@@ -808,7 +809,7 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
                 raise TrivializationMismatch(
                     f"trivialization {i} at {x!r} is not a k x k isomorphism")
             vs = e.generators(x) if e._additive_res else e.stalk_elems[x]
-            for y in space.min_open[x]:
+            for y in sorted(space.min_open[x]):
                 codes, psi_y, res = a.res[(x, y)], psis[y], e.res[(x, y)]
                 if any(psi_y.apply(res[v]) != tuple([codes[c] for c in psi.apply(v)])
                        for v in vs):
@@ -817,8 +818,7 @@ def embed_via_weights(e: ModuleSheaf, cover: Tuple[PointSet, ...],
 
     n = k * m
     target = ModuleSheaf(a, {x: n for x in space.points}, _StalksOnRead(a, n),
-                         {pair: _Componentwise(codes) for pair, codes in a.res.items()},
-                         label=f"{a.label}^{n}")
+                         {pair: _Componentwise(codes) for pair, codes in a.res.items()})
     target._additive_res = a._additive_res
     maps = {}
     for x in space.points:

@@ -1090,6 +1090,87 @@ def test_embed_guards_the_glued_stalk_not_the_target(tmp_path, capsys):
                    "exceeds bound 100000 vectors\n")
 
 
+def test_weight_check_lists_no_global_section(capsys):
+    """The trivial rank-1 bundle on twelve discrete points over F_5 has
+    5^12 global sections of A, past the 10^6-state guard on listing them.
+    Weights are checked against A's restrictions, so `classify` (whose
+    embedding check validates the trivial weights) and `embed` exit 0;
+    both exited 2 on the guard when the weight check listed the sections."""
+    inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
+    discrete12 = str(inputs / "discrete12.json")
+    common = ["--space", discrete12, "--ring", str(inputs / "f5.json")]
+    code, report, err = run(capsys, ["classify", *common, "-n", "1", "-N", "1"])
+    assert code == EXIT_OK and err == "classify: bijection=True\n"
+    assert report == {"command": "classify", "ring": "F_5", "k": 1, "n": 1,
+                      "counts": {"sections": 1, "subsheaves": 1}, "pairs": [[0, 0]],
+                      "bijection": True, "embed_image_found": True}
+    code, report, err = run(capsys, ["embed", *common, "--cocycle", discrete12,
+                                     "--weights", discrete12])
+    assert code == EXIT_OK and err == "embed: monomorphism=True\n"
+    assert report == {"command": "embed", "rank": 1, "cover_size": 1,
+                      "target_rank": 1, "monomorphism": True}
+
+
+# Each check on an input that fails at c->a and at c->b on the pseudo-circle
+# over F_3; every check walks a minimal open in sorted order.
+HASH_SEED_CHECKS = """
+from sheafkit import vecsheaf as vs
+from sheafkit.finalg import Matrix, make_field
+from sheafkit.finspace import pseudo_circle
+
+f3 = make_field(3)
+a = vs.constant_algebra_sheaf(pseudo_circle(), f3)
+e = vs.free_sheaf(a, 1)
+whole = frozenset(a.space.points)
+one = {v: (1,) for v in e.stalk_elems["c"]}  # not additive
+print(vs.ModuleSheaf(a, e.rank_at, e.stalk_elems,
+                     {**e.res, ("c", "a"): one, ("c", "b"): one}).validate())
+zero, full = frozenset({(0,)}), frozenset(e.stalk_elems["c"])
+print(vs.validate_subsheaf(vs.make_subsheaf(e, {"a": zero, "b": zero, "c": full,
+                                                "d": zero})))
+maps = {x: {v: v for v in e.stalk_elems[x]} for x in whole}
+maps["c"] = {v: (2 * v[0] % 3,) for v in e.stalk_elems["c"]}
+print(vs.validate_module_morphism(vs.ModuleMorphism(e, e, maps)))
+triv = {**vs.identity_trivialization(e, whole, 1), "c": Matrix(f3, 1, 1, (2,))}
+try:
+    vs.embed_via_weights(e, (whole,), {0: triv}, vs.trivial_weight_family(a), 1)
+except vs.TrivializationMismatch as exc:
+    print(exc)
+print(vs.validate_cocycle(vs.TransitionCocycle(a, (whole, frozenset("abc")), 1,
+                                               {(0, 1): (((1, 1, 2),),)})))
+"""
+
+
+def test_check_problems_do_not_follow_the_hash_seed(tmp_path, monkeypatch):
+    """Under string hash seeds that order the minimal open {a, b, c} apart,
+    each check lists its two failing pairs, and `embed` names its
+    incompatible transition entry, in the same bytes."""
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    rg = write(tmp_path, "ring.json", F3)
+    cc = write(tmp_path, "cocycle.json", charts(
+        [WHOLE_PC, ["a", "b", "c"]], 1, {"0,1": [[{"a": "1", "b": "1", "c": "2"}]]}))
+    wt = write(tmp_path, "weights.json", one_weight([WHOLE_PC, ["a", "b", "c"]]))
+    outputs = []
+    for seed in ("0", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        checks = run_module(["-c", HASH_SEED_CHECKS])
+        assert checks.returncode == 0, checks.stderr
+        embed = run_module(["-m", "sheafkit.cli", "embed", "--space", sp, "--ring", rg,
+                            "--cocycle", cc, "--weights", wt])
+        assert embed.returncode == EXIT_INVALID and embed.stdout == ""
+        outputs.append((checks.stdout, embed.stderr))
+    assert outputs[0] == outputs[1]
+    incompatible = "transition (0,1) entry incompatible at 'c'->"
+    assert outputs[0] == (
+        "[\"res('c','a') not additive\", \"res('c','b') not additive\"]\n"
+        "[\"restriction 'c'->'a' leaves the stalk family\", "
+        "\"restriction 'c'->'b' leaves the stalk family\"]\n"
+        "[\"naturality fails 'c'->'a'\", \"naturality fails 'c'->'b'\"]\n"
+        "trivialization 0 not natural at 'c'->'a'\n"
+        f"[\"{incompatible}'a'\", \"{incompatible}'b'\"]\n",
+        f"validation error: {incompatible}'a'; {incompatible}'b'\n")
+
+
 # -- malformed input ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv,inputs", [

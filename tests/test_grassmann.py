@@ -559,7 +559,7 @@ def test_reference_runs_use_the_budget_they_always_used():
         used.append(b.used)
     for a, k, n in ((a2, 2, 4), (a3, 1, 2)):
         b = Budget()
-        check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b), b)
+        check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b))
         used.append(b.used)
     assert used == [105, 260, 525, 30, 525, 40]
 
@@ -571,11 +571,10 @@ def test_completeness_hunt_draws_on_the_grassmann_budget():
     b = Budget()
     g = build_grassmann_presheaf(a, 1, 2, b)
     built = b.used
-    verdict = check_monopresheaf_not_complete(g, b)
+    verdict = check_monopresheaf_not_complete(g)
     assert b.used == built
     exact = Budget(built)
-    assert check_monopresheaf_not_complete(
-        build_grassmann_presheaf(a, 1, 2, exact), exact) == verdict
+    assert check_monopresheaf_not_complete(build_grassmann_presheaf(a, 1, 2, exact)) == verdict
     with pytest.raises(SearchBudgetExceeded):
         build_grassmann_presheaf(a, 1, 2, Budget(built - 1))
 

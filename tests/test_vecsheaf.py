@@ -720,6 +720,124 @@ def test_weight_support_violation_reported():
     assert any("support" in msg for msg in validate_weights(w))
 
 
+def listed_weight_problems(w):
+    """Oracle for validate_weights: a weight is a global section when the
+    listing of A's sections over the whole space holds it."""
+    a = w.base
+    pts = sorted(a.space.points)
+    global_secs = set(a.sections(frozenset(pts)))
+    if len(w.weights) != len(w.cover):
+        return ["weight count differs from cover size"]
+    problems = []
+    for i, sec in enumerate(w.weights):
+        if tuple(sec) not in global_secs:
+            problems.append(f"weight {i} is not a global section")
+            continue
+        problems += [f"weight {i} has nonzero germ at {x!r} off its support"
+                     for x, germ in zip(pts, sec)
+                     if x not in w.cover[i] and germ != a.stalk_ring[x].zero]
+    rings = [a.stalk_ring[x] for x in pts]
+    return problems + [
+        f"no weight has a unit germ at {x!r}" for j, (x, r) in enumerate(zip(pts, rings))
+        if not any(x in w.cover[i] and any(r.mul(w.weights[i][j], y) == r.one
+                                           for y in r.elements())
+                   for i in range(len(w.cover)))]
+
+
+def outcome(check, w):
+    """The problem list, or the type of the error the check raises."""
+    try:
+        return check(w)
+    except Exception as exc:
+        return type(exc)
+
+
+Q2 = make_quotient(2, [0, 0, 1])  # F_2[t]/(t^2), code c0 + 2 c1
+
+
+def lifted_algebra_sheaf(space, lifted):
+    """A over `space` with stalk F_2[t]/(t^2) at the points of `lifted` and
+    F_2 elsewhere; a restriction from a lifted point to one that is not
+    sets t = 0, and every other restriction keeps the code."""
+    rings = {x: Q2 if x in lifted else F2 for x in space.points}
+    return AlgebraSheaf(space, rings, {
+        (x, y): tuple(c % rings[y].size for c in range(rings[x].size))
+        for x in space.points for y in space.min_open[x]})
+
+
+WEIGHT_ORACLE_SHEAVES = {
+    "pseudo-circle F3": A3_PC,
+    "pseudo-circle lifted": lifted_algebra_sheaf(PC, "cd"),
+    "chain3 F3": constant_algebra_sheaf(chain3(), F3),
+    "chain3 lifted": lifted_algebra_sheaf(chain3(), {"p2", "p3"}),
+    "discrete2 F2": A2_D2,
+    "discrete2 lifted": lifted_algebra_sheaf(D2, "u"),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_ORACLE_SHEAVES)
+def test_weight_check_matches_the_section_listing(name):
+    """validate_weights, which checks each weight against A's restrictions,
+    gives the listing oracle's problems (or its error) on global sections,
+    random code tuples, wrong lengths and codes outside the stalk ring."""
+    a = WEIGHT_ORACLE_SHEAVES[name]
+    pts = sorted(a.space.points)
+    secs = a.sections(frozenset(pts))
+    opens = enumerate_opens(a.space)
+    rng = random.Random(28)
+    kinds = {kind: 0 for kind in ("section", "codes", "length", "range")}
+
+    def weight():
+        kind = rng.choice(list(kinds))
+        kinds[kind] += 1
+        if kind == "section":
+            return rng.choice(secs)
+        codes = [rng.randrange(a.stalk_ring[x].size) for x in pts]
+        if kind == "length":
+            return tuple(codes[:rng.randrange(len(pts))] if rng.random() < 0.5
+                         else codes + [0])
+        if kind == "range":
+            j = rng.randrange(len(pts))
+            codes[j] = rng.choice([-1, a.stalk_ring[pts[j]].size, 7])
+        return tuple(codes)
+
+    results = []
+    for _ in range(400):
+        cover = tuple(rng.choice(opens) for _ in range(rng.randint(1, 3)))
+        count = len(cover) + (rng.random() < 0.1)
+        w = WeightFamily(a, cover, tuple(weight() for _ in range(count)))
+        results.append(outcome(validate_weights, w))
+        assert results[-1] == outcome(listed_weight_problems, w), w.weights
+    assert min(kinds.values()) > 50
+    assert [] in results and any(isinstance(r, list) and r for r in results)
+
+
+def test_section_checks_list_no_section_of_a(monkeypatch):
+    """Weights and transition entries are checked against A's restrictions,
+    so the weight check, the cocycle check, gluing and the embedding run
+    with AlgebraSheaf.sections unavailable."""
+    def listing(self, u):
+        raise AssertionError("A's sections were listed")
+
+    monkeypatch.setattr(AlgebraSheaf, "sections", listing)
+    cover = (frozenset({"u"}), frozenset({"v"}))
+    assert validate_weights(WeightFamily(A2_D2, cover, ((1, 0), (0, 1)))) == []
+    assert validate_weights(WeightFamily(A2_D2, cover, ((1, 1), (0, 1)))) == [
+        "weight 0 has nonzero germ at 'v' off its support"]
+    chain = constant_algebra_sheaf(chain3(), F3)
+    assert validate_weights(WeightFamily(chain, (frozenset(chain.space.points),),
+                                         ((1, 2, 1),))) == ["weight 0 is not a global section"]
+    assert validate_cocycle(mobius_cocycle()) == []
+    bad = TransitionCocycle(A3_PC, (X_PC, UC), 1, {(0, 1): (((1, 1, 2),),)})
+    assert validate_cocycle(bad) == [
+        "transition (0,1) entry incompatible at 'c'->'a'",
+        "transition (0,1) entry incompatible at 'c'->'b'"]
+    glued = sheaf_from_cocycle(untwisted_cocycle())
+    trivs = {0: {**glued.trivializations[1], **glued.trivializations[0]}}
+    m = embed_via_weights(glued.sheaf, (X_PC,), trivs, trivial_weight_family(A3_PC), 1)
+    assert is_monomorphism(m)
+
+
 # -- the embedding -----------------------------------------------------------
 
 def test_embed_trivial_cover_is_the_trivialization():

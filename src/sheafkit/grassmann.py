@@ -8,25 +8,20 @@ computation collapses to the value at the minimal open.  A value becomes a
 `VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where the public API
 returns subsheaves and where the non-free-glue hunt reports its witness.
 
-Each public build makes one `BuildState` on a fresh ambient A^n and passes
-it to every helper; `classify` builds V on G's state.  The state holds the
-opens, their components and the stalk candidates, listed once at first
-need; the joins; and a join plan and a basis set-up per open `_free` asks
-about, with one memo of germ multiples.  A build asks the freeness search
-about each (open, value) once: G's build asks, and V, the checks and
-`classify` read G's values.
+Each public call makes one `BuildState` on a fresh ambient A^n and passes
+it to every helper (see its docstring for what it keeps).
 
 G over the empty open and each connected open takes the families of its
 stalk-family join that the freeness search accepts.  V there takes the
 families whose restriction to each minimal open is a G value: the glues
 of G, which are the sections of the sheaf G generates (the note above
-`_sections`).  A disconnected open takes the product of its components'
-values: sections over a disjoint union are tuples of sections over the
-pieces, so a family there is (locally) free of rank k iff each piece is.
-The checks (the monopresheaf verdict, the non-free-glue hunt and the
-section count over the whole space) read sections from the same joins over
-the empty and connected opens alone, and settle a disconnected open by its
-components.
+`_sections`).  One rule, `_by_components`, gives G's values, V's values
+and the sections over any open: a disconnected open takes the product of
+its components' values, as sections over a disjoint union are tuples of
+sections over the pieces, so a family there is (locally) free of rank k
+iff each piece is.  No join and no search runs over a disconnected open.
+`classify` reads V over the whole space, and so G only on the minimal
+opens; the checks read sections over the empty and connected opens alone.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
 from .finalg import (FinRing, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, JoinPlan, Presheaf, is_monopresheaf
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, JoinPlan, Presheaf
 from .vecsheaf import (
     MAX_STALK_VECTORS,
     AlgebraSheaf,
@@ -66,24 +61,25 @@ Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
 class BuildState:
     """What the rank-k builds on one ambient share, passed to every helper.
 
-    Listed once, at first read: the opens in (size, lex) order, each
-    one's components, the empty and connected opens, and each point's
-    free rank-k stalk submodules (one list per (stalk ring, n)) with their
-    indices by elements and their sorted vectors.  Kept as asked:
-    restriction positions by open pair, tables by point pair
-    (`_compatibility`), joins by open (`_join`), and for the freeness
-    search (`_free`) a join plan and a basis set-up by open and one memo
-    of germ multiples.  No answer is kept: a build asks about each (open,
-    value) once.
+    Listed once, at first read: the opens in (size, lex) order, the
+    empty and connected opens, and each point's free rank-k stalk
+    submodules (one list per (stalk ring, n)) with their indices by
+    elements and their sorted vectors.  Kept as asked: components by open
+    (`split`), restriction positions by open pair, tables by point pair
+    (`_compatibility`), joins and G's values by open (`_join`,
+    `_enumerate_values`), and for the freeness search (`_free`) a join
+    plan and a basis set-up by open and one memo of germ multiples.
     """
 
     def __init__(self, ambient: ModuleSheaf, k: int):
         self.ambient, self.space, self.k = ambient, ambient.space, k
         self.stalks = {x: (ambient.ring_at(x), ambient.rank_at[x])
                        for x in sorted(ambient.space.points)}
+        self.parts: Dict[PointSet, List[PointSet]] = {}
         self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
         self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
+        self.free: Dict[PointSet, List[Value]] = {}
         self.searches: Dict[PointSet, Tuple[JoinPlan, BasisSetup]] = {}
         self.multiples: Dict[FinRing, Dict[Vec, List[Vec]]] = {}
 
@@ -92,12 +88,14 @@ class BuildState:
         return enumerate_opens(self.space)
 
     @cached_property
-    def parts(self) -> Dict[PointSet, List[PointSet]]:
-        return {u: components(self.space, u) for u in self.opens}
-
-    @cached_property
     def connected(self) -> List[PointSet]:
-        return [u for u in self.opens if len(self.parts[u]) <= 1]
+        return [u for u in self.opens if len(self.split(u)) <= 1]
+
+    def split(self, u: PointSet) -> List[PointSet]:
+        """The components of u, listed at the first ask."""
+        if u not in self.parts:
+            self.parts[u] = components(self.space, u)
+        return self.parts[u]
 
     @cached_property
     def lists(self) -> Dict[Tuple[FinRing, int], List[Submodule]]:
@@ -265,10 +263,9 @@ def _candidate_index(state: BuildState,
 
 def _join(state: BuildState, u: PointSet) -> List[Value]:
     """The families of u's stalk-family join, kept in the build state."""
-    joins = state.joins
-    if u not in joins:
-        joins[u] = _stalk_families(state, u)
-    return joins[u]
+    if u not in state.joins:
+        state.joins[u] = _stalk_families(state, u)
+    return state.joins[u]
 
 
 # `_free` asks `is_free_of_rank`'s question about the value t over u without
@@ -302,8 +299,10 @@ def _free(state: BuildState, u: PointSet, t: Value, budget: Optional[Budget]) ->
 def _enumerate_values(state: BuildState, u: PointSet,
                       budget: Optional[Budget]) -> List[Value]:
     """The free values over u, in sort_key order: the families of its join
-    that the search accepts."""
-    return [t for t in _join(state, u) if _free(state, u, t, budget)]
+    that the search accepts, searched once and kept in the build state."""
+    if u not in state.free:
+        state.free[u] = [t for t in _join(state, u) if _free(state, u, t, budget)]
+    return state.free[u]
 
 
 def _glues(state: BuildState, u: PointSet,
@@ -313,18 +312,6 @@ def _glues(state: BuildState, u: PointSet,
     restrict, min_open = state.restrict, state.space.min_open
     mins = [(min_open[x], set(values(min_open[x]))) for x in sorted(u)]
     return [t for t in _join(state, u) if all(restrict(u, ux, t) in vals for ux, vals in mins)]
-
-
-def _searched(state: BuildState, budget: Optional[Budget]
-              ) -> Callable[[PointSet], List[Value]]:
-    """G's values over an open, searched the first time they are read."""
-    values: Dict[PointSet, List[Value]] = {}
-
-    def at(u: PointSet) -> List[Value]:
-        if u not in values:
-            values[u] = _enumerate_values(state, u, budget)
-        return values[u]
-    return at
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -341,18 +328,19 @@ def _placed_product(u: PointSet, parts: List[PointSet],
     return sorted(place(sum(choice, ())) for choice in product(*factors))
 
 
-def _build_values(state: BuildState,
-                  connected: Callable[[PointSet], List[Value]]) -> GrassmannPresheaf:
-    """Values in the state's ambient A^n over every open: connected(u) over
-    the empty open and each connected open u, and over a disconnected open
-    the placed product of its components' values (smaller opens, listed
-    earlier)."""
-    values: Dict[PointSet, List[Value]] = {}
-    for u in state.opens:
-        parts = state.parts[u]
-        values[u] = (connected(u) if len(parts) <= 1 else
-                     _placed_product(u, parts, [values[c] for c in parts]))
-    return GrassmannPresheaf(state.ambient.base, state.k, state.ambient, values, state)
+def _by_components(state: BuildState, u: PointSet,
+                   connected: Callable[[PointSet], List[Value]]) -> List[Value]:
+    """connected(u) over the empty or a connected open u, and over a
+    disconnected open the placed product of connected over its components."""
+    parts = state.split(u)
+    return (connected(u) if len(parts) <= 1 else
+            _placed_product(u, parts, [connected(c) for c in parts]))
+
+
+def _locally_free(state: BuildState, u: PointSet, budget: Optional[Budget]) -> List[Value]:
+    """V's values over u: the glues of G's values on the minimal opens."""
+    return _by_components(state, u, lambda c: _glues(
+        state, c, lambda m: _enumerate_values(state, m, budget)))
 
 
 def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
@@ -360,7 +348,8 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
     state = BuildState(free_sheaf(a, n), k)
-    return [_subsheaf(state, u, t) for t in _enumerate_values(state, u, budget)]
+    return [_subsheaf(state, u, t) for t in _by_components(
+        state, u, lambda c: _enumerate_values(state, c, budget))]
 
 
 def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
@@ -370,15 +359,21 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
     """Rank-k locally free subsheaves of A^n over u (one V value list): the
     families free on the minimal open of each point of u."""
     state = BuildState(free_sheaf(a, n), k)
-    return [_subsheaf(state, u, t) for t in _glues(state, u, _searched(state, budget))]
+    return [_subsheaf(state, u, t) for t in _locally_free(state, u, budget)]
+
+
+def _grassmann(state: BuildState, budget: Optional[Budget]) -> GrassmannPresheaf:
+    """G's values in the state's ambient over every open."""
+    return GrassmannPresheaf(state.ambient.base, state.k, state.ambient, {
+        u: _by_components(state, u, lambda c: _enumerate_values(state, c, budget))
+        for u in state.opens}, state)
 
 
 def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    state = BuildState(free_sheaf(a, n), k)
-    return _build_values(state, lambda u: _enumerate_values(state, u, budget))
+    return _grassmann(BuildState(free_sheaf(a, n), k), budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
@@ -386,19 +381,20 @@ def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
     """The complete companion: U -> {locally free rank-k subsheaves}, the
     glues of G's values on the minimal opens."""
     state = BuildState(free_sheaf(a, n), k)
-    at = _searched(state, budget)
-    return _build_values(state, lambda u: _glues(state, u, at))
+    return GrassmannPresheaf(a, k, state.ambient, {
+        u: _locally_free(state, u, budget) for u in state.opens}, state)
+
+
+def _row(state: BuildState, u: PointSet, t: Value) -> Tuple[Value, ...]:
+    """The restrictions of t over u to the minimal opens of sorted(u)."""
+    return tuple([state.restrict(u, state.space.min_open[x], t) for x in sorted(u)])
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
-    """Values are separated by their restrictions to the minimal-open cover."""
-    return is_monopresheaf(g.presheaf())
-
-
-def _row(g: GrassmannPresheaf, u: PointSet, t: Value) -> Tuple[Value, ...]:
-    """The restrictions of t over u to the minimal opens of sorted(u)."""
-    space, restrict = g.base.space, g.state.restrict
-    return tuple([restrict(u, space.min_open[x], t) for x in sorted(u)])
+    """Values are separated by their restrictions to the minimal-open cover,
+    read over the empty and connected opens (the note above `_sections`)."""
+    return all(len({_row(g.state, u, t) for t in g.values[u]}) == len(g.values[u])
+               for u in g.state.connected if u)
 
 
 # A section of the sheaf G generates over u is a compatible row r of values
@@ -420,7 +416,7 @@ def _row(g: GrassmannPresheaf, u: PointSet, t: Value) -> Tuple[Value, ...]:
 # G value iff it is free on U_x.
 #
 # A disconnected open u = c_1 ⊔ ... ⊔ c_m needs no walk.  Its values are the
-# product of the components' values (`_build_values`); its rows are the
+# product of the components' values (`_by_components`); its rows are the
 # product of the components' rows, since the minimal open of a point of u
 # lies in that point's component, so compatibility links no two components;
 # and unit acts componentwise, as t|U_x reads only the entries of x's
@@ -434,10 +430,7 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
     above): over the empty or a connected open the families of its join
     whose restriction to each minimal open is a value, in join order, and
     over a disconnected open the placed product of its components'."""
-    parts = g.state.parts[u]
-    if len(parts) > 1:
-        return _placed_product(u, parts, [_sections(g, c) for c in parts])
-    return _glues(g.state, u, g.values.__getitem__)
+    return _by_components(g.state, u, lambda c: _glues(g.state, c, g.values.__getitem__))
 
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
@@ -466,13 +459,11 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
                     for u, values in ((u, set(g.values[u])) for u in opens)
                     for t in sections[u] if t not in values), None)
     return {
-        # no two values over u have the same restrictions to the minimal opens
-        "monopresheaf": all(len({_row(g, u, t) for t in g.values[u]}) == len(g.values[u])
-                            for u in opens if u),
+        "monopresheaf": grassmann_monopresheaf(g),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
         "sections_over_whole": prod(len(sections[c]) for c in
-                                    g.state.parts[frozenset(g.base.space.points)]),
+                                    g.state.split(frozenset(g.base.space.points))),
     }
 
 
@@ -515,7 +506,7 @@ def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSecti
     pts = sorted(u)
     return [GrassmannSection(tuple([(x, g.subsheaf(space.min_open[x], t))
                                     for x, t in zip(pts, row)]), g.ambient)
-            for row in sorted(_row(g, u, t) for t in _sections(g, u))]
+            for row in sorted(_row(g.state, u, t) for t in _sections(g, u))]
 
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
@@ -540,13 +531,18 @@ def subsheaf_to_section(t: VectorSubsheaf, k: int,
 
 # -- the universal (truncated) construction -----------------------------------
 
+def _universal_state(a: AlgebraSheaf, n: int, truncation: int) -> BuildState:
+    """The build state of rank n in A^N, N the finite truncation level."""
+    if n > truncation:
+        raise ValidationError(f"rank {n} exceeds truncation {truncation}")
+    return BuildState(free_sheaf(a, truncation), n)
+
+
 def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
                               budget: Optional[Budget] = None
                               ) -> GrassmannPresheaf:
     """Rank-n Grassmann presheaf of A^N, N the finite truncation level."""
-    if n > truncation:
-        raise ValidationError(f"rank {n} exceeds truncation {truncation}")
-    return build_grassmann_presheaf(a, n, truncation, budget)
+    return _grassmann(_universal_state(a, n, truncation), budget)
 
 
 def _included(family: Iterable[Tuple[Point, frozenset]], source: ModuleSheaf,
@@ -571,18 +567,18 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     """Pair global sections of the truncated universal Grassmann with the
     rank-n vector subsheaves of A^N.
 
-    The subsheaves are V's values over the whole space, and V takes the
-    glues of G as its values, so they are `_sections(g, whole)`; the
-    sections, in enumerate_sections order, are the same glues sorted by
-    row.  By the glue argument above `_sections`, unit and glue are mutually
-    inverse bijections between them, so `bijection` holds and `pairs` is
-    the permutation that sorts the values by row.
+    The subsheaves are V's values over the whole space, the glues of G's
+    values on the minimal opens, which are the sections of the sheaf G
+    generates; the sections, in enumerate_sections order, are the same glues
+    sorted by row.  By the glue argument above `_sections`, unit and glue are
+    mutually inverse bijections between them, so `bijection` holds and
+    `pairs` is the permutation that sorts the values by row.
     """
     whole = frozenset(a.space.points)
     pts = sorted(whole)
-    g = build_universal_grassmann(a, n, truncation, budget)
-    subsheaves = _sections(g, whole)
-    sections = sorted(subsheaves, key=lambda t: _row(g, whole, t))
+    state = _universal_state(a, n, truncation)
+    subsheaves = _locally_free(state, whole, budget)
+    sections = sorted(subsheaves, key=lambda t: _row(state, whole, t))
     sub_index = {t: i for i, t in enumerate(subsheaves)}
     pairs = [[i, sub_index.get(t)] for i, t in enumerate(sections)]
     bijection = len(sections) == len(subsheaves) and all(j is not None for _, j in pairs)
@@ -596,8 +592,8 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
             e, (whole,), {0: identity_trivialization(e, whole, n)},
             trivial_weight_family(a), n)
         image = _included([(x, frozenset(morph.maps[x].values())) for x in pts],
-                          morph.target, g.ambient)
-        embed_image_found = _candidate_index(g.state, image) in sub_index
+                          morph.target, state.ambient)
+        embed_image_found = _candidate_index(state, image) in sub_index
 
     return {
         "k": n,

@@ -14,7 +14,7 @@ from math import prod
 from operator import itemgetter, ne
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
-from .errors import InvalidMorphism, SpaceTooLarge
+from .errors import InvalidMorphism, SpaceTooLarge, ValidationError
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
 from .finspace import (FinSpace, PointSet, Point, ContinuousMap, components,
                        enumerate_opens, open_sort_key)
@@ -495,9 +495,12 @@ def unit_counts(p: Presheaf) -> Dict[PointSet, UnitCount]:
 
 
 def is_complete(p: Presheaf) -> bool:
-    """True iff the sheafification unit is bijective on every open."""
-    s = sheafify(p)
-    return all(unit_bijective(s, u) for u in p.carriers)
+    """True iff the unit is bijective on every open (`unit_counts`) of a presheaf
+    that passes `validate` (else ValidationError) and lists no element twice."""
+    problems = validate(p)
+    if problems:
+        raise ValidationError(f"invalid presheaf: {problems[0]}")
+    return all(c.bijective for c in unit_counts(p).values())
 
 
 # -- pullback ----------------------------------------------------------------

@@ -745,8 +745,9 @@ def validate_weights(w: WeightFamily) -> List[str]:
             if x not in w.cover[i] and germ != a.stalk_ring[x].zero:
                 problems.append(f"weight {i} has nonzero germ at {x!r} off its support")
     for j, x in enumerate(pts):
-        if not any(x in w.cover[i] and is_unit(a.stalk_ring[x], w.weights[i][j])
-                   for i in range(len(w.cover))):
+        r = a.stalk_ring[x]  # a unit germ is an in-range code at x
+        if not any(x in c and j < len(sec) and 0 <= sec[j] < r.size and is_unit(r, sec[j])
+                   for c, sec in zip(w.cover, w.weights)):
             problems.append(f"no weight has a unit germ at {x!r}")
     return problems
 

@@ -314,14 +314,15 @@ def test_grassmann_budget_exit_names_open_rank_and_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("budget, message", [
     (20, "open ['a', 'b', 'd'] at rank 1, 21 steps used"),
-    (29, "open ['a', 'b', 'c', 'd'] at rank 1, 30 steps used"),
-    (30, None),
+    (23, "open ['a', 'b', 'd'] at rank 1, 24 steps used"),
+    (24, None),
 ])
 def test_classify_budget_exit_names_the_open_of_a_replayed_answer(capsys, budget, message):
-    """`classify -n 1 -N 2` on the pseudo-circle over F_2 takes 30 steps,
-    all in G's searches, one per (open, value); V, the sections and the
-    pairing read G's values.  The budget runs out in the search it names
-    (20, 29); 30 steps give the report of the default budget."""
+    """`classify -n 1 -N 2` on the pseudo-circle over F_2 takes 24 steps,
+    all in G's searches over the minimal opens, one per (open, value); V,
+    the sections and the pairing read G's values.  The budget runs out in
+    the search it names (20, 23); 24 steps give the report of the default
+    budget."""
     inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
     args = ["classify", "--space", str(inputs / "pseudo_circle.json"),
             "--ring", str(inputs / "f2.json"), "-n", "1", "-N", "2"]

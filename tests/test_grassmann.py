@@ -263,8 +263,7 @@ def test_a_disconnected_open_sorts_its_product_into_join_order():
                            dict.fromkeys(space.points, vecs),
                            {("c", "a"): {v: (v[0], 0) for v in vecs}})
 
-    state = grassmann.BuildState(ambient(), 1)
-    g = grassmann._build_values(state, lambda u: grassmann._enumerate_values(state, u, None))
+    g = grassmann._grassmann(grassmann.BuildState(ambient(), 1), None)
     ac = g.values[frozenset("ac")]
     assert len(ac) == 2 and ac[0][0] == ac[1][0]
     assert len(g.values[whole(space)]) == 2 * 3
@@ -373,8 +372,8 @@ def test_classify_lists_stalk_candidates_once_per_ring(monkeypatch):
 
 
 def test_classify_lists_opens_and_components_once(monkeypatch):
-    """G and V of one classify run share their ambient's build state, which
-    lists the opens once and the components of each open once."""
+    """A classify run reads V over the whole space and G on the minimal
+    opens, so it lists no open and splits only the whole space."""
     listed, split = [], []
     opens, parts = grassmann.enumerate_opens, grassmann.components
 
@@ -390,14 +389,12 @@ def test_classify_lists_opens_and_components_once(monkeypatch):
     monkeypatch.setattr(grassmann, "components", counting_components)
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     assert classify(a, 1, 2)["bijection"] is True
-    assert len(listed) == 1
-    assert split == enumerate_opens(a.space) and len(split) == 7
+    assert listed == [] and split == [whole(a.space)]
 
 
 def test_classify_joins_each_connected_open_once(monkeypatch):
-    """G and V of one classify run share their ambient's joins: one per
-    connected or empty open, none over the disconnected open {a, b}, whose
-    values are the product of its components' values."""
+    """One classify run joins each minimal open once, for G's values
+    there, and then the whole space, for V's; no other open."""
     joined = []
     stalk_families = grassmann._stalk_families
 
@@ -409,9 +406,8 @@ def test_classify_joins_each_connected_open_once(monkeypatch):
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     report = classify(a, 1, 2)
     assert report["bijection"] is True
-    # G joins in the order of the opens; V joins nothing again
-    assert joined == [u for u in enumerate_opens(a.space) if len(components(a.space, u)) <= 1]
-    assert len(joined) == 6 and frozenset({"a", "b"}) not in joined
+    assert joined == [a.space.min_open[x] for x in "abcd"] + [whole(a.space)]
+    assert frozenset({"a", "b"}) not in joined
 
 
 def test_stalk_join_size_guard(monkeypatch):
@@ -453,8 +449,8 @@ def test_open_count_guard_precedes_the_candidate_guard(monkeypatch):
 
 
 def test_one_open_lists_no_other_open(monkeypatch):
-    """Values over one open of the 12-point discrete space list neither the
-    4096 opens nor any open's components."""
+    """Values over one open of the 12-point discrete space list none of the
+    4096 opens and split only the open asked for."""
     listed, split = [], []
     opens, parts = grassmann.enumerate_opens, grassmann.components
     monkeypatch.setattr(grassmann, "enumerate_opens",
@@ -466,7 +462,74 @@ def test_one_open_lists_no_other_open(monkeypatch):
     free = enumerate_free_subsheaves(a, 1, 1, frozenset({"p00"}))
     assert [t.sort_key() for t in free] == [(("p00", ((0,), (1,))),)]
     assert enumerate_locally_free_subsheaves(a, 1, 1, frozenset({"p00"})) == free
-    assert listed == [] and split == []
+    assert listed == [] and split == [frozenset({"p00"})] * 2
+
+
+@pytest.mark.parametrize("make", CORPUS + [sierpinski_plus_point])
+@pytest.mark.parametrize("ring", [F2, F3], ids=["F2", "F3"])
+def test_a_disconnected_open_matches_the_direct_join_and_search(make, ring):
+    """Over a disconnected open the public lists are the products of their
+    components' lists; the oracle joins and searches over the open itself,
+    as the library once did."""
+    a = constant_algebra_sheaf(make(), ring)
+    opens = [u for u in enumerate_opens(a.space) if len(components(a.space, u)) > 1]
+    for n in range(3):
+        for k in range(n + 1):
+            for u in opens:
+                state = grassmann.BuildState(free_sheaf(a, n), k)
+                free = grassmann._enumerate_values(state, u, None)
+                glued = grassmann._glues(state, u, lambda c: grassmann._enumerate_values(
+                    state, c, None))
+                for listed, direct in ((enumerate_free_subsheaves(a, k, n, u), free),
+                                       (enumerate_locally_free_subsheaves(a, k, n, u), glued)):
+                    assert [t.sort_key() for t in listed] == \
+                        [grassmann._subsheaf(state, u, t).sort_key() for t in direct]
+    assert bool(opens) == (make in (discrete2, pseudo_circle, sierpinski_plus_point))
+
+
+def test_a_disconnected_open_is_searched_on_its_components():
+    """The 1225 rank-2 values in F_2^4 over {a, b} of the pseudo-circle take
+    the 2 x 105 steps of the searches over {a} and {b}, where a search over
+    {a, b} itself takes 13,475."""
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    ab, used, direct = frozenset("ab"), Budget(), Budget()
+    free = enumerate_free_subsheaves(a, 2, 4, ab, used)
+    state = grassmann.BuildState(free_sheaf(a, 4), 2)
+    assert len(free) == len(grassmann._enumerate_values(state, ab, direct)) == 1225
+    assert (used.used, direct.used) == (210, 13475)
+
+
+def test_classify_asks_freeness_only_on_the_empty_and_minimal_opens(monkeypatch):
+    asked = []
+    free = grassmann._free
+
+    def recording(state, u, t, budget):
+        asked.append((state.space, u))
+        return free(state, u, t, budget)
+
+    monkeypatch.setattr(grassmann, "_free", recording)
+    for make in CORPUS + [sierpinski_plus_point]:
+        for ring in (F2, F3):
+            for n, big_n in ((0, 1), (1, 2), (2, 3)):
+                classify(constant_algebra_sheaf(make(), ring), n, big_n)
+    assert asked
+    assert all(not u or u in space.min_open.values() for space, u in asked)
+
+
+def test_classify_lists_a_value_product_only_over_a_disconnected_whole_space(monkeypatch):
+    listed = []
+    placed_product = grassmann._placed_product
+
+    def recording(u, parts, factors):
+        listed.append(u)
+        return placed_product(u, parts, factors)
+
+    monkeypatch.setattr(grassmann, "_placed_product", recording)
+    for make in CORPUS + [sierpinski_plus_point]:
+        space = make()
+        listed.clear()
+        assert classify(constant_algebra_sheaf(space, F2), 1, 2)["bijection"] is True
+        assert listed == ([whole(space)] if len(components(space, whole(space))) > 1 else [])
 
 
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
@@ -532,13 +595,14 @@ def test_budget_guard():
 
 
 def test_classify_draws_on_one_budget():
-    """classify searches only in G's build: V, the sections and the pairing
-    read G's values."""
+    """classify searches only for G's values on the minimal opens: V, the
+    sections and the pairing read them."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     b = Budget()
     report = classify(a, 2, 3, b)
     built = Budget()
-    build_universal_grassmann(a, 2, 3, built)
+    for ux in set(a.space.min_open.values()):
+        enumerate_free_subsheaves(a, 2, 3, ux, built)
     assert b.used == built.used
     assert classify(a, 2, 3, Budget(b.used)) == report
     with pytest.raises(SearchBudgetExceeded):
@@ -549,7 +613,8 @@ def test_reference_runs_use_the_budget_they_always_used():
     """Budget.used on the pseudo-circle for the runs that measure search
     work: classify (ring, k, N), then grassmann's build plus completeness
     hunt (ring, k, n).  Each is the steps of the searches the run takes,
-    one per (open, value) of G's build."""
+    one per (open, value) that G's values are read on: the minimal opens
+    for classify, every empty or connected open for grassmann."""
     a2 = constant_algebra_sheaf(pseudo_circle(), F2)
     a3 = constant_algebra_sheaf(pseudo_circle(), F3)
     used = []
@@ -561,7 +626,7 @@ def test_reference_runs_use_the_budget_they_always_used():
         b = Budget()
         check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b))
         used.append(b.used)
-    assert used == [105, 260, 525, 30, 525, 40]
+    assert used == [84, 208, 420, 24, 525, 40]
 
 
 def test_completeness_hunt_draws_on_the_grassmann_budget():
@@ -645,7 +710,8 @@ CHECK_SHEAVES.update(f2_into_f4_plus_point=f2_into_f4_plus_point,
 @pytest.mark.parametrize("name", sorted(CHECK_SHEAVES))
 def test_checks_on_section_rows_match_sheafify(name):
     """The report corpus and the non-constant field sheaves, n <= 2: the
-    same verdicts, witness and section count as the oracle, and the checks
+    same verdicts, witness and section count as the oracle, the separation
+    verdict as `is_monopresheaf`'s germ maps over every open, and the checks
     agree with `is_complete` on G, on V, which is complete, and on V once a
     value over a connected whole space is dropped."""
     a = CHECK_SHEAVES[name]()
@@ -654,6 +720,7 @@ def test_checks_on_section_rows_match_sheafify(name):
         for k in range(n + 1):
             g = build_grassmann_presheaf(a, k, n)
             assert check_monopresheaf_not_complete(g) == sheafify_checks(g)
+            assert grassmann_monopresheaf(g) == is_monopresheaf(g.presheaf())
             v = build_v_presheaf(a, k, n)
             assert is_complete(v.presheaf())
             variants = [g, v]

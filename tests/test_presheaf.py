@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sheafkit.errors import InvalidMorphism, SpaceTooLarge
+from sheafkit.errors import InvalidMorphism, SpaceTooLarge, ValidationError
 from sheafkit import presheaf
 from sheafkit.finalg import (
     RingMorphism,
@@ -391,8 +391,9 @@ def test_unit_counts_match_sheafify():
     """Carrier size, section count and the unit's injectivity and
     bijectivity per open, in open order, against `sheafify` on the
     report-corpus spaces under every set presheaf kind and on the ring
-    corpus."""
-    seen = set()
+    corpus; `is_complete`, which reads them, against the unit of `sheafify`
+    on every open."""
+    seen, verdicts = set(), set()
     presheaves = [set_presheaf(space, kind, s)[0] for space in REPORT_CORPUS_SPACES
                   for kind in ("constant", "constant-everywhere", "locally-constant")
                   for s in (2, 3)]
@@ -404,7 +405,10 @@ def test_unit_counts_match_sheafify():
         counts = unit_counts(p)
         assert list(counts.items()) == list(expected.items())
         seen |= {c[2:] for c in counts.values()}
+        verdicts.add(is_complete(p))
+        assert is_complete(p) == all(unit_bijective(sh, u) for u in p.carriers)
     assert seen == {(True, True), (True, False), (False, False)}
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("fault", ("none", "undefined", "cover", "longer"))
@@ -581,6 +585,26 @@ def test_sheafified_sections_are_complete():
 def test_is_complete_examples():
     assert not is_complete(constant_presheaf(discrete2(), F3))
     assert not is_complete(counterexample_presheaf())  # fails at the empty open
+
+
+def test_is_complete_counts_a_disconnected_open_past_the_section_guard():
+    """33 symbols on four discrete points have 33^4 = 1,185,921 sections
+    over the whole space, past the 10^6 guard that `sheafify` hits."""
+    space = build_space({x: [x] for x in "abcd"})
+    symbols = tuple(f"s{i}" for i in range(33))
+    p = build_presheaf(space, lambda u: Carrier(SET, symbols), lambda u, v, e: e)
+    with pytest.raises(SpaceTooLarge):
+        sheafify(p)
+    assert is_complete(p) is False
+
+
+def test_is_complete_refuses_an_invalid_presheaf():
+    p = constant_presheaf(sierpinski(), F2)
+    u = frozenset({"o"})
+    restrict = p.restrict
+    p.restrict = lambda a, b, e: 1 - e if (a, b) == (u, u) else restrict(a, b, e)
+    with pytest.raises(ValidationError, match="invalid presheaf: restrict to itself"):
+        is_complete(p)
 
 
 @pytest.mark.parametrize("name,p", corpus_presheaves())

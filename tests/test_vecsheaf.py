@@ -739,9 +739,9 @@ def listed_weight_problems(w):
     rings = [a.stalk_ring[x] for x in pts]
     return problems + [
         f"no weight has a unit germ at {x!r}" for j, (x, r) in enumerate(zip(pts, rings))
-        if not any(x in w.cover[i] and any(r.mul(w.weights[i][j], y) == r.one
-                                           for y in r.elements())
-                   for i in range(len(w.cover)))]
+        if not any(x in w.cover[i] and j < len(sec) and sec[j] in r.elements()
+                   and any(r.mul(sec[j], y) == r.one for y in r.elements())
+                   for i, sec in enumerate(w.weights))]
 
 
 def outcome(check, w):
@@ -810,6 +810,16 @@ def test_weight_check_matches_the_section_listing(name):
         assert results[-1] == outcome(listed_weight_problems, w), w.weights
     assert min(kinds.values()) > 50
     assert [] in results and any(isinstance(r, list) and r for r in results)
+
+
+@pytest.mark.parametrize("weight", [(1, 1, 1), (1, 1, 1, 3), (1, 1, 1, -1)])
+def test_a_weight_without_an_in_range_code_at_a_point_has_no_unit_germ_there(weight):
+    """A short weight, or one whose code at d lies outside F_3, is reported
+    as no global section, and no weight has a unit germ at d; -1 does not
+    wrap to the unit 2."""
+    w = WeightFamily(A3_PC, (X_PC,), (weight,))
+    assert validate_weights(w) == ["weight 0 is not a global section",
+                                   "no weight has a unit germ at 'd'"]
 
 
 def test_section_checks_list_no_section_of_a(monkeypatch):

@@ -269,8 +269,12 @@ def cmd_stalks(args) -> dict:
 def cmd_pullback(args) -> dict:
     space, p = _presheaf_from_args(args)
     f = parse_map(space, _load_json(args.map))
+    # The report reads stalks only.  Each restriction an open's listing
+    # takes, the minimal open of its point (an earlier open) takes too, so
+    # the first open to raise is minimal and raises the same here.
+    mins = set(f.domain.min_open.values())
     try:  # pullback restricts stalk elements; the presheaf is not validated
-        q = psh.pullback(p, f)
+        q = psh.pullback(p, f, [u for u in finspace.enumerate_opens(f.domain) if u in mins])
     except KeyError as exc:
         raise ValidationError(f"presheaf restriction undefined at {exc}") from exc
     return {"command": "pullback",

@@ -12,10 +12,10 @@ Each public call makes one `BuildState` on a fresh ambient A^n and passes
 it to every helper (see its docstring for what it keeps).
 
 G over the empty open and each connected open takes the families of its
-stalk-family join that the freeness search accepts.  V there takes the
-families whose restriction to each minimal open is a G value: the glues
-of G, which are the sections of the sheaf G generates (the note above
-`_sections`).  One rule, `_by_components`, gives G's values, V's values
+stalk-family join that `_free` accepts, all of them over field stalks
+(the proof above `_free`).  V there takes the families whose restriction
+to each minimal open is a G value: the glues of G, which are the
+sections of the sheaf G generates (the note above `_sections`).  One rule, `_by_components`, gives G's values, V's values
 and the sections over any open: a disconnected open takes the product of
 its components' values, as sections over a disjoint union are tuples of
 sections over the pieces, so a family there is (locally) free of rank k
@@ -33,19 +33,18 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .errors import NotLocallyFree, SpaceTooLarge, ValidationError
-from .finalg import (FinRing, Submodule, Vec, enumerate_free_submodules,
-                     gaussian_binomial, zero_vec)
+from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
+from .finalg import (FinRing, RingMorphism, Submodule, enumerate_free_submodules,
+                     gaussian_binomial, validate_morphism, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, JoinPlan, Presheaf
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf
 from .vecsheaf import (
     MAX_STALK_VECTORS,
     AlgebraSheaf,
-    BasisSetup,
     Budget,
     ModuleSheaf,
     VectorSubsheaf,
-    _find_basis,
+    _freeness_spent,
     embed_via_weights,
     free_sheaf,
     identity_trivialization,
@@ -59,19 +58,19 @@ Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
 
 
 class BuildState:
-    """What the rank-k builds on one ambient share, passed to every helper.
+    """What the rank-k builds on one ambient A^n share, passed to every
+    helper, once A's restrictions pass `_check_ring_maps`.
 
     Listed once, at first read: the opens in (size, lex) order, the
     empty and connected opens, and each point's free rank-k stalk
     submodules (one list per (stalk ring, n)) with their indices by
-    elements and their sorted vectors.  Kept as asked: components by open
-    (`split`), restriction positions by open pair, tables by point pair
-    (`_compatibility`), joins and G's values by open (`_join`,
-    `_enumerate_values`), and for the freeness search (`_free`) a join
-    plan and a basis set-up by open and one memo of germ multiples.
+    elements.  Kept as asked: components by open (`split`), restriction
+    positions by open pair, tables by point pair (`_compatibility`), and
+    joins and G's values by open (`_join`, `_enumerate_values`).
     """
 
     def __init__(self, ambient: ModuleSheaf, k: int):
+        _check_ring_maps(ambient.base)
         self.ambient, self.space, self.k = ambient, ambient.space, k
         self.stalks = {x: (ambient.ring_at(x), ambient.rank_at[x])
                        for x in sorted(ambient.space.points)}
@@ -80,8 +79,6 @@ class BuildState:
         self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
         self.free: Dict[PointSet, List[Value]] = {}
-        self.searches: Dict[PointSet, Tuple[JoinPlan, BasisSetup]] = {}
-        self.multiples: Dict[FinRing, Dict[Vec, List[Vec]]] = {}
 
     @cached_property
     def opens(self) -> List[PointSet]:
@@ -121,11 +118,6 @@ class BuildState:
         index = {rn: {c.elements: i for i, c in enumerate(cs)}
                  for rn, cs in self.lists.items()}
         return {x: index[rn] for x, rn in self.stalks.items()}
-
-    @cached_property
-    def vectors(self) -> Dict[Point, List[List[Vec]]]:
-        ordered = {rn: [sorted(c.elements) for c in cs] for rn, cs in self.lists.items()}
-        return {x: ordered[rn] for x, rn in self.stalks.items()}
 
     def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
         """The value t over u restricted to v ⊆ u: its entries over v."""
@@ -268,38 +260,49 @@ def _join(state: BuildState, u: PointSet) -> List[Value]:
     return state.joins[u]
 
 
-# `_free` asks `is_free_of_rank`'s question about the value t over u without
-# decoding it: the same rings, ranks, stalk sizes and sections, in the same
-# order, for the same search.  `subsheaf_sections` lists the compatible
-# families of the stalk families' sorted vectors and keeps those whose germ
-# at every point lies in the family there; here it would keep them all.  A
-# germ at y is the image under res(x, y) of a vector of the entry at a
-# maximal point x, y in min_open(x), and every family asked about is closed
-# under restriction: it is a family of u's join, as `_stalk_families` draws
-# each point's candidate from the `_compatibility` masks of every related
-# pair of points in u.  Each candidate is a submodule, so a witness spans
-# it, as `is_free_of_rank` checks of a family it is given.
+# Over field stalks every family of a join is free of rank k, so `_free`
+# answers without a search.  `BuildState.lists` admits only field stalks at
+# k >= 1 (`enumerate_free_submodules` raises NotAField on any other ring)
+# and only the zero family at k = 0, which the empty tuple of sections
+# spans.  At k >= 1 a join family t over u holds a k-dimensional subspace
+# t_x at each x, and res(x, y) maps t_x into t_y for y in min_open(x) (the
+# `_compatibility` masks).  On A^n that map applies A's restriction, a
+# unital ring morphism of fields (`_check_ring_maps`), to each entry: it
+# keeps 0 and 1, so it sends the reduced row echelon basis of t_x to k
+# vectors of t_y in reduced row echelon form with the same pivots, which
+# are t_y's basis.  So the i-th basis rows at the points of u form a
+# section, and the k of them a basis at every point.
+
+def _check_ring_maps(a: AlgebraSheaf) -> None:
+    """Refuse A unless each distinct restriction table is a unital ring
+    morphism, as the proof above `_free` needs; a constant sheaf's
+    identity tables pass unread."""
+    checked = set()
+    for (x, y), codes in [] if a._additive_res else sorted(a.res.items()):
+        r, s = a.stalk_ring[x], a.stalk_ring[y]
+        if (r, s, codes) not in checked and not (
+                all(0 <= c < s.size for c in codes)
+                and validate_morphism(RingMorphism(r, s, codes))):
+            raise ValidationError(f"restriction {x!r}->{y!r} of {a.label} "
+                                  f"is not a unital ring morphism")
+        checked.add((r, s, codes))
+
 
 def _free(state: BuildState, u: PointSet, t: Value, budget: Optional[Budget]) -> bool:
-    """Whether the value t over u is free of rank k: one basis search, on
-    the join plan and basis set-up the state keeps for u."""
-    search = state.searches.get(u)
-    if search is None:
-        search = state.searches[u] = (JoinPlan(state.space, u),
-                                      BasisSetup(state.ambient, u, state.k, state.multiples))
-    plan, setup = search
-    vectors, res = state.vectors, state.ambient.res
-    at = dict(zip(plan.pts, t))
-    return _find_basis(
-        setup, [len(vectors[x][i]) for x, i in at.items()],
-        lambda: plan.run(lambda x: vectors[x][at[x]], lambda x, y, v: res[(x, y)][v]),
-        budget)[0]
+    """Whether the value t over u is free of rank k: always, by the proof
+    above, for one budget step over a nonempty open."""
+    if u and budget is not None:
+        try:
+            budget.spend("freeness search")
+        except SearchBudgetExceeded as exc:
+            raise _freeness_spent(exc, u, state.k, budget) from None
+    return True
 
 
 def _enumerate_values(state: BuildState, u: PointSet,
                       budget: Optional[Budget]) -> List[Value]:
     """The free values over u, in sort_key order: the families of its join
-    that the search accepts, searched once and kept in the build state."""
+    that `_free` accepts, asked once and kept in the build state."""
     if u not in state.free:
         state.free[u] = [t for t in _join(state, u) if _free(state, u, t, budget)]
     return state.free[u]
@@ -442,13 +445,10 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
     A section of the generated sheaf glues to a locally free subsheaf; any
     glue that is not free witnesses non-completeness of the free-value
     presheaf.  A glue over a connected open is a family of its join, and
-    G's values there are the join families the search accepts, so a glue
-    is free iff it is a value: the hunt names the first glue that is not.
+    G's values there are the join families `_free` accepts, so a glue is
+    free iff it is a value: the hunt names the first glue that is not.
     Over field stalks, the only stalks the candidate lists accept, no
-    witness exists: a glue is a family closed under restriction,
-    restriction is an injective field map applied entrywise, so its reduced
-    row echelon basis at x restricts to the one at each point of
-    min_open(x), and these are k sections forming a basis at every point.
+    witness exists, as every join family is free (the proof above `_free`).
     """
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in

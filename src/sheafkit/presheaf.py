@@ -403,15 +403,17 @@ class SheafSpace:
 
 def germ_family_presheaf(space: FinSpace, stalk: Callable[[Point], Carrier],
                          res: Callable[[Point, Point, Elem], Elem],
-                         kind: Callable[[PointSet], str], label: str) -> Presheaf:
-    """Presheaf of the compatible families of germs g_x in stalk(x).
+                         kind: Callable[[PointSet], str], label: str,
+                         opens: Optional[List[PointSet]] = None) -> Presheaf:
+    """Presheaf of the compatible families of germs g_x in stalk(x), listed
+    over `opens` in their order (every open by default).
 
     The carrier over U holds the families over sorted(U).  With kind(U)
     "ring" they form a ring under the pointwise operations of the stalks,
     named `label(sorted(U))`; any other kind gives a set.  Restriction drops
     the points outside the smaller open when it is called.
     """
-    opens = enumerate_opens(space)
+    opens = enumerate_opens(space) if opens is None else opens
     stalks = {x: stalk(x) for x in space.points}
     carriers: Dict[PointSet, Carrier] = {}
     for u in opens:
@@ -505,8 +507,10 @@ def is_complete(p: Presheaf) -> bool:
 
 # -- pullback ----------------------------------------------------------------
 
-def pullback(p: Presheaf, f: ContinuousMap) -> Presheaf:
-    """Inverse-image sheaf along f: stalk at y is the stalk of p at f(y).
+def pullback(p: Presheaf, f: ContinuousMap,
+             opens: Optional[List[PointSet]] = None) -> Presheaf:
+    """Inverse-image sheaf along f: stalk at y is the stalk of p at f(y),
+    listed over `opens` of the domain (every open by default).
 
     Sections over V ⊆ Y are compatible families of germs (g_y ∈ stalk_{f(y)});
     continuity makes the stalk restriction of p along f(y') ∈ min_open(f(y))
@@ -516,7 +520,7 @@ def pullback(p: Presheaf, f: ContinuousMap) -> Presheaf:
     return germ_family_presheaf(
         f.domain, lambda y: p.stalk_carrier(f(y)),
         lambda y, y2, e: p.restrict(space_x.min_open[f(y)], space_x.min_open[f(y2)], e),
-        lambda v: p.stalk_carrier(f(min(v))).kind if v else SET, "pullback")
+        lambda v: p.stalk_carrier(f(min(v))).kind if v else SET, "pullback", opens)
 
 
 # -- the two-algebra construction --------------------------------------------

@@ -60,8 +60,9 @@ class Budget:
 
     A step is one node of a freeness search that runs, one isomorphism
     candidate or one weight family.  A Grassmann build asks each (open,
-    value) once.  A library call given no budget makes a fresh one per
-    search.
+    value) once and spends one step per ask over a nonempty open, which
+    it answers by the proof above `grassmann._free`, not by a search.  A
+    library call given no budget makes a fresh one per search.
     """
     limit: int = DEFAULT_SEARCH_BUDGET
     used: int = 0
@@ -335,28 +336,10 @@ def subsheaf_sections(s: VectorSubsheaf, u: PointSet) -> List[Tuple[Vec, ...]]:
     return [sec for sec in secs if all(map(operator.contains, fams, sec))]
 
 
-class BasisSetup:
-    """What `_find_basis` over the open u at rank k needs besides the
-    stalk sizes and sections, per point of sorted(u): its stalk ring R,
-    the size |R|^k its stalk must have, its zero span, and the memo of
-    germ multiples over R, `multiples[R]`, which every set-up given the
-    same `multiples` shares.  Made once per (sheaf, open, k)."""
-
-    def __init__(self, e: ModuleSheaf, u: PointSet, k: int,
-                 multiples: Dict[FinRing, Dict[Vec, List[Vec]]]):
-        self.u, self.k = u, k
-        pts = sorted(u)
-        self.rings = [e.ring_at(x) for x in pts]
-        self.targets = [r.size ** k for r in self.rings]
-        self.zeros = [frozenset({(r.zero,) * e.rank_at[x]})
-                      for r, x in zip(self.rings, pts)]
-        self.memos = [multiples.setdefault(r, {}) for r in self.rings]
-
-
-def _find_basis(setup: BasisSetup, sizes: List[int],
+def _find_basis(e: ModuleSheaf, u: PointSet, k: int, sizes: List[int],
                 sections: Callable[[], List[Tuple[Vec, ...]]],
                 budget: Optional[Budget]) -> Tuple[bool, Optional[Tuple]]:
-    """First k-tuple of sections over the set-up's open u, in
+    """First k-tuple of sections of e over the open u, in
     `itertools.combinations` order, whose germs at every point i of
     sorted(u) span a stalk of sizes[i] vectors in its stalk ring to its
     rank there.  `sections` is called only once every stalk has |ring|^k
@@ -367,17 +350,20 @@ def _find_basis(setup: BasisSetup, sizes: List[int],
     cut.  Exact over any finite commutative ring, since germs spanning
     |ring|^k vectors make R^k -> R^n injective, and so every prefix too.
     Each visited node spends one budget step; a spent budget names the
-    open, the rank and the steps used."""
-    k = setup.k
-    if not setup.rings:
+    open, the rank and the steps used.  Germ multiples are kept per stalk
+    ring for the one search."""
+    pts = sorted(u)
+    rings = [e.ring_at(x) for x in pts]
+    if not rings:
         return True, ()
-    if sizes != setup.targets:
+    if sizes != [r.size ** k for r in rings]:
         return False, None
     if k == 0:
         return True, ()
     budget = budget or Budget()
     secs = sections()
-    rings, memos = setup.rings, setup.memos
+    by_ring: Dict[FinRing, Dict[Vec, List[Vec]]] = {}  # germ -> its nonzero multiples
+    memos = [by_ring.setdefault(r, {}) for r in rings]
 
     def extend(start: int, depth: int, spans: List[FrozenSet[Vec]]
                ) -> Optional[Tuple]:
@@ -402,9 +388,10 @@ def _find_basis(setup: BasisSetup, sizes: List[int],
         return None
 
     try:
-        witness = extend(0, 0, setup.zeros)
+        witness = extend(0, 0, [frozenset({(r.zero,) * e.rank_at[x]})
+                                for r, x in zip(rings, pts)])
     except SearchBudgetExceeded as exc:
-        raise _freeness_spent(exc, setup.u, k, budget) from None
+        raise _freeness_spent(exc, u, k, budget) from None
     return witness is not None, witness
 
 
@@ -429,8 +416,7 @@ def is_free_of_rank(s: VectorSubsheaf, u: PointSet, k: int,
     """
     family = dict(s.family)
     pts = sorted(u)
-    found, witness = _find_basis(BasisSetup(s.ambient, u, k, {}),
-                                 [len(family[x]) for x in pts],
+    found, witness = _find_basis(s.ambient, u, k, [len(family[x]) for x in pts],
                                  lambda: subsheaf_sections(s, u), budget)
     if found and not all(span(s.ambient.ring_at(x), s.ambient.rank_at[x],
                               [sec[i] for sec in witness]) <= family[x]
@@ -453,8 +439,7 @@ def module_free_of_rank(e: ModuleSheaf, u: PointSet, k: int,
                         ) -> Tuple[bool, Optional[Tuple]]:
     """Freeness of a module sheaf over u: k sections whose germs are a basis
     of every stalk.  Same search as for subsheaves, against the full stalks."""
-    return _find_basis(BasisSetup(e, u, k, {}),
-                       [len(e.stalk_elems[x]) for x in sorted(u)],
+    return _find_basis(e, u, k, [len(e.stalk_elems[x]) for x in sorted(u)],
                        lambda: e.sections(u), budget)
 
 

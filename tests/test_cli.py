@@ -252,6 +252,35 @@ def test_pullback_rejects_discontinuous_map(tmp_path, capsys):
     assert code == EXIT_INVALID and report is None
 
 
+def test_pullback_from_a_12_point_discrete_space_lists_only_its_stalks(tmp_path, capsys,
+                                                                        monkeypatch):
+    """A five-element presheaf on one point pulled back along the map from
+    the 12-point discrete space: the report holds stalk sizes only, so the
+    families are listed over the 12 minimal opens, in open order, and not
+    over the 4096 opens, whose families would number 6^12."""
+    listed = []
+    families = sheafkit.presheaf.compatible_families
+
+    def recording(space, u, elems_at, res):
+        listed.append(sorted(u))
+        return families(space, u, elems_at, res)
+
+    monkeypatch.setattr(sheafkit.presheaf, "compatible_families", recording)
+    names = [f"x{i:02d}" for i in range(12)]
+    sp = write(tmp_path, "space.json", {"min_open": {"p": ["p"]}})
+    ph = write(tmp_path, "presheaf.json", {
+        "carriers": {"": ["*"], "p": list("abcde")},
+        "restrictions": {"p|": {e: "*" for e in "abcde"}}})
+    mp = write(tmp_path, "map.json", {
+        "space": {"min_open": {x: [x] for x in names}},
+        "assignment": dict.fromkeys(names, "p")})
+    code, report, err = run(capsys, ["pullback", "--space", sp,
+                                     "--presheaf", ph, "--map", mp])
+    assert code == EXIT_OK
+    assert report["stalk_sizes"] == dict.fromkeys(names, 5)
+    assert listed == [[x] for x in names]
+
+
 # -- grassmann / classify ----------------------------------------------------
 
 def test_grassmann_command(tmp_path, capsys):
@@ -313,15 +342,15 @@ def test_grassmann_budget_exit_names_open_rank_and_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget, message", [
-    (20, "open ['a', 'b', 'd'] at rank 1, 21 steps used"),
-    (23, "open ['a', 'b', 'd'] at rank 1, 24 steps used"),
-    (24, None),
+    (10, "open ['a', 'b', 'd'] at rank 1, 11 steps used"),
+    (11, "open ['a', 'b', 'd'] at rank 1, 12 steps used"),
+    (12, None),
 ])
 def test_classify_budget_exit_names_the_open_of_a_replayed_answer(capsys, budget, message):
-    """`classify -n 1 -N 2` on the pseudo-circle over F_2 takes 24 steps,
-    all in G's searches over the minimal opens, one per (open, value); V,
-    the sections and the pairing read G's values.  The budget runs out in
-    the search it names (20, 23); 24 steps give the report of the default
+    """`classify -n 1 -N 2` on the pseudo-circle over F_2 takes 12 steps,
+    all in G's freeness asks over the minimal opens, one per (open, value);
+    V, the sections and the pairing read G's values.  The budget runs out
+    in the ask it names (10, 11); 12 steps give the report of the default
     budget."""
     inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
     args = ["classify", "--space", str(inputs / "pseudo_circle.json"),

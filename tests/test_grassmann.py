@@ -251,10 +251,11 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
 
 
 def test_a_disconnected_open_sorts_its_product_into_join_order():
-    """Restriction from c to a projects F_2^2 onto its first axis, so two
+    """Restriction from c to a projects F_2^2 onto its first axis, so three
     values over {a, c} agree at a and differ at c.  With b sorted between
     them, the product of the components' values lists (a, c) before b and
-    must be sorted to give the join's order over [a, b, c]."""
+    must be sorted to give the join's order over [a, b, c].  The ambient is
+    not A^2, so `_free` accepts all five join families over {a, c}."""
     space = build_space({"a": ["a"], "b": ["b"], "c": ["a", "c"]})
     vecs = tuple(itertools.product(range(2), repeat=2))
 
@@ -265,8 +266,8 @@ def test_a_disconnected_open_sorts_its_product_into_join_order():
 
     g = grassmann._grassmann(grassmann.BuildState(ambient(), 1), None)
     ac = g.values[frozenset("ac")]
-    assert len(ac) == 2 and ac[0][0] == ac[1][0]
-    assert len(g.values[whole(space)]) == 2 * 3
+    assert len(ac) == 5 and ac[1][0] == ac[2][0] == ac[3][0]
+    assert len(g.values[whole(space)]) == 5 * 3
     assert g.values[whole(space)] == grassmann._enumerate_values(
         grassmann.BuildState(ambient(), 1), whole(space), None)
 
@@ -489,14 +490,14 @@ def test_a_disconnected_open_matches_the_direct_join_and_search(make, ring):
 
 def test_a_disconnected_open_is_searched_on_its_components():
     """The 1225 rank-2 values in F_2^4 over {a, b} of the pseudo-circle take
-    the 2 x 105 steps of the searches over {a} and {b}, where a search over
-    {a, b} itself takes 13,475."""
+    the 2 x 35 steps of the freeness asks over {a} and {b}, one per value,
+    where asking over {a, b} itself takes 1225."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     ab, used, direct = frozenset("ab"), Budget(), Budget()
     free = enumerate_free_subsheaves(a, 2, 4, ab, used)
     state = grassmann.BuildState(free_sheaf(a, 4), 2)
     assert len(free) == len(grassmann._enumerate_values(state, ab, direct)) == 1225
-    assert (used.used, direct.used) == (210, 13475)
+    assert (used.used, direct.used) == (70, 1225)
 
 
 def test_classify_asks_freeness_only_on_the_empty_and_minimal_opens(monkeypatch):
@@ -533,20 +534,16 @@ def test_classify_lists_a_value_product_only_over_a_disconnected_whole_space(mon
 
 
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
-    """The freeness search lists its sections by running a `JoinPlan`,
-    which no other Grassmann code makes."""
+    """G, V and the checks ask freeness (`_free`) only on the empty and
+    connected opens."""
     searched = []
+    free = grassmann._free
 
-    class CountingPlan(grassmann.JoinPlan):
-        def __init__(self, space, u):
-            super().__init__(space, u)
-            self.parts = len(components(space, u))
+    def counting_free(state, u, t, budget):
+        searched.append(len(components(state.space, u)))
+        return free(state, u, t, budget)
 
-        def run(self, elems_at, res):
-            searched.append(self.parts)
-            return super().run(elems_at, res)
-
-    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
+    monkeypatch.setattr(grassmann, "_free", counting_free)
     for make in CORPUS + [sierpinski_plus_point]:
         for ring in (F2, F3):
             a = constant_algebra_sheaf(make(), ring)
@@ -612,9 +609,10 @@ def test_classify_draws_on_one_budget():
 def test_reference_runs_use_the_budget_they_always_used():
     """Budget.used on the pseudo-circle for the runs that measure search
     work: classify (ring, k, N), then grassmann's build plus completeness
-    hunt (ring, k, n).  Each is the steps of the searches the run takes,
-    one per (open, value) that G's values are read on: the minimal opens
-    for classify, every empty or connected open for grassmann."""
+    hunt (ring, k, n).  Each is one step per freeness ask over a nonempty
+    open, one ask per (open, value) that G's values are read on: the
+    minimal opens for classify, every empty or connected open for
+    grassmann."""
     a2 = constant_algebra_sheaf(pseudo_circle(), F2)
     a3 = constant_algebra_sheaf(pseudo_circle(), F3)
     used = []
@@ -626,7 +624,7 @@ def test_reference_runs_use_the_budget_they_always_used():
         b = Budget()
         check_monopresheaf_not_complete(build_grassmann_presheaf(a, k, n, b))
         used.append(b.used)
-    assert used == [84, 208, 420, 24, 525, 40]
+    assert used == [28, 52, 140, 12, 175, 20]
 
 
 def test_completeness_hunt_draws_on_the_grassmann_budget():
@@ -978,42 +976,39 @@ def test_subsheaf_to_section_rejects_non_locally_free():
 
 def test_classify_enumerates_each_subsheaf_once(monkeypatch):
     """classify asks each freeness question once per ambient, in G's
-    build, and enumerates the sections of each value once: the listing
-    runs inside the ask it serves."""
-    asked, searched = [], []
-    free = grassmann._free
+    build, and lists the stalk-family join of each open once."""
+    asked, joined = [], []
+    free, stalk_families = grassmann._free, grassmann._stalk_families
 
     def counting_free(state, u, t, budget):
         asked.append((state, u, t))
         return free(state, u, t, budget)
 
-    class CountingPlan(grassmann.JoinPlan):
-        def run(self, elems_at, res):
-            stalks = tuple(tuple(elems_at(x)) for x in self.pts)
-            searched.append((asked[-1][0], frozenset(self.pts), stalks))
-            return super().run(elems_at, res)
+    def counting_join(state, u):
+        joined.append((state, u))
+        return stalk_families(state, u)
 
     monkeypatch.setattr(grassmann, "_free", counting_free)
-    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
+    monkeypatch.setattr(grassmann, "_stalk_families", counting_join)
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
-    assert searched and len(searched) == len(set(searched))
-    assert len(asked) == len(set(asked))
+    assert asked and len(asked) == len(set(asked))
+    assert joined and len(joined) == len(set(joined))
 
 
 def test_classify_searches_each_value_once_without_decoding(monkeypatch):
     """classify on the pseudo-circle asks about each (open, value) once,
-    runs the basis search once per ask, and asks no freeness question
-    through a decoded subsheaf."""
+    runs no basis search, and asks no freeness question through a decoded
+    subsheaf."""
     asked, searched, decoded = [], [], []
-    free, find_basis, is_free = grassmann._free, grassmann._find_basis, is_free_of_rank
+    free, find_basis, is_free = grassmann._free, vecsheaf._find_basis, is_free_of_rank
 
     def counting_free(state, u, t, budget):
         asked.append((state, u, t))
         return free(state, u, t, budget)
 
     def counting_search(*args):
-        searched.append(asked[-1])
+        searched.append(args)
         return find_basis(*args)
 
     def decoding(*args):
@@ -1021,49 +1016,35 @@ def test_classify_searches_each_value_once_without_decoding(monkeypatch):
         return is_free(*args)
 
     monkeypatch.setattr(grassmann, "_free", counting_free)
-    monkeypatch.setattr(grassmann, "_find_basis", counting_search)
+    monkeypatch.setattr(vecsheaf, "_find_basis", counting_search)
     monkeypatch.setattr(grassmann, "is_free_of_rank", decoding)
     monkeypatch.setattr(vecsheaf, "is_free_of_rank", decoding)
     report = classify(constant_algebra_sheaf(pseudo_circle(), F2), 1, 2)
     assert report["bijection"] is True
-    assert decoded == []
-    assert len(asked) == len(set(asked)) == len(searched)
-    assert searched == asked
+    assert decoded == [] and searched == []
+    assert asked and len(asked) == len(set(asked))
 
 
 def test_classify_plans_each_search_once_per_open(monkeypatch):
-    """classify on the pseudo-circle makes one join plan and one basis
-    set-up per open it asks freeness about, all of them connected, and
-    runs each more than once on the whole; every set-up shares the build's
-    one memo of germ multiples."""
-    planned, set_up, memos, searched = [], [], [], []
-    find_basis = grassmann._find_basis
+    """classify on the pseudo-circle asks freeness about the minimal opens,
+    all of them connected: once per family of each one's join, and about
+    each open in one run of asks."""
+    asked = []
+    free = grassmann._free
 
-    class CountingPlan(grassmann.JoinPlan):
-        def __init__(self, space, u):
-            planned.append(u)
-            super().__init__(space, u)
+    def counting_free(state, u, t, budget):
+        asked.append((state, u))
+        return free(state, u, t, budget)
 
-    class CountingSetup(grassmann.BasisSetup):
-        def __init__(self, e, u, k, multiples):
-            set_up.append((e, u, k))
-            memos.append(multiples)
-            super().__init__(e, u, k, multiples)
-
-    def counting_search(setup, *args):
-        searched.append(setup.u)
-        return find_basis(setup, *args)
-
-    monkeypatch.setattr(grassmann, "JoinPlan", CountingPlan)
-    monkeypatch.setattr(grassmann, "BasisSetup", CountingSetup)
-    monkeypatch.setattr(grassmann, "_find_basis", counting_search)
+    monkeypatch.setattr(grassmann, "_free", counting_free)
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     assert classify(a, 1, 2)["bijection"] is True
-    assert planned and len(planned) == len(set(planned)) == len(set_up) == len(set(set_up))
-    assert set(planned) == set(searched) == {u for _, u, _ in set_up}
-    assert all(len(components(a.space, u)) <= 1 for u in planned)
-    assert len({id(m) for m in memos}) == 1 and memos[0]
-    assert len(searched) > len(planned)
+    opens = list(dict.fromkeys(u for _, u in asked))
+    assert set(opens) == set(a.space.min_open.values())
+    assert all(len(components(a.space, u)) <= 1 for u in opens)
+    assert [u for _, u in asked] == [u for u in opens
+                                     for _ in grassmann._join(asked[0][0], u)]
+    assert len(asked) > len(opens)
 
 
 def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
@@ -1094,7 +1075,7 @@ def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
                   (first.get, lambda x, y, v: e2.res[(x, y)][v]),
                   (lambda x: list(e1.stalk_elems[x]), partial)]
         for u in enumerate_opens(space):
-            plan = grassmann.JoinPlan(space, u)
+            plan = presheaf.JoinPlan(space, u)
             for elems_at, res in inputs:
                 args = (space, u, elems_at, res)
                 outcome = families_or_key_error(plan.run, elems_at, res)
@@ -1109,8 +1090,8 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
     """The oracle of `grassmann._free`: `is_free_of_rank` on the decoded
     value over a fresh free sheaf.  Every join family over every connected
     open (the minimal opens among them), n <= 2, asked twice on one
-    ambient: the verdict of the oracle and its budget charge, each ask
-    searching again."""
+    ambient: the verdict of the oracle, for one budget step per ask over a
+    nonempty open."""
     a = CHECK_SHEAVES[name]()
     for n in range(3):
         ambient = free_sheaf(a, n)
@@ -1121,13 +1102,88 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
                     continue
                 for t in grassmann._join(state, u):
                     family = grassmann._subsheaf(state, u, t).family
-                    oracle = Budget()
-                    answer = is_free_of_rank(VectorSubsheaf(free_sheaf(a, n), family),
-                                             u, k, oracle)
+                    answer = is_free_of_rank(VectorSubsheaf(free_sheaf(a, n), family), u, k)
                     for _ in range(2):
                         b = Budget()
                         assert grassmann._free(state, u, t, b) == answer[0]
-                        assert b.used == oracle.used
+                        assert b.used == (1 if u else 0)
+
+
+F4 = make_quotient(2, [1, 1, 1])
+FROBENIUS = (0, 1, 3, 2)  # t -> t^2 = t + 1 on the codes of F_2[t]/(t^2+t+1)
+
+
+def random_field_sheaf(rng, space):
+    """Field stalks on `space`: F_3 on some components, and F_2 on the rest
+    but F_4 on a random open among them, restricting by the identity, the
+    inclusion F_2 -> F_4 (codes 0 and 1) or, between F_4 stalks, at random
+    the identity or Frobenius, drawn again until they compose."""
+    whole_space = frozenset(space.points)
+    odd = set().union(*[c for c in components(space, whole_space) if rng.random() < 0.3])
+    quad = rng.choice(enumerate_opens(space)) - odd
+    rings = {x: F3 if x in odd else F4 if x in quad else F2 for x in space.points}
+    pairs = [(x, y) for x in sorted(space.points) for y in sorted(space.min_open[x])
+             if x != y]
+    for _ in range(50):
+        res = {(x, y): rng.choice([tuple(range(4)), FROBENIUS]) if rings[x] is F4
+               else tuple(range(rings[x].size)) for x, y in pairs}
+        res.update({(x, x): tuple(range(rings[x].size)) for x in space.points})
+        if all(res[(x, z)] == tuple(res[(y, z)][c] for c in res[(x, y)])
+               for x, y in pairs for z in space.min_open[y]):
+            break
+    else:
+        res = {(x, y): tuple(range(rings[x].size)) for x, y in pairs}
+    return AlgebraSheaf(space, rings, {pair: res[pair] for pair in pairs})
+
+
+def test_every_join_family_is_free_on_random_field_sheaves():
+    """The proof above `grassmann._free`, against two oracles that search:
+    on random field sheaves of at most 4 points, every join family over
+    every empty or connected open, n <= 3, is free by `is_free_of_rank`
+    and, at k <= 2, by `brute_free` (at k = n = 3 a family is the whole
+    stalk, and the brute scan of its sections' triples takes seconds)."""
+    from test_presheaf import random_space
+    from test_vecsheaf import brute_free
+    seen, scanned = set(), 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        a = random_field_sheaf(rng, random_space(rng, rng.randint(1, 4)))
+        seen |= {r.label for r in a.stalk_ring.values()}
+        seen |= {"F_2 -> F_4" for (x, y) in a.res if a.stalk_ring[x] is F2
+                 and a.stalk_ring[y] is F4}
+        seen |= {"Frobenius" for codes in a.res.values() if codes == FROBENIUS}
+        for n in range(4):
+            for k in range(n + 1):
+                state = grassmann.BuildState(free_sheaf(a, n), k)
+                for u in state.connected:
+                    for t in grassmann._join(state, u):
+                        family = dict(grassmann._subsheaf(state, u, t).family)
+                        assert grassmann._free(state, u, t, None)
+                        s = make_subsheaf(free_sheaf(a, n), family)
+                        assert is_free_of_rank(s, u, k)[0], (seed, n, k, sorted(u))
+                        if k <= 2:
+                            assert brute_free(s.ambient, family, u, k)[0]
+                            scanned += 1
+    assert seen == {"F_2", "F_3", F4.label, "F_2 -> F_4", "Frobenius"}
+    assert scanned
+
+
+@pytest.mark.parametrize("codes", [(0, 1, 3, 2, 4), (0, 2, 3, 1), (0, 0), (0, 7)],
+                         ids=["not additive", "times t", "zero", "out of range"])
+def test_a_restriction_that_is_not_a_ring_morphism_is_refused(codes):
+    """The proof above `grassmann._free` needs every restriction of A to be
+    a unital ring morphism: c -> o on the Sierpinski space by a table that
+    is not additive over F_5, multiplication by t on F_4, the zero map
+    F_2 -> F_4, and a code outside F_4, each refused by every build."""
+    ring_c = {5: make_field(5), 4: F4, 2: F2}[len(codes)]
+    ring_o = F4 if len(codes) <= 4 else ring_c
+    a = AlgebraSheaf(sierpinski(), {"c": ring_c, "o": ring_o}, {("c", "o"): codes})
+    for build in (lambda: build_grassmann_presheaf(a, 1, 1),
+                  lambda: build_v_presheaf(a, 0, 1), lambda: classify(a, 1, 1),
+                  lambda: enumerate_free_subsheaves(a, 1, 1, frozenset("o"))):
+        with pytest.raises(ValidationError,
+                           match=r"restriction 'c'->'o' of A is not a unital ring morphism"):
+            build()
 
 
 def test_a_build_state_is_freed_without_the_cyclic_collector():

@@ -11,7 +11,10 @@ change first when i is even, one process at a time, with
 --trace WORKLOAD:SEED adds one traced run per side.  --cli "ARGS" runs
 `python3 -m sheafkit.cli ARGS` once per side, parent first, from the root
 of the repository with each side's src on the path, and records its exit
-code, wall time, peak RSS and the sha256 of its stdout:
+code, wall time, peak RSS and the sha256 of its stdout.  A bare
+interpreter launches it: the peak RSS a parent reads for its child counts
+the parent's resident size at the fork, so that interpreter's own peak,
+the floor of the figure, goes beside it as `launcher_rss_mb`:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 15 \
         --runs grassmann-search:11:10 --cli "classify --space \
@@ -65,19 +68,38 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return {"summary_line": lines[-2], "result": json.loads(lines[-1])}
 
 
+# Run from `python3 -I -S -c`: forks and execs its argv with stderr
+# discarded, and prints the peak RSS of its own memory before the fork
+# (VmHWM, which a forked child starts from; its getrusage would count the
+# peak of the process that launched it too), the child's peak RSS (both in
+# KB), the child's exit code and its wall time.  Linux only.
+LAUNCHER = """
+import os, sys, time
+with open("/proc/self/status") as status:
+    floor = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(floor, usage.ru_maxrss, os.waitstatus_to_exitcode(status),
+      time.perf_counter() - start, file=sys.stderr)
+"""
+
+
 def cli_run(root: Path, args: str) -> dict:
-    """One `sheafkit.cli` run from the root of the repository on root's src."""
+    """One `sheafkit.cli` run from the root of the repository on root's
+    src, launched from a bare interpreter (see LAUNCHER)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "sheafkit.cli", *shlex.split(args)],
-                            cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 2),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "report_sha256": hashlib.sha256(out).hexdigest()}
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, sys.executable,
+                           "-m", "sheafkit.cli", *shlex.split(args)],
+                          cwd=ROOT, env=env, capture_output=True, check=True)
+    floor, peak, code, wall = proc.stderr.split()
+    return {"exit": int(code), "wall_s": round(float(wall), 2),
+            "peak_rss_mb": round(int(peak) / 1024, 1),
+            "launcher_rss_mb": round(int(floor) / 1024, 1),
+            "report_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
 def src_lines(root: Path) -> int:

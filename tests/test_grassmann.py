@@ -536,11 +536,11 @@ def test_classify_lists_a_value_product_only_over_a_disconnected_whole_space(mon
 def test_sections_are_searched_only_on_connected_opens(monkeypatch):
     """G, V and the checks ask freeness (`_free`) only on the empty and
     connected opens."""
-    searched = []
+    asked = []
     free = grassmann._free
 
     def counting_free(state, u, t, budget):
-        searched.append(len(components(state.space, u)))
+        asked.append(len(components(state.space, u)))
         return free(state, u, t, budget)
 
     monkeypatch.setattr(grassmann, "_free", counting_free)
@@ -551,7 +551,7 @@ def test_sections_are_searched_only_on_connected_opens(monkeypatch):
                 g = build_grassmann_presheaf(a, k, n)
                 build_v_presheaf(a, k, n)
                 check_monopresheaf_not_complete(g)
-    assert searched and max(searched) == 1
+    assert asked and max(asked) == 1
 
 
 def test_values_are_valid_free_subsheaves():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -640,6 +641,73 @@ def test_presheaf_report_corpus_is_byte_identical(tmp_path, capsys):
     digests = {case: hashlib.sha256("".join(lines).encode()).hexdigest()
                for case, lines in transcripts.items()}
     assert digests == PRESHEAF_DIGESTS
+
+
+def full_pullback_outcome(space_table, presheaf_obj, map_obj):
+    """Oracle for `pullback`: the pulled-back presheaf built over every open
+    of the domain, reported as the command reports it: stalk sizes, or the
+    undefined restriction's message."""
+    space = sheafkit.cli.parse_space({"min_open": space_table})
+    p = sheafkit.cli.parse_presheaf(space, presheaf_obj)
+    f = sheafkit.cli.parse_map(space, map_obj)
+    try:
+        q = sheafkit.presheaf.pullback(p, f)
+    except KeyError as exc:
+        return f"validation error: presheaf restriction undefined at {exc}\n"
+    return {y: len(sheafkit.presheaf.stalk(q, y).carrier.elements)
+            for y in sorted(f.domain.points)}
+
+
+def test_pullback_over_the_minimal_opens_reports_as_the_full_build(tmp_path, capsys):
+    """Random set presheaves, most with an entry deleted from two
+    restrictions between minimal opens (the only restrictions a pullback
+    reads), pulled back along the identity or random continuous maps:
+    listing only the domain's minimal opens gives the stalk sizes, or the
+    first undefined restriction, that listing every open gives.  Some runs
+    have minimal opens that raise different messages, so the order in
+    which they are listed shows."""
+    from test_presheaf import random_space
+    rng = random.Random(30)
+    outcomes, orders = set(), 0
+    for _ in range(60):
+        codomain = random_space(rng, rng.randint(2, 4))
+        domain = codomain if rng.random() < 0.5 else random_space(rng, rng.randint(2, 5))
+        table = {x: sorted(codomain.min_open[x]) for x in codomain.points}
+        obj = presheaf_tables(table, rng.choice(["constant", "locally-constant"]), 3)
+        key = ",".join
+        pairs = sorted(f"{key(sorted(codomain.min_open[x]))}|{key(sorted(codomain.min_open[y]))}"
+                       for x in codomain.points for y in codomain.min_open[x] if y != x)
+        for pair in rng.sample(pairs, min(len(pairs), rng.choice([0, 2, 2, 2]))):
+            entry = obj["restrictions"][pair]
+            del entry[rng.choice(sorted(entry))]
+        f = None
+        while f is None or not sheafkit.finspace.validate_map(f):
+            f = sheafkit.finspace.ContinuousMap(domain, codomain, {
+                y: y if domain is codomain else rng.choice(sorted(codomain.points))
+                for y in domain.points})
+        map_obj = {"space": {"min_open": {y: sorted(domain.min_open[y])
+                                          for y in domain.points}},
+                   "assignment": dict(f.assignment)}
+        expected = full_pullback_outcome(table, obj, map_obj)
+        code, report, err = run(capsys, [
+            "pullback", "--space", write(tmp_path, "space.json", {"min_open": table}),
+            "--presheaf", write(tmp_path, "presheaf.json", obj),
+            "--map", write(tmp_path, "map.json", map_obj)])
+        if isinstance(expected, str):
+            assert (code, err) == (EXIT_INVALID, expected)
+        else:
+            assert code == EXIT_OK and report["stalk_sizes"] == expected
+        outcomes.add(code)
+        space = sheafkit.cli.parse_space({"min_open": table})
+        p, g = (sheafkit.cli.parse_presheaf(space, obj), sheafkit.cli.parse_map(space, map_obj))
+        messages = set()
+        for u in set(g.domain.min_open.values()):
+            try:
+                sheafkit.presheaf.pullback(p, g, [u])
+            except KeyError as exc:
+                messages.add(str(exc))
+        orders += len(messages) > 1
+    assert outcomes == {EXIT_OK, EXIT_INVALID} and orders
 
 
 def test_grassmann_ring_size_exit(tmp_path, capsys):

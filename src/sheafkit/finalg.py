@@ -9,7 +9,7 @@ constructors can build (prime fields, Z/m, F_p[t]/(poly), products).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -636,6 +636,7 @@ class Submodule:
     ring: FinRing
     ambient_rank: int
     elements: FrozenSet[Vec]
+    basis: Tuple[Vec, ...] = field(default=(), compare=False, repr=False)
 
     def sort_key(self) -> Tuple[Vec, ...]:
         return tuple(sorted(self.elements))
@@ -672,9 +673,10 @@ def enumerate_free_submodules(r: FinRing, n: int, k: int) -> List[Submodule]:
     """All rank-k free submodules of r^n for a field r, in deterministic order.
 
     Enumerates reduced row echelon forms: one per subspace, grouped by pivot
-    columns. Restricted to fields, where free of rank k means dimension k;
-    over general finite rings freeness of a submodule is subtler and is not
-    needed here.
+    columns, each spanned through the add and mul tables and kept with its
+    echelon rows as `basis`. Restricted to fields, where free of rank k means
+    dimension k; over general finite rings freeness of a submodule is
+    subtler and is not needed here.
     """
     if k == 0:
         return [zero_submodule(r, n)]
@@ -683,8 +685,6 @@ def enumerate_free_submodules(r: FinRing, n: int, k: int) -> List[Submodule]:
     if k > n:
         return []
     out = []
-    nonzero = [c for c in r.elements() if c != r.zero]
-    assert nonzero  # fields have 1 != 0
     for pivots in itertools.combinations(range(n), k):
         free_pos = [(i, j) for i in range(k) for j in range(n)
                     if j > pivots[i] and j not in pivots]
@@ -694,8 +694,11 @@ def enumerate_free_submodules(r: FinRing, n: int, k: int) -> List[Submodule]:
                 rows[i][p] = r.one
             for (pos, v) in zip(free_pos, vals):
                 rows[pos[0]][pos[1]] = v
-            gens = [tuple(row) for row in rows]
-            out.append(Submodule(r, n, span(r, n, gens)))
+            basis = tuple(tuple(row) for row in rows)
+            elements = frozenset([zero_vec(r, n)])
+            for row in basis:
+                elements = grow_span(r, elements, nonzero_multiples(r, row))
+            out.append(Submodule(r, n, elements, basis))
     out.sort(key=Submodule.sort_key)
     return out
 

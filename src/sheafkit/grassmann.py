@@ -8,20 +8,23 @@ computation collapses to the value at the minimal open.  A value becomes a
 `VectorSubsheaf` (`GrassmannPresheaf.subsheaf`) only where the public API
 returns subsheaves and where the non-free-glue hunt reports its witness.
 
-Each public call makes one `BuildState` on a fresh ambient A^n and passes
-it to every helper (see its docstring for what it keeps).
+Each public call makes one `BuildState` from (A, n), which builds A^n
+itself, and passes it to every helper (see its docstring for what it keeps).
 
 G over the empty open and each connected open takes the families of its
 stalk-family join that `_free` accepts, all of them over field stalks
-(the proof above `_free`).  V there takes the families whose restriction
-to each minimal open is a G value: the glues of G, which are the
-sections of the sheaf G generates (the note above `_sections`).  One rule, `_by_components`, gives G's values, V's values
-and the sections over any open: a disconnected open takes the product of
-its components' values, as sections over a disjoint union are tuples of
-sections over the pieces, so a family there is (locally) free of rank k
-iff each piece is.  No join and no search runs over a disconnected open.
-`classify` reads V over the whole space, and so G only on the minimal
-opens; the checks read sections over the empty and connected opens alone.
+(the proof above `_free`).  The join runs in relation order through index
+maps between the points' candidate lists, which on A^n are injective
+functions.  V there takes the families whose restriction to each minimal
+open is a G value: the glues of G, which are the sections of the sheaf G
+generates (the note above `_sections`).  One rule, `_by_components`, gives
+G's values, V's values and the sections over any open: a disconnected open
+takes the product of its components' values, as sections over a disjoint
+union are tuples of sections over the pieces, so a family there is
+(locally) free of rank k iff each piece is.  No join and no search runs
+over a disconnected open.  `classify` reads V over the whole space, and so
+G only on the minimal opens; the checks read sections over the empty and
+connected opens alone.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
-from .finalg import (FinRing, RingMorphism, Submodule, enumerate_free_submodules,
+from .finalg import (FinRing, RingMorphism, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, validate_morphism, zero_vec)
-from .finspace import PointSet, Point, components, enumerate_opens
+from .finspace import FinSpace, PointSet, Point, components, enumerate_opens
 from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf
 from .vecsheaf import (
     MAX_STALK_VECTORS,
@@ -58,25 +61,27 @@ Value = Tuple[int, ...]  # candidate indices over the sorted points of its open
 
 
 class BuildState:
-    """What the rank-k builds on one ambient A^n share, passed to every
-    helper, once A's restrictions pass `_check_ring_maps`.
+    """What the rank-k builds in A^n share, passed to every helper.  It
+    builds A^n itself, once A's restrictions pass `_check_ring_maps`, as
+    the proof above `_free` and the index maps of `_compatibility` hold on
+    A^n over field stalks and on no other ambient.
 
     Listed once, at first read: the opens in (size, lex) order, the
     empty and connected opens, and each point's free rank-k stalk
-    submodules (one list per (stalk ring, n)) with their indices by
-    elements.  Kept as asked: components by open (`split`), restriction
-    positions by open pair, tables by point pair (`_compatibility`), and
-    joins and G's values by open (`_join`, `_enumerate_values`).
+    submodules (one list per stalk ring) with their indices by elements
+    and by echelon basis.  Kept as asked: components by open (`split`),
+    projectors by open pair, index maps by restriction (`_compatibility`),
+    and joins and G's values by open (`_join`, `_enumerate_values`).
     """
 
-    def __init__(self, ambient: ModuleSheaf, k: int):
-        _check_ring_maps(ambient.base)
-        self.ambient, self.space, self.k = ambient, ambient.space, k
-        self.stalks = {x: (ambient.ring_at(x), ambient.rank_at[x])
-                       for x in sorted(ambient.space.points)}
+    def __init__(self, a: AlgebraSheaf, n: int, k: int):
+        self.ambient = free_sheaf(a, n)
+        _check_ring_maps(a)
+        self.space, self.n, self.k = a.space, n, k
+        self.rings = {x: a.stalk_ring[x] for x in sorted(a.space.points)}
         self.parts: Dict[PointSet, List[PointSet]] = {}
-        self.positions: Dict[Tuple[PointSet, PointSet], List[int]] = {}
-        self.tables: Dict[Tuple[Point, Point], Tuple[List[int], List[int], int]] = {}
+        self.positions: Dict[Tuple[PointSet, PointSet], Callable[[Value], Value]] = {}
+        self.tables: Dict[tuple, Tuple[List[int], Dict[int, int]]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
         self.free: Dict[PointSet, List[Value]] = {}
 
@@ -95,36 +100,41 @@ class BuildState:
         return self.parts[u]
 
     @cached_property
-    def lists(self) -> Dict[Tuple[FinRing, int], List[Submodule]]:
-        """The candidates per (stalk ring, rank), listed in point order:
-        [n k]_q of q^k vectors each, refused before listing any when that
-        is more than MAX_STALK_VECTORS vectors."""
-        k, lists = self.k, {}
-        for r, n in dict.fromkeys(self.stalks.values()):
+    def lists(self) -> Dict[FinRing, List[Submodule]]:
+        """The candidates per stalk ring, listed in point order: [n k]_q of
+        q^k vectors each, refused before listing any when that is more
+        than MAX_STALK_VECTORS vectors."""
+        n, k, lists = self.n, self.k, {}
+        for r in dict.fromkeys(self.rings.values()):
             count = gaussian_binomial(n, k, r.size)
             if count * r.size ** k > MAX_STALK_VECTORS:
                 raise SpaceTooLarge(
                     f"rank-{k} submodules of {r.label}^{n}: {count} candidates of "
                     f"{r.size ** k} vectors exceed bound {MAX_STALK_VECTORS} vectors")
-            lists[(r, n)] = enumerate_free_submodules(r, n, k)
+            lists[r] = enumerate_free_submodules(r, n, k)
         return lists
 
     @cached_property
     def candidates(self) -> Dict[Point, List[Submodule]]:
-        return {x: self.lists[rn] for x, rn in self.stalks.items()}
+        return {x: self.lists[r] for x, r in self.rings.items()}
 
     @cached_property
     def index(self) -> Dict[Point, Dict[frozenset, int]]:
-        index = {rn: {c.elements: i for i, c in enumerate(cs)}
-                 for rn, cs in self.lists.items()}
-        return {x: index[rn] for x, rn in self.stalks.items()}
+        index = {r: {c.elements: i for i, c in enumerate(cs)} for r, cs in self.lists.items()}
+        return {x: index[r] for x, r in self.rings.items()}
 
-    def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
-        """The value t over u restricted to v ⊆ u: its entries over v."""
-        pos = self.positions.get((u, v))
-        if pos is None:
-            pos = self.positions[(u, v)] = [i for i, x in enumerate(sorted(u)) if x in v]
-        return t if len(pos) == len(t) else tuple([t[i] for i in pos])
+    @cached_property
+    def echelon(self) -> Dict[FinRing, Dict[Tuple[Vec, ...], int]]:
+        return {r: {c.basis: i for i, c in enumerate(cs)} for r, cs in self.lists.items()}
+
+    def projector(self, u: PointSet, v: PointSet) -> Callable[[Value], Value]:
+        """Values over u -> their entries over v ⊆ u, kept per pair."""
+        get = self.positions.get((u, v))
+        if get is None:
+            pos = [i for i, x in enumerate(sorted(u)) if x in v]
+            get = self.positions[(u, v)] = (itemgetter(*pos) if len(pos) > 1 else
+                                             lambda t: tuple([t[i] for i in pos]))
+        return get
 
 
 @dataclass
@@ -137,7 +147,7 @@ class GrassmannPresheaf:
 
     def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
         """The value t over u restricted to v ⊆ u: its entries over v."""
-        return self.state.restrict(u, v, t)
+        return self.state.projector(u, v)(t)
 
     def subsheaf(self, u: PointSet, t: Value) -> VectorSubsheaf:
         """The value t over u as a subsheaf of the ambient."""
@@ -151,36 +161,36 @@ class GrassmannPresheaf:
 
 
 def _compatibility(state: BuildState, x: Point, y: Point,
-                   spend: Callable[[int], None]) -> Tuple[List[int], List[int], int]:
-    """The table of (x, y), y in min_open(x): masks over y's candidates that
-    contain the image of each candidate at x, masks over x's candidates whose
-    image lies in each candidate at y, and the subset tests it took.
+                   spend: Callable[[int], None]) -> Tuple[List[int], Dict[int, int]]:
+    """The table of (x, y), y in min_open(x): `into`, the index at y of the
+    candidate that holds the image of each candidate at x, and `back`, the
+    index at x of the preimage of each candidate at y that has one.
 
-    A free rank-k submodule of R^n has |R|^k vectors, so an image of that
-    size lies in a candidate only if it is that candidate: one dict lookup.
-    A smaller image is tested against every candidate at y.  A table is
-    charged its tests at every use, built then or earlier.
+    The image of a candidate's echelon basis is the echelon basis of the
+    one candidate at y that holds the image, and `into` is injective (the
+    note above `_free`): each entry is one dict lookup.  Pairs with one
+    restriction between the same rings share a table, charged one step per
+    candidate at x at every use.
     """
-    candidates, tables = state.candidates, state.tables
-    if (x, y) in tables:
-        spend(tables[(x, y)][2])
-        return tables[(x, y)]
-    res, at_y, position = state.ambient.res[(x, y)], candidates[y], state.index[y]
-    size = state.ambient.ring_at(y).size ** state.k
-    into, from_x, tests = [], [0] * len(at_y), 0
-    for i, c in enumerate(candidates[x]):
-        image = frozenset(res[v] for v in c.elements)
-        if len(image) == size:
-            cost, hits = 1, [position[image]] if image in position else []
-        else:
-            cost, hits = len(at_y), [j for j, d in enumerate(at_y) if image <= d.elements]
-        spend(cost)
-        tests += cost
-        into.append(sum(1 << j for j in hits))
-        for j in hits:
-            from_x[j] |= 1 << i
-    tables[(x, y)] = (into, from_x, tests)
-    return tables[(x, y)]
+    spend(len(state.candidates[x]))
+    key = (state.rings[x], state.rings[y], state.ambient.base.res[(x, y)])
+    if key not in state.tables:
+        codes, at_y = key[2], state.echelon[key[1]]
+        into = [at_y[tuple([tuple([codes[c] for c in row]) for row in cand.basis])]
+                for cand in state.candidates[x]]
+        state.tables[key] = (into, dict(zip(into, range(len(into)))))
+    return state.tables[key]
+
+
+def _relation_order(space: FinSpace, u: PointSet) -> List[Point]:
+    """The points of u, each next one the point with the most relations to
+    those already placed, then the larger minimal open, then the name."""
+    order: List[Point] = []
+    for _ in u:
+        order.append(min(u.difference(order), key=lambda x: (
+            -sum(y in space.min_open[x] or x in space.min_open[y] for y in order),
+            -len(space.min_open[x]), x)))
+    return order
 
 
 def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
@@ -194,13 +204,14 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
     families' keys compares their candidate indices point by point over
     sorted(u).
 
-    A join: each point draws its candidates from the intersection of the
-    masks its already chosen neighbours allow, in ascending index.  Table
-    tests and visited nodes count against DEFAULT_STATE_BOUND.
+    A join over the points in relation order (`_relation_order`), on A^n
+    alone: a point related to placed ones takes, in each partial family,
+    the choice that their index maps agree on, if any; a point related to
+    none takes each of its candidates.  The families are then placed over
+    sorted(u) and sorted.  Table entries and visited nodes count against
+    DEFAULT_STATE_BOUND.
     """
-    space, candidates = state.space, state.candidates
-    pts = sorted(u)
-    sizes = [len(candidates[x]) for x in pts]
+    min_open, pts = state.space.min_open, sorted(u)
     steps = 0
 
     def spend(n: int) -> None:
@@ -210,32 +221,29 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
             raise SpaceTooLarge(f"stalk-family join over open {pts} exceeds "
                                 f"{DEFAULT_STATE_BOUND} steps at {steps}")
 
-    # per point: (position of an earlier related point, masks over this
-    # point's candidates indexed by that point's choice)
-    constraints = [[(j, _compatibility(state, x, y, spend)[1]) if y in space.min_open[x]
-                    else (j, _compatibility(state, y, x, spend)[0])
-                    for j, y in enumerate(pts[:i])
-                    if y in space.min_open[x] or x in space.min_open[y]]
-                   for i, x in enumerate(pts)]
-    out: List[Value] = []
-    choice = [0] * len(pts)
-
-    def rec(i: int) -> None:
-        if i == len(pts):
-            out.append(tuple(choice))
-            return
-        mask = (1 << sizes[i]) - 1
-        for j, masks in constraints[i]:
-            mask &= masks[choice[j]]
-        spend(mask.bit_count())
-        while mask:
-            low = mask & -mask
-            choice[i] = low.bit_length() - 1
-            rec(i + 1)
-            mask ^= low
-
-    rec(0)
-    return out
+    order = _relation_order(state.space, u)
+    cols: List[List[int]] = []  # per placed point, its choice in each partial family
+    for i, x in enumerate(order):
+        # (choices of a placed related point, its choice -> x's, or None)
+        maps = [(cols[j], _compatibility(state, y, x, spend)[0].__getitem__)
+                if x in min_open[y] else (cols[j], _compatibility(state, x, y, spend)[1].get)
+                for j, y in enumerate(order[:i]) if x in min_open[y] or y in min_open[x]]
+        if not maps:
+            size, rows = len(state.candidates[x]), len(cols[0]) if cols else 1
+            spend(rows * size)
+            cols = [[c for c in col for _ in range(size)] for col in cols]
+            cols.append(list(range(size)) * rows)
+            continue
+        new, *others = [list(map(f, col)) for col, f in maps]
+        if None in new or any(other != new for other in others):
+            keep = [r for r, c in enumerate(new)
+                    if c is not None and all(other[r] == c for other in others)]
+            cols = [[col[r] for r in keep] for col in cols + [new]]
+        else:
+            cols.append(new)
+        spend(len(cols[-1]))
+    families = list(zip(*[cols[order.index(x)] for x in pts])) if pts else [()]
+    return families if order == pts else sorted(families)
 
 
 def _subsheaf(state: BuildState, u: PointSet, t: Value) -> VectorSubsheaf:
@@ -265,13 +273,16 @@ def _join(state: BuildState, u: PointSet) -> List[Value]:
 # k >= 1 (`enumerate_free_submodules` raises NotAField on any other ring)
 # and only the zero family at k = 0, which the empty tuple of sections
 # spans.  At k >= 1 a join family t over u holds a k-dimensional subspace
-# t_x at each x, and res(x, y) maps t_x into t_y for y in min_open(x) (the
-# `_compatibility` masks).  On A^n that map applies A's restriction, a
-# unital ring morphism of fields (`_check_ring_maps`), to each entry: it
-# keeps 0 and 1, so it sends the reduced row echelon basis of t_x to k
-# vectors of t_y in reduced row echelon form with the same pivots, which
-# are t_y's basis.  So the i-th basis rows at the points of u form a
-# section, and the k of them a basis at every point.
+# t_x at each x, and res(x, y) maps t_x into t_y for y in min_open(x).  On
+# A^n that map applies A's restriction, a unital ring morphism of fields
+# (`_check_ring_maps`), to each entry: it keeps 0 and 1, so it sends the
+# reduced row echelon basis of t_x to k vectors of t_y in reduced row
+# echelon form with the same pivots, which are t_y's basis.  So the i-th
+# basis rows at the points of u form a section, and the k of them a basis
+# at every point.  The same argument makes each `_compatibility` table an
+# injective function: a candidate at x lies, by its basis, in exactly one
+# candidate at y, and a field morphism is injective, so distinct echelon
+# bases at x have distinct images.
 
 def _check_ring_maps(a: AlgebraSheaf) -> None:
     """Refuse A unless each distinct restriction table is a unital ring
@@ -313,10 +324,15 @@ def _enumerate_values(state: BuildState, u: PointSet,
 def _glues(state: BuildState, u: PointSet,
            values: Callable[[PointSet], List[Value]]) -> List[Value]:
     """The families of u's join, in join order, whose restriction to the
-    minimal open U_x of each x in sorted(u) is among values(U_x)."""
-    restrict, min_open = state.restrict, state.space.min_open
-    mins = [(min_open[x], set(values(min_open[x]))) for x in sorted(u)]
-    return [t for t in _join(state, u) if all(restrict(u, ux, t) in vals for ux, vals in mins)]
+    minimal open U_x of each x in sorted(u) is among values(U_x).  A U_x
+    whose value list is as long as its join is not read: its values are
+    families of its join, so they are all of them, and every family of u's
+    join restricts to one."""
+    min_open = state.space.min_open
+    mins = [(state.projector(u, ux), set(vals)) for ux, vals in
+            ((min_open[x], values(min_open[x])) for x in sorted(u))
+            if len(vals) != len(_join(state, ux))]
+    return [t for t in _join(state, u) if all(get(t) in vals for get, vals in mins)]
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
@@ -352,7 +368,7 @@ def enumerate_free_subsheaves(a: AlgebraSheaf, k: int, n: int, u: PointSet,
                               budget: Optional[Budget] = None
                               ) -> List[VectorSubsheaf]:
     """Rank-k free subsheaves of A^n over u (one Grassmann value list)."""
-    state = BuildState(free_sheaf(a, n), k)
+    state = BuildState(a, n, k)
     return [_subsheaf(state, u, t) for t in _by_components(
         state, u, lambda c: _enumerate_values(state, c, budget))]
 
@@ -363,7 +379,7 @@ def enumerate_locally_free_subsheaves(a: AlgebraSheaf, k: int, n: int,
                                       ) -> List[VectorSubsheaf]:
     """Rank-k locally free subsheaves of A^n over u (one V value list): the
     families free on the minimal open of each point of u."""
-    state = BuildState(free_sheaf(a, n), k)
+    state = BuildState(a, n, k)
     return [_subsheaf(state, u, t) for t in _locally_free(state, u, budget)]
 
 
@@ -378,27 +394,28 @@ def build_grassmann_presheaf(a: AlgebraSheaf, k: int, n: int,
                              budget: Optional[Budget] = None
                              ) -> GrassmannPresheaf:
     """The presheaf U -> {free rank-k subsheaves of A^n over U}."""
-    return _grassmann(BuildState(free_sheaf(a, n), k), budget)
+    return _grassmann(BuildState(a, n, k), budget)
 
 
 def build_v_presheaf(a: AlgebraSheaf, k: int, n: int,
                      budget: Optional[Budget] = None) -> GrassmannPresheaf:
     """The complete companion: U -> {locally free rank-k subsheaves}, the
     glues of G's values on the minimal opens."""
-    state = BuildState(free_sheaf(a, n), k)
+    state = BuildState(a, n, k)
     return GrassmannPresheaf(a, k, state.ambient, {
         u: _locally_free(state, u, budget) for u in state.opens}, state)
 
 
-def _row(state: BuildState, u: PointSet, t: Value) -> Tuple[Value, ...]:
-    """The restrictions of t over u to the minimal opens of sorted(u)."""
-    return tuple([state.restrict(u, state.space.min_open[x], t) for x in sorted(u)])
+def _row(state: BuildState, u: PointSet) -> Callable[[Value], Tuple[Value, ...]]:
+    """t over u -> its restrictions to the minimal opens of sorted(u)."""
+    gets = [state.projector(u, state.space.min_open[x]) for x in sorted(u)]
+    return lambda t: tuple([get(t) for get in gets])
 
 
 def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
     """Values are separated by their restrictions to the minimal-open cover,
     read over the empty and connected opens (the note above `_sections`)."""
-    return all(len({_row(g.state, u, t) for t in g.values[u]}) == len(g.values[u])
+    return all(len(set(map(_row(g.state, u), g.values[u]))) == len(g.values[u])
                for u in g.state.connected if u)
 
 
@@ -455,10 +472,13 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
+    # and none on an open whose sections and values each fill its join
     opens = g.state.connected
     sections = {u: _sections(g, u) for u in opens}
     witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
-                    for u, values in ((u, set(g.values[u])) for u in opens)
+                    for u, values in ((u, set(g.values[u])) for u in opens
+                                      if not len(sections[u]) == len(g.values[u])
+                                      == len(_join(g.state, u)))
                     for t in sections[u] if t not in values), None)
     return {
         "monopresheaf": grassmann_monopresheaf(g),
@@ -508,7 +528,7 @@ def enumerate_sections(g: GrassmannPresheaf, u: PointSet) -> List[GrassmannSecti
     pts = sorted(u)
     return [GrassmannSection(tuple([(x, g.subsheaf(space.min_open[x], t))
                                     for x, t in zip(pts, row)]), g.ambient)
-            for row in sorted(_row(g.state, u, t) for t in _sections(g, u))]
+            for row in sorted(map(_row(g.state, u), _sections(g, u)))]
 
 
 def section_to_subsheaf(s: GrassmannSection) -> VectorSubsheaf:
@@ -537,7 +557,7 @@ def _universal_state(a: AlgebraSheaf, n: int, truncation: int) -> BuildState:
     """The build state of rank n in A^N, N the finite truncation level."""
     if n > truncation:
         raise ValidationError(f"rank {n} exceeds truncation {truncation}")
-    return BuildState(free_sheaf(a, truncation), n)
+    return BuildState(a, truncation, n)
 
 
 def build_universal_grassmann(a: AlgebraSheaf, n: int, truncation: int,
@@ -580,7 +600,7 @@ def classify(a: AlgebraSheaf, n: int, truncation: int,
     pts = sorted(whole)
     state = _universal_state(a, n, truncation)
     subsheaves = _locally_free(state, whole, budget)
-    sections = sorted(subsheaves, key=lambda t: _row(state, whole, t))
+    sections = sorted(subsheaves, key=_row(state, whole))
     sub_index = {t: i for i, t in enumerate(subsheaves)}
     pairs = [[i, sub_index.get(t)] for i, t in enumerate(sections)]
     bijection = len(sections) == len(subsheaves) and all(j is not None for _, j in pairs)

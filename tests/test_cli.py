@@ -19,7 +19,7 @@ from sheafkit.cli import (
     main,
     parse_ring,
 )
-from sheafkit.finalg import FinRing, make_field
+from sheafkit.finalg import FinRing, gaussian_binomial, make_field
 from sheafkit.finspace import build_space, components, enumerate_opens, pseudo_circle
 from sheafkit.grassmann import classify
 from sheafkit.vecsheaf import Budget, constant_algebra_sheaf
@@ -732,10 +732,14 @@ def run_module(argv, timeout=60):
     # [12 4]_2 candidates of 2^4 vectors, refused before any is built
     ({"min_open": {"p": ["p"]}}, ["-k", "4", "-n", "12"],
      "13910980083 candidates of 16 vectors exceed bound 100000 vectors"),
-    # 1023 lines at each of two incomparable points: 1023^2 join nodes
-    ({"min_open": {"o": ["o"], "c1": ["o", "c1"], "c2": ["o", "c2"]}},
-     ["-k", "1", "-n", "10"],
-     "stalk-family join over open ['c1', 'c2', 'o'] exceeds 1000000 steps at"),
+    # 16383 lines at each point of an 11-point chain: over the whole chain
+    # the join charges 16383 table entries per related pair (55) and nodes
+    # per point (11), past 10^6 steps
+    ({"min_open": {f"p{i:02d}": [f"p{j:02d}" for j in range(1, i + 1)]
+                   for i in range(1, 12)}},
+     ["-k", "1", "-n", "14"],
+     "stalk-family join over open ['p01', 'p02', 'p03', 'p04', 'p05', 'p06', "
+     "'p07', 'p08', 'p09', 'p10', 'p11'] exceeds 1000000 steps at"),
     # 255 lines at each of three pairwise unrelated points: 255^3 values
     # over {a1, a2, e}, refused before any is listed
     ({"min_open": {"a1": ["a1"], "a2": ["a2"], "e": ["e"], "m": ["a1", "a2", "m"]}},
@@ -749,6 +753,32 @@ def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
                        "--ring", rg, *sizes])
     assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
     assert proc.stderr.startswith("size guard hit: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("n, big_n, count", [(2, 7, 2667), (3, 6, 1395)])
+def test_classify_on_the_pseudo_circle_joins_past_the_old_guard(capsys, n, big_n, count):
+    """Joined in relation order, the whole pseudo-circle's join over F_2
+    stays within the join guard at N = 7 and at rank 3: the subsheaves are
+    the [N n]_2 subspaces, and each is a section."""
+    inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
+    code, report, err = run(capsys, ["classify", "--space", str(inputs / "pseudo_circle.json"),
+                                     "--ring", str(inputs / "f2.json"),
+                                     "-n", str(n), "-N", str(big_n)])
+    assert code == EXIT_OK, err
+    assert count == gaussian_binomial(big_n, n, 2)
+    assert report["counts"] == {"sections": count, "subsheaves": count}
+    assert report["bijection"] is True
+
+
+def test_grassmann_on_the_pseudo_circle_keeps_the_value_product_guard(capsys):
+    """`grassmann -k 2 -n 7` lists G over every open, and the 2667^2 values
+    over the disconnected open {a, b} stay refused."""
+    inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
+    code, report, err = run(capsys, ["grassmann", "--space", str(inputs / "pseudo_circle.json"),
+                                     "--ring", str(inputs / "f2.json"), "-k", "2", "-n", "7"])
+    assert code == EXIT_BUDGET and report is None
+    assert err == ("size guard hit: value product over open ['a', 'b'] exceeds "
+                   "1000000 values at 7112889\n")
 
 
 def test_module_entry_point_runs_without_warnings():

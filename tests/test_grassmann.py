@@ -251,25 +251,25 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
 
 
 def test_a_disconnected_open_sorts_its_product_into_join_order():
-    """Restriction from c to a projects F_2^2 onto its first axis, so three
-    values over {a, c} agree at a and differ at c.  With b sorted between
-    them, the product of the components' values lists (a, c) before b and
-    must be sorted to give the join's order over [a, b, c].  The ambient is
-    not A^2, so `_free` accepts all five join families over {a, c}."""
+    """A^2 over F_2 on a space whose component {a, c} has b sorted between
+    its points: the product of the components' values lists (a, c) before
+    b, and must be placed over [a, b, c] and sorted to give the join's
+    order.  On A^n a value over a connected open is fixed by its entry at
+    any one point, as the index maps are injective, so the product of
+    value lists in join order already comes out sorted; the factors are
+    also given reversed, which only the sort puts back."""
     space = build_space({"a": ["a"], "b": ["b"], "c": ["a", "c"]})
-    vecs = tuple(itertools.product(range(2), repeat=2))
-
-    def ambient():
-        return ModuleSheaf(constant_algebra_sheaf(space, F2), dict.fromkeys(space.points, 2),
-                           dict.fromkeys(space.points, vecs),
-                           {("c", "a"): {v: (v[0], 0) for v in vecs}})
-
-    g = grassmann._grassmann(grassmann.BuildState(ambient(), 1), None)
-    ac = g.values[frozenset("ac")]
-    assert len(ac) == 5 and ac[1][0] == ac[2][0] == ac[3][0]
-    assert len(g.values[whole(space)]) == 5 * 3
+    a = constant_algebra_sheaf(space, F2)
+    g = build_grassmann_presheaf(a, 1, 2)
+    parts = [frozenset("ac"), frozenset("b")]
+    factors = [g.values[c] for c in parts]
+    assert factors == [[(0, 0), (1, 1), (2, 2)], [(0,), (1,), (2,)]]
+    assert grassmann.components(space, whole(space)) == parts
     assert g.values[whole(space)] == grassmann._enumerate_values(
-        grassmann.BuildState(ambient(), 1), whole(space), None)
+        grassmann.BuildState(a, 2, 1), whole(space), None)
+    assert g.values[whole(space)][:4] == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 1)]
+    assert grassmann._placed_product(whole(space), parts, [f[::-1] for f in factors]) \
+        == g.values[whole(space)]
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -312,7 +312,7 @@ def test_stalk_join_matches_the_pairwise_scan(make, ring):
     for n in range(4):
         ambient = free_sheaf(a, n)
         for k in range(min(n, 2) + 1):
-            state = grassmann.BuildState(ambient, k)
+            state = grassmann.BuildState(a, n, k)
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) <= 1:
                     assert [dict(grassmann._subsheaf(state, u, f).family)
@@ -331,11 +331,74 @@ def test_stalk_join_matches_the_pairwise_scan_into_a_larger_field():
         for n in range(4):
             ambient = free_sheaf(a, n)
             for k in range(min(n, 2) + 1):
-                state = grassmann.BuildState(ambient, k)
+                state = grassmann.BuildState(a, n, k)
                 for u in enumerate_opens(space):
                     assert [dict(grassmann._subsheaf(state, u, f).family)
                             for f in grassmann._stalk_families(state, u)] \
                         == pairwise_stalk_families(ambient, u, k)
+
+
+def relabelled_random_space(rng, npoints):
+    """`random_space` with its points renamed by a random permutation, so
+    that name order no longer follows the specialization order."""
+    from test_presheaf import random_space
+    space = random_space(rng, npoints)
+    names = dict(zip(sorted(space.points), rng.sample(sorted(space.points), npoints)))
+    return build_space({names[x]: [names[y] for y in space.min_open[x]]
+                        for x in space.points})
+
+
+def inclusion_sheaf(rng, space):
+    """F_4 stalks on a random open, F_2 stalks elsewhere, restricting by
+    the identity or the inclusion F_2 -> F_4 (codes 0 and 1)."""
+    quad = rng.choice(enumerate_opens(space))
+    rings = {x: F4 if x in quad else F2 for x in space.points}
+    return AlgebraSheaf(space, rings, {(x, y): tuple(range(rings[x].size))
+                                       for x in space.points for y in space.min_open[x]})
+
+
+def test_stalk_join_matches_the_pairwise_scan_on_random_spaces():
+    """The join in relation order against the oracle, which scans in name
+    order and checks restrictions vector by vector: every empty or connected
+    open of relabelled random T0 spaces of 4-6 points, over constant F_2
+    and F_3, over F_2 -> F_4 inclusion sheaves and over the field sheaves
+    of `random_field_sheaf`, whose Frobenius twists can leave a point's
+    candidate mapped on by one related point and refused by another, as
+    on the twisted circle, which is checked too; n <= 3 and k <= 2."""
+    sheaves = [twisted_circle_plus_point()]
+    for seed in range(12):
+        rng = random.Random(seed)
+        space = relabelled_random_space(rng, 4 + seed % 3)
+        sheaves += [constant_algebra_sheaf(space, F2), constant_algebra_sheaf(space, F3),
+                    inclusion_sheaf(rng, space), random_field_sheaf(rng, space)]
+    reordered = kinds = 0
+    for a in sheaves:
+        kinds += len(set(a.stalk_ring.values())) > 1
+        for n in range(4):
+            for k in range(min(n, 2) + 1):
+                state = grassmann.BuildState(a, n, k)
+                ambient = free_sheaf(a, n)
+                for u in state.connected:
+                    reordered += grassmann._relation_order(a.space, u) != sorted(u)
+                    assert [dict(grassmann._subsheaf(state, u, f).family)
+                            for f in grassmann._stalk_families(state, u)] \
+                        == pairwise_stalk_families(ambient, u, k), (n, k, sorted(u))
+    assert reordered and kinds
+
+
+def test_the_join_over_the_pseudo_circle_is_linear_in_its_candidates(monkeypatch):
+    """Over the whole pseudo-circle at k = 2, n = 6 (651 planes per point)
+    the join keeps 651 families within (related pairs + points) x 651
+    steps: one table entry per candidate and related pair, and at most one
+    node per candidate and point.  Joined in name order, the unrelated a
+    and b took 651^2 nodes."""
+    a = constant_algebra_sheaf(pseudo_circle(), F2)
+    u = whole(a.space)
+    state = grassmann.BuildState(a, 6, 2)
+    pairs = sum(y in a.space.min_open[x] for x in u for y in u if x != y)
+    assert (pairs, len(state.candidates["a"])) == (4, 651)
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", (pairs + len(u)) * 651)
+    assert len(grassmann._stalk_families(state, u)) == 651
 
 
 def test_free_sheaf_shares_a_map_per_distinct_base_restriction():
@@ -412,16 +475,18 @@ def test_classify_joins_each_connected_open_once(monkeypatch):
 
 
 def test_stalk_join_size_guard(monkeypatch):
-    """Table tests and visited join nodes count against the state bound;
-    past it the join names its open and count."""
+    """Table entries and visited join nodes count against the state bound;
+    past it the join names its open, over sorted(u), and count."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
-    state = grassmann.BuildState(free_sheaf(a, 2), 1)
+    state = grassmann.BuildState(a, 2, 1)
     u = frozenset({"a", "b", "c"})
-    # one table test per candidate and pair, 3 + 9 + 3 nodes
+    # relation order c, a, b: 3 nodes at c, then per point one table of 3
+    # entries from c and 3 nodes
+    assert grassmann._relation_order(a.space, u) == ["c", "a", "b"]
     assert len(grassmann._stalk_families(state, u)) == 3
-    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 20)
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 14)
     with pytest.raises(SpaceTooLarge,
-                       match=r"open \['a', 'b', 'c'\] exceeds 20 steps at 21"):
+                       match=r"open \['a', 'b', 'c'\] exceeds 14 steps at 15"):
         grassmann._stalk_families(state, u)
     assert len(grassmann._stalk_families(state, frozenset({"a", "c"}))) == 3
 
@@ -477,7 +542,7 @@ def test_a_disconnected_open_matches_the_direct_join_and_search(make, ring):
     for n in range(3):
         for k in range(n + 1):
             for u in opens:
-                state = grassmann.BuildState(free_sheaf(a, n), k)
+                state = grassmann.BuildState(a, n, k)
                 free = grassmann._enumerate_values(state, u, None)
                 glued = grassmann._glues(state, u, lambda c: grassmann._enumerate_values(
                     state, c, None))
@@ -495,7 +560,7 @@ def test_a_disconnected_open_is_searched_on_its_components():
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     ab, used, direct = frozenset("ab"), Budget(), Budget()
     free = enumerate_free_subsheaves(a, 2, 4, ab, used)
-    state = grassmann.BuildState(free_sheaf(a, 4), 2)
+    state = grassmann.BuildState(a, 4, 2)
     assert len(free) == len(grassmann._enumerate_values(state, ab, direct)) == 1225
     assert (used.used, direct.used) == (70, 1225)
 
@@ -1060,7 +1125,7 @@ def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
         space = a.space
         e1, e2 = free_sheaf(a, 1), free_sheaf(a, 2)
         first = {x: sorted(cs[0].elements)
-                 for x, cs in grassmann.BuildState(e2, 1).candidates.items()}
+                 for x, cs in grassmann.BuildState(a, 2, 1).candidates.items()}
         cut = set(sorted(pair for pair in e1.res if pair[0] != pair[1])[::2])
 
         def partial(x, y, v):
@@ -1096,7 +1161,7 @@ def test_free_on_index_tuples_matches_is_free_of_rank(name):
     for n in range(3):
         ambient = free_sheaf(a, n)
         for k in range(n + 1):
-            state = grassmann.BuildState(ambient, k)
+            state = grassmann.BuildState(a, n, k)
             for u in enumerate_opens(a.space):
                 if len(components(a.space, u)) > 1:
                     continue
@@ -1154,7 +1219,7 @@ def test_every_join_family_is_free_on_random_field_sheaves():
         seen |= {"Frobenius" for codes in a.res.values() if codes == FROBENIUS}
         for n in range(4):
             for k in range(n + 1):
-                state = grassmann.BuildState(free_sheaf(a, n), k)
+                state = grassmann.BuildState(a, n, k)
                 for u in state.connected:
                     for t in grassmann._join(state, u):
                         family = dict(grassmann._subsheaf(state, u, t).family)

@@ -46,7 +46,6 @@ from sheafkit.presheaf import (compatible_families, is_complete, is_monopresheaf
 from sheafkit.vecsheaf import (
     AlgebraSheaf,
     Budget,
-    ModuleSheaf,
     VectorSubsheaf,
     constant_algebra_sheaf,
     free_sheaf,

@@ -80,7 +80,7 @@ class BuildState:
         self.space, self.n, self.k = a.space, n, k
         self.rings = {x: a.stalk_ring[x] for x in sorted(a.space.points)}
         self.parts: Dict[PointSet, List[PointSet]] = {}
-        self.positions: Dict[Tuple[PointSet, PointSet], Callable[[Value], Value]] = {}
+        self.projectors: Dict[Tuple[PointSet, PointSet], Callable[[Value], Value]] = {}
         self.tables: Dict[tuple, Tuple[List[int], Dict[int, int]]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
         self.free: Dict[PointSet, List[Value]] = {}
@@ -129,10 +129,10 @@ class BuildState:
 
     def projector(self, u: PointSet, v: PointSet) -> Callable[[Value], Value]:
         """Values over u -> their entries over v ⊆ u, kept per pair."""
-        get = self.positions.get((u, v))
+        get = self.projectors.get((u, v))
         if get is None:
             pos = [i for i, x in enumerate(sorted(u)) if x in v]
-            get = self.positions[(u, v)] = (itemgetter(*pos) if len(pos) > 1 else
+            get = self.projectors[(u, v)] = (itemgetter(*pos) if len(pos) > 1 else
                                              lambda t: tuple([t[i] for i in pos]))
         return get
 

@@ -133,16 +133,18 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
             raise ParseError(f"presheaf carrier {key!r} lists {twice!r} twice")
         carriers[u] = psh.Carrier(psh.SET, tuple(elements))
     tables = {}
-    for u in opens:
-        for v in opens:
+    for i, u in enumerate(opens):
+        head = keys[u] + "|"
+        for v in opens[:i]:  # (size, lex) order puts every v < u before u
             if v < u:
-                key = f"{keys[u]}|{keys[v]}"
+                key = head + keys[v]
                 if key not in restr_tbl:
                     raise ParseError(f"presheaf restriction missing for {key!r}")
-                tables[(u, v)] = _object(restr_tbl[key],
-                                         f"presheaf restriction {key!r}")
+                table = tables[(u, v)] = restr_tbl[key]
+                if not isinstance(table, dict):
+                    _object(table, f"presheaf restriction {key!r}")
     return psh.Presheaf(space, carriers,
-                        lambda u, v, e: e if u == v else tables[(u, v)][e])
+                        lambda u, v, e: e if u == v else tables[(u, v)][e], tables)
 
 
 def _ring_code(ring: finalg.FinRing, name: str) -> int:

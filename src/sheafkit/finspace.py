@@ -9,8 +9,8 @@ specialization order ``y <= x  iff  y in min_open(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .errors import (
     MinOpenNotOpen,
@@ -30,6 +30,16 @@ DEFAULT_MAX_POINTS = 12
 class FinSpace:
     points: Tuple[Point, ...]
     min_open: Mapping[Point, PointSet]
+    # the lists `enumerate_opens`, `maximal_points` and `components` give,
+    # by question, made at the first ask and copied on every answer
+    memo: Dict[tuple, list] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
+
+    def recall(self, key: tuple, make: Callable[[], list]) -> list:
+        """A fresh copy of make(), which runs at the first ask of `key`."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return list(self.memo[key])
 
     def is_open(self, s: Iterable[Point]) -> bool:
         carrier = frozenset(s)
@@ -42,10 +52,8 @@ class FinSpace:
         so sections are determined by their values there.
         """
         carrier = frozenset(carrier)
-        below = set()  # the union of the strict lower sets
-        for y in carrier:
-            below.update(self.min_open[y] - {y})
-        return sorted(carrier - below)
+        return self.recall(("maximal", carrier), lambda: sorted(carrier.difference(
+            *[self.min_open[y] - {y} for y in carrier])))
 
     def __repr__(self) -> str:
         return f"FinSpace({sorted(self.points)})"
@@ -88,6 +96,10 @@ def enumerate_opens(space: FinSpace) -> List[PointSet]:
     Opens are exactly the unions of minimal opens; we close {∅} under
     union with each minimal open.
     """
+    return space.recall(("opens",), lambda: _opens(space))
+
+
+def _opens(space: FinSpace) -> List[PointSet]:
     opens = {frozenset()}
     for x in space.points:
         opens |= {u | space.min_open[x] for u in opens}
@@ -132,6 +144,10 @@ def components(space: FinSpace, u: PointSet) -> List[PointSet]:
     components are the unions of the maximal points' minimal opens linked
     by overlap: each is a union of minimal opens, so it is open.
     """
+    return space.recall(("components", u), lambda: _components(space, u))
+
+
+def _components(space: FinSpace, u: PointSet) -> List[PointSet]:
     out: List[PointSet] = []
     for m in space.maximal_points(u):
         merged = space.min_open[m]

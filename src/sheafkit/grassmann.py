@@ -69,9 +69,9 @@ class BuildState:
     Listed once, at first read: the opens in (size, lex) order, the
     empty and connected opens, and each point's free rank-k stalk
     submodules (one list per stalk ring) with their indices by elements
-    and by echelon basis.  Kept as asked: components by open (`split`),
-    projectors by open pair, index maps by restriction (`_compatibility`),
-    and joins and G's values by open (`_join`, `_enumerate_values`).
+    and by echelon basis.  Kept as asked: projectors by open pair, index
+    maps by restriction (`_compatibility`), and joins and G's values by
+    open (`_join`, `_enumerate_values`).
     """
 
     def __init__(self, a: AlgebraSheaf, n: int, k: int):
@@ -79,7 +79,6 @@ class BuildState:
         _check_ring_maps(a)
         self.space, self.n, self.k = a.space, n, k
         self.rings = {x: a.stalk_ring[x] for x in sorted(a.space.points)}
-        self.parts: Dict[PointSet, List[PointSet]] = {}
         self.projectors: Dict[Tuple[PointSet, PointSet], Callable[[Value], Value]] = {}
         self.tables: Dict[tuple, Tuple[List[int], Dict[int, int]]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
@@ -91,13 +90,7 @@ class BuildState:
 
     @cached_property
     def connected(self) -> List[PointSet]:
-        return [u for u in self.opens if len(self.split(u)) <= 1]
-
-    def split(self, u: PointSet) -> List[PointSet]:
-        """The components of u, listed at the first ask."""
-        if u not in self.parts:
-            self.parts[u] = components(self.space, u)
-        return self.parts[u]
+        return [u for u in self.opens if len(components(self.space, u)) <= 1]
 
     @cached_property
     def lists(self) -> Dict[FinRing, List[Submodule]]:
@@ -353,7 +346,7 @@ def _by_components(state: BuildState, u: PointSet,
                    connected: Callable[[PointSet], List[Value]]) -> List[Value]:
     """connected(u) over the empty or a connected open u, and over a
     disconnected open the placed product of connected over its components."""
-    parts = state.split(u)
+    parts = components(state.space, u)
     return (connected(u) if len(parts) <= 1 else
             _placed_product(u, parts, [connected(c) for c in parts]))
 
@@ -484,8 +477,8 @@ def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
         "monopresheaf": grassmann_monopresheaf(g),
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
-        "sections_over_whole": prod(len(sections[c]) for c in
-                                    g.state.split(frozenset(g.base.space.points))),
+        "sections_over_whole": prod(len(sections[c]) for c in components(
+            g.state.space, frozenset(g.base.space.points))),
     }
 
 

@@ -59,10 +59,21 @@ class Carrier:
 
 @dataclass
 class Presheaf:
-    """Carriers on every open; `restrict(u, v, e)` sends e over u to v ⊆ u."""
+    """Carriers on every open; `restrict(u, v, e)` sends e over u to v ⊆ u.
+    `tables`, when given, holds restrict on each pair v ⊊ u as a dict by
+    (u, v), and `row` reads it."""
     space: FinSpace
     carriers: Dict[PointSet, Carrier]
     restrict: Callable[[PointSet, PointSet, Elem], Elem]
+    tables: Optional[Dict[Tuple[PointSet, PointSet], ElemMap]] = None
+
+    def row(self, u: PointSet, v: PointSet) -> ElemMap:
+        """restrict(u, v, -) as a dict on the carrier over u: from `tables`
+        (readers look up only carrier elements, so other keys go unread),
+        the identity when u = v, or else tabulated where it is defined."""
+        if self.tables is None:
+            return _tabulate(self, u, v)
+        return self.tables[(u, v)] if u != v else {e: e for e in self.carriers[u].elements}
 
     def stalk_carrier(self, x: Point) -> Carrier:
         return self.carriers[self.space.min_open[x]]
@@ -189,39 +200,41 @@ def _composition_failures(p: Presheaf, opens: List[PointSet],
 
 def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
     """True iff `validate` reports nothing, decided in one pass over the
-    opens in size order (the note above)."""
-    restrict, space = p.restrict, p.space
-    rows: Dict[Tuple[PointSet, PointSet], ElemMap] = {}
+    opens in size order (the note above), reading each row once and only
+    at the carrier's elements."""
+    space = p.space
+    rows: Dict[PointSet, Dict[PointSet, ElemMap]] = {}
     members = {u: set(p.carriers[u].elements) for u in opens}
     rings = {u for u in opens if p.carriers[u].kind == RING}
     try:
         for i, u in enumerate(opens):
             elems = p.carriers[u].elements
-            if any(restrict(u, u, e) != e for e in elems):
+            ruu = p.row(u, u)
+            if [ruu[e] for e in elems] != list(elems):
                 return False
             maxpts = space.maximal_points(u)
+            tops, ring, ru = frozenset(maxpts), u in rings, rows.setdefault(u, {})
             steps = {}
             for x in maxpts:
                 v = steps[x] = u - {x}
-                ruv = rows[(u, v)] = {e: restrict(u, v, e) for e in elems}
-                if not members[v].issuperset(ruv.values()) or (
-                        u in rings and not _ring_morphism(p, u, v, ruv)):
+                ruv = ru[v] = p.row(u, v)
+                if not members[v].issuperset([ruv[e] for e in elems]) or (
+                        ring and not _ring_morphism(p, u, v, ruv)):
                     return False
             covers = set(steps.values())
             for w in [w for w in opens[:i] if w < u and w not in covers]:
-                v = steps[next(x for x in maxpts if x not in w)]
-                ruv, rvw = rows[(u, v)], rows[(v, w)]
-                row = [restrict(u, w, e) for e in elems]
-                if row != [rvw[ruv[e]] for e in elems]:
+                v = steps[min(tops - w)]
+                ruv, rvw = ru[v], rows[v][w]
+                ruw = ru[w] = p.row(u, w)
+                if [ruw[e] for e in elems] != [rvw[ruv[e]] for e in elems]:
                     return False
-                ruw = rows[(u, w)] = dict(zip(elems, row))
-                if u in rings and v not in rings and not _ring_morphism(p, u, w, ruw):
+                if ring and v not in rings and not _ring_morphism(p, u, w, ruw):
                     return False
             for j, x in enumerate(maxpts):
                 for y in maxpts[j + 1:]:
-                    w = u - {x, y}
-                    ruw, ruv, rvw = rows[(u, w)], rows[(u, steps[y])], rows[(steps[y], w)]
-                    if any(rvw[ruv[e]] != ruw[e] for e in elems):
+                    v, w = steps[y], u - {x, y}
+                    ruw, ruv, rvw = ru[w], ru[v], rows[v][w]
+                    if [ruw[e] for e in elems] != [rvw[ruv[e]] for e in elems]:
                         return False
     except (KeyError, TypeError):  # undefined, or unhashable so in no carrier
         return False
@@ -476,11 +489,12 @@ def unit_counts(p: Presheaf) -> Dict[PointSet, UnitCount]:
     size equals the count.  The germs at the maximal points of u determine
     the others, so it is injective iff e -> (e|U_m) over them is.
     """
-    space = p.space
+    space, mins = p.space, p.space.min_open
     stalks = {x: list(p.stalk_carrier(x).elements) for x in space.points}
+    germs = {x: {y: p.row(mins[x], mins[y]) for y in mins[x]} for x in space.points}
 
     def res(x: Point, y: Point, e: Elem) -> Elem:
-        return p.restrict(space.min_open[x], space.min_open[y], e)
+        return germs[x][y][e]
 
     out: Dict[PointSet, UnitCount] = {}
     for u in enumerate_opens(space):
@@ -488,10 +502,9 @@ def unit_counts(p: Presheaf) -> Dict[PointSet, UnitCount]:
         count = (len(compatible_families(space, u, stalks.__getitem__, res))
                  if len(parts) <= 1 else prod(out[c].sections for c in parts))
         elems = p.carriers[u].elements
-        tops = [space.min_open[m] for m in space.maximal_points(u)]
+        tops = [p.row(u, mins[m]) for m in space.maximal_points(u)]
         carrier = len(elems)
-        injective = len({tuple([p.restrict(u, um, e) for um in tops])
-                         for e in elems}) == carrier
+        injective = len({tuple([r[e] for r in tops]) for e in elems}) == carrier
         out[u] = UnitCount(carrier, count, injective, injective and carrier == count)
     return out
 

@@ -151,6 +151,37 @@ def test_presheaf_check_missing_carrier(tmp_path, capsys):
     assert code == EXIT_INVALID and report is None
 
 
+@pytest.mark.parametrize("broken, err", [
+    # a,b,d (size 3) is scanned before a,b,c,d though its key sorts after
+    ({"a,b,c,d|a": None, "a,b,d|b": None},
+     "parse error: presheaf restriction missing for 'a,b,d|b'\n"),
+    # under one u, b (size 1) is scanned before a,b
+    ({"a,b,c,d|b": None, "a,b,c,d|a,b": None},
+     "parse error: presheaf restriction missing for 'a,b,c,d|b'\n"),
+    ({"a,b|a": ["xx", "yy"]},
+     "parse error: presheaf restriction 'a,b|a' must be a JSON object, "
+     "not ['xx', 'yy']\n"),
+    ({"a,b,c|": "x", "a,b,d|a": None},
+     "parse error: presheaf restriction 'a,b,c|' must be a JSON object, not 'x'\n"),
+], ids=["missing", "missing-under-one-open", "list", "string"])
+@pytest.mark.parametrize("command", ["presheaf-check", "sheafify", "stalks"])
+def test_presheaf_restriction_errors_name_the_first_key_in_scan_order(
+        tmp_path, capsys, broken, err, command):
+    """The stderr of a presheaf with a missing or non-object restriction,
+    pinned as the scan over every pair of opens printed it: the opens u in
+    (size, lex) order, and the opens v < u in that order."""
+    obj = presheaf_tables(PSEUDO_CIRCLE["min_open"], "locally-constant", 2)
+    for key, value in broken.items():
+        if value is None:
+            del obj["restrictions"][key]
+        else:
+            obj["restrictions"][key] = value
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    ph = write(tmp_path, "presheaf.json", obj)
+    assert run(capsys, [command, "--space", sp, "--presheaf", ph]) == (
+        EXIT_INVALID, None, err)
+
+
 def test_sheafify_constant_is_already_a_sheaf(tmp_path, capsys):
     sp = write(tmp_path, "space.json", SIERPINSKI)
     ph = write(tmp_path, "presheaf.json", CONSTANT_F2_PRESHEAF)
@@ -641,6 +672,68 @@ def test_presheaf_report_corpus_is_byte_identical(tmp_path, capsys):
     digests = {case: hashlib.sha256("".join(lines).encode()).hexdigest()
                for case, lines in transcripts.items()}
     assert digests == PRESHEAF_DIGESTS
+
+
+def break_one_entry(rng, obj, fault):
+    """obj with one entry of a random restriction broken as `fault` names:
+    "missing" deletes it, "outside" maps it out of the target carrier,
+    "composition" maps it to another element of the target carrier, and
+    "extra" adds a key outside the source carrier, which every reader
+    skips.  None when no restriction can be broken that way."""
+    carriers, restrictions = obj["carriers"], obj["restrictions"]
+    pairs = [pair for pair in sorted(restrictions)
+             if fault != "composition" or len(carriers[pair.split("|")[1]]) >= 2]
+    if not pairs:
+        return None
+    pair = rng.choice(pairs)
+    entry, target = restrictions[pair], carriers[pair.split("|")[1]]
+    e = rng.choice(sorted(entry))
+    if fault == "missing":
+        del entry[e]
+    elif fault == "outside":
+        entry[e] = "q"
+    elif fault == "composition":
+        entry[e] = rng.choice([t for t in target if t != entry[e]])
+    else:
+        entry["q"] = rng.choice(["q", ["x"], target[0]])
+    return obj
+
+
+def check_outcome(check, p):
+    try:
+        return check(p)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_rows_from_parsed_tables_agree_with_rows_tabulated_from_restrict():
+    """Random table presheaves, valid or with one entry broken: `validate`
+    and `unit_counts` of the parsed presheaf, which read its tables, give
+    what they give on the same carriers and restriction with no tables,
+    which tabulates `restrict` row by row."""
+    from test_presheaf import random_space
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(80):
+        space = random_space(rng, rng.randint(1, 5))
+        table = {x: sorted(space.min_open[x]) for x in space.points}
+        fault = rng.choice(["none", "missing", "outside", "composition", "extra"])
+        obj = presheaf_tables(table, rng.choice(["constant", "locally-constant"]),
+                              rng.choice([2, 3]))
+        if fault != "none" and break_one_entry(rng, obj, fault) is None:
+            continue
+        p = sheafkit.cli.parse_presheaf(space, obj)
+        q = sheafkit.presheaf.Presheaf(space, p.carriers, p.restrict)
+        assert p.tables is not None and q.tables is None
+        report = sheafkit.presheaf.validate(p)
+        assert report == sheafkit.presheaf.validate(q), fault
+        if fault != "composition":  # another entry may keep the laws
+            assert (report == []) == (fault in ("none", "extra")), fault
+        assert (check_outcome(sheafkit.presheaf.unit_counts, p)
+                == check_outcome(sheafkit.presheaf.unit_counts, q)), fault
+        seen.add((fault, report == []))
+    assert seen >= {("none", True), ("missing", False), ("outside", False),
+                    ("composition", False), ("extra", True)}
 
 
 def full_pullback_outcome(space_table, presheaf_obj, map_obj):

@@ -223,6 +223,39 @@ def test_components_and_maximal_points_match_their_definitions():
                 if not any(y != x and x in space.min_open[y] for y in u)]
 
 
+def test_memoized_answers_are_fresh_lists():
+    """Mutating a list that `enumerate_opens`, `components` or
+    `maximal_points` returned leaves the next answer as it was."""
+    space = pseudo_circle()
+    whole = frozenset(space.points)
+    for ask in (lambda: enumerate_opens(space),
+                lambda: components(space, frozenset("ab")),
+                lambda: space.maximal_points(whole)):
+        first = ask()
+        expected = list(first)
+        first.append(frozenset("zz"))
+        first.reverse()
+        assert ask() == expected
+        assert ask() is not ask()
+
+
+def test_spaces_on_the_same_points_keep_their_own_answers():
+    """The Sierpinski space and the discrete space on {c, o}, asked in
+    either order, each answer for their own topology."""
+    tables = {"sierpinski": {"o": ["o"], "c": ["o", "c"]},
+              "discrete": {"o": ["o"], "c": ["c"]}}
+    whole = frozenset({"c", "o"})
+    for order in (("sierpinski", "discrete"), ("discrete", "sierpinski")):
+        spaces = [build_space(tables[name]) for name in order]
+        answers = [(enumerate_opens(s), components(s, whole), s.maximal_points(whole))
+                   for s in spaces]
+        for s, got in zip(spaces, answers):
+            assert got == (brute_force_opens(s), linked_parts(s, whole),
+                           [x for x in sorted(whole)
+                            if not any(y != x and x in s.min_open[y] for y in whole)])
+        assert answers[0] != answers[1]
+
+
 @pytest.mark.parametrize("cls", [FinSpace, ContinuousMap])
 def test_type_hints_resolve(cls):
     assert set(typing.get_type_hints(cls)) == set(cls.__dataclass_fields__)

@@ -132,17 +132,16 @@ def parse_presheaf(space: finspace.FinSpace, obj: dict) -> psh.Presheaf:
             twice = next(e for i, e in enumerate(elements) if e in elements[:i])
             raise ParseError(f"presheaf carrier {key!r} lists {twice!r} twice")
         carriers[u] = psh.Carrier(psh.SET, tuple(elements))
-    tables = {}
-    for i, u in enumerate(opens):
+    tables, below = {}, finspace.opens_below(space)
+    for u in opens:
         head = keys[u] + "|"
-        for v in opens[:i]:  # (size, lex) order puts every v < u before u
-            if v < u:
-                key = head + keys[v]
-                if key not in restr_tbl:
-                    raise ParseError(f"presheaf restriction missing for {key!r}")
-                table = tables[(u, v)] = restr_tbl[key]
-                if not isinstance(table, dict):
-                    _object(table, f"presheaf restriction {key!r}")
+        for v in below[u]:
+            key = head + keys[v]
+            if key not in restr_tbl:
+                raise ParseError(f"presheaf restriction missing for {key!r}")
+            table = tables[(u, v)] = restr_tbl[key]
+            if not isinstance(table, dict):
+                _object(table, f"presheaf restriction {key!r}")
     return psh.Presheaf(space, carriers,
                         lambda u, v, e: e if u == v else tables[(u, v)][e], tables)
 

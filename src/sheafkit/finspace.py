@@ -30,10 +30,9 @@ DEFAULT_MAX_POINTS = 12
 class FinSpace:
     points: Tuple[Point, ...]
     min_open: Mapping[Point, PointSet]
-    # the lists `enumerate_opens`, `maximal_points` and `components` give,
-    # by question, made at the first ask and copied on every answer
-    memo: Dict[tuple, list] = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
+    # answers by question, made at the first ask (`recall`, `opens_below`)
+    memo: Dict[object, object] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def recall(self, key: tuple, make: Callable[[], list]) -> list:
         """A fresh copy of make(), which runs at the first ask of `key`."""
@@ -97,6 +96,14 @@ def enumerate_opens(space: FinSpace) -> List[PointSet]:
     union with each minimal open.
     """
     return space.recall(("opens",), lambda: _opens(space))
+
+
+def opens_below(space: FinSpace) -> Dict[PointSet, List[PointSet]]:
+    """Each open's smaller opens in `enumerate_opens` order, shared: read only."""
+    if "below" not in space.memo:
+        opens = enumerate_opens(space)
+        space.memo["below"] = {u: [w for w in opens[:i] if w < u] for i, u in enumerate(opens)}
+    return space.memo["below"]
 
 
 def _opens(space: FinSpace) -> List[PointSet]:

@@ -22,9 +22,10 @@ G's values, V's values and the sections over any open: a disconnected open
 takes the product of its components' values, as sections over a disjoint
 union are tuples of sections over the pieces, so a family there is
 (locally) free of rank k iff each piece is.  No join and no search runs
-over a disconnected open.  `classify` reads V over the whole space, and so
-G only on the minimal opens; the checks read sections over the empty and
-connected opens alone.
+over a disconnected open, whose values are held as their factors
+(`_Placed`) and listed only where an entry is read.  `classify` reads V
+over the whole space, and so G only on the minimal opens; the checks read
+value counts, and sections over the empty and connected opens alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
 from .finalg import (FinRing, RingMorphism, Submodule, Vec, enumerate_free_submodules,
@@ -135,7 +136,7 @@ class GrassmannPresheaf:
     base: AlgebraSheaf
     k: int
     ambient: ModuleSheaf
-    values: Dict[PointSet, List[Value]]
+    values: Dict[PointSet, Sequence[Value]]
     state: BuildState = field(repr=False, compare=False)
 
     def restrict(self, u: PointSet, v: PointSet, t: Value) -> Value:
@@ -314,44 +315,70 @@ def _enumerate_values(state: BuildState, u: PointSet,
     return state.free[u]
 
 
+def _fills(state: BuildState, u: PointSet, vals: Sequence[Value]) -> bool:
+    """Whether vals, families of u's join, are all of them."""
+    return len(vals) == len(_join(state, u))
+
+
 def _glues(state: BuildState, u: PointSet,
            values: Callable[[PointSet], List[Value]]) -> List[Value]:
     """The families of u's join, in join order, whose restriction to the
-    minimal open U_x of each x in sorted(u) is among values(U_x).  A U_x
-    whose value list is as long as its join is not read: its values are
-    families of its join, so they are all of them, and every family of u's
-    join restricts to one."""
+    minimal open U_x of each x in sorted(u) is among values(U_x), read only
+    where they do not fill U_x's join (else every family restricts to one)."""
     min_open = state.space.min_open
     mins = [(state.projector(u, ux), set(vals)) for ux, vals in
             ((min_open[x], values(min_open[x])) for x in sorted(u))
-            if len(vals) != len(_join(state, ux))]
+            if not _fills(state, ux, vals)]
     return [t for t in _join(state, u) if all(get(t) in vals for get, vals in mins)]
 
 
 def _placed_product(u: PointSet, parts: List[PointSet],
                     factors: List[List[Value]]) -> List[Value]:
     """Every choice of one tuple per component parts[i] of u from
-    factors[i], its entries placed over sorted(u), sorted: the join's order,
-    which is sort_key order."""
+    factors[i], its entries placed over sorted(u): in join (sort_key) order
+    unsorted, as a family over a connected part is fixed by its entry at
+    each point (the index maps are injective), so two choices first differ
+    at the least point of the first part where they differ."""
     count = prod(len(f) for f in factors)
     if count > DEFAULT_STATE_BOUND:
         raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
                             f"{DEFAULT_STATE_BOUND} values at {count}")
     flat = [x for c in parts for x in sorted(c)]
     place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
-    return sorted(place(sum(choice, ())) for choice in product(*factors))
+    return [place(sum(choice, ())) for choice in product(*factors)]
+
+
+class _Placed(Sequence):
+    """A disconnected open's values held as its components' values: len is
+    the product of their counts, and `_placed_product` lists them once read."""
+
+    def __init__(self, u: PointSet, parts: List[PointSet], factors: List[List[Value]]):
+        self.u, self.parts, self.factors = u, parts, factors
+
+    def __len__(self) -> int:
+        return prod(map(len, self.factors))
+
+    @cached_property
+    def listed(self) -> List[Value]:
+        return _placed_product(self.u, self.parts, self.factors)
+
+    def __getitem__(self, i):
+        return self.listed[i]
+
+    def __iter__(self):
+        return iter(self.listed)
 
 
 def _by_components(state: BuildState, u: PointSet,
-                   connected: Callable[[PointSet], List[Value]]) -> List[Value]:
+                   connected: Callable[[PointSet], List[Value]]) -> Sequence[Value]:
     """connected(u) over the empty or a connected open u, and over a
-    disconnected open the placed product of connected over its components."""
+    disconnected open connected over its components, held as factors."""
     parts = components(state.space, u)
     return (connected(u) if len(parts) <= 1 else
-            _placed_product(u, parts, [connected(c) for c in parts]))
+            _Placed(u, parts, [connected(c) for c in parts]))
 
 
-def _locally_free(state: BuildState, u: PointSet, budget: Optional[Budget]) -> List[Value]:
+def _locally_free(state: BuildState, u: PointSet, budget: Optional[Budget]) -> Sequence[Value]:
     """V's values over u: the glues of G's values on the minimal opens."""
     return _by_components(state, u, lambda c: _glues(
         state, c, lambda m: _enumerate_values(state, m, budget)))
@@ -405,13 +432,6 @@ def _row(state: BuildState, u: PointSet) -> Callable[[Value], Tuple[Value, ...]]
     return lambda t: tuple([get(t) for get in gets])
 
 
-def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
-    """Values are separated by their restrictions to the minimal-open cover,
-    read over the empty and connected opens (the note above `_sections`)."""
-    return all(len(set(map(_row(g.state, u), g.values[u]))) == len(g.values[u])
-               for u in g.state.connected if u)
-
-
 # A section of the sheaf G generates over u is a compatible row r of values
 # r_x in values[U_x] over sorted(u): r_x|U_y = r_y for y in U_x.  Its glue t
 # takes r_x's entry at each x.  Then t|U_x = r_x, as r_x's entry at y in U_x
@@ -440,7 +460,7 @@ def grassmann_monopresheaf(g: GrassmannPresheaf) -> bool:
 # unit is injective (bijective) on every open iff it is on the connected
 # (and empty) ones, and the rows over u number the product of the counts.
 
-def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
+def _sections(g: GrassmannPresheaf, u: PointSet) -> Sequence[Value]:
     """The sections of the generated sheaf over u as their glues (see
     above): over the empty or a connected open the families of its join
     whose restriction to each minimal open is a value, in join order, and
@@ -450,35 +470,34 @@ def _sections(g: GrassmannPresheaf, u: PointSet) -> List[Value]:
 
 def check_monopresheaf_not_complete(g: GrassmannPresheaf) -> dict:
     """Monopresheaf verdict, a hunt for a non-free glue and the number of
-    sections over the whole space, from the sections over the empty and
-    connected opens (see the note above `_sections`).  No freeness question
-    is asked, so it takes no budget.
+    sections over the whole space, from the empty and connected opens (see
+    the note above `_sections`).  No freeness question is asked, so it
+    takes no budget.
 
-    A section of the generated sheaf glues to a locally free subsheaf; any
-    glue that is not free witnesses non-completeness of the free-value
-    presheaf.  A glue over a connected open is a family of its join, and
-    G's values there are the join families `_free` accepts, so a glue is
-    free iff it is a value: the hunt names the first glue that is not.
-    Over field stalks, the only stalks the candidate lists accept, no
-    witness exists, as every join family is free (the proof above `_free`).
+    Values are separated on any ring: a value's row holds its entry at each
+    point.  A section glues to a locally free subsheaf; a glue that is not
+    free witnesses non-completeness.  A glue over a connected open is a
+    family of its join, and G's values there are the join families `_free`
+    accepts, so a glue is free iff it is a value.  Where every such open's
+    values fill its join, as over field stalks (the proof above `_free`),
+    the glues are the values; else the hunt names the first that is not.
     """
     # a non-free glue over a disconnected open restricts to a non-free glue
     # over one of its components, an earlier open, so the first witness in
     # (size, lex) order lies on a connected open
-    # and none on an open whose sections and values each fill its join
-    opens = g.state.connected
-    sections = {u: _sections(g, u) for u in opens}
-    witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
-                    for u, values in ((u, set(g.values[u])) for u in opens
-                                      if not len(sections[u]) == len(g.values[u])
-                                      == len(_join(g.state, u)))
-                    for t in sections[u] if t not in values), None)
+    opens, parts = g.state.connected, components(g.state.space, frozenset(g.base.space.points))
+    if all(_fills(g.state, u, g.values[u]) for u in opens):
+        witness, sections = None, {c: g.values[c] for c in parts}
+    else:
+        sections = {u: _sections(g, u) for u in opens}
+        witness = next(({"open": sorted(u), "family": g.subsheaf(u, t).sort_key()}
+                        for u in opens for values in [set(g.values[u])]
+                        for t in sections[u] if t not in values), None)
     return {
-        "monopresheaf": grassmann_monopresheaf(g),
+        "monopresheaf": True,
         "complete_at_this_scale": witness is None,
         "completeness_witness": witness,
-        "sections_over_whole": prod(len(sections[c]) for c in components(
-            g.state.space, frozenset(g.base.space.points))),
+        "sections_over_whole": prod(len(sections[c]) for c in parts),
     }
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 from .errors import InvalidMorphism, SpaceTooLarge, ValidationError
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
 from .finspace import (FinSpace, PointSet, Point, ContinuousMap, components,
-                       enumerate_opens, open_sort_key)
+                       enumerate_opens, open_sort_key, opens_below)
 
 Elem = Hashable
 ElemMap = Dict[Elem, Elem]
@@ -205,9 +205,9 @@ def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
     space = p.space
     rows: Dict[PointSet, Dict[PointSet, ElemMap]] = {}
     members = {u: set(p.carriers[u].elements) for u in opens}
-    rings = {u for u in opens if p.carriers[u].kind == RING}
+    rings, below = {u for u in opens if p.carriers[u].kind == RING}, opens_below(space)
     try:
-        for i, u in enumerate(opens):
+        for u in opens:
             elems = p.carriers[u].elements
             ruu = p.row(u, u)
             if [ruu[e] for e in elems] != list(elems):
@@ -222,7 +222,7 @@ def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
                         ring and not _ring_morphism(p, u, v, ruv)):
                     return False
             covers = set(steps.values())
-            for w in [w for w in opens[:i] if w < u and w not in covers]:
+            for w in [w for w in below[u] if w not in covers]:
                 v = steps[min(tops - w)]
                 ruv, rvw = ru[v], rows[v][w]
                 ruw = ru[w] = p.row(u, w)

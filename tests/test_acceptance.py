@@ -28,7 +28,6 @@ from sheafkit.grassmann import (
     classify,
     enumerate_locally_free_subsheaves,
     enumerate_sections,
-    grassmann_monopresheaf,
     include_subsheaf,
     section_to_subsheaf,
     subsheaf_to_section,
@@ -218,7 +217,7 @@ def test_criterion_6_monopresheaf_verdicts():
     ok = True
     for make, ring, (k, n) in itertools.product(SPACES, RINGS, RANKS):
         a = constant_algebra_sheaf(make(), ring)
-        if not grassmann_monopresheaf(build_grassmann_presheaf(a, k, n)):
+        if not is_monopresheaf(build_grassmann_presheaf(a, k, n).presheaf()):
             ok = False
     if is_monopresheaf(non_separated_fixture()):
         ok = False

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from sheafkit.cli import (
     main,
     parse_ring,
 )
+from sheafkit.errors import SpaceTooLarge
 from sheafkit.finalg import FinRing, gaussian_binomial, make_field
 from sheafkit.finspace import build_space, components, enumerate_opens, pseudo_circle
 from sheafkit.grassmann import classify
@@ -327,8 +329,9 @@ def test_grassmann_command(tmp_path, capsys):
 
 
 def test_grassmann_enumerates_the_whole_space_once(tmp_path, capsys, monkeypatch):
-    """`sections_over_whole` is read from the sections that the
-    completeness hunt lists, and equals the enumerated section count."""
+    """`sections_over_whole` is read from the value counts, so `grassmann`
+    lists no section over the whole space, and it equals the enumerated
+    section count."""
     from sheafkit import grassmann
     whole = frozenset("abcd")
     calls = []
@@ -346,10 +349,10 @@ def test_grassmann_enumerates_the_whole_space_once(tmp_path, capsys, monkeypatch
     code, report, err = run(capsys, ["grassmann", "--space", sp, "--ring", rg,
                                      "-k", "1", "-n", "2"])
     assert code == EXIT_OK
-    assert calls == [report["sections_over_whole"]]
+    assert calls == []
     g = grassmann.build_grassmann_presheaf(
         constant_algebra_sheaf(pseudo_circle(), make_field(2)), 1, 2)
-    assert len(grassmann.enumerate_sections(g, whole)) == calls[0]
+    assert len(grassmann.enumerate_sections(g, whole)) == report["sections_over_whole"] == 3
 
 
 def test_grassmann_budget_exit(tmp_path, capsys):
@@ -834,16 +837,19 @@ def run_module(argv, timeout=60):
      "stalk-family join over open ['p01', 'p02', 'p03', 'p04', 'p05', 'p06', "
      "'p07', 'p08', 'p09', 'p10', 'p11'] exceeds 1000000 steps at"),
     # 255 lines at each of three pairwise unrelated points: 255^3 values
-    # over {a1, a2, e}, refused before any is listed
+    # over {a1, a2, e}, counted from their factors and never listed
     ({"min_open": {"a1": ["a1"], "a2": ["a2"], "e": ["e"], "m": ["a1", "a2", "m"]}},
-     ["-k", "1", "-n", "8"],
-     "value product over open ['a1', 'a2', 'e'] exceeds 1000000 values at 16581375"),
+     ["-k", "1", "-n", "8"], None),
 ], ids=["candidates", "join", "product"])
 def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
     sp = write(tmp_path, "space.json", space)
     rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
     proc = run_module(["-m", "sheafkit.cli", "grassmann", "--space", sp,
                        "--ring", rg, *sizes])
+    if message is None:
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["value_counts"]["a1,a2,e"] == 255 ** 3 == 16581375
+        return
     assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
     assert proc.stderr.startswith("size guard hit: ") and message in proc.stderr
 
@@ -864,14 +870,22 @@ def test_classify_on_the_pseudo_circle_joins_past_the_old_guard(capsys, n, big_n
 
 
 def test_grassmann_on_the_pseudo_circle_keeps_the_value_product_guard(capsys):
-    """`grassmann -k 2 -n 7` lists G over every open, and the 2667^2 values
-    over the disconnected open {a, b} stay refused."""
+    """`grassmann -k 2 -n 7` counts the 2667^2 values over the disconnected
+    open {a, b} from their factors and exits 0; listing them, as
+    `g.presheaf()` and `enumerate_free_subsheaves` do, stays refused."""
+    from sheafkit import grassmann
     inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"
     code, report, err = run(capsys, ["grassmann", "--space", str(inputs / "pseudo_circle.json"),
                                      "--ring", str(inputs / "f2.json"), "-k", "2", "-n", "7"])
-    assert code == EXIT_BUDGET and report is None
-    assert err == ("size guard hit: value product over open ['a', 'b'] exceeds "
-                   "1000000 values at 7112889\n")
+    assert code == EXIT_OK, err
+    assert report["value_counts"]["a,b"] == 2667 ** 2 == 7112889
+    assert report["sections_over_whole"] == report["value_counts"]["a,b,c,d"] == 2667
+    a = constant_algebra_sheaf(pseudo_circle(), make_field(2))
+    message = "value product over open ['a', 'b'] exceeds 1000000 values at 7112889"
+    with pytest.raises(SpaceTooLarge, match=re.escape(message)):
+        grassmann.build_grassmann_presheaf(a, 2, 7).presheaf()
+    with pytest.raises(SpaceTooLarge, match=re.escape(message)):
+        grassmann.enumerate_free_subsheaves(a, 2, 7, frozenset("ab"))
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -36,7 +36,6 @@ from sheafkit.grassmann import (
     enumerate_free_subsheaves,
     enumerate_locally_free_subsheaves,
     enumerate_sections,
-    grassmann_monopresheaf,
     include_subsheaf,
     section_to_subsheaf,
     subsheaf_to_section,
@@ -252,11 +251,11 @@ def test_a_disconnected_open_keeps_the_families_whose_parts_are_values(monkeypat
 def test_a_disconnected_open_sorts_its_product_into_join_order():
     """A^2 over F_2 on a space whose component {a, c} has b sorted between
     its points: the product of the components' values lists (a, c) before
-    b, and must be placed over [a, b, c] and sorted to give the join's
-    order.  On A^n a value over a connected open is fixed by its entry at
-    any one point, as the index maps are injective, so the product of
-    value lists in join order already comes out sorted; the factors are
-    also given reversed, which only the sort puts back."""
+    b, and must be placed over [a, b, c] to give the join's order.  On A^n
+    a value over a connected open is fixed by its entry at any one point,
+    as the index maps are injective, so the product of value lists in join
+    order comes out sorted with no sort: the factors given reversed list
+    the product reversed."""
     space = build_space({"a": ["a"], "b": ["b"], "c": ["a", "c"]})
     a = constant_algebra_sheaf(space, F2)
     g = build_grassmann_presheaf(a, 1, 2)
@@ -264,11 +263,11 @@ def test_a_disconnected_open_sorts_its_product_into_join_order():
     factors = [g.values[c] for c in parts]
     assert factors == [[(0, 0), (1, 1), (2, 2)], [(0,), (1,), (2,)]]
     assert grassmann.components(space, whole(space)) == parts
-    assert g.values[whole(space)] == grassmann._enumerate_values(
+    assert list(g.values[whole(space)]) == grassmann._enumerate_values(
         grassmann.BuildState(a, 2, 1), whole(space), None)
     assert g.values[whole(space)][:4] == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 1)]
     assert grassmann._placed_product(whole(space), parts, [f[::-1] for f in factors]) \
-        == g.values[whole(space)]
+        == g.values[whole(space)][::-1]
 
 
 def pairwise_stalk_families(ambient, u, k):
@@ -782,7 +781,8 @@ def test_checks_on_section_rows_match_sheafify(name):
         for k in range(n + 1):
             g = build_grassmann_presheaf(a, k, n)
             assert check_monopresheaf_not_complete(g) == sheafify_checks(g)
-            assert grassmann_monopresheaf(g) == is_monopresheaf(g.presheaf())
+            assert is_monopresheaf(g.presheaf()) is check_monopresheaf_not_complete(g)[
+                "monopresheaf"]
             v = build_v_presheaf(a, k, n)
             assert is_complete(v.presheaf())
             variants = [g, v]
@@ -822,6 +822,9 @@ def test_the_hunt_finds_the_witness_sheafify_finds(name):
 
 
 def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
+    """The checks decide from value counts, listing no section, while every
+    join family is a value; once `_free` refuses some, the hunt lists
+    sections over the empty and connected opens alone."""
     opens = []
     original = grassmann._sections
 
@@ -830,11 +833,14 @@ def test_the_checks_list_no_section_over_a_disconnected_open(monkeypatch):
         return original(g, u)
 
     monkeypatch.setattr(grassmann, "_sections", recording)
-    for make in (discrete2, pseudo_circle, sierpinski_plus_point):
-        a = constant_algebra_sheaf(make(), F2)
-        build_v_presheaf(a, 1, 2)
-        check_monopresheaf_not_complete(build_grassmann_presheaf(a, 1, 2))
-    assert opens and max(opens) == 1
+    for refused in (False, True):
+        if refused:
+            monkeypatch.setattr(grassmann, "_free", refusing_e1_at_c(grassmann._free))
+        for make in (discrete2, pseudo_circle, sierpinski_plus_point):
+            a = constant_algebra_sheaf(make(), F2)
+            build_v_presheaf(a, 1, 2)
+            check_monopresheaf_not_complete(build_grassmann_presheaf(a, 1, 2))
+        assert (opens and max(opens) == 1) if refused else opens == []
 
 
 def compatible_glues(g, u):
@@ -888,6 +894,90 @@ def test_sections_are_the_compatible_glues_on_random_spaces(seed):
         constant_algebra_sheaf(renamed, rng.choice([F2, F3])))
 
 
+# Listing a value product: up to this many values are listed and compared,
+# past DEFAULT_STATE_BOUND the guard must refuse them, in between none is.
+LISTED = 20000
+
+
+def assert_factors_list_in_join_order(h):
+    """Every disconnected open's values, held as factors, count what they
+    list, and list it in join (sorted) order without repeats, each value
+    restricting to a value over each component."""
+    space = h.base.space
+    for u, vals in h.values.items():
+        parts = components(space, u)
+        if len(parts) > 1:
+            if len(vals) > presheaf.DEFAULT_STATE_BOUND:
+                with pytest.raises(SpaceTooLarge, match="value product over open"):
+                    list(vals)
+            elif len(vals) <= LISTED:
+                listed = list(vals)
+                assert len(listed) == len(vals)
+                assert listed == sorted(set(listed))
+                for c in parts:
+                    assert {h.restrict(u, c, t) for t in listed} <= set(h.values[c])
+
+
+def random_sheaves(seed):
+    """Constant F_2 or F_3, and a `random_field_sheaf`, on a relabelled
+    random T0 space of 4-6 points."""
+    rng = random.Random(seed)
+    space = relabelled_random_space(rng, 4 + seed % 3)
+    return [constant_algebra_sheaf(space, [F2, F3][seed % 2]), random_field_sheaf(rng, space)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_disconnected_open_lists_its_factors_in_join_order_on_random_spaces(seed):
+    """G and V over relabelled random T0 spaces, where a component's points
+    may sort between another's: the placed product needs no sort."""
+    for a in random_sheaves(seed):
+        for n in range(4):
+            for k in range(min(n, 2) + 1):
+                assert_factors_list_in_join_order(build_grassmann_presheaf(a, k, n))
+                assert_factors_list_in_join_order(build_v_presheaf(a, k, n))
+
+
+def refusing_off_minimal_opens(free):
+    """`grassmann._free`, but refusing each value over a nonempty open that
+    is not a minimal open whose entry at the least point is candidate 0:
+    such a value's restrictions to the minimal opens are values, so it is
+    a glue that is not a value."""
+    def refuse(state, u, t, budget):
+        if u and u not in state.space.min_open.values() and t[0] == 0:
+            return False
+        return free(state, u, t, budget)
+    return refuse
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_counted_verdicts_match_the_hunt_on_random_spaces(seed, monkeypatch):
+    """The checks decide from value counts where every connected open's
+    values fill its join: the same verdict as the hunt, forced by a
+    `_fills` that answers no, and no step charged past one freeness ask
+    per (nonempty connected open, join family).  Where `_free` refuses
+    glues off the minimal opens, the hunt runs and matches `sheafify`."""
+    sheaves, fills, free = random_sheaves(seed), grassmann._fills, grassmann._free
+    for a in sheaves:
+        for n in range(4):
+            for k in range(min(n, 2) + 1):
+                b = Budget()
+                g = build_grassmann_presheaf(a, k, n, b)
+                counted = check_monopresheaf_not_complete(g)
+                assert b.used == sum(len(grassmann._join(g.state, u))
+                                     for u in g.state.connected if u)
+                assert counted["complete_at_this_scale"] is True
+                monkeypatch.setattr(grassmann, "_fills", lambda state, u, vals: False)
+                assert check_monopresheaf_not_complete(g) == counted
+                monkeypatch.setattr(grassmann, "_fills", fills)
+    monkeypatch.setattr(grassmann, "_free", refusing_off_minimal_opens(free))
+    for a in sheaves:
+        for n in range(3):
+            for k in range(min(n, 2) + 1):
+                g = build_grassmann_presheaf(a, k, n)
+                if sum(map(len, g.values.values())) <= LISTED:
+                    assert check_monopresheaf_not_complete(g) == sheafify_checks(g)
+
+
 def test_sections_over_a_disconnected_whole_space_are_a_product(tmp_path, capsys,
                                                                 monkeypatch):
     """The pseudo-circle beside an isolated point e over F_2, with the
@@ -929,7 +1019,7 @@ def test_restriction_of_value_is_value():
 @pytest.mark.parametrize("make", CORPUS)
 def test_grassmann_is_monopresheaf(make):
     a = constant_algebra_sheaf(make(), F2)
-    assert grassmann_monopresheaf(build_grassmann_presheaf(a, 1, 2))
+    assert is_monopresheaf(build_grassmann_presheaf(a, 1, 2).presheaf())
 
 
 def test_monopresheaf_report_shape():

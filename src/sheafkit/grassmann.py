@@ -335,10 +335,10 @@ def _glues(state: BuildState, u: PointSet,
 def _placed_product(u: PointSet, parts: List[PointSet],
                     factors: List[List[Value]]) -> List[Value]:
     """Every choice of one tuple per component parts[i] of u from
-    factors[i], its entries placed over sorted(u): in join (sort_key) order
-    unsorted, as a family over a connected part is fixed by its entry at
-    each point (the index maps are injective), so two choices first differ
-    at the least point of the first part where they differ."""
+    factors[i], its entries placed over sorted(u), in join (sort_key) order
+    with no sort: a family over a connected part is fixed by its entry at
+    any one point (the index maps are injective), so two choices first
+    differ at the least point of the first part where they differ."""
     count = prod(len(f) for f in factors)
     if count > DEFAULT_STATE_BOUND:
         raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "

@@ -886,6 +886,10 @@ def test_grassmann_on_the_pseudo_circle_keeps_the_value_product_guard(capsys):
         grassmann.build_grassmann_presheaf(a, 2, 7).presheaf()
     with pytest.raises(SpaceTooLarge, match=re.escape(message)):
         grassmann.enumerate_free_subsheaves(a, 2, 7, frozenset("ab"))
+    # `classify` lists V over a disconnected whole space, as {a, b} is here
+    ab = constant_algebra_sheaf(build_space({"a": ["a"], "b": ["b"]}), make_field(2))
+    with pytest.raises(SpaceTooLarge, match=re.escape(message)):
+        classify(ab, 2, 7)
 
 
 def test_module_entry_point_runs_without_warnings():

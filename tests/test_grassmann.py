@@ -938,10 +938,10 @@ def test_a_disconnected_open_lists_its_factors_in_join_order_on_random_spaces(se
 
 
 def refusing_off_minimal_opens(free):
-    """`grassmann._free`, but refusing each value over a nonempty open that
-    is not a minimal open whose entry at the least point is candidate 0:
-    such a value's restrictions to the minimal opens are values, so it is
-    a glue that is not a value."""
+    """`grassmann._free`, but refusing, over each nonempty open that is not
+    a minimal open, the values whose entry at the least point is candidate
+    0: such a value still restricts to values on the minimal opens, so it
+    is a glue that is not a value."""
     def refuse(state, u, t, budget):
         if u and u not in state.space.min_open.values() and t[0] == 0:
             return False

@@ -13,19 +13,22 @@ itself, and passes it to every helper (see its docstring for what it keeps).
 
 G over the empty open and each connected open takes the families of its
 stalk-family join that `_free` accepts, all of them over field stalks
-(the proof above `_free`).  The join runs in relation order through index
-maps between the points' candidate lists, which on A^n are injective
-functions.  V there takes the families whose restriction to each minimal
-open is a G value: the glues of G, which are the sections of the sheaf G
-generates (the note above `_sections`).  One rule, `_by_components`, gives
-G's values, V's values and the sections over any open: a disconnected open
-takes the product of its components' values, as sections over a disjoint
-union are tuples of sections over the pieces, so a family there is
-(locally) free of rank k iff each piece is.  No join and no search runs
-over a disconnected open, whose values are held as their factors
-(`_Placed`) and listed only where an entry is read.  `classify` reads V
-over the whole space, and so G only on the minimal opens; the checks read
-value counts, and sections over the empty and connected opens alone.
+(the proof above `_free`).  The join is the one `compatible_families`
+runs (`presheaf._join_rows`), on candidate indices: a candidate at a
+maximal point has as germ at each point below it the candidate its index
+map names, and on A^n the index maps are injective functions that compose
+like A's restrictions.  V there takes the families whose restriction to
+each minimal open is a G value: the glues of G, which are the sections of
+the sheaf G generates (the note above `_sections`).  One rule,
+`_by_components`, gives G's values, V's values and the sections over any
+open: a disconnected open takes the product of its components' values, as
+sections over a disjoint union are tuples of sections over the pieces, so
+a family there is (locally) free of rank k iff each piece is.  No join
+and no search runs over a disconnected open, whose values are held as
+their factors (`_Placed`) and listed only where an entry is read.
+`classify` reads V over the whole space, and so G only on the minimal
+opens; the checks read value counts, and sections over the empty and
+connected opens alone.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
 from .finalg import (FinRing, RingMorphism, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, validate_morphism, zero_vec)
-from .finspace import FinSpace, PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf
+from .finspace import PointSet, Point, components, enumerate_opens
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, _join_rows
 from .vecsheaf import (
     MAX_STALK_VECTORS,
     AlgebraSheaf,
@@ -81,7 +84,7 @@ class BuildState:
         self.space, self.n, self.k = a.space, n, k
         self.rings = {x: a.stalk_ring[x] for x in sorted(a.space.points)}
         self.projectors: Dict[Tuple[PointSet, PointSet], Callable[[Value], Value]] = {}
-        self.tables: Dict[tuple, Tuple[List[int], Dict[int, int]]] = {}
+        self.tables: Dict[tuple, List[int]] = {}
         self.joins: Dict[PointSet, List[Value]] = {}
         self.free: Dict[PointSet, List[Value]] = {}
 
@@ -155,36 +158,23 @@ class GrassmannPresheaf:
 
 
 def _compatibility(state: BuildState, x: Point, y: Point,
-                   spend: Callable[[int], None]) -> Tuple[List[int], Dict[int, int]]:
-    """The table of (x, y), y in min_open(x): `into`, the index at y of the
-    candidate that holds the image of each candidate at x, and `back`, the
-    index at x of the preimage of each candidate at y that has one.
+                   spend: Callable[[int], None]) -> List[int]:
+    """The index map of (x, y), y in min_open(x): the index at y of the
+    candidate that holds the image of each candidate at x.
 
     The image of a candidate's echelon basis is the echelon basis of the
-    one candidate at y that holds the image, and `into` is injective (the
-    note above `_free`): each entry is one dict lookup.  Pairs with one
-    restriction between the same rings share a table, charged one step per
-    candidate at x at every use.
+    one candidate at y that holds the image (the note above `_free`), so
+    each entry is one dict lookup.  Pairs with one restriction between the
+    same rings share a map, charged one step per candidate at x at every
+    use.
     """
     spend(len(state.candidates[x]))
     key = (state.rings[x], state.rings[y], state.ambient.base.res[(x, y)])
     if key not in state.tables:
         codes, at_y = key[2], state.echelon[key[1]]
-        into = [at_y[tuple([tuple([codes[c] for c in row]) for row in cand.basis])]
-                for cand in state.candidates[x]]
-        state.tables[key] = (into, dict(zip(into, range(len(into)))))
+        state.tables[key] = [at_y[tuple([tuple([codes[c] for c in row]) for row in cand.basis])]
+                             for cand in state.candidates[x]]
     return state.tables[key]
-
-
-def _relation_order(space: FinSpace, u: PointSet) -> List[Point]:
-    """The points of u, each next one the point with the most relations to
-    those already placed, then the larger minimal open, then the name."""
-    order: List[Point] = []
-    for _ in u:
-        order.append(min(u.difference(order), key=lambda x: (
-            -sum(y in space.min_open[x] or x in space.min_open[y] for y in order),
-            -len(space.min_open[x]), x)))
-    return order
 
 
 def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
@@ -198,12 +188,12 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
     families' keys compares their candidate indices point by point over
     sorted(u).
 
-    A join over the points in relation order (`_relation_order`), on A^n
-    alone: a point related to placed ones takes, in each partial family,
-    the choice that their index maps agree on, if any; a point related to
-    none takes each of its candidates.  The families are then placed over
-    sorted(u) and sorted.  Table entries and visited nodes count against
-    DEFAULT_STATE_BOUND.
+    The join of `presheaf.compatible_families` (`_join_rows`), on A^n
+    alone: a candidate at a maximal point m of u has as germ at each y in
+    min_open(m) the candidate its index map names, as index maps compose
+    like the restrictions they follow, and the families are sorted.  The
+    maximal points are joined in `_linked` order.  Index map entries and
+    join nodes count against DEFAULT_STATE_BOUND.
     """
     min_open, pts = state.space.min_open, sorted(u)
     steps = 0
@@ -215,29 +205,27 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
             raise SpaceTooLarge(f"stalk-family join over open {pts} exceeds "
                                 f"{DEFAULT_STATE_BOUND} steps at {steps}")
 
-    order = _relation_order(state.space, u)
-    cols: List[List[int]] = []  # per placed point, its choice in each partial family
-    for i, x in enumerate(order):
-        # (choices of a placed related point, its choice -> x's, or None)
-        maps = [(cols[j], _compatibility(state, y, x, spend)[0].__getitem__)
-                if x in min_open[y] else (cols[j], _compatibility(state, x, y, spend)[1].get)
-                for j, y in enumerate(order[:i]) if x in min_open[y] or y in min_open[x]]
-        if not maps:
-            size, rows = len(state.candidates[x]), len(cols[0]) if cols else 1
-            spend(rows * size)
-            cols = [[c for c in col for _ in range(size)] for col in cols]
-            cols.append(list(range(size)) * rows)
-            continue
-        new, *others = [list(map(f, col)) for col, f in maps]
-        if None in new or any(other != new for other in others):
-            keep = [r for r, c in enumerate(new)
-                    if c is not None and all(other[r] == c for other in others)]
-            cols = [[col[r] for r in keep] for col in cols + [new]]
-        else:
-            cols.append(new)
-        spend(len(cols[-1]))
-    families = list(zip(*[cols[order.index(x)] for x in pts])) if pts else [()]
-    return families if order == pts else sorted(families)
+    # every index map is charged before any row is built
+    cols = {m: [range(len(state.candidates[m])) if y == m else
+                _compatibility(state, m, y, spend) for y in sorted(min_open[m])]
+            for m in _linked(state, u)}
+    rows = {m: list(zip(*maps)) for m, maps in cols.items()}
+    return sorted(_join_rows(state.space, u, rows, {}, spend))
+
+
+def _linked(state: BuildState, u: PointSet) -> List[Point]:
+    """u's maximal points, each next the first that shares a point with
+    those before it, if one does.  Over a connected open each after the
+    first does, so its injective index maps leave it at most one choice per
+    partial family, and a join takes at most (index maps + maximal points)
+    x candidates steps."""
+    rest, order, reached = state.space.maximal_points(u), [], set()
+    while rest:
+        m = next((m for m in rest if reached & state.space.min_open[m]), rest[0])
+        rest.remove(m)
+        order.append(m)
+        reached |= state.space.min_open[m]
+    return order
 
 
 def _subsheaf(state: BuildState, u: PointSet, t: Value) -> VectorSubsheaf:
@@ -273,10 +261,13 @@ def _join(state: BuildState, u: PointSet) -> List[Value]:
 # reduced row echelon basis of t_x to k vectors of t_y in reduced row
 # echelon form with the same pivots, which are t_y's basis.  So the i-th
 # basis rows at the points of u form a section, and the k of them a basis
-# at every point.  The same argument makes each `_compatibility` table an
+# at every point.  The same argument makes each `_compatibility` map an
 # injective function: a candidate at x lies, by its basis, in exactly one
 # candidate at y, and a field morphism is injective, so distinct echelon
-# bases at x have distinct images.
+# bases at x have distinct images.  The maps compose as A's restrictions
+# do: for z in min_open(y), y in min_open(x), the candidate the maps of
+# (x, y) and (y, z) name holds the image of the candidate at x under
+# res(x, z), so it is the one the map of (x, z) names.
 
 def _check_ring_maps(a: AlgebraSheaf) -> None:
     """Refuse A unless each distinct restriction table is a unital ring

@@ -295,87 +295,77 @@ def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
 
 # -- compatible germ families ------------------------------------------------
 
-class JoinPlan:
-    """What `compatible_families` over one open needs besides its choices
-    and germs: the sorted points, the maximal points, and per maximal point
-    m the sorted min_open(m), the positions among them of the points an
-    earlier maximal point reaches, and the prefix positions of those
-    points' germs.  Made once per open and run on any choices and
-    `res` (`run`)."""
+def _scan(rows: List[Tuple[Elem, ...]], shared: List[int], agreed: List[Elem],
+          held: Dict[int, KeyError]) -> Tuple[List[Tuple[Elem, ...]], Optional[KeyError]]:
+    """The rows whose germs at the shared positions agree with agreed, in
+    order, up to the first with a held KeyError, and that error."""
+    found = []
+    for j, row in enumerate(rows):
+        if not any(map(ne, agreed, [row[s] for s in shared if s < len(row)])):
+            if j in held:
+                return found, held[j]
+            found.append(row)
+    return found, None
 
-    def __init__(self, space: FinSpace, carrier_pts: PointSet):
-        self.pts = pts = sorted(carrier_pts)
-        self.maxpts = maxpts = space.maximal_points(carrier_pts)
-        levels: List[Tuple[Point, List[Point], List[int], List[int]]] = []
-        self.levels = levels
-        if len(maxpts) < 2:  # min_open(m) or empty: no join
-            return
-        owner: Dict[Point, int] = {}
-        width = 0
-        for m in maxpts:
-            ys = sorted(space.min_open[m])
-            shared = [j for j, y in enumerate(ys) if y in owner]
-            levels.append((m, ys, shared, [owner[ys[j]] for j in shared]))
-            for j, y in enumerate(ys, width):
-                owner.setdefault(y, j)
-            width += len(ys)
-        # a family read off a full prefix, over the sorted points
-        self.family = itemgetter(*[owner[x] for x in pts])
 
-    def run(self, elems_at: Callable[[Point], List[Elem]],
-            res: Callable[[Point, Point, Elem], Elem]) -> List[Tuple[Elem, ...]]:
-        """`compatible_families` over the plan's open (see there)."""
-        maxpts = self.maxpts
-        choices = [elems_at(m) for m in maxpts]
-        states = 1
-        for vals in choices:
-            states *= max(len(vals), 1)
-            if states > DEFAULT_STATE_BOUND:
-                raise SpaceTooLarge(f"section enumeration over open {self.pts} exceeds "
-                                    f"{DEFAULT_STATE_BOUND} states at {states}")
-        if not maxpts:
-            return [()]
-        if len(maxpts) == 1:
-            pts = self.pts
-            return [tuple([res(maxpts[0], y, val) for y in pts]) for val in choices[0]]
-        if not all(choices):  # an empty product calls no res
-            return []
-        # per maximal point: the prefix positions of the germs its choices
-        # must agree with, and per choice (its germs at those points, its
-        # germ row, a held KeyError); a prefix is its choices' germ rows
-        # laid end to end
-        levels = []
-        for (m, ys, shared, fixed), vals in zip(self.levels, choices):
-            rows = []
-            for val in vals:
-                row, err = [], None
+def _join_rows(space: FinSpace, carrier_pts: PointSet,
+               rows: Dict[Point, List[Tuple[Elem, ...]]],
+               held: Dict[Tuple[Point, int], KeyError],
+               spend: Optional[Callable[[int], None]] = None) -> List[Tuple[Elem, ...]]:
+    """The families over sorted(carrier_pts) of one choice per maximal
+    point m, the j-th at m with germ row rows[m][j] over sorted(min_open(m)),
+    in product order of the choices, the points taken in `rows` order.
+
+    A prefix of choices, laid end to end as its germ rows, keeps a choice
+    iff their germs agree (by `!=`) at the points they share: each level's
+    rows are grouped by those germs (a hash join), or scanned (`_scan`)
+    where a germ cannot be hashed or a row holds a KeyError, held[(m, j)],
+    met in computing rows[m][j] after the germs it holds.  The prefixes
+    after the first that reaches a held error are dropped, so the one raised
+    at the end is the one a plain loop over the product would reach first.
+    spend, when given, is charged the choices each prefix keeps: one per node.
+    """
+    owner: Dict[Point, int] = {}  # each point's first position in a prefix
+    partial: List[Tuple[Elem, ...]] = [()]
+    err: Optional[KeyError] = None
+    width = 0
+    for m, level in rows.items():
+        ys = sorted(space.min_open[m])
+        shared = [j for j, y in enumerate(ys) if y in owner]
+        fixed = [owner[ys[j]] for j in shared]
+        key, at = (itemgetter(*shared), itemgetter(*fixed)) if shared else (lambda t: (),) * 2
+        errs = {j: exc for (x, j), exc in held.items() if x == m}
+        groups: Optional[dict] = None
+        if not errs:
+            groups = {}
+            try:
+                for row in level:
+                    groups.setdefault(key(row), []).append(row)
+            except TypeError:  # a germ that cannot be hashed
+                groups = None
+        owner.update((y, j) for j, y in enumerate(ys, width) if y not in owner)
+        width += len(ys)
+        grown: List[Tuple[Elem, ...]] = []
+        for prefix in partial:
+            found, hit = None, None
+            if groups is not None:
                 try:
-                    for y in ys:
-                        row.append(res(m, y, val))
-                except KeyError as exc:
-                    err = exc
-                rows.append((tuple([row[j] for j in shared if j < len(row)]),
-                             tuple(row), err))
-            levels.append((fixed, rows))
-        family = self.family
-        out: List[Tuple[Elem, ...]] = []
-        last = len(levels) - 1
-
-        def join(i: int, prefix: Tuple[Elem, ...]) -> None:
-            fixed, rows = levels[i]
-            agreed = [prefix[o] for o in fixed]
-            for germs, row, err in rows:
-                if any(map(ne, agreed, germs)):
-                    continue
-                if err is not None:
-                    raise err
-                if i == last:
-                    out.append(family(prefix + row))
-                else:
-                    join(i + 1, prefix + row)
-
-        join(0, ())
-        return out
+                    found = groups.get(at(prefix), ())
+                except TypeError:  # a prefix germ that cannot be hashed
+                    pass
+            if found is None:
+                found, hit = _scan(level, shared, [prefix[o] for o in fixed], errs)
+            if spend is not None:
+                spend(len(found))
+            grown += [prefix + row for row in found]
+            if hit is not None:
+                err = hit
+                break
+        partial = grown
+    if err is not None:
+        raise err
+    return list(map(itemgetter(*[owner[x] for x in sorted(carrier_pts)])
+                    if len(rows) > 1 else tuple, partial))
 
 
 def compatible_families(space: FinSpace, carrier_pts: PointSet,
@@ -388,20 +378,35 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     equivalent to full compatibility. Families are tuples over sorted points,
     in `itertools.product` order of the choices.
 
-    A nested-loop join over the maximal points in order: each choice's germs
-    at the points below it are computed once, and under a prefix of choices
-    a choice is kept iff its germs agree (by `!=`) with those the prefix
-    fixed at the points they share.  The join walks the product in order and
-    drops a combination where a plain loop over it would stop, so a KeyError
-    that `res` raises surfaces iff such a loop reaches it first: it is held
-    with the germs before it and raised when the join reaches its choice
-    with no mismatch among them.  An open with one maximal point m is
-    min_open(m), and its families are the germ rows of m's choices.
-
-    The open's `JoinPlan`, made here, run once; a caller asking about one
-    open many times keeps the plan and runs it.
+    Each choice's germs below its point are computed once and joined by
+    `_join_rows`, holding a KeyError from `res` with the germs before it;
+    an empty product calls no res.
     """
-    return JoinPlan(space, carrier_pts).run(elems_at, res)
+    maxpts = space.maximal_points(carrier_pts)
+    choices = [elems_at(m) for m in maxpts]
+    states = 1
+    for vals in choices:
+        states *= max(len(vals), 1)
+        if states > DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"section enumeration over open {sorted(carrier_pts)} "
+                                f"exceeds {DEFAULT_STATE_BOUND} states at {states}")
+    if len(maxpts) == 1:  # the open is min_open(m): m's germ rows
+        ys = sorted(carrier_pts)
+        return [tuple([res(maxpts[0], y, val) for y in ys]) for val in choices[0]]
+    if not all(choices):
+        return []
+    rows, held = {}, {}
+    for m, vals in zip(maxpts, choices):
+        ys, level = sorted(space.min_open[m]), rows.setdefault(m, [])
+        for j, val in enumerate(vals):
+            row = []
+            try:
+                for y in ys:
+                    row.append(res(m, y, val))
+            except KeyError as exc:
+                held[(m, j)] = exc
+            level.append(tuple(row))
+    return _join_rows(space, carrier_pts, rows, held)
 
 
 # -- sheafification ----------------------------------------------------------

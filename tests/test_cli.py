@@ -824,39 +824,51 @@ def run_module(argv, timeout=60):
                           text=True, env=env, timeout=timeout)
 
 
-@pytest.mark.parametrize("space,sizes,message", [
+# b0-b5 open, and t0-t5 closed, each above all of b0-b5
+BIPARTITE66 = json.loads((Path(__file__).resolve().parents[1] / "tools" / "inputs"
+                          / "bipartite66.json").read_text())
+
+
+@pytest.mark.parametrize("space,argv,expected", [
     # [12 4]_2 candidates of 2^4 vectors, refused before any is built
-    ({"min_open": {"p": ["p"]}}, ["-k", "4", "-n", "12"],
+    ({"min_open": {"p": ["p"]}}, ["grassmann", "-k", "4", "-n", "12"],
      "13910980083 candidates of 16 vectors exceed bound 100000 vectors"),
-    # 16383 lines at each point of an 11-point chain: over the whole chain
-    # the join charges 16383 table entries per related pair (55) and nodes
-    # per point (11), past 10^6 steps
+    # 16383 lines at each point of an 11-point chain: every open has one
+    # maximal point, so the join over the whole chain charges 16383 index
+    # map entries per point below p11 (10) and one node per line at p11,
+    # within 10^6 steps
     ({"min_open": {f"p{i:02d}": [f"p{j:02d}" for j in range(1, i + 1)]
                    for i in range(1, 12)}},
-     ["-k", "1", "-n", "14"],
-     "stalk-family join over open ['p01', 'p02', 'p03', 'p04', 'p05', 'p06', "
-     "'p07', 'p08', 'p09', 'p10', 'p11'] exceeds 1000000 steps at"),
+     ["grassmann", "-k", "1", "-n", "14"],
+     (",".join(f"p{i:02d}" for i in range(1, 12)), 16383)),
+    # 32767 lines at each point, each of t0-t5 above all of b0-b5: over the
+    # whole space the join charges 32767 index map entries per related
+    # pair (36) before any node, past 10^6 steps at the 31st pair
+    (BIPARTITE66, ["classify", "-n", "1", "-N", "15", "--budget", "100000000"],
+     "stalk-family join over open ['b0', 'b1', 'b2', 'b3', 'b4', 'b5', 't0', "
+     "'t1', 't2', 't3', 't4', 't5'] exceeds 1000000 steps at 1015777"),
     # 255 lines at each of three pairwise unrelated points: 255^3 values
     # over {a1, a2, e}, counted from their factors and never listed
     ({"min_open": {"a1": ["a1"], "a2": ["a2"], "e": ["e"], "m": ["a1", "a2", "m"]}},
-     ["-k", "1", "-n", "8"], None),
-], ids=["candidates", "join", "product"])
-def test_grassmann_size_guards_exit_quickly(tmp_path, space, sizes, message):
+     ["grassmann", "-k", "1", "-n", "8"], ("a1,a2,e", 255 ** 3)),
+], ids=["candidates", "join", "bipartite", "product"])
+def test_grassmann_size_guards_exit_quickly(tmp_path, space, argv, expected):
     sp = write(tmp_path, "space.json", space)
     rg = write(tmp_path, "ring.json", {"kind": "Fp", "p": 2})
-    proc = run_module(["-m", "sheafkit.cli", "grassmann", "--space", sp,
-                       "--ring", rg, *sizes])
-    if message is None:
+    proc = run_module(["-m", "sheafkit.cli", argv[0], "--space", sp, "--ring", rg,
+                       *argv[1:]])
+    if isinstance(expected, tuple):
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert json.loads(proc.stdout)["value_counts"]["a1,a2,e"] == 255 ** 3 == 16581375
+        key, count = expected
+        assert json.loads(proc.stdout)["value_counts"][key] == count
         return
     assert proc.returncode == EXIT_BUDGET and proc.stdout == ""
-    assert proc.stderr.startswith("size guard hit: ") and message in proc.stderr
+    assert proc.stderr.startswith("size guard hit: ") and expected in proc.stderr
 
 
 @pytest.mark.parametrize("n, big_n, count", [(2, 7, 2667), (3, 6, 1395)])
 def test_classify_on_the_pseudo_circle_joins_past_the_old_guard(capsys, n, big_n, count):
-    """Joined in relation order, the whole pseudo-circle's join over F_2
+    """Joined through index maps, the whole pseudo-circle's join over F_2
     stays within the join guard at N = 7 and at rank 3: the subsheaves are
     the [N n]_2 subspaces, and each is a section."""
     inputs = Path(__file__).resolve().parents[1] / "tools" / "inputs"

@@ -356,8 +356,8 @@ def inclusion_sheaf(rng, space):
 
 
 def test_stalk_join_matches_the_pairwise_scan_on_random_spaces():
-    """The join in relation order against the oracle, which scans in name
-    order and checks restrictions vector by vector: every empty or connected
+    """The join at the maximal points against the oracle, which scans in
+    name order and checks restrictions vector by vector: every empty or connected
     open of relabelled random T0 spaces of 4-6 points, over constant F_2
     and F_3, over F_2 -> F_4 inclusion sheaves and over the field sheaves
     of `random_field_sheaf`, whose Frobenius twists can leave a point's
@@ -369,7 +369,7 @@ def test_stalk_join_matches_the_pairwise_scan_on_random_spaces():
         space = relabelled_random_space(rng, 4 + seed % 3)
         sheaves += [constant_algebra_sheaf(space, F2), constant_algebra_sheaf(space, F3),
                     inclusion_sheaf(rng, space), random_field_sheaf(rng, space)]
-    reordered = kinds = 0
+    kinds = 0
     for a in sheaves:
         kinds += len(set(a.stalk_ring.values())) > 1
         for n in range(4):
@@ -377,11 +377,10 @@ def test_stalk_join_matches_the_pairwise_scan_on_random_spaces():
                 state = grassmann.BuildState(a, n, k)
                 ambient = free_sheaf(a, n)
                 for u in state.connected:
-                    reordered += grassmann._relation_order(a.space, u) != sorted(u)
                     assert [dict(grassmann._subsheaf(state, u, f).family)
                             for f in grassmann._stalk_families(state, u)] \
                         == pairwise_stalk_families(ambient, u, k), (n, k, sorted(u))
-    assert reordered and kinds
+    assert kinds
 
 
 def test_the_join_over_the_pseudo_circle_is_linear_in_its_candidates(monkeypatch):
@@ -396,6 +395,21 @@ def test_the_join_over_the_pseudo_circle_is_linear_in_its_candidates(monkeypatch
     pairs = sum(y in a.space.min_open[x] for x in u for y in u if x != y)
     assert (pairs, len(state.candidates["a"])) == (4, 651)
     monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", (pairs + len(u)) * 651)
+    assert len(grassmann._stalk_families(state, u)) == 651
+
+
+def test_the_join_links_each_maximal_point_to_an_earlier_one(monkeypatch):
+    """t1 over b1, t2 over b2 and t3 over both, at k = 2, n = 6 (651 planes
+    per point).  In name order t2 shares no point with t1, so the join
+    would keep 651^2 partial families there; joined t1, t3, t2, each
+    maximal point meets an earlier one, and the join keeps 651 families
+    within (index maps + maximal points) x 651 steps."""
+    space = build_space({"b1": ["b1"], "b2": ["b2"], "t1": ["b1", "t1"],
+                         "t2": ["b2", "t2"], "t3": ["b1", "b2", "t3"]})
+    state = grassmann.BuildState(constant_algebra_sheaf(space, F2), 6, 2)
+    u = whole(space)
+    assert grassmann._linked(state, u) == ["t1", "t3", "t2"]
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", (4 + 3) * 651)
     assert len(grassmann._stalk_families(state, u)) == 651
 
 
@@ -473,20 +487,27 @@ def test_classify_joins_each_connected_open_once(monkeypatch):
 
 
 def test_stalk_join_size_guard(monkeypatch):
-    """Table entries and visited join nodes count against the state bound;
+    """Index map entries and join nodes count against the state bound;
     past it the join names its open, over sorted(u), and count."""
     a = constant_algebra_sheaf(pseudo_circle(), F2)
     state = grassmann.BuildState(a, 2, 1)
     u = frozenset({"a", "b", "c"})
-    # relation order c, a, b: 3 nodes at c, then per point one table of 3
-    # entries from c and 3 nodes
-    assert grassmann._relation_order(a.space, u) == ["c", "a", "b"]
+    # c is u's one maximal point: an index map of 3 entries to each of a
+    # and b, then a node per line at c
     assert len(grassmann._stalk_families(state, u)) == 3
-    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 14)
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 8)
     with pytest.raises(SpaceTooLarge,
-                       match=r"open \['a', 'b', 'c'\] exceeds 14 steps at 15"):
+                       match=r"open \['a', 'b', 'c'\] exceeds 8 steps at 9"):
         grassmann._stalk_families(state, u)
-    assert len(grassmann._stalk_families(state, frozenset({"a", "c"}))) == 3
+    # each join counts its own steps: 3 nodes over {a}
+    assert len(grassmann._stalk_families(state, frozenset({"a"}))) == 3
+    # over the whole space: the index maps from c and from d (12 entries),
+    # a node per line at c, then per line at c one at d
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 17)
+    with pytest.raises(SpaceTooLarge, match=r"exceeds 17 steps at 18"):
+        grassmann._stalk_families(state, whole(a.space))
+    monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 18)
+    assert len(grassmann._stalk_families(state, whole(a.space))) == 3
 
 
 def test_stalk_candidate_guard_precedes_enumeration(monkeypatch):
@@ -1201,13 +1222,14 @@ def test_classify_plans_each_search_once_per_open(monkeypatch):
     assert len(asked) > len(opens)
 
 
-def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
-    """One `JoinPlan` per open of each check sheaf, run on the sections of
-    A, of A^1 and A^2, of A^2 drawn from each point's first rank-1
-    candidate, and of A^1 whose germs of nonzero vectors are missing along
-    every other specialization pair (a KeyError): the families, or the
-    KeyError raised, of a fresh `compatible_families` call and of the
-    product loop."""
+def test_compatible_families_and_the_stalk_join_match_the_product_loop():
+    """Every open of each check sheaf.  `compatible_families` on the
+    sections of A, of A^1 and A^2, of A^2 drawn from each point's first
+    rank-1 candidate, and of A^1 whose germs of nonzero vectors are missing
+    along every other specialization pair (a KeyError): the families, or
+    the KeyError raised, of the product loop.  And the stalk-family join,
+    n <= 2: the product loop on candidate indices through the index maps,
+    sorted."""
     kinds = set()
     for name in sorted(CHECK_SHEAVES):
         a = CHECK_SHEAVES[name]()
@@ -1228,14 +1250,20 @@ def test_a_kept_join_plan_matches_compatible_families_and_the_product_loop():
                   (lambda x: list(e2.stalk_elems[x]), lambda x, y, v: e2.res[(x, y)][v]),
                   (first.get, lambda x, y, v: e2.res[(x, y)][v]),
                   (lambda x: list(e1.stalk_elems[x]), partial)]
+        states = [grassmann.BuildState(a, n, k) for n in range(3) for k in range(n + 1)]
         for u in enumerate_opens(space):
-            plan = presheaf.JoinPlan(space, u)
             for elems_at, res in inputs:
                 args = (space, u, elems_at, res)
-                outcome = families_or_key_error(plan.run, elems_at, res)
-                for oracle in (compatible_families, product_loop_families):
-                    assert outcome == families_or_key_error(oracle, *args), (name, u)
+                outcome = families_or_key_error(compatible_families, *args)
+                assert outcome == families_or_key_error(product_loop_families, *args), (name, u)
                 kinds.add("raised" if isinstance(outcome, tuple) else "listed")
+            for state in states:
+                def index_map(x, y, i, state=state):
+                    return i if x == y else grassmann._compatibility(
+                        state, x, y, lambda steps: None)[i]
+
+                assert grassmann._stalk_families(state, u) == sorted(product_loop_families(
+                    space, u, lambda x: range(len(state.candidates[x])), index_map)), (name, u)
     assert kinds == {"raised", "listed"}
 
 

@@ -446,6 +446,33 @@ def test_join_matches_the_product_loop_on_random_partial_tables():
     assert kinds == {"raised", "listed", "empty"}
 
 
+@pytest.mark.parametrize("listed_from, count", [("abcd", 4), ("c", 0)])
+def test_unhashable_germs_are_joined_by_a_scan(listed_from, count):
+    """A parsed pseudo-circle presheaf whose restrictions from the opens
+    holding a point of listed_from send every element to a list, and the
+    others to a string.  The germs that c gives a and b cannot be hashed,
+    so the join scans for d's choices that agree with c's, and `pullback`
+    along the identity and `sheafify` list the product loop's families:
+    over the whole space 4, or none where d's germs are strings."""
+    from sheafkit.cli import parse_presheaf
+    from sheafkit.finspace import ContinuousMap, opens_below
+    space = pseudo_circle()
+    key = {u: ",".join(sorted(u)) for u in enumerate_opens(space)}
+    p = parse_presheaf(space, {
+        "carriers": {k: ["s0", "s1"] for k in key.values()},
+        "restrictions": {f"{key[u]}|{key[v]}": dict.fromkeys(
+            ["s0", "s1"], ["g"] if u & set(listed_from) else "g")
+            for u, below in opens_below(space).items() for v in below}})
+    elems_at = lambda x: list(p.stalk_carrier(x).elements)
+    res = lambda x, y, e: p.restrict(space.min_open[x], space.min_open[y], e)
+    whole = frozenset(space.points)
+    listed = {u: product_loop_families(space, u, elems_at, res) for u in key}
+    assert len(listed[whole]) == count
+    for q in (pullback(p, ContinuousMap(space, space, {x: x for x in space.points})),
+              sheafify(p).sections):
+        assert {u: list(c.elements) for u, c in q.carriers.items()} == listed
+
+
 def test_an_empty_choice_list_at_a_later_maximal_point_calls_no_res():
     """c's germs are all undefined and d has no choices: the product is
     empty, so a plain loop asks for no germ and raises nothing."""

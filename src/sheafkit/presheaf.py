@@ -333,11 +333,11 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
         ys = sorted(space.min_open[m])
         shared = [j for j, y in enumerate(ys) if y in owner]
         fixed = [owner[ys[j]] for j in shared]
-        key, at = (itemgetter(*shared), itemgetter(*fixed)) if shared else (lambda t: (),) * 2
+        at = itemgetter(*fixed) if fixed else lambda prefix: ()
         errs = {j: exc for (x, j), exc in held.items() if x == m}
-        groups: Optional[dict] = None
-        if not errs:
-            groups = {}
+        groups: Optional[dict] = None if errs else {(): level}
+        if shared and groups is not None:
+            key, groups = itemgetter(*shared), {}
             try:
                 for row in level:
                     groups.setdefault(key(row), []).append(row)
@@ -364,8 +364,9 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
         partial = grown
     if err is not None:
         raise err
-    return list(map(itemgetter(*[owner[x] for x in sorted(carrier_pts)])
-                    if len(rows) > 1 else tuple, partial))
+    pos = [owner[x] for x in sorted(carrier_pts)]
+    return list(map(itemgetter(*pos) if len(pos) > 1 else
+                    lambda prefix: tuple([prefix[i] for i in pos]), partial))
 
 
 def compatible_families(space: FinSpace, carrier_pts: PointSet,
@@ -390,7 +391,7 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
         if states > DEFAULT_STATE_BOUND:
             raise SpaceTooLarge(f"section enumeration over open {sorted(carrier_pts)} "
                                 f"exceeds {DEFAULT_STATE_BOUND} states at {states}")
-    if len(maxpts) == 1:  # the open is min_open(m): m's germ rows
+    if len(maxpts) == 1:  # min_open(m), listed without the join's row building
         ys = sorted(carrier_pts)
         return [tuple([res(maxpts[0], y, val) for y in ys]) for val in choices[0]]
     if not all(choices):

@@ -495,6 +495,8 @@ def test_stalk_join_size_guard(monkeypatch):
     # c is u's one maximal point: an index map of 3 entries to each of a
     # and b, then a node per line at c
     assert len(grassmann._stalk_families(state, u)) == 3
+    # over a set that is not open, the entries at its own points
+    assert grassmann._stalk_families(state, frozenset({"a", "c"})) == [(0, 0), (1, 1), (2, 2)]
     monkeypatch.setattr(grassmann, "DEFAULT_STATE_BOUND", 8)
     with pytest.raises(SpaceTooLarge,
                        match=r"open \['a', 'b', 'c'\] exceeds 8 steps at 9"):

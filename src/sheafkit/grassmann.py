@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import prod
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, ValidationError
 from .finalg import (FinRing, RingMorphism, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, validate_morphism, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, _join_rows
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, _join_rows, picker
 from .vecsheaf import (
     MAX_STALK_VECTORS,
     AlgebraSheaf,
@@ -128,9 +127,8 @@ class BuildState:
         """Values over u -> their entries over v ⊆ u, kept per pair."""
         get = self.projectors.get((u, v))
         if get is None:
-            pos = [i for i, x in enumerate(sorted(u)) if x in v]
-            get = self.projectors[(u, v)] = (itemgetter(*pos) if len(pos) > 1 else
-                                             lambda t: tuple([t[i] for i in pos]))
+            get = self.projectors[(u, v)] = picker(
+                [i for i, x in enumerate(sorted(u)) if x in v])
         return get
 
 
@@ -191,9 +189,12 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
     The join of `presheaf.compatible_families` (`_join_rows`), on A^n
     alone: a candidate at a maximal point m of u has as germ at each y in
     min_open(m) the candidate its index map names, as index maps compose
-    like the restrictions they follow, and the families are sorted.  The
-    maximal points are joined in `_linked` order.  Index map entries and
-    join nodes count against DEFAULT_STATE_BOUND.
+    like the restrictions they follow, and the families are sorted.  Each
+    maximal point after the first that meets an earlier one has its
+    choices fixed by the injective index maps, at most one per partial
+    family, so over a connected open the join takes at most (index maps +
+    maximal points) x candidates steps.  Index map entries and join nodes
+    count against DEFAULT_STATE_BOUND.
     """
     min_open, pts = state.space.min_open, sorted(u)
     steps = 0
@@ -205,27 +206,18 @@ def _stalk_families(state: BuildState, u: PointSet) -> List[Value]:
             raise SpaceTooLarge(f"stalk-family join over open {pts} exceeds "
                                 f"{DEFAULT_STATE_BOUND} steps at {steps}")
 
+    # the maximal points in linked order, each next the first that meets
+    # those before it: over a connected open each after the first does
+    order, rest, reached = [], state.space.maximal_points(u), set()
+    while rest:
+        order.append(rest.pop(next((i for i, m in enumerate(rest) if reached & min_open[m]), 0)))
+        reached |= min_open[order[-1]]
     # every index map is charged before any row is built
     cols = {m: [range(len(state.candidates[m])) if y == m else
                 _compatibility(state, m, y, spend) for y in sorted(min_open[m])]
-            for m in _linked(state, u)}
+            for m in order}
     rows = {m: list(zip(*maps)) for m, maps in cols.items()}
     return sorted(_join_rows(state.space, u, rows, {}, spend))
-
-
-def _linked(state: BuildState, u: PointSet) -> List[Point]:
-    """u's maximal points, each next the first that shares a point with
-    those before it, if one does.  Over a connected open each after the
-    first does, so its injective index maps leave it at most one choice per
-    partial family, and a join takes at most (index maps + maximal points)
-    x candidates steps."""
-    rest, order, reached = state.space.maximal_points(u), [], set()
-    while rest:
-        m = next((m for m in rest if reached & state.space.min_open[m]), rest[0])
-        rest.remove(m)
-        order.append(m)
-        reached |= state.space.min_open[m]
-    return order
 
 
 def _subsheaf(state: BuildState, u: PointSet, t: Value) -> VectorSubsheaf:
@@ -335,7 +327,7 @@ def _placed_product(u: PointSet, parts: List[PointSet],
         raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
                             f"{DEFAULT_STATE_BOUND} values at {count}")
     flat = [x for c in parts for x in sorted(c)]
-    place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+    place = picker(sorted(range(len(flat)), key=flat.__getitem__))
     return [place(sum(choice, ())) for choice in product(*factors)]
 
 

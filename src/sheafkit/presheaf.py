@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidMorphism, SpaceTooLarge, ValidationError
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
@@ -295,16 +295,24 @@ def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
 
 # -- compatible germ families ------------------------------------------------
 
+def picker(pos: List[int]) -> Callable[[tuple], tuple]:
+    """t -> the tuple of t's entries at pos, in one `itemgetter` call."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
+
+
 def _scan(rows: List[Tuple[Elem, ...]], shared: List[int], agreed: List[Elem],
-          held: Dict[int, KeyError]) -> Tuple[List[Tuple[Elem, ...]], Optional[KeyError]]:
-    """The rows whose germs at the shared positions agree with agreed, in
-    order, up to the first with a held KeyError, and that error."""
+          held: Dict[int, KeyError], rest: Callable[[tuple], tuple]
+          ) -> Tuple[List[Tuple[Elem, ...]], Optional[KeyError]]:
+    """rest of the rows whose germs at the shared positions agree with
+    agreed, in order, up to the first with a held KeyError, and that error."""
     found = []
     for j, row in enumerate(rows):
         if not any(map(ne, agreed, [row[s] for s in shared if s < len(row)])):
             if j in held:
                 return found, held[j]
-            found.append(row)
+            found.append(rest(row))
     return found, None
 
 
@@ -316,57 +324,55 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
     point m, the j-th at m with germ row rows[m][j] over sorted(min_open(m)),
     in product order of the choices, the points taken in `rows` order.
 
-    A prefix of choices, laid end to end as its germ rows, keeps a choice
-    iff their germs agree (by `!=`) at the points they share: each level's
-    rows are grouped by those germs (a hash join), or scanned (`_scan`)
-    where a germ cannot be hashed or a row holds a KeyError, held[(m, j)],
-    met in computing rows[m][j] after the germs it holds.  The prefixes
-    after the first that reaches a held error are dropped, so the one raised
-    at the end is the one a plain loop over the product would reach first.
-    spend, when given, is charged the choices each prefix keeps: one per node.
+    A prefix of choices, held as its germs at the points reached so far,
+    keeps a choice iff their germs are equal at the points they share:
+    each level's rows are grouped by those germs (a hash join), or scanned
+    (`_scan`) where a row holds a KeyError, held[(m, j)], met in computing
+    rows[m][j] after the germs it holds, and where any germ cannot be hashed.
+    The prefixes after the first that reaches a held error are dropped, so
+    the one raised at the end is the one a plain loop over the product
+    would reach first.  spend, when given, is charged each level's kept
+    choices, one per node of the join, before they are laid down.
     """
-    owner: Dict[Point, int] = {}  # each point's first position in a prefix
+    owner: Dict[Point, int] = {}  # each reached point's position in a prefix
     partial: List[Tuple[Elem, ...]] = [()]
     err: Optional[KeyError] = None
-    width = 0
+    hashable = True
+    try:
+        hash(tuple(map(tuple, rows.values())))
+    except TypeError:  # some germ cannot be hashed: every level is scanned
+        hashable = False
     for m, level in rows.items():
         ys = sorted(space.min_open[m])
         shared = [j for j, y in enumerate(ys) if y in owner]
-        fixed = [owner[ys[j]] for j in shared]
-        at = itemgetter(*fixed) if fixed else lambda prefix: ()
+        fresh = [j for j, y in enumerate(ys) if y not in owner]
+        at, rest = picker([owner[ys[j]] for j in shared]), picker(fresh)
         errs = {j: exc for (x, j), exc in held.items() if x == m}
-        groups: Optional[dict] = None if errs else {(): level}
+        groups: Optional[dict] = {(): level} if hashable and not errs else None
         if shared and groups is not None:
-            key, groups = itemgetter(*shared), {}
-            try:
-                for row in level:
-                    groups.setdefault(key(row), []).append(row)
-            except TypeError:  # a germ that cannot be hashed
-                groups = None
-        owner.update((y, j) for j, y in enumerate(ys, width) if y not in owner)
-        width += len(ys)
-        grown: List[Tuple[Elem, ...]] = []
-        for prefix in partial:
-            found, hit = None, None
-            if groups is not None:
-                try:
-                    found = groups.get(at(prefix), ())
-                except TypeError:  # a prefix germ that cannot be hashed
-                    pass
-            if found is None:
-                found, hit = _scan(level, shared, [prefix[o] for o in fixed], errs)
-            if spend is not None:
-                spend(len(found))
-            grown += [prefix + row for row in found]
-            if hit is not None:
-                err = hit
-                break
-        partial = grown
+            key, groups = picker(shared), {}
+            for row in level:
+                groups.setdefault(key(row), []).append(rest(row))
+        found: List[Sequence[Tuple[Elem, ...]]] = []  # the tails each prefix keeps
+        if groups is not None:
+            found = [groups.get(k, ()) for k in map(at, partial)]
+        else:
+            for prefix in partial:
+                tails, hit = _scan(level, shared, [prefix[owner[ys[j]]] for j in shared],
+                                   errs, rest)
+                found.append(tails)
+                if hit is not None:  # the prefixes after this one are dropped
+                    err = hit
+                    break
+        if spend is not None:
+            spend(sum(map(len, found)))
+        partial = [prefix + tail for prefix, tails in zip(partial, found) for tail in tails]
+        for j in fresh:
+            owner[ys[j]] = len(owner)
     if err is not None:
         raise err
     pos = [owner[x] for x in sorted(carrier_pts)]
-    return list(map(itemgetter(*pos) if len(pos) > 1 else
-                    lambda prefix: tuple([prefix[i] for i in pos]), partial))
+    return partial if pos == list(range(len(owner))) else list(map(picker(pos), partial))
 
 
 def compatible_families(space: FinSpace, carrier_pts: PointSet,

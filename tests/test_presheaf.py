@@ -324,6 +324,19 @@ def test_compatible_families_raises_the_key_error_a_plain_loop_reaches():
                                      lambda x, y, e: res[(x, y, e)])
 
 
+def test_compatible_families_raises_the_key_error_the_product_order_reaches_first():
+    """c0 and c1 give a the germs a0 and a1, and d0 and d1 agree with them
+    there but have no germ at b: a plain loop reaches (c0, d0) before
+    (c1, d1), so d0's KeyError is raised, not d1's."""
+    res = {("c", "a", "c0"): "a0", ("c", "b", "c0"): "b0", ("c", "c", "c0"): "c0",
+           ("c", "a", "c1"): "a1", ("c", "b", "c1"): "b0", ("c", "c", "c1"): "c1",
+           ("d", "a", "d0"): "a0", ("d", "a", "d1"): "a1"}
+    args = (pseudo_circle(), frozenset("abcd"), {"c": ["c0", "c1"], "d": ["d0", "d1"]}.get,
+            lambda x, y, e: res[(x, y, e)])
+    for families in (presheaf.compatible_families, product_loop_families):
+        assert families_or_key_error(families, *args) == ("KeyError", (("d", "b", "d0"),))
+
+
 def test_compatible_families_skips_a_key_error_a_plain_loop_never_reaches():
     assert presheaf.compatible_families(
         pseudo_circle(), frozenset("abcd"), PC_ELEMS.get,

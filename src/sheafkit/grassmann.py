@@ -43,7 +43,7 @@ from .errors import NotLocallyFree, SearchBudgetExceeded, SpaceTooLarge, Validat
 from .finalg import (FinRing, RingMorphism, Submodule, Vec, enumerate_free_submodules,
                      gaussian_binomial, validate_morphism, zero_vec)
 from .finspace import PointSet, Point, components, enumerate_opens
-from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, _join_rows, picker
+from .presheaf import DEFAULT_STATE_BOUND, SET, Carrier, Presheaf, _join_rows, _picker
 from .vecsheaf import (
     MAX_STALK_VECTORS,
     AlgebraSheaf,
@@ -127,7 +127,7 @@ class BuildState:
         """Values over u -> their entries over v ⊆ u, kept per pair."""
         get = self.projectors.get((u, v))
         if get is None:
-            get = self.projectors[(u, v)] = picker(
+            get = self.projectors[(u, v)] = _picker(
                 [i for i, x in enumerate(sorted(u)) if x in v])
         return get
 
@@ -327,7 +327,7 @@ def _placed_product(u: PointSet, parts: List[PointSet],
         raise SpaceTooLarge(f"value product over open {sorted(u)} exceeds "
                             f"{DEFAULT_STATE_BOUND} values at {count}")
     flat = [x for c in parts for x in sorted(c)]
-    place = picker(sorted(range(len(flat)), key=flat.__getitem__))
+    place = _picker(sorted(range(len(flat)), key=flat.__getitem__))
     return [place(sum(choice, ())) for choice in product(*factors)]
 
 

@@ -295,7 +295,7 @@ def restrictions_injective_for_cover(p: Presheaf, u: PointSet,
 
 # -- compatible germ families ------------------------------------------------
 
-def picker(pos: List[int]) -> Callable[[tuple], tuple]:
+def _picker(pos: List[int]) -> Callable[[tuple], tuple]:
     """t -> the tuple of t's entries at pos, in one `itemgetter` call."""
     if len(pos) > 1:
         return itemgetter(*pos)
@@ -305,7 +305,7 @@ def picker(pos: List[int]) -> Callable[[tuple], tuple]:
 def _scan(rows: List[Tuple[Elem, ...]], shared: List[int], agreed: List[Elem],
           held: Dict[int, KeyError], rest: Callable[[tuple], tuple]
           ) -> Tuple[List[Tuple[Elem, ...]], Optional[KeyError]]:
-    """rest of the rows whose germs at the shared positions agree with
+    """rest(row) of each row whose germs at the shared positions agree with
     agreed, in order, up to the first with a held KeyError, and that error."""
     found = []
     for j, row in enumerate(rows):
@@ -346,11 +346,11 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
         ys = sorted(space.min_open[m])
         shared = [j for j, y in enumerate(ys) if y in owner]
         fresh = [j for j, y in enumerate(ys) if y not in owner]
-        at, rest = picker([owner[ys[j]] for j in shared]), picker(fresh)
+        at, rest = _picker([owner[ys[j]] for j in shared]), _picker(fresh)
         errs = {j: exc for (x, j), exc in held.items() if x == m}
         groups: Optional[dict] = {(): level} if hashable and not errs else None
         if shared and groups is not None:
-            key, groups = picker(shared), {}
+            key, groups = _picker(shared), {}
             for row in level:
                 groups.setdefault(key(row), []).append(rest(row))
         found: List[Sequence[Tuple[Elem, ...]]] = []  # the tails each prefix keeps
@@ -372,7 +372,7 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
     if err is not None:
         raise err
     pos = [owner[x] for x in sorted(carrier_pts)]
-    return partial if pos == list(range(len(owner))) else list(map(picker(pos), partial))
+    return partial if pos == list(range(len(owner))) else list(map(_picker(pos), partial))
 
 
 def compatible_families(space: FinSpace, carrier_pts: PointSet,

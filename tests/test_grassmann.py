@@ -357,8 +357,8 @@ def inclusion_sheaf(rng, space):
 
 def test_stalk_join_matches_the_pairwise_scan_on_random_spaces():
     """The join at the maximal points against the oracle, which scans in
-    name order and checks restrictions vector by vector: every empty or connected
-    open of relabelled random T0 spaces of 4-6 points, over constant F_2
+    name order and checks restrictions vector by vector: every empty or
+    connected open of relabelled random T0 spaces of 4-6 points, over constant F_2
     and F_3, over F_2 -> F_4 inclusion sheaves and over the field sheaves
     of `random_field_sheaf`, whose Frobenius twists can leave a point's
     candidate mapped on by one related point and refused by another, as

@@ -338,25 +338,18 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
     partial: List[Tuple[Elem, ...]] = [()]
     err: Optional[KeyError] = None
     hashable = True
-    try:
-        hash(tuple(map(tuple, rows.values())))
+    try:  # a single level is read whole, unhashed
+        hash(tuple(map(tuple, rows.values())) if len(rows) > 1 else ())
     except TypeError:  # some germ cannot be hashed: every level is scanned
         hashable = False
     for m, level in rows.items():
         ys = sorted(space.min_open[m])
         shared = [j for j, y in enumerate(ys) if y in owner]
         fresh = [j for j, y in enumerate(ys) if y not in owner]
-        at, rest = _picker([owner[ys[j]] for j in shared]), _picker(fresh)
         errs = {j: exc for (x, j), exc in held.items() if x == m}
-        groups: Optional[dict] = {(): level} if hashable and not errs else None
-        if shared and groups is not None:
-            key, groups = _picker(shared), {}
-            for row in level:
-                groups.setdefault(key(row), []).append(rest(row))
         found: List[Sequence[Tuple[Elem, ...]]] = []  # the tails each prefix keeps
-        if groups is not None:
-            found = [groups.get(k, ()) for k in map(at, partial)]
-        else:
+        if errs or not hashable:
+            rest = _picker(fresh)
             for prefix in partial:
                 tails, hit = _scan(level, shared, [prefix[owner[ys[j]]] for j in shared],
                                    errs, rest)
@@ -364,6 +357,14 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
                 if hit is not None:  # the prefixes after this one are dropped
                     err = hit
                     break
+        elif shared:
+            key, rest, groups = _picker(shared), _picker(fresh), {}
+            for row in level:
+                groups.setdefault(key(row), []).append(rest(row))
+            found = [groups.get(k, ()) for k in map(_picker([owner[ys[j]] for j in shared]),
+                                                    partial)]
+        else:  # every row is kept under every prefix
+            found = [level] * len(partial)
         if spend is not None:
             spend(sum(map(len, found)))
         partial = [prefix + tail for prefix, tails in zip(partial, found) for tail in tails]

@@ -328,11 +328,12 @@ def _join_rows(space: FinSpace, carrier_pts: PointSet,
     keeps a choice iff their germs are equal at the points they share:
     each level's rows are grouped by those germs (a hash join), or scanned
     (`_scan`) where a row holds a KeyError, held[(m, j)], met in computing
-    rows[m][j] after the germs it holds, and where any germ cannot be hashed.
-    The prefixes after the first that reaches a held error are dropped, so
-    the one raised at the end is the one a plain loop over the product
-    would reach first.  spend, when given, is charged each level's kept
-    choices, one per node of the join, before they are laid down.
+    rows[m][j] after the germs it holds, and where any germ cannot be
+    hashed; a level that shares no point keeps every row.  The prefixes
+    after the first that reaches a held error are dropped, so the one
+    raised at the end is the one a plain loop over the product would reach
+    first.  spend, when given, is charged each level's kept choices, one
+    per node of the join, before they are laid down.
     """
     owner: Dict[Point, int] = {}  # each reached point's position in a prefix
     partial: List[Tuple[Elem, ...]] = [()]

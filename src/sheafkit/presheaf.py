@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter, ne
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import InvalidMorphism, SpaceTooLarge, ValidationError
 from .finalg import FinRing, ring_from_ops, validate_morphism, RingMorphism
@@ -201,40 +202,49 @@ def _composition_failures(p: Presheaf, opens: List[PointSet],
 def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
     """True iff `validate` reports nothing, decided in one pass over the
     opens in size order (the note above), reading each row once and only
-    at the carrier's elements."""
-    space = p.space
+    at the carrier's elements.
+
+    Each open u reads its rows through one getter over its carrier, and
+    each cover step v = u-{x} gives a getter over the values of r(u,v),
+    so a pair (u,w) compared through v costs two getter calls, whatever
+    the carrier's size.
+    """
+    space, read = p.space, _reader(p)
     rows: Dict[PointSet, Dict[PointSet, ElemMap]] = {}
     members = {u: set(p.carriers[u].elements) for u in opens}
     rings, below = {u for u in opens if p.carriers[u].kind == RING}, opens_below(space)
     try:
         for u in opens:
             elems = p.carriers[u].elements
-            ruu = p.row(u, u)
-            if [ruu[e] for e in elems] != list(elems):
+            get = _row_getter(elems)
+            if get(p.row(u, u)) != elems:
                 return False
-            maxpts = space.maximal_points(u)
-            tops, ring, ru = frozenset(maxpts), u in rings, rows.setdefault(u, {})
-            steps = {}
+            maxpts, ring, ru = space.maximal_points(u), u in rings, rows.setdefault(u, {})
+            steps, then = {}, {}  # cover step by maximal point; r(v,-) read after r(u,v)
             for x in maxpts:
                 v = steps[x] = u - {x}
-                ruv = ru[v] = p.row(u, v)
-                if not members[v].issuperset([ruv[e] for e in elems]) or (
+                ruv = ru[v] = read((u, v))
+                image = get(ruv)
+                if not members[v].issuperset(image) or (
                         ring and not _ring_morphism(p, u, v, ruv)):
                     return False
-            covers = set(steps.values())
-            for w in [w for w in below[u] if w not in covers]:
-                v = steps[min(tops - w)]
-                ruv, rvw = ru[v], rows[v][w]
-                ruw = ru[w] = p.row(u, w)
-                if [ruw[e] for e in elems] != [rvw[ruv[e]] for e in elems]:
+                then[v] = _row_getter(image)
+            for w in below[u]:
+                if w in then:
+                    continue
+                for x in maxpts:  # the first maximal point of u outside w
+                    if x not in w:
+                        break
+                v = steps[x]
+                ruw = ru[w] = read((u, w))
+                if get(ruw) != then[v](rows[v][w]):
                     return False
                 if ring and v not in rings and not _ring_morphism(p, u, w, ruw):
                     return False
             for j, x in enumerate(maxpts):
                 for y in maxpts[j + 1:]:
                     v, w = steps[y], u - {x, y}
-                    ruw, ruv, rvw = ru[w], ru[v], rows[v][w]
-                    if [ruw[e] for e in elems] != [rvw[ruv[e]] for e in elems]:
+                    if get(ru[w]) != then[v](rows[v][w]):
                         return False
     except (KeyError, TypeError):  # undefined, or unhashable so in no carrier
         return False
@@ -300,6 +310,33 @@ def _picker(pos: List[int]) -> Callable[[tuple], tuple]:
     if len(pos) > 1:
         return itemgetter(*pos)
     return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
+
+
+def _reader(p: Presheaf) -> Callable[[Tuple[PointSet, PointSet]], ElemMap]:
+    """(u, v) -> p.row(u, v) for v ⊊ u, one C-level lookup where p has tables."""
+    return p.tables.__getitem__ if p.tables is not None else lambda uv: _tabulate(p, *uv)
+
+
+def _row_getter(keys: Sequence[Elem]) -> Callable[[ElemMap], tuple]:
+    """m -> the tuple of m's values at keys: like `_picker` on positions,
+    one `itemgetter` call for two or more keys."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return lambda m: (m[key],)
+    return lambda m: ()
+
+
+def _check_states(carrier_pts: PointSet, sizes: Iterable[int]) -> None:
+    """SpaceTooLarge once the product of the sizes (each at least 1), taken
+    in order, passes DEFAULT_STATE_BOUND: the section enumeration guard."""
+    states = 1
+    for size in sizes:
+        states *= max(size, 1)
+        if states > DEFAULT_STATE_BOUND:
+            raise SpaceTooLarge(f"section enumeration over open {sorted(carrier_pts)} "
+                                f"exceeds {DEFAULT_STATE_BOUND} states at {states}")
 
 
 def _scan(rows: List[Tuple[Elem, ...]], shared: List[int], agreed: List[Elem],
@@ -393,12 +430,7 @@ def compatible_families(space: FinSpace, carrier_pts: PointSet,
     """
     maxpts = space.maximal_points(carrier_pts)
     choices = [elems_at(m) for m in maxpts]
-    states = 1
-    for vals in choices:
-        states *= max(len(vals), 1)
-        if states > DEFAULT_STATE_BOUND:
-            raise SpaceTooLarge(f"section enumeration over open {sorted(carrier_pts)} "
-                                f"exceeds {DEFAULT_STATE_BOUND} states at {states}")
+    _check_states(carrier_pts, map(len, choices))
     if len(maxpts) == 1:  # min_open(m), listed without the join's row building
         ys = sorted(carrier_pts)
         return [tuple([res(maxpts[0], y, val) for y in ys]) for val in choices[0]]
@@ -492,34 +524,50 @@ class UnitCount(NamedTuple):
 def unit_counts(p: Presheaf) -> Dict[PointSet, UnitCount]:
     """Per open of a valid presheaf whose carriers list no element twice, in
     `enumerate_opens` order: what `sheafify` with `unit_injective` and
-    `unit_bijective` gives, listing sections over the empty and connected
-    opens alone.
+    `unit_bijective` gives, counting sections over the empty and connected
+    opens alone, under `compatible_families`' guard.
 
-    Those count their `compatible_families`.  A disconnected open's sections
-    are the tuples of its components' sections, since no minimal open meets
+    The empty open has one section, the empty family.  A connected open
+    with one maximal point m is min_open(m), whose sections are the
+    elements of the stalk at m; with more, the sections are the families
+    `_join_rows` lists from the germ rows of its maximal points, each
+    point's rows read once per call.  A disconnected open's sections are
+    the tuples of its components' sections, since no minimal open meets
     two components, so they number the product of the components' counts.
     The unit sends a section e over u to its germs, a compatible family by
     functoriality, so it is bijective iff it is injective and the carrier
     size equals the count.  The germs at the maximal points of u determine
-    the others, so it is injective iff e -> (e|U_m) over them is.
+    the others, so it is injective iff e -> (e|U_m) over them is: each
+    U_m's row is read through one getter over u's carrier, and the empty
+    open's unit, with no germs, is injective iff it has at most one element.
     """
-    space, mins = p.space, p.space.min_open
-    stalks = {x: list(p.stalk_carrier(x).elements) for x in space.points}
-    germs = {x: {y: p.row(mins[x], mins[y]) for y in mins[x]} for x in space.points}
+    space, mins, read = p.space, p.space.min_open, _reader(p)
+    stalks = {x: p.carriers[mins[x]].elements for x in space.points}
+    germ_rows: Dict[Point, List[Tuple[Elem, ...]]] = {}
 
-    def res(x: Point, y: Point, e: Elem) -> Elem:
-        return germs[x][y][e]
+    def rows_at(m: Point) -> List[Tuple[Elem, ...]]:
+        """Each element of the stalk at m as its germs over sorted(min_open(m))."""
+        if m not in germ_rows:
+            get = _row_getter(stalks[m])
+            germ_rows[m] = list(zip(*[get(p.row(mins[m], mins[y])) for y in sorted(mins[m])]))
+        return germ_rows[m]
 
     out: Dict[PointSet, UnitCount] = {}
     for u in enumerate_opens(space):
-        parts = components(space, u)
-        count = (len(compatible_families(space, u, stalks.__getitem__, res))
-                 if len(parts) <= 1 else prod(out[c].sections for c in parts))
+        parts, maxpts = components(space, u), space.maximal_points(u)
+        if len(parts) > 1:
+            count = prod(out[c].sections for c in parts)
+        else:
+            _check_states(u, [len(stalks[m]) for m in maxpts])
+            count = (len(_join_rows(space, u, {m: rows_at(m) for m in maxpts}, {}))
+                     if len(maxpts) > 1 else len(stalks[maxpts[0]]) if maxpts else 1)
         elems = p.carriers[u].elements
-        tops = [p.row(u, mins[m]) for m in space.maximal_points(u)]
-        carrier = len(elems)
-        injective = len({tuple([r[e] for r in tops]) for e in elems}) == carrier
-        out[u] = UnitCount(carrier, count, injective, injective and carrier == count)
+        if len(maxpts) > 1:
+            get = _row_getter(elems)
+            injective = len(set(zip(*[get(read((u, mins[m]))) for m in maxpts]))) == len(elems)
+        else:  # min_open(m), whose unit is its identity row, or the empty open
+            injective = bool(maxpts) or len(elems) <= 1
+        out[u] = UnitCount(len(elems), count, injective, injective and len(elems) == count)
     return out
 
 

@@ -239,6 +239,47 @@ def test_sheafify_counts_a_disconnected_open_past_the_section_guard(tmp_path, ca
     assert (report["monopresheaf"], report["complete"]) == (True, False)
 
 
+@pytest.mark.parametrize("bound, message", [
+    (2, "section enumeration over open ['a'] exceeds 2 states at 3"),
+    (3, "section enumeration over open ['a', 'b', 'c', 'd'] exceeds 3 states at 9")])
+def test_presheaf_commands_exit_on_the_section_guard_of_the_first_open(
+        tmp_path, capsys, monkeypatch, bound, message):
+    """Three symbols on the pseudo-circle under a lowered section bound:
+    the first open refused is {a}, with one maximal point, under 2, and the
+    whole space, with two, under 3; both commands exit 2 with its message."""
+    monkeypatch.setattr(sheafkit.presheaf, "DEFAULT_STATE_BOUND", bound)
+    sp = write(tmp_path, "space.json", PSEUDO_CIRCLE)
+    ph = write(tmp_path, "presheaf.json",
+               presheaf_tables(PSEUDO_CIRCLE["min_open"], "constant", 3))
+    for command in ("presheaf-check", "sheafify"):
+        code, report, err = run(capsys, [command, "--space", sp, "--presheaf", ph])
+        assert (code, report, err) == (EXIT_BUDGET, None, f"size guard hit: {message}\n")
+
+
+@pytest.mark.parametrize("empty_open, complete", [(["*"], True), ([], False)])
+def test_presheaf_reports_on_empty_carriers(tmp_path, capsys, empty_open, complete):
+    """On a <= b, every carrier but the empty open's is empty, so a and
+    {a, b} have no sections and a bijective unit.  The empty open has one
+    section, the empty family: its unit is bijective on one element and
+    not on none."""
+    sp = write(tmp_path, "space.json", {"min_open": {"a": ["a"], "b": ["a", "b"]}})
+    ph = write(tmp_path, "presheaf.json", {
+        "carriers": {"": empty_open, "a": [], "a,b": []},
+        "restrictions": {"a|": {}, "a,b|": {}, "a,b|a": {}}})
+    base = ["--space", sp, "--presheaf", ph]
+    assert run(capsys, ["presheaf-check"] + base) == (EXIT_OK, {
+        "command": "presheaf-check", "violations": [], "valid": True,
+        "monopresheaf": True, "complete": complete},
+        f"presheaf-check: valid=True, monopresheaf=True, complete={complete}\n")
+    assert run(capsys, ["sheafify"] + base) == (EXIT_OK, {
+        "command": "sheafify",
+        "opens": {"": {"carrier": len(empty_open), "sections": 1,
+                       "unit_bijective": complete},
+                  "a": {"carrier": 0, "sections": 0, "unit_bijective": True},
+                  "a,b": {"carrier": 0, "sections": 0, "unit_bijective": True}},
+        "unit_bijective_everywhere": complete}, "sheafify: done\n")
+
+
 @pytest.mark.parametrize("name", ["a,b", "a|b"])
 @pytest.mark.parametrize("command", ["space-check", "sheafify"])
 def test_point_names_with_key_separators_are_invalid(tmp_path, capsys, name, command):

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 
 import pytest
@@ -236,6 +237,67 @@ def test_validate_matches_the_full_scan(seed):
             assert validate(p) == full_scan_validate(p), (kind, s, fault)
 
 
+def parsed(p, tables):
+    """p with its restriction tables on the pairs v ⊊ u as they stand,
+    written as a JSON presheaf and read back by `cli.parse_presheaf`, so
+    its rows come from the parsed tables and not from `_tabulate`."""
+    from sheafkit.cli import parse_presheaf
+    key = {u: ",".join(sorted(u)) for u in p.carriers}
+    obj = {"carriers": {key[u]: list(c.elements) for u, c in p.carriers.items()},
+           "restrictions": {f"{key[u]}|{key[v]}": table
+                            for (u, v), table in tables.items() if v < u}}
+    q = parse_presheaf(p.space, json.loads(json.dumps(obj)))
+    assert q.tables is not None
+    return q
+
+
+JSON_VALUES = {"null": None, "list": ["x"], "object": {"k": "x"}}
+
+
+def set_entry(rng, tables, value):
+    """Set one entry of a table on a pair v ⊊ u to value; False when every
+    such table is empty."""
+    pairs = [uv for uv, table in tables.items() if uv[1] < uv[0] and table]
+    if not pairs:
+        return False
+    table = tables[rng.choice(pairs)]
+    table[rng.choice(sorted(table))] = value
+    return True
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_validate_on_parsed_tables_matches_the_full_scan(seed):
+    """The perturbed presheaves of `test_validate_matches_the_full_scan`
+    (the same draws), then the same kinds on 0 to 3 symbols, so carriers of
+    0, 1 and more elements read through each shape of row getter, as given
+    and with an entry set to a JSON null, list or object: each written as
+    JSON and parsed, and `validate` of the parsed presheaf against the full
+    scan, and its one-pass decision against the report.  A perturbed
+    identity table is not written, as a parsed presheaf restricts an open
+    to itself by the identity."""
+    rng = random.Random(seed)
+    space = (PROPERTY_SPACES[seed] if seed < len(PROPERTY_SPACES)
+             else random_space(rng, rng.randint(3, 6)))
+    kinds = ("constant", "constant-everywhere", "locally-constant")
+    cases = []
+    for kind, s, fault in itertools.product(kinds, (2, 3), FAULTS):
+        p, tables = set_presheaf(space, kind, s)
+        if perturb(rng, p, tables, fault):
+            cases.append((p, tables, (kind, s, fault)))
+    for kind, s, fault in itertools.product(kinds, range(4), ("none",) + tuple(JSON_VALUES)):
+        p, tables = set_presheaf(space, kind, s)
+        if fault == "none" or set_entry(rng, tables, JSON_VALUES[fault]):
+            cases.append((p, tables, (kind, s, fault)))
+    verdicts = set()
+    for p, tables, case in cases:
+        q = parsed(p, tables)
+        report = validate(q)
+        assert report == full_scan_validate(q), case
+        assert presheaf._valid(q, sorted(q.carriers, key=open_sort_key)) == (report == [])
+        verdicts.add(report == [])
+    assert verdicts == {True, False}
+
+
 def test_wrong_map_on_a_longer_step_fails_the_cover_check(monkeypatch):
     # only the direct map {p1,p2,p3} -> {p1} is wrong: every cover step is
     # sound, and the one-pass decision fails on comparing that map with the
@@ -305,6 +367,31 @@ def test_section_enumeration_guard_names_its_open_and_count(monkeypatch):
         presheaf.compatible_families(pseudo_circle(), frozenset({"a", "b"}),
                                      lambda x: [0, 1, 2], lambda x, y, e: e)
     assert str(hit.value) == "section enumeration over open ['a', 'b'] exceeds 5 states at 9"
+
+
+@pytest.mark.parametrize("bound, message", [
+    (2, "section enumeration over open ['a'] exceeds 2 states at 3"),
+    (3, "section enumeration over open ['a', 'b', 'c', 'd'] exceeds 3 states at 9")])
+def test_unit_counts_raise_the_section_guard_on_the_first_open_listed(monkeypatch,
+                                                                      bound, message):
+    """Three symbols on the pseudo-circle.  `compatible_families` over each
+    empty or connected open in turn refuses first {a}, one maximal point,
+    under a bound of 2, and the whole space, two maximal points, under 3.
+    `unit_counts` raises the same message, on tabulated and parsed rows."""
+    monkeypatch.setattr(presheaf, "DEFAULT_STATE_BOUND", bound)
+    space = pseudo_circle()
+    p, tables = set_presheaf(space, "constant", 3)
+    with pytest.raises(SpaceTooLarge) as first:
+        for u in enumerate_opens(space):
+            if len(components(space, u)) <= 1:
+                presheaf.compatible_families(
+                    space, u, lambda x: list(p.stalk_carrier(x).elements),
+                    lambda x, y, e: p.restrict(space.min_open[x], space.min_open[y], e))
+    assert str(first.value) == message
+    for q in (p, parsed(p, tables)):
+        with pytest.raises(SpaceTooLarge) as hit:
+            unit_counts(q)
+        assert str(hit.value) == message
 
 
 # On the pseudo-circle the maximal points are c and d.  c has one choice,
@@ -422,6 +509,30 @@ def test_unit_counts_match_sheafify():
         assert is_complete(p) == all(unit_bijective(sh, u) for u in p.carriers)
     assert seen == {(True, True), (True, False), (False, False)}
     assert verdicts == {True, False}
+
+
+def test_unit_counts_on_parsed_tables_match_sheafify():
+    """The set presheaves of `test_unit_counts_match_sheafify`, and the
+    same kinds on 0 and 1 symbols, so carriers of 0, 1 and more elements
+    read through each shape of row getter, written as JSON and parsed:
+    `unit_counts` reads the parsed tables and gives, per open in open
+    order, the carrier size, section count and the unit's injectivity and
+    bijectivity that `sheafify` of the parsed presheaf gives."""
+    sizes, seen = set(), set()
+    for space, kind, s in itertools.product(
+            REPORT_CORPUS_SPACES, ("constant", "constant-everywhere", "locally-constant"),
+            range(4)):
+        q = parsed(*set_presheaf(space, kind, s))
+        sh = sheafify(q)
+        expected = {u: (len(q.carriers[u].elements), len(sh.sections.carriers[u].elements),
+                        unit_injective(sh, u), unit_bijective(sh, u))
+                    for u in enumerate_opens(space)}
+        counts = unit_counts(q)
+        assert list(counts.items()) == list(expected.items()), (kind, s)
+        sizes |= {min(c.carrier, 2) for c in counts.values()}
+        seen |= {c[2:] for c in counts.values()}
+    assert sizes == {0, 1, 2}
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("fault", ("none", "undefined", "cover", "longer"))

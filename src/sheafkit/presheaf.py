@@ -220,7 +220,7 @@ def _valid(p: Presheaf, opens: List[PointSet]) -> bool:
             if get(p.row(u, u)) != elems:
                 return False
             maxpts, ring, ru = space.maximal_points(u), u in rings, rows.setdefault(u, {})
-            steps, then = {}, {}  # cover step by maximal point; r(v,-) read after r(u,v)
+            steps, then = {}, {}  # u-{x} by x; by v, r(v,-) read at the values of r(u,v)
             for x in maxpts:
                 v = steps[x] = u - {x}
                 ruv = ru[v] = read((u, v))
